@@ -564,17 +564,21 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
         && (not print_ir_before_all)
         && not print_ir_after_all
       in
-      (* Parallel execution needs every chunk materialized up front (the
-         workers share the task array); the sequential driver below keeps
-         one document resident at a time instead. *)
+      (* Parallel execution needs every chunk cut up front (the workers
+         share the task array); the sequential driver below keeps one
+         document resident at a time instead. Chunks are windows of their
+         document, whose text is registered here, once, for every worker
+         to render snippets from. *)
       let tasks =
         if n_jobs > 1 && flags_allow_parallel then
           List.concat
             (List.mapi
                (fun di (path, fetch) ->
-                 List.map
-                   (fun chunk -> (di, path, chunk))
-                   (chunks_of (fetch_doc fetch)))
+                 let payload = fetch_doc fetch in
+                 (match payload with
+                 | Source.Text (src, _) -> Diag.Sources.register ~file:path src
+                 | Source.Binary _ -> ());
+                 List.map (fun chunk -> (di, path, chunk)) (chunks_of payload))
                docs)
           |> Array.of_list
         else [||]
@@ -606,17 +610,21 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
            without synchronization. *)
         Irdl_ir.Context.freeze ctx;
         let sources = Diag.Sources.snapshot () in
+        (* Under --verify-diagnostics the rendered text is never printed,
+           only the diagnostics are matched: skip rendering it. *)
+        let render d =
+          if verify_diagnostics then "" else Fmt.str "%a" Diag.pp_rendered d
+        in
         let thunks =
           Array.map
             (fun (_, path, chunk) () ->
-              (* Dialect-file sources from the main domain, so worker-side
-                 rendering has the same snippets; the chunk itself is
-                 registered by the parse below. *)
+              (* The main domain's sources (dialect files and the inputs),
+                 so worker-side rendering has the same snippets. *)
               Diag.Sources.preload sources;
               let worker_engine = Diag.Engine.create () in
               let rendered = ref [] in
               Diag.Engine.add_handler worker_engine (fun d ->
-                  rendered := (d, Fmt.str "%a" Diag.pp_rendered d) :: !rendered);
+                  rendered := (d, render d) :: !rendered);
               (* Pass instances are cheap per-chunk values; re-deriving
                  them here keeps workers from sharing any pass state. The
                  string parsed fine on the main domain, so it parses
@@ -689,23 +697,24 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
       List.filter_map
         (fun p ->
           match Source.classify (read_file p) with
-          | Source.Text src -> Some (p, src)
+          | Source.Text (src, _) -> Some (p, src)
           | Source.Binary _ -> None)
         dialect_files
       @ List.filter_map
           (fun (p, fetch) ->
             match fetch_doc fetch with
-            | Source.Text src -> Some (p, src)
+            | Source.Text (src, _) -> Some (p, src)
             | Source.Binary _ -> None)
           docs
     in
     let expectations, scan_errors =
-      List.fold_left
-        (fun (es, errs) (file, src) ->
-          let e, r = Harness.scan_expectations ~file src in
-          (es @ e, errs @ r))
-        ([], []) sources
+      List.split
+        (List.map
+           (fun (file, src) -> Harness.scan_expectations ~file src)
+           sources)
     in
+    let expectations = List.concat expectations
+    and scan_errors = List.concat scan_errors in
     let failures =
       scan_errors @ Harness.check ~expectations (Diag.Engine.diagnostics engine)
     in

@@ -1074,7 +1074,9 @@ module Stream = struct
        sticky [Error] from [next], never an exception out of [create]. *)
     (match
        Diag.protect_any (fun () ->
-           Limits.check_payload budget ~file (String.length s))
+           Limits.check_payload budget
+             ~loc:(Loc.point (Loc.start_of_file file))
+             (String.length s))
      with
     | Ok () -> ()
     | Error d ->

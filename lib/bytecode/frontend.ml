@@ -15,10 +15,16 @@ module Resolve = Irdl_core.Resolve
 module Native = Irdl_core.Native
 
 module Source = struct
-  type payload = Text of string | Binary of string
+  type payload = Text of string * Sbuf.window | Binary of string
 
-  let classify s = if Bytecode.sniff s then Binary s else Text s
-  let contents = function Text s | Binary s -> s
+  let classify s = if Bytecode.sniff s then Binary s else Text (s, Sbuf.whole s)
+
+  let contents = function
+    | Text (s, { start; stop; _ }) ->
+        if start = 0 && stop = String.length s then s
+        else String.sub s start (stop - start)
+    | Binary s -> s
+
   let is_binary = function Binary _ -> true | Text _ -> false
 
   (* Classify a channel that cannot seek (stdin): peek just the magic-sized
@@ -48,15 +54,15 @@ module Source = struct
         ~finally:(fun () -> close_in ic)
         (fun () -> classify (really_input_string ic (in_channel_length ic)))
 
-  (* The unit-of-work split: '// -----' chunks for text, document
-     boundaries for bytecode. Without [split] the payload is one chunk —
-     a multi-document bytecode buffer still reads fine, the documents are
-     just processed as one unit. *)
+  (* The unit-of-work split: '// -----' chunks for text, as windows of the
+     one source string, and document boundaries for bytecode. Without
+     [split] the payload is one chunk — a multi-document bytecode buffer
+     still reads fine, the documents are just processed as one unit. *)
   let chunks ~split payload =
     match payload with
-    | Text s ->
-        let parts = if split then Diag_harness.split_input s else [ s ] in
-        List.map (fun c -> Text c) parts
+    | Text (s, _) when split ->
+        List.map (fun w -> Text (s, w)) (Diag_harness.split_input s)
+    | Text _ -> [ payload ]
     | Binary b ->
         if split then
           List.map (fun c -> Binary c) (Bytecode.split_documents b)
@@ -112,8 +118,9 @@ module Stream = struct
 
   let create ?file ?engine ?limits ctx payload =
     match payload with
-    | Source.Text s ->
-        Text_stream (Ir_parser.Stream.create ?file ?engine ?limits ctx s)
+    | Source.Text (s, window) ->
+        Text_stream
+          (Ir_parser.Stream.create ?file ?engine ?limits ~window ctx s)
     | Source.Binary b ->
         Binary_stream (Bytecode.Stream.create ?file ?engine ?limits ctx b)
 
@@ -126,15 +133,18 @@ end
 
 let parse_module ?file ?engine ?limits ctx payload =
   match payload with
-  | Source.Text s -> Ir_parser.parse_ops ?file ?engine ?limits ctx s
+  | Source.Text (s, window) ->
+      Ir_parser.parse_ops ?file ?engine ?limits ~window ctx s
   | Source.Binary b -> Bytecode.read_module ?file ?engine ?limits ctx b
 
 let load_dialects ?native ?compile ?file ?engine ctx payload =
   match (payload, engine) with
-  | Source.Text src, None ->
-      Irdl_core.Irdl.load ?native ?compile ?file ctx src
-  | Source.Text src, Some engine ->
-      Ok (Irdl_core.Irdl.load_collect ?native ?compile ?file ~engine ctx src)
+  | Source.Text _, None ->
+      Irdl_core.Irdl.load ?native ?compile ?file ctx (Source.contents payload)
+  | Source.Text _, Some engine ->
+      Ok
+        (Irdl_core.Irdl.load_collect ?native ?compile ?file ~engine ctx
+           (Source.contents payload))
   | Source.Binary b, None ->
       Result.bind (Bytecode.read_dialects ?file b) (fun dls ->
           let rec reg = function

@@ -12,12 +12,20 @@ module Context = Irdl_ir.Context
 
 (** Classified inputs. *)
 module Source : sig
-  type payload = Text of string | Binary of string
+  type payload =
+    | Text of string * Sbuf.window
+        (** A window of a text source: the whole of it, or one
+            [--split-input-file] chunk sharing the one source string. *)
+    | Binary of string
 
   val classify : string -> payload
-  (** [Binary] iff the buffer starts with the bytecode magic. *)
+  (** [Binary] iff the buffer starts with the bytecode magic; otherwise
+      the whole buffer as one [Text] window. *)
 
   val contents : payload -> string
+  (** The payload's bytes: a text window's own text (a copy, unless the
+      window is the whole source). *)
+
   val is_binary : payload -> bool
 
   val of_channel : in_channel -> payload
@@ -31,8 +39,9 @@ module Source : sig
 
   val chunks : split:bool -> payload -> payload list
   (** The independent units of work in a payload: [// -----] chunks for
-      text, document boundaries for bytecode. Without [split], the whole
-      payload as one chunk. *)
+      text (windows of the same source string, see
+      {!Diag_harness.split_input}), document boundaries for bytecode.
+      Without [split], the whole payload as one chunk. *)
 end
 
 (** Output accumulation: the textual printer (one printer session, ops

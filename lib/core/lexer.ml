@@ -28,35 +28,6 @@ let pp_token ppf = function
 
 let dotted_ident_char c = Sbuf.is_ident_char c || c = '.'
 
-let rec skip_trivia buf =
-  Sbuf.skip_while buf Sbuf.is_space;
-  match (Sbuf.peek buf, Sbuf.peek2 buf) with
-  | Some '/', Some '/' ->
-      Sbuf.skip_while buf (fun c -> c <> '\n');
-      skip_trivia buf
-  | _ -> ()
-
-let lex_string buf start =
-  let b = Buffer.create 16 in
-  let rec go () =
-    match Sbuf.next buf with
-    | None -> Diag.raise_error ~loc:(Loc.point start) "unterminated string"
-    | Some '"' -> Buffer.contents b
-    | Some '\\' -> (
-        match Sbuf.next buf with
-        | Some 'n' -> Buffer.add_char b '\n'; go ()
-        | Some 't' -> Buffer.add_char b '\t'; go ()
-        | Some '"' -> Buffer.add_char b '"'; go ()
-        | Some '\\' -> Buffer.add_char b '\\'; go ()
-        | Some c -> Buffer.add_char b c; go ()
-        | None ->
-            Diag.raise_error ~loc:(Loc.point start) "unterminated string")
-    | Some c ->
-        Buffer.add_char b c;
-        go ()
-  in
-  go ()
-
 let lex_int buf start text =
   match Int64.of_string_opt text with
   | Some v -> v
@@ -66,45 +37,44 @@ let lex_int buf start text =
         "integer literal '%s' out of range" text
 
 let next_token buf : t =
-  skip_trivia buf;
+  Sbuf.skip_trivia buf;
   let start = Sbuf.pos buf in
   let mk tok = { tok; loc = Sbuf.loc_from buf start } in
-  match Sbuf.peek buf with
-  | None -> mk Eof
-  | Some '"' ->
-      Sbuf.advance buf;
-      mk (Str (lex_string buf start))
-  | Some '!' ->
-      Sbuf.advance buf;
-      mk (Bang_ident (Sbuf.take_while buf dotted_ident_char))
-  | Some '#' ->
-      Sbuf.advance buf;
-      mk (Hash_ident (Sbuf.take_while buf dotted_ident_char))
-  | Some c when Sbuf.is_digit c ->
-      let text = Sbuf.take_while buf Sbuf.is_digit in
-      mk (Int_lit (lex_int buf start text))
-  | Some '-' when (match Sbuf.peek2 buf with
-                   | Some c -> Sbuf.is_digit c
-                   | None -> false) ->
-      Sbuf.advance buf;
-      let text = Sbuf.take_while buf Sbuf.is_digit in
-      mk (Int_lit (Int64.neg (lex_int buf start text)))
-  | Some c when Sbuf.is_ident_start c ->
-      mk (Ident (Sbuf.take_while buf dotted_ident_char))
-  | Some (('{' | '}' | '(' | ')' | '<' | '>' | ',' | ':' | '=' | '[' | ']' | '-') as c)
-    ->
-      Sbuf.advance buf;
-      mk (Punct (String.make 1 c))
-  | Some c ->
-      (* Consume the offending character so every lexer error leaves the
-         buffer strictly advanced — the recovering parsers rely on that to
-         retry lexing without looping. *)
-      Sbuf.advance buf;
-      Diag.raise_error ~loc:(Loc.point start) "unexpected character %C" c
+  if Sbuf.eof buf then mk Eof
+  else
+    match Sbuf.peek buf with
+    | '"' ->
+        Sbuf.advance buf;
+        mk (Str (Sbuf.string_literal buf start))
+    | '!' ->
+        Sbuf.advance buf;
+        mk (Bang_ident (Sbuf.take_while buf dotted_ident_char))
+    | '#' ->
+        Sbuf.advance buf;
+        mk (Hash_ident (Sbuf.take_while buf dotted_ident_char))
+    | c when Sbuf.is_digit c ->
+        let text = Sbuf.take_while buf Sbuf.is_digit in
+        mk (Int_lit (lex_int buf start text))
+    | '-' when Sbuf.is_digit (Sbuf.peek2 buf) ->
+        Sbuf.advance buf;
+        let text = Sbuf.take_while buf Sbuf.is_digit in
+        mk (Int_lit (Int64.neg (lex_int buf start text)))
+    | c when Sbuf.is_ident_start c ->
+        mk (Ident (Sbuf.take_while buf dotted_ident_char))
+    | ('{' | '}' | '(' | ')' | '<' | '>' | ',' | ':' | '=' | '[' | ']' | '-') as c
+      ->
+        Sbuf.advance buf;
+        mk (Punct (String.make 1 c))
+    | c ->
+        (* Consume the offending character so every lexer error leaves the
+           buffer strictly advanced — the recovering parsers rely on that to
+           retry lexing without looping. *)
+        Sbuf.advance buf;
+        Diag.raise_error ~loc:(Loc.point start) "unexpected character %C" c
 
 (** Lex a whole buffer; used by tests and the round-trip property checks. *)
 let tokenize ?(file = "<string>") src =
-  let buf = Sbuf.of_string ~file src in
+  let buf = Sbuf.create ~file src in
   let rec go acc =
     let t = next_token buf in
     match t.tok with Eof -> List.rev (t :: acc) | _ -> go (t :: acc)

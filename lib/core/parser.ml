@@ -29,7 +29,7 @@ let next_token p =
       go ()
 
 let create ?(file = "<string>") ?engine src =
-  let buf = Sbuf.of_string ~file src in
+  let buf = Sbuf.create ~file src in
   let p = { buf; engine; lookahead = { Lexer.tok = Lexer.Eof; loc = Loc.unknown } } in
   p.lookahead <- next_token p;
   p

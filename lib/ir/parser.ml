@@ -28,50 +28,16 @@ type lexed = { tok : token; tloc : Loc.t }
 
 let keyword_chars c = Sbuf.is_ident_char c || c = '.'
 
-let lex_string buf loc_start =
-  let b = Buffer.create 16 in
-  let rec go () =
-    match Sbuf.next buf with
-    | None -> Diag.raise_error ~loc:(Loc.point loc_start) "unterminated string"
-    | Some '"' -> Buffer.contents b
-    | Some '\\' -> (
-        match Sbuf.next buf with
-        | Some 'n' -> Buffer.add_char b '\n'; go ()
-        | Some 't' -> Buffer.add_char b '\t'; go ()
-        | Some '\\' -> Buffer.add_char b '\\'; go ()
-        | Some '"' -> Buffer.add_char b '"'; go ()
-        | Some c -> Buffer.add_char b c; go ()
-        | None ->
-            Diag.raise_error ~loc:(Loc.point loc_start) "unterminated string")
-    | Some c ->
-        Buffer.add_char b c;
-        go ()
-  in
-  go ()
-
-let rec skip_trivia buf =
-  Sbuf.skip_while buf Sbuf.is_space;
-  (* Line comments: // ... \n *)
-  match (Sbuf.peek buf, Sbuf.peek2 buf) with
-  | Some '/', Some '/' ->
-      Sbuf.skip_while buf (fun c -> c <> '\n');
-      skip_trivia buf
-  | _ -> ()
-
 let is_number_start buf =
-  match Sbuf.peek buf with
-  | Some c when Sbuf.is_digit c -> true
-  | Some '-' -> (
-      match Sbuf.peek2 buf with Some c -> Sbuf.is_digit c | None -> false)
-  | _ -> false
+  Sbuf.is_digit (Sbuf.peek buf)
+  || (Sbuf.peek buf = '-' && Sbuf.is_digit (Sbuf.peek2 buf))
 
 let lex_number buf =
   let start = Sbuf.pos buf in
   ignore (Sbuf.accept buf '-');
   (* Hex floats (0x1.9p+1) and hex ints (0xff). *)
   let is_hex =
-    Sbuf.peek buf = Some '0'
-    && (Sbuf.peek2 buf = Some 'x' || Sbuf.peek2 buf = Some 'X')
+    Sbuf.peek buf = '0' && (Sbuf.peek2 buf = 'x' || Sbuf.peek2 buf = 'X')
   in
   if is_hex then (
     Sbuf.advance buf;
@@ -83,12 +49,10 @@ let lex_number buf =
         || c = '.' || c = 'p' || c = 'P' || c = '+' || c = '-'))
   else (
     Sbuf.skip_while buf Sbuf.is_digit;
-    if Sbuf.peek buf = Some '.'
-       && (match Sbuf.peek2 buf with Some c -> Sbuf.is_digit c | None -> false)
-    then (
+    if Sbuf.peek buf = '.' && Sbuf.is_digit (Sbuf.peek2 buf) then (
       Sbuf.advance buf;
       Sbuf.skip_while buf Sbuf.is_digit);
-    if Sbuf.peek buf = Some 'e' || Sbuf.peek buf = Some 'E' then (
+    if Sbuf.peek buf = 'e' || Sbuf.peek buf = 'E' then (
       Sbuf.advance buf;
       ignore (Sbuf.accept buf '+' || Sbuf.accept buf '-');
       Sbuf.skip_while buf Sbuf.is_digit));
@@ -112,46 +76,47 @@ let lex_number buf =
     | None -> float_lit ()
 
 let next_token buf : lexed =
-  skip_trivia buf;
+  Sbuf.skip_trivia buf;
   let start = Sbuf.pos buf in
   let mk tok = { tok; tloc = Sbuf.loc_from buf start } in
-  match Sbuf.peek buf with
-  | None -> mk Eof
-  | Some '"' ->
-      Sbuf.advance buf;
-      mk (Str (lex_string buf start))
-  | Some '%' ->
-      Sbuf.advance buf;
-      mk (Value_id (Sbuf.take_while buf Sbuf.is_ident_char))
-  | Some '^' ->
-      Sbuf.advance buf;
-      mk (Block_id (Sbuf.take_while buf Sbuf.is_ident_char))
-  | Some '@' ->
-      Sbuf.advance buf;
-      mk (Symbol_id (Sbuf.take_while buf keyword_chars))
-  | Some '!' ->
-      Sbuf.advance buf;
-      mk (Bang_id (Sbuf.take_while buf keyword_chars))
-  | Some '#' ->
-      Sbuf.advance buf;
-      mk (Hash_id (Sbuf.take_while buf keyword_chars))
-  | Some '-' when Sbuf.peek2 buf = Some '>' ->
-      Sbuf.advance buf;
-      Sbuf.advance buf;
-      mk (Punct "->")
-  | Some c when Sbuf.is_digit c -> mk (lex_number buf)
-  | Some '-' when is_number_start buf -> mk (lex_number buf)
-  | Some c when Sbuf.is_ident_start c ->
-      mk (Ident (Sbuf.take_while buf keyword_chars))
-  | Some (('(' | ')' | '{' | '}' | '[' | ']' | '<' | '>' | ',' | ':' | '=' | '-') as c)
-    ->
-      Sbuf.advance buf;
-      mk (Punct (String.make 1 c))
-  | Some c ->
-      (* Consume the offending character so every lexer error leaves the
-         buffer strictly advanced — fail-soft retry relies on that. *)
-      Sbuf.advance buf;
-      Diag.raise_error ~loc:(Loc.point start) "unexpected character %C" c
+  if Sbuf.eof buf then mk Eof
+  else
+    match Sbuf.peek buf with
+    | '"' ->
+        Sbuf.advance buf;
+        mk (Str (Sbuf.string_literal buf start))
+    | '%' ->
+        Sbuf.advance buf;
+        mk (Value_id (Sbuf.take_while buf Sbuf.is_ident_char))
+    | '^' ->
+        Sbuf.advance buf;
+        mk (Block_id (Sbuf.take_while buf Sbuf.is_ident_char))
+    | '@' ->
+        Sbuf.advance buf;
+        mk (Symbol_id (Sbuf.take_while buf keyword_chars))
+    | '!' ->
+        Sbuf.advance buf;
+        mk (Bang_id (Sbuf.take_while buf keyword_chars))
+    | '#' ->
+        Sbuf.advance buf;
+        mk (Hash_id (Sbuf.take_while buf keyword_chars))
+    | '-' when Sbuf.peek2 buf = '>' ->
+        Sbuf.advance buf;
+        Sbuf.advance buf;
+        mk (Punct "->")
+    | c when Sbuf.is_digit c -> mk (lex_number buf)
+    | '-' when is_number_start buf -> mk (lex_number buf)
+    | c when Sbuf.is_ident_start c ->
+        mk (Ident (Sbuf.take_while buf keyword_chars))
+    | ('(' | ')' | '{' | '}' | '[' | ']' | '<' | '>' | ',' | ':' | '=' | '-') as c
+      ->
+        Sbuf.advance buf;
+        mk (Punct (String.make 1 c))
+    | c ->
+        (* Consume the offending character so every lexer error leaves the
+           buffer strictly advanced — fail-soft retry relies on that. *)
+        Sbuf.advance buf;
+        Diag.raise_error ~loc:(Loc.point start) "unexpected character %C" c
 
 let pp_token ppf = function
   | Value_id s -> Fmt.pf ppf "%%%s" s
@@ -199,11 +164,15 @@ let next_token_safe p =
       in
       go ()
 
-let create ?(file = "<string>") ?engine ?(limits = Limits.unlimited) ctx src =
+let create ?(file = "<string>") ?engine ?(limits = Limits.unlimited) ?window
+    ctx src =
   let budget = Limits.budget limits in
-  Limits.check_payload budget ~file (String.length src);
+  let w = match window with Some w -> w | None -> Sbuf.whole src in
+  let buf = Sbuf.create ~file ~window:w src in
+  Limits.check_payload budget
+    ~loc:(Loc.point (Sbuf.pos buf))
+    (w.Sbuf.stop - w.Sbuf.start);
   Failpoints.hit "parse";
-  let buf = Sbuf.of_string ~file src in
   let p =
     { ctx; buf; engine; budget; lookahead = { tok = Eof; tloc = Loc.unknown };
       values = Hashtbl.create 64; forwards = [] }
@@ -851,11 +820,12 @@ let finish_collect p engine =
     lexing/parsing error (and every use of an undefined value) is emitted
     to the engine, parsing resumes at the next operation boundary, and the
     result is always [Ok] with the operations that parsed. *)
-let parse_ops ?file ?engine ?limits ctx src : (Graph.op list, Diag.t) result =
+let parse_ops ?file ?engine ?limits ?window ctx src :
+    (Graph.op list, Diag.t) result =
   match engine with
   | None ->
       Diag.protect_any (fun () ->
-          let p = create ?file ?limits ctx src in
+          let p = create ?file ?limits ?window ctx src in
           let rec go acc =
             match peek p with
             | Eof -> List.rev acc
@@ -868,7 +838,7 @@ let parse_ops ?file ?engine ?limits ctx src : (Graph.op list, Diag.t) result =
       Ok
         (match
            Diag.protect_any (fun () ->
-               let p = create ?file ~engine ?limits ctx src in
+               let p = create ?file ~engine ?limits ?window ctx src in
                let ops = ref [] in
                let continue = ref true in
                while !continue do
@@ -941,12 +911,13 @@ module Stream = struct
         (** Fail-fast mode only: the error that ended the session. *)
   }
 
-  let create ?file ?engine ?limits ctx src =
+  let create ?file ?engine ?limits ?window ctx src =
     (* Session open can itself fail — payload over budget, injected fault —
        and must fail like everything else in a session: a sticky [Error]
        from [next], not an exception out of [create]. *)
     match
-      Diag.protect_any (fun () -> create ?file ?engine ?limits ctx src)
+      Diag.protect_any (fun () ->
+          create ?file ?engine ?limits ?window ctx src)
     with
     | Ok sp ->
         {
@@ -961,8 +932,10 @@ module Stream = struct
         (match engine with
         | Some e -> Diag.Engine.emit e d
         | None -> ());
+        (* A placeholder parser over nothing, with no file name so that it
+           registers nothing over the real source. *)
         {
-          sp = create ?file ?engine ctx "";
+          sp = create ~file:"" ?engine ctx "";
           s_engine = engine;
           s_queue = Queue.create ();
           s_eof = true;

@@ -15,6 +15,7 @@ val parse_ops :
   ?file:string ->
   ?engine:Diag.Engine.t ->
   ?limits:Limits.t ->
+  ?window:Sbuf.window ->
   Context.t ->
   string ->
   (Graph.op list, Diag.t) result
@@ -30,7 +31,12 @@ val parse_ops :
     region depth and wall time. A blown budget aborts the whole parse even
     in fail-soft mode — the budget diagnostic (code
     [resource_exhausted]/[deadline_exceeded]) is emitted/returned and in
-    fail-soft mode the result is [Ok []]. *)
+    fail-soft mode the result is [Ok []].
+
+    [window] (default: the whole source) restricts the parse to one chunk
+    of [src], e.g. a [--split-input-file] chunk: locations carry the
+    chunk's real line numbers and file offsets, and the payload limit
+    counts the chunk's bytes only. *)
 
 (** Pull-based parse sessions: one fully-parsed top-level operation at a
     time (regions materialized per-op), so a driver can parse → verify →
@@ -45,14 +51,16 @@ module Stream : sig
     ?file:string ->
     ?engine:Diag.Engine.t ->
     ?limits:Limits.t ->
+    ?window:Sbuf.window ->
     Context.t ->
     string ->
     session
   (** Open a session. As with {!parse_ops}, [engine] selects fail-soft
       collect-and-recover parsing; without it the first error ends the
-      session. [limits] caps the session's resources; a blown budget never
-      raises out of [create] or {!next} — it ends the session with a
-      sticky [Error] whose diagnostic carries the budget code. *)
+      session. [window] selects a chunk of [src] as in {!parse_ops}.
+      [limits] caps the session's resources; a blown budget never raises
+      out of [create] or {!next} — it ends the session with a sticky
+      [Error] whose diagnostic carries the budget code. *)
 
   val next : session -> (Graph.op option, Diag.t) result
   (** The next top-level operation, [Ok None] at end of input, or — in

@@ -44,11 +44,10 @@ type stream = { buf : Sbuf.t; ctx : Context.t }
 
 let skip_ws st =
   Sbuf.skip_while st.buf Sbuf.is_space;
-  match (Sbuf.peek st.buf, Sbuf.peek2 st.buf) with
-  | Some '/', Some '/' ->
-      Sbuf.skip_while st.buf (fun c -> c <> '\n');
-      Sbuf.skip_while st.buf Sbuf.is_space
-  | _ -> ()
+  if Sbuf.peek st.buf = '/' && Sbuf.peek2 st.buf = '/' then begin
+    Sbuf.skip_while st.buf (fun c -> c <> '\n');
+    Sbuf.skip_while st.buf Sbuf.is_space
+  end
 
 let fail st fmt =
   Diag.raise_error ~loc:(Loc.point (Sbuf.pos st.buf)) fmt
@@ -65,7 +64,7 @@ let expect st c =
 let parse_ty_ref st : ty_ref =
   skip_ws st;
   match Sbuf.peek st.buf with
-  | Some '$' ->
+  | '$' ->
       Sbuf.advance st.buf;
       T_of_capture (ident st)
   | _ ->
@@ -73,21 +72,20 @@ let parse_ty_ref st : ty_ref =
       let start = Sbuf.pos st.buf in
       let depth = ref 0 in
       let continue = ref true in
-      while !continue do
+      while !continue && not (Sbuf.eof st.buf) do
         match Sbuf.peek st.buf with
-        | Some '<' | Some '(' ->
+        | '<' | '(' ->
             incr depth;
             Sbuf.advance st.buf
-        | Some '>' ->
+        | '>' ->
             decr depth;
             Sbuf.advance st.buf
-        | Some ')' when !depth > 0 ->
+        | ')' when !depth > 0 ->
             decr depth;
             Sbuf.advance st.buf
-        | Some ')' -> continue := false
-        | Some c when Sbuf.is_space c && !depth = 0 -> continue := false
-        | Some _ -> Sbuf.advance st.buf
-        | None -> continue := false
+        | ')' -> continue := false
+        | c when Sbuf.is_space c && !depth = 0 -> continue := false
+        | _ -> Sbuf.advance st.buf
       done;
       let text = Sbuf.slice st.buf start (Sbuf.pos st.buf) in
       (match Parser.parse_type_string st.ctx text with
@@ -96,11 +94,12 @@ let parse_ty_ref st : ty_ref =
 
 let rec parse_sexp st : sexp =
   skip_ws st;
+  if Sbuf.eof st.buf then fail st "expected '(' or '$'";
   match Sbuf.peek st.buf with
-  | Some '$' ->
+  | '$' ->
       Sbuf.advance st.buf;
       S_capture (ident st)
-  | Some '(' ->
+  | '(' ->
       Sbuf.advance st.buf;
       skip_ws st;
       let name = ident st in
@@ -110,16 +109,16 @@ let rec parse_sexp st : sexp =
       let ty = ref None in
       let rec go () =
         skip_ws st;
+        if Sbuf.eof st.buf then fail st "unterminated '('";
         match Sbuf.peek st.buf with
-        | Some ')' -> Sbuf.advance st.buf
-        | Some ':' ->
+        | ')' -> Sbuf.advance st.buf
+        | ':' ->
             Sbuf.advance st.buf;
             ty := Some (parse_ty_ref st);
             expect st ')'
-        | Some _ ->
+        | _ ->
             args := parse_sexp st :: !args;
             go ()
-        | None -> fail st "unterminated '('"
       in
       go ();
       S_op { name; args = List.rev !args; ty = !ty }
@@ -197,7 +196,7 @@ let kw st expected =
 let parse_patterns (ctx : Context.t) ?(file = "<pattern>") src :
     (Pattern.t list, Diag.t) result =
   Diag.protect_any @@ fun () ->
-  let st = { buf = Sbuf.of_string ~file src; ctx } in
+  let st = { buf = Sbuf.create ~file src; ctx } in
   let rec go acc =
     skip_ws st;
     if Sbuf.eof st.buf then List.rev acc
@@ -208,7 +207,7 @@ let parse_patterns (ctx : Context.t) ?(file = "<pattern>") src :
       expect st '{';
       skip_ws st;
       let benefit = ref 1 in
-      (let save = Sbuf.pos st.buf in
+      (let save = Sbuf.mark st.buf in
        let word = Sbuf.take_while st.buf Sbuf.is_ident_char in
        if word = "Benefit" then begin
          skip_ws st;
@@ -218,7 +217,7 @@ let parse_patterns (ctx : Context.t) ?(file = "<pattern>") src :
          | Some b -> benefit := b
          | None -> fail st "benefit value '%s' out of range" digits
        end
-       else st.buf.Sbuf.pos <- save);
+       else Sbuf.reset st.buf save);
       kw st "Match";
       let match_ = parse_sexp st in
       kw st "Rewrite";

@@ -108,93 +108,132 @@ let get_ok = function
 (* ------------------------------------------------------------------ *)
 
 module Sources = struct
-  (* Keyed by file name; {!Sbuf.of_string} registers every buffer it wraps,
+  (* Keyed by file name; {!Sbuf.create} registers every source it lexes,
      so by the time a diagnostic is rendered the text it points into is
-     available here. Re-registration overwrites (the common "<string>"
-     scratch name), making rendering best-effort by design.
+     available here. Re-registering the very same string keeps the entry
+     (and its line index): every chunk of a split file shares one. A
+     different string under the same name overwrites (the common
+     "<string>" scratch name), making rendering best-effort by design.
 
-     The registry is domain-local: parallel workers (--jobs) each parse and
-     render their own chunk of a --split-input-file run, and the chunks of
-     one file deliberately shadow each other under the same file name — a
-     shared table would race and would render chunk A's diagnostics
-     against chunk B's padding. A worker that needs the main domain's
-     registrations (dialect files loaded before the fan-out) seeds itself
-     with {!snapshot}/{!preload}. *)
-  let key : (string, string) Hashtbl.t Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> Hashtbl.create 16)
+     The registry is domain-local, so concurrent server requests that use
+     the same file name never see each other's payloads. A worker inherits
+     the spawning domain's registrations (dialect files, the split input)
+     from a {!snapshot}: an immutable copy shared by reference, consulted
+     after the worker's own table. *)
+  type entry = {
+    src : string;
+    line_starts : int array Atomic.t;
+        (** offset of each line's first byte; [[||]] until first needed.
+            Entries are shared between domains through snapshots, and two
+            domains racing to build it write equal arrays. *)
+  }
 
-  let table () = Domain.DLS.get key
+  type snapshot = (string, entry) Hashtbl.t
 
-  let register ~file src = if file <> "" then Hashtbl.replace (table ()) file src
-  let lookup file = Hashtbl.find_opt (table ()) file
-  let drop file = Hashtbl.remove (table ()) file
-  let clear () = Hashtbl.reset (table ())
+  type registry = {
+    own : (string, entry) Hashtbl.t;
+    mutable inherited : snapshot;
+  }
 
-  let snapshot () = Hashtbl.fold (fun k v acc -> (k, v) :: acc) (table ()) []
+  let key : registry Domain.DLS.key =
+    Domain.DLS.new_key (fun () ->
+        { own = Hashtbl.create 16; inherited = Hashtbl.create 1 })
 
-  let preload entries =
-    List.iter (fun (file, src) -> register ~file src) entries
+  let registry () = Domain.DLS.get key
+
+  let find file =
+    let r = registry () in
+    match Hashtbl.find_opt r.own file with
+    | Some _ as e -> e
+    | None -> Hashtbl.find_opt r.inherited file
+
+  let register ~file src =
+    if file <> "" then
+      match find file with
+      | Some e when e.src == src -> ()
+      | _ ->
+          Hashtbl.replace (registry ()).own file
+            { src; line_starts = Atomic.make [||] }
+
+  let lookup file = Option.map (fun e -> e.src) (find file)
+  let drop file = Hashtbl.remove (registry ()).own file
+
+  let clear () =
+    let r = registry () in
+    Hashtbl.reset r.own;
+    r.inherited <- Hashtbl.create 1
+
+  let snapshot () =
+    let r = registry () in
+    let s = Hashtbl.copy r.inherited in
+    Hashtbl.iter (Hashtbl.replace s) r.own;
+    s
+
+  let preload s = (registry ()).inherited <- s
+
+  let line_starts e =
+    match Atomic.get e.line_starts with
+    | [||] ->
+        let n = ref 1 in
+        String.iter (fun c -> if c = '\n' then incr n) e.src;
+        let a = Array.make !n 0 in
+        let k = ref 1 in
+        String.iteri
+          (fun i c ->
+            if c = '\n' then begin
+              a.(!k) <- i + 1;
+              incr k
+            end)
+          e.src;
+        Atomic.set e.line_starts a;
+        a
+    | a -> a
+
+  (* [start, stop) byte offsets of 1-based line [n] of [file]'s source. *)
+  let line file n =
+    match find file with
+    | None -> None
+    | Some e ->
+        let starts = line_starts e in
+        let lines = Array.length starts in
+        if n < 1 || n > lines then None
+        else
+          let stop =
+            if n < lines then starts.(n) - 1 else String.length e.src
+          in
+          Some (e.src, starts.(n - 1), stop)
 end
 
 (* ------------------------------------------------------------------ *)
 (* Snippet rendering                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* [start, end) byte offsets of 1-based line [n] in [src]; None when out of
-   range. Lines are located by counting newlines, not by the location's
-   offset, so rendering stays correct for sources re-materialized with the
-   same line structure (e.g. --split-input-file chunks padded with blank
-   lines). *)
-let line_bounds src n =
-  let len = String.length src in
-  let rec find_start line i =
-    if line >= n then Some i
-    else
-      match String.index_from_opt src i '\n' with
-      | Some j when j + 1 <= len -> find_start (line + 1) (j + 1)
-      | _ -> None
-  in
-  if n < 1 then None
-  else
-    match find_start 1 0 with
-    | None -> None
-    | Some start ->
-        let stop =
-          match String.index_from_opt src start '\n' with
-          | Some j -> j
-          | None -> len
-        in
-        Some (start, stop)
-
 (** Render the source line under [loc] with a [^~~~] caret span, when the
     file's text is available in {!Sources}. Renders nothing otherwise. *)
 let pp_snippet ppf (loc : Loc.t) =
   if not (Loc.is_unknown loc) then
-    match Sources.lookup loc.start_pos.file with
+    match Sources.line loc.start_pos.file loc.start_pos.line with
     | None -> ()
-    | Some src -> (
-        match line_bounds src loc.start_pos.line with
-        | None -> ()
-        | Some (start, stop) ->
-            let line =
-              String.map
-                (fun c -> if c = '\t' then ' ' else c)
-                (String.sub src start (stop - start))
-            in
-            let gutter = string_of_int loc.start_pos.line in
-            let col = max 1 (min loc.start_pos.col (String.length line + 1)) in
-            let width =
-              if
-                loc.end_pos.line = loc.start_pos.line
-                && loc.end_pos.col > loc.start_pos.col
-              then loc.end_pos.col - loc.start_pos.col
-              else 1
-            in
-            let width = max 1 (min width (String.length line - col + 2)) in
-            Fmt.pf ppf "@\n  %s | %s@\n  %s | %s^%s" gutter line
-              (String.make (String.length gutter) ' ')
-              (String.make (col - 1) ' ')
-              (String.make (width - 1) '~'))
+    | Some (src, start, stop) ->
+        let line =
+          String.map
+            (fun c -> if c = '\t' then ' ' else c)
+            (String.sub src start (stop - start))
+        in
+        let gutter = string_of_int loc.start_pos.line in
+        let col = max 1 (min loc.start_pos.col (String.length line + 1)) in
+        let width =
+          if
+            loc.end_pos.line = loc.start_pos.line
+            && loc.end_pos.col > loc.start_pos.col
+          then loc.end_pos.col - loc.start_pos.col
+          else 1
+        in
+        let width = max 1 (min width (String.length line - col + 2)) in
+        Fmt.pf ppf "@\n  %s | %s@\n  %s | %s^%s" gutter line
+          (String.make (String.length gutter) ' ')
+          (String.make (col - 1) ' ')
+          (String.make (width - 1) '~')
 
 (** Like {!pp}, with a rendered source snippet under the header line and
     under every note whose location is known. *)

@@ -76,41 +76,49 @@ val protect_any : ?loc:Loc.t -> (unit -> 'a) -> ('a, t) result
 val get_ok : ('a, t) result -> 'a
 (** Unwrap, re-raising {!Error_exn} on [Error]. *)
 
-(** Registry of source-buffer contents, keyed by file name. {!Sbuf.of_string}
-    registers every buffer it wraps; {!pp_snippet} reads it back at render
-    time. Re-registration overwrites, so rendering is best-effort for
-    scratch names like ["<string>"].
+(** Registry of source-buffer contents, keyed by file name. {!Sbuf.create}
+    registers every source it lexes; {!pp_snippet} reads it back at render
+    time. Registering the very string already registered keeps its entry,
+    so the chunks of one split file share one registration and one line
+    index. A different string under the same name overwrites, so rendering
+    is best-effort for scratch names like ["<string>"].
 
-    The registry is domain-local: each domain sees only the buffers it
-    registered itself, so parallel chunk workers never race on (or shadow)
-    each other's sources. {!Sources.snapshot}/{!Sources.preload} carry the
-    spawning domain's registrations into a worker. *)
+    The registry is domain-local: each domain sees the buffers it
+    registered itself, then those it inherited from a {!Sources.snapshot}
+    of the spawning domain via {!Sources.preload}. *)
 module Sources : sig
   val register : file:string -> string -> unit
   val lookup : string -> string option
 
   val drop : string -> unit
-  (** Remove one file's buffer from the calling domain's registry (no-op
-      when absent). Streaming/batch drivers call this once a source's
-      diagnostics have been flushed, so a long [--batch] run does not
-      retain every processed buffer for the process lifetime; diagnostics
-      rendered later against the dropped file simply lose their snippet. *)
+  (** Remove one file's buffer from the calling domain's own registrations
+      (no-op when absent; inherited ones stay). Streaming/batch drivers
+      call this once a source's diagnostics have been flushed, so a long
+      [--batch] run does not retain every processed buffer for the process
+      lifetime; diagnostics rendered later against the dropped file simply
+      lose their snippet. *)
 
   val clear : unit -> unit
 
-  val snapshot : unit -> (string * string) list
-  (** Every registration of the calling domain, for {!preload} in another. *)
+  type snapshot
+  (** An immutable copy of one domain's registrations. *)
 
-  val preload : (string * string) list -> unit
-  (** Add [snapshot]ted entries to the calling domain's registry (existing
-      keys are overwritten, nothing is removed). *)
+  val snapshot : unit -> snapshot
+  (** Every registration visible in the calling domain, for {!preload} in
+      another. *)
+
+  val preload : snapshot -> unit
+  (** Make a snapshot's entries visible in the calling domain, behind its
+      own registrations (which win on a name clash), replacing any
+      snapshot preloaded before. Constant time: the entries, line indexes
+      included, are shared, not copied. *)
 end
 
 val pp_snippet : Format.formatter -> Loc.t -> unit
 (** Render the source line under a location with a [^~~~] caret span, when
     the file's text is registered in {!Sources}; renders nothing otherwise.
-    The line is found by line number, so sources re-materialized with the
-    same line structure (split-input-file chunks) render correctly. *)
+    The line is found by its number in a line-start index built once per
+    registered source, on its first rendered diagnostic. *)
 
 val pp_rendered : Format.formatter -> t -> unit
 (** Like {!pp}, with a source snippet under the header and under every

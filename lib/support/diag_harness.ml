@@ -3,46 +3,59 @@
     Two building blocks used by [irdl-opt]:
 
     - {!split_input} cuts a source file at [// -----] separator lines into
-      independent chunks, each padded with leading newlines so every
-      diagnostic keeps its original line number.
+      independent chunks. A chunk is a window of the unchanged source (its
+      byte range and first line number), so every diagnostic keeps its
+      original line number and file offset without copying any text.
     - {!scan_expectations}/{!check} implement [--verify-diagnostics]:
       [// expected-error@<offset> {{substring}}] annotations (and the
       [expected-warning]/[expected-note] variants) are matched against the
       diagnostics a run actually produced, reporting both unexpected
       diagnostics and annotations nothing fulfilled. *)
 
-let is_separator line = String.trim line = "// -----"
+(* Whether [sub] occurs in [src] at offset [i]. *)
+let matches_at src i sub =
+  let m = String.length sub in
+  i >= 0 && i + m <= String.length src
+  &&
+  let rec go k = k = m || (src.[i + k] = sub.[k] && go (k + 1)) in
+  go 0
 
-(* Split [src] at separator lines. Each chunk is re-materialized with one
-   leading newline per preceding source line, so the lexer reports the same
-   line numbers it would for the whole file — and Diag's snippet renderer,
-   which looks lines up by number, stays exact. Without any separator the
-   source is returned untouched. *)
-let split_input src =
-  let lines = String.split_on_char '\n' src in
-  if not (List.exists is_separator lines) then [ src ]
-  else begin
-    let chunks = ref [] in
-    let current = ref [] in
-    let start_line = ref 0 in
-    let lineno = ref 0 in
-    let flush () =
-      let body = String.concat "\n" (List.rev !current) in
-      chunks := (String.make !start_line '\n' ^ body) :: !chunks;
-      current := []
+(* Characters [String.trim] strips. *)
+let is_blank c = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\012'
+
+(* Whether the line [ls, le) of [src] is a [// -----] separator, blanks
+   around it allowed: [String.trim line = "// -----"] without the copy. *)
+let is_separator src ls le =
+  let ls = ref ls and le = ref le in
+  while !ls < !le && is_blank src.[!ls] do incr ls done;
+  while !le > !ls && is_blank src.[!le - 1] do decr le done;
+  !le - !ls = 8 && matches_at src !ls "// -----"
+
+(* Cut [src] at separator lines. A chunk spans the lines between two
+   separators, without the newline that ends its last line: that newline
+   belongs to the separator after it, so a diagnostic at the end of a
+   chunk sits on the chunk's last line. Without any separator the whole
+   source is one chunk. *)
+let split_input src : Sbuf.window list =
+  let len = String.length src in
+  let chunks = ref [] in
+  let start = ref 0 and first_line = ref 1 in
+  let rec scan ls lineno =
+    let le =
+      match String.index_from_opt src ls '\n' with Some j -> j | None -> len
     in
-    List.iter
-      (fun line ->
-        if is_separator line then begin
-          flush ();
-          start_line := !lineno + 1
-        end
-        else current := line :: !current;
-        incr lineno)
-      lines;
-    flush ();
-    List.rev !chunks
-  end
+    if is_separator src ls le then begin
+      let stop = if ls > !start then ls - 1 else !start in
+      chunks :=
+        { Sbuf.start = !start; stop; first_line = !first_line } :: !chunks;
+      start := min len (le + 1);
+      first_line := lineno + 1
+    end;
+    if le < len then scan (le + 1) (lineno + 1)
+  in
+  scan 0 1;
+  List.rev
+    ({ Sbuf.start = !start; stop = len; first_line = !first_line } :: !chunks)
 
 (* ------------------------------------------------------------------ *)
 (* Expected-diagnostic annotations                                     *)
@@ -57,29 +70,30 @@ type expectation = {
   mutable exp_matched : bool;
 }
 
-let find_from s sub from =
-  let n = String.length s and m = String.length sub in
+(* The first index [i >= from] at which [sub] occurs in [s] and ends by
+   [stop]; an empty [sub] never occurs. *)
+let find_from s ~stop sub from =
+  let m = String.length sub in
   let rec go i =
-    if m = 0 || i + m > n then None
-    else if String.sub s i m = sub then Some i
+    if m = 0 || i + m > stop then None
+    else if matches_at s i sub then Some i
     else go (i + 1)
   in
   go (max 0 from)
 
-let contains s sub = find_from s sub 0 <> None
+let contains s sub = find_from s ~stop:(String.length s) sub 0 <> None
 
 (* Parse the "@+2" / "@-1" / "@above" / "@below" offset suffix starting at
-   [i]; no suffix means "this very line". Returns (line-delta, index after
-   the suffix), or None when the suffix is malformed. *)
-let parse_offset line i =
-  let n = String.length line in
+   [i], in a line ending at [stop]; no suffix means "this very line".
+   Returns (line-delta, index after the suffix), or None when the suffix
+   is malformed. *)
+let parse_offset line ~stop:n i =
   if i >= n || line.[i] <> '@' then Some (0, i)
   else
     let i = i + 1 in
     let word_at w delta =
       let m = String.length w in
-      if i + m <= n && String.sub line i m = w then Some (delta, i + m)
-      else None
+      if i + m <= n && matches_at line i w then Some (delta, i + m) else None
     in
     match word_at "above" (-1) with
     | Some _ as r -> r
@@ -110,23 +124,23 @@ let keywords =
     ("expected-note", Diag.Note);
   ]
 
-(* All annotations on one line. An annotation only counts inside a [//]
-   comment; malformed ones (bad offset, missing [{{..}}]) are reported as
-   harness errors rather than silently ignored. *)
-let scan_line ~file ~lineno line =
-  match find_from line "//" 0 with
+(* All annotations on the line [start, stop) of [line]. An annotation only
+   counts inside a [//] comment; malformed ones (bad offset, missing
+   [{{..}}]) are reported as harness errors rather than silently ignored. *)
+let scan_line ~file ~lineno line ~start ~stop =
+  match find_from line ~stop "//" start with
   | None -> ([], [])
   | Some comment_at ->
       let expectations = ref [] and errors = ref [] in
       List.iter
         (fun (kw, severity) ->
           let rec scan from =
-            match find_from line kw from with
+            match find_from line ~stop kw from with
             | None -> ()
             | Some i when i < comment_at -> scan (i + 1)
             | Some i -> (
                 let after = i + String.length kw in
-                match parse_offset line after with
+                match parse_offset line ~stop after with
                 | None ->
                     errors :=
                       Diag.error
@@ -137,13 +151,12 @@ let scan_line ~file ~lineno line =
                     scan (after + 1)
                 | Some (delta, j) -> (
                     let j = ref j in
-                    let n = String.length line in
-                    while !j < n && (line.[!j] = ' ' || line.[!j] = '\t') do
+                    while !j < stop && (line.[!j] = ' ' || line.[!j] = '\t') do
                       incr j
                     done;
-                    match find_from line "{{" !j with
+                    match find_from line ~stop "{{" !j with
                     | Some b when b = !j -> (
-                        match find_from line "}}" (b + 2) with
+                        match find_from line ~stop "}}" (b + 2) with
                         | None ->
                             errors :=
                               Diag.error "%s:%d: unterminated {{...}} after '%s'"
@@ -176,14 +189,20 @@ let scan_line ~file ~lineno line =
 (** Collect every annotation in [src]. Returns the expectations plus
     harness errors for malformed annotations. *)
 let scan_expectations ~file src =
-  let lines = String.split_on_char '\n' src in
+  let len = String.length src in
   let expectations = ref [] and errors = ref [] in
-  List.iteri
-    (fun i line ->
-      let exps, errs = scan_line ~file ~lineno:(i + 1) line in
-      expectations := List.rev_append exps !expectations;
-      errors := List.rev_append errs !errors)
-    lines;
+  let rec go start lineno =
+    let stop =
+      match String.index_from_opt src start '\n' with
+      | Some j -> j
+      | None -> len
+    in
+    let exps, errs = scan_line ~file ~lineno src ~start ~stop in
+    expectations := List.rev_append exps !expectations;
+    errors := List.rev_append errs !errors;
+    if stop < len then go (stop + 1) (lineno + 1)
+  in
+  go 0 1;
   (List.rev !expectations, List.rev !errors)
 
 let loc_of_line file line : Loc.t =
@@ -203,16 +222,23 @@ let flatten (d : Diag.t) =
     failure, only an [expected-note] annotation without a note is. *)
 let check ~expectations diags =
   let failures = ref [] in
+  (* Expectations by the (file, line) they must match, in input order. *)
+  let by_line = Hashtbl.create (List.length expectations) in
+  List.iter
+    (fun e ->
+      let k = (e.exp_file, e.exp_line) in
+      Hashtbl.replace by_line k
+        (e :: Option.value ~default:[] (Hashtbl.find_opt by_line k)))
+    (List.rev expectations);
   let try_match (sev, (loc : Loc.t), message) =
     match
       List.find_opt
         (fun e ->
           (not e.exp_matched)
           && e.exp_severity = sev
-          && e.exp_file = loc.start_pos.file
-          && e.exp_line = loc.start_pos.line
           && contains message e.exp_substr)
-        expectations
+        (Option.value ~default:[]
+           (Hashtbl.find_opt by_line (loc.start_pos.file, loc.start_pos.line)))
     with
     | Some e ->
         e.exp_matched <- true;

@@ -1,11 +1,14 @@
 (** MLIR-style diagnostic test harness: [--split-input-file] chunking and
     [--verify-diagnostics] expected-diagnostic annotations. *)
 
-val split_input : string -> string list
-(** Split a source at [// -----] separator lines into independent chunks.
-    Each chunk is padded with leading newlines so diagnostics keep the line
-    numbers of the original file. A source without separators is returned
-    as a single untouched chunk. *)
+val split_input : string -> Sbuf.window list
+(** Split a source at [// -----] separator lines (blanks around the dashes
+    allowed) into independent chunks, in order. Each chunk is a window of
+    the unchanged source: the lines strictly between two separators,
+    without the newline ending the last of them, and the number of its
+    first line, so diagnostics keep the line numbers and offsets of the
+    original file. A source without separators is one window covering
+    all of it. *)
 
 type expectation = {
   exp_file : string;

@@ -56,12 +56,10 @@ type budget = { limits : t; mutable ops : int; mutable depth : int }
 let budget limits = { limits; ops = 0; depth = 0 }
 let limits_of b = b.limits
 
-let check_payload b ~file size =
+let check_payload b ~loc size =
   let cap = b.limits.max_payload_bytes in
   if cap > 0 && size > cap then
-    Diag.raise_fatal
-      ~loc:(Loc.point (Loc.start_of_file file))
-      ~code:resource_exhausted
+    Diag.raise_fatal ~loc ~code:resource_exhausted
       "input of %d bytes exceeds the payload limit of %d bytes" size cap
 
 let tick_op b ~loc =

@@ -63,9 +63,11 @@ val budget : t -> budget
 
 val limits_of : budget -> t
 
-val check_payload : budget -> file:string -> int -> unit
+val check_payload : budget -> loc:Loc.t -> int -> unit
 (** Check an input's byte size against [max_payload_bytes] before any
-    parsing; raises {!Diag.Fatal_exn} ([resource_exhausted]) on excess. *)
+    parsing; raises {!Diag.Fatal_exn} ([resource_exhausted]) at [loc], the
+    input's first byte, on excess. For a [--split-input-file] chunk the
+    size is the chunk's own and [loc] its first line. *)
 
 val tick_op : budget -> loc:Loc.t -> unit
 (** Account one operation at [loc]: raises {!Diag.Fatal_exn} with

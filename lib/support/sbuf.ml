@@ -1,63 +1,89 @@
-(** A character-stream cursor over an in-memory source buffer.
+(** A character cursor over a window of an in-memory source buffer.
 
-    Shared lexing base for the IRDL lexer and the generic IR-syntax lexer:
-    peeking, advancing with position tracking, and span extraction. *)
+    Shared lexing base for the IRDL lexer, the generic IR-syntax lexer and
+    the textual pattern parser. The cursor is an int offset plus the
+    current line and the offset that line starts at, all mutable: peeking,
+    advancing and skipping allocate nothing per character, and a
+    {!Loc.pos} is built only when a lexer asks for one at a token
+    boundary. *)
+
+type window = { start : int; stop : int; first_line : int }
+
+let whole src = { start = 0; stop = String.length src; first_line = 1 }
 
 type t = {
   src : string;
-  mutable pos : Loc.pos;
+  file : string;
+  limit : int;  (** end of the window: the cursor never reads past it *)
+  mutable off : int;
+  mutable line : int;
+  mutable line_start : int;  (** offset of the first byte of [line] *)
 }
 
-let of_string ?(file = "<string>") src =
-  (* Feed the source registry so diagnostics over this buffer can render
-     caret snippets long after the cursor is gone. *)
+let create ?(file = "<string>") ?window src =
+  let w = match window with Some w -> w | None -> whole src in
+  if w.start < 0 || w.stop > String.length src || w.start > w.stop then
+    invalid_arg "Sbuf.create: window out of bounds";
+  (* Register the whole source, not the window: diagnostics over any
+     window of it then render against the real file text. Registering the
+     same string again is free, so every chunk of a split file shares one
+     registration. *)
   Diag.Sources.register ~file src;
-  { src; pos = Loc.start_of_file file }
+  { src; file; limit = w.stop; off = w.start; line = w.first_line;
+    line_start = w.start }
 
-let eof t = t.pos.offset >= String.length t.src
+let eof t = t.off >= t.limit
 
-let peek t = if eof t then None else Some t.src.[t.pos.offset]
+(* The sentinel for "no character": callers that must tell a NUL byte from
+   the end of input test {!eof} first. *)
+let peek t = if t.off < t.limit then String.unsafe_get t.src t.off else '\000'
 
 let peek2 t =
-  if t.pos.offset + 1 >= String.length t.src then None
-  else Some t.src.[t.pos.offset + 1]
+  if t.off + 1 < t.limit then String.unsafe_get t.src (t.off + 1) else '\000'
 
-let pos t = t.pos
+let pos t =
+  { Loc.file = t.file; line = t.line; col = t.off - t.line_start + 1;
+    offset = t.off }
 
 let advance t =
-  match peek t with
-  | None -> ()
-  | Some c -> t.pos <- Loc.advance t.pos c
-
-let next t =
-  let c = peek t in
-  advance t;
-  c
+  if t.off < t.limit then begin
+    if String.unsafe_get t.src t.off = '\n' then begin
+      t.line <- t.line + 1;
+      t.line_start <- t.off + 1
+    end;
+    t.off <- t.off + 1
+  end
 
 (** Consume [c] if it is the next character. *)
 let accept t c =
-  match peek t with
-  | Some c' when c = c' ->
-      advance t;
-      true
-  | _ -> false
+  if t.off < t.limit && String.unsafe_get t.src t.off = c then begin
+    advance t;
+    true
+  end
+  else false
 
 let skip_while t pred =
-  let continue = ref true in
-  while !continue do
-    match peek t with
-    | Some c when pred c -> advance t
-    | _ -> continue := false
+  while t.off < t.limit && pred (String.unsafe_get t.src t.off) do
+    advance t
   done
+
+type mark = { m_off : int; m_line : int; m_line_start : int }
+
+let mark t = { m_off = t.off; m_line = t.line; m_line_start = t.line_start }
+
+let reset t m =
+  t.off <- m.m_off;
+  t.line <- m.m_line;
+  t.line_start <- m.m_line_start
 
 (** The substring between two previously captured positions. *)
 let slice t (a : Loc.pos) (b : Loc.pos) =
   String.sub t.src a.offset (b.offset - a.offset)
 
 let take_while t pred =
-  let start = pos t in
+  let start = t.off in
   skip_while t pred;
-  slice t start (pos t)
+  String.sub t.src start (t.off - start)
 
 let loc_from t (start : Loc.pos) = Loc.span start (pos t)
 
@@ -66,3 +92,33 @@ let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
 let is_ident_start c = is_alpha c || c = '_'
 let is_ident_char c = is_alpha c || is_digit c || c = '_' || c = '$'
 let is_space c = c = ' ' || c = '\t' || c = '\r' || c = '\n'
+
+let rec skip_trivia t =
+  skip_while t is_space;
+  if peek t = '/' && peek2 t = '/' then begin
+    skip_while t (fun c -> c <> '\n');
+    skip_trivia t
+  end
+
+let string_literal t start =
+  let b = Buffer.create 16 in
+  let unterminated () =
+    Diag.raise_error ~loc:(Loc.point start) "unterminated string"
+  in
+  let rec go () =
+    if eof t then unterminated ();
+    let c = peek t in
+    advance t;
+    match c with
+    | '"' -> Buffer.contents b
+    | '\\' ->
+        if eof t then unterminated ();
+        let e = peek t in
+        advance t;
+        Buffer.add_char b (match e with 'n' -> '\n' | 't' -> '\t' | c -> c);
+        go ()
+    | c ->
+        Buffer.add_char b c;
+        go ()
+  in
+  go ()

@@ -629,7 +629,7 @@ let frontend_stream_dispatch () =
           | Ok None -> ()
           | _ -> Alcotest.fail "expected end of stream")
       | _ -> Alcotest.fail "expected one op")
-    [ Frontend.Source.Text src; Frontend.Source.classify blob ]
+    [ Frontend.Source.classify src; Frontend.Source.classify blob ]
 
 let suite =
   [

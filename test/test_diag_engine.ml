@@ -86,18 +86,135 @@ let snippet_unknown_source () =
 
 (* ---------------- split-input-file ---------------- *)
 
+let window_text src (w : Sbuf.window) =
+  String.sub src w.start (w.stop - w.start)
+
 let split_basic () =
   let src = "a1\na2\n// -----\nb1\n" in
   match Diag_harness.split_input src with
-  | [ c1; c2 ] ->
-      Alcotest.(check string) "first chunk" "a1\na2" c1;
-      Alcotest.(check string) "second chunk keeps line numbers" "\n\n\nb1\n" c2
-  | cs -> Alcotest.failf "expected 2 chunks, got %d" (List.length cs)
+  | [ w1; w2 ] ->
+      Alcotest.(check (triple int int int))
+        "first chunk: lines 1-2, without the newline before the separator"
+        (0, 5, 1) (w1.start, w1.stop, w1.first_line);
+      Alcotest.(check string) "first chunk text" "a1\na2" (window_text src w1);
+      Alcotest.(check (triple int int int))
+        "second chunk starts on line 4, at its true offset" (15, 18, 4)
+        (w2.start, w2.stop, w2.first_line);
+      Alcotest.(check string) "second chunk text" "b1\n" (window_text src w2)
+  | ws -> Alcotest.failf "expected 2 chunks, got %d" (List.length ws)
+
+let split_edges () =
+  let windows src =
+    List.map
+      (fun (w : Sbuf.window) -> (window_text src w, w.first_line))
+      (Diag_harness.split_input src)
+  in
+  Alcotest.(check (list (pair string int)))
+    "leading, doubled and trailing separators make empty chunks"
+    [ ("", 1); ("x", 2); ("", 4); ("", 5) ]
+    (windows "// -----\nx\n// -----\n// -----");
+  Alcotest.(check (list (pair string int)))
+    "blanks around the dashes, CRLF, no final newline"
+    [ ("a\r", 1); ("b", 3) ]
+    (windows "a\r\n  // -----  \r\nb");
+  Alcotest.(check (list (pair string int)))
+    "not a separator" [ ("// ----- x\n//-----\n", 1) ]
+    (windows "// ----- x\n//-----\n")
 
 let split_none () =
   let src = "only\nchunk\n" in
-  Alcotest.(check (list string)) "untouched" [ src ]
-    (Diag_harness.split_input src)
+  match Diag_harness.split_input src with
+  | [ w ] ->
+      Alcotest.(check bool) "the whole source" true (w = Sbuf.whole src)
+  | ws -> Alcotest.failf "expected 1 chunk, got %d" (List.length ws)
+
+(* A split run parses each chunk where it sits in the one source; the
+   property is that this is exactly parsing the chunk's text on its own,
+   with every location moved to where the chunk starts. *)
+let split_gen =
+  let open QCheck2.Gen in
+  let line =
+    oneofl
+      [
+        {|%a = "t.x"() : () -> i32|};
+        {|"t.y"(%a) : (i32) -> ()|};
+        {|"t.z"(%undef) : (i32) -> ()|};
+        {|%b = "t.bad"(%a : (i32) -> i32|};
+        {|"t.r"() ({ ^bb0: "t.t"() : () -> () }) : () -> ()|};
+        {|"unterminated|};
+        "$ \000 }";
+        "";
+        "  // a comment";
+      ]
+  in
+  let separator =
+    oneofl [ "// -----"; "// -----   "; "  // -----"; "// -----\r" ]
+  in
+  let chunk = list_size (int_range 0 4) line in
+  let file =
+    let* chunks = list_size (int_range 1 5) chunk in
+    let* seps = list_repeat (List.length chunks) separator in
+    let* sep_first = bool and* final_newline = bool in
+    let body =
+      List.concat
+        (List.mapi
+           (fun i c -> if i = 0 then c else List.nth seps i :: c)
+           chunks)
+    in
+    let lines = if sep_first then List.hd seps :: body else body in
+    return (String.concat "\n" lines ^ if final_newline then "\n" else "")
+  in
+  pair file (oneofl [ 0; 40 ])
+
+let split_property =
+  QCheck2.Test.make ~name:"split chunks parse as if alone, shifted" ~count:300
+    ~print:(fun (src, cap) -> Printf.sprintf "cap %d: %S" cap src)
+    split_gen
+    (fun (src, cap) ->
+      let ctx = Irdl_ir.Context.create () in
+      let limits = Limits.create ~max_payload_bytes:cap () in
+      let parse ~file payload =
+        let engine = Diag.Engine.create () in
+        ignore
+          (Irdl_bytecode.Frontend.parse_module ~file ~engine ~limits ctx
+             payload);
+        Diag.Engine.diagnostics engine
+      in
+      let module Source = Irdl_bytecode.Frontend.Source in
+      List.for_all
+        (fun chunk ->
+          match chunk with
+          | Source.Binary _ -> false
+          | Source.Text (_, (w : Sbuf.window)) ->
+              let shift (l : Loc.t) =
+                let p (q : Loc.pos) =
+                  { q with
+                    file = "split.mlir";
+                    line = q.line + w.first_line - 1;
+                    offset = q.offset + w.start;
+                  }
+                in
+                if Loc.is_unknown l then l
+                else { start_pos = p l.start_pos; end_pos = p l.end_pos }
+              in
+              let alone =
+                parse ~file:"alone.mlir"
+                  (Source.classify (window_text src w))
+                |> List.map (fun (d : Diag.t) ->
+                       {
+                         d with
+                         loc = shift d.loc;
+                         notes = List.map (fun (l, n) -> (shift l, n)) d.notes;
+                       })
+              in
+              let split = parse ~file:"split.mlir" chunk in
+              if split = alone then true
+              else
+                QCheck2.Test.fail_reportf "chunk at line %d:@.%a@.vs alone:@.%a"
+                  w.first_line
+                  Fmt.(list ~sep:cut Diag.pp) split
+                  Fmt.(list ~sep:cut Diag.pp) alone)
+        (Source.chunks ~split:true (Source.classify src)))
 
 (* ---------------- expectation scanning and checking ---------------- *)
 
@@ -160,8 +277,10 @@ let suite =
     tc "JSON sink" json_sink;
     tc "caret snippet rendering" snippet;
     tc "snippet falls back without source" snippet_unknown_source;
-    tc "split-input-file chunks pad line numbers" split_basic;
+    tc "split-input-file chunks are windows" split_basic;
     tc "split-input-file without separator" split_none;
+    tc "split-input-file edge cases" split_edges;
+    QCheck_alcotest.to_alcotest split_property;
     tc "expectation scanning" scan;
     tc "malformed annotations are harness errors" scan_malformed;
     tc "expectation checking" check_matching;

@@ -58,31 +58,87 @@ let diag_errorf () =
   | Ok () -> Alcotest.fail "expected Error"
 
 let sbuf_cursor () =
-  let b = Sbuf.of_string "ab c" in
-  Alcotest.(check (option char)) "peek" (Some 'a') (Sbuf.peek b);
-  Alcotest.(check (option char)) "peek2" (Some 'b') (Sbuf.peek2 b);
+  let b = Sbuf.create "ab c" in
+  Alcotest.(check char) "peek" 'a' (Sbuf.peek b);
+  Alcotest.(check char) "peek2" 'b' (Sbuf.peek2 b);
   Alcotest.(check bool) "accept a" true (Sbuf.accept b 'a');
   Alcotest.(check bool) "accept z" false (Sbuf.accept b 'z');
-  Alcotest.(check (option char)) "next" (Some 'b') (Sbuf.next b);
+  Alcotest.(check char) "after accept" 'b' (Sbuf.peek b);
+  Sbuf.advance b;
   Sbuf.skip_while b Sbuf.is_space;
-  Alcotest.(check (option char)) "after space" (Some 'c') (Sbuf.peek b);
+  Alcotest.(check char) "after space" 'c' (Sbuf.peek b);
+  Alcotest.(check char) "peek2 past the end" '\000' (Sbuf.peek2 b);
   Sbuf.advance b;
   Alcotest.(check bool) "eof" true (Sbuf.eof b);
-  Alcotest.(check (option char)) "peek eof" None (Sbuf.peek b)
+  Alcotest.(check char) "peek eof" '\000' (Sbuf.peek b);
+  Sbuf.advance b;
+  Alcotest.(check bool) "advance at eof is a no-op" true (Sbuf.eof b)
 
 let sbuf_take_while () =
-  let b = Sbuf.of_string "hello42!" in
+  let b = Sbuf.create "hello42!" in
   Alcotest.(check string) "ident" "hello42"
     (Sbuf.take_while b Sbuf.is_ident_char);
-  Alcotest.(check (option char)) "rest" (Some '!') (Sbuf.peek b)
+  Alcotest.(check char) "rest" '!' (Sbuf.peek b)
 
 let sbuf_slice () =
-  let b = Sbuf.of_string "abcdef" in
+  let b = Sbuf.create "abcdef" in
   let start = Sbuf.pos b in
   Sbuf.advance b;
   Sbuf.advance b;
   Sbuf.advance b;
   Alcotest.(check string) "slice" "abc" (Sbuf.slice b start (Sbuf.pos b))
+
+let check_pos what (line, col, offset) (p : Loc.pos) =
+  Alcotest.(check (triple int int int)) what (line, col, offset)
+    (p.line, p.col, p.offset)
+
+let sbuf_mark_reset () =
+  let b = Sbuf.create "ab\ncd\nef" in
+  Sbuf.advance b;
+  let m = Sbuf.mark b in
+  Sbuf.skip_while b (fun c -> c <> 'e');
+  check_pos "after two lines" (3, 1, 6) (Sbuf.pos b);
+  Sbuf.reset b m;
+  check_pos "line and column restored" (1, 2, 1) (Sbuf.pos b);
+  Alcotest.(check char) "character restored" 'b' (Sbuf.peek b);
+  Alcotest.(check string) "re-reads the same text" "b\ncd"
+    (Sbuf.take_while b (fun c -> c <> '\n' || Sbuf.peek2 b <> 'e'))
+
+let sbuf_window () =
+  let src = "skip\nme\nx y\nz\nrest" in
+  let b =
+    Sbuf.create ~file:"w.mlir" ~window:{ start = 8; stop = 13; first_line = 3 }
+      src
+  in
+  check_pos "window start" (3, 1, 8) (Sbuf.pos b);
+  Alcotest.(check string) "stays inside the window" "x y\nz"
+    (Sbuf.take_while b (fun _ -> true));
+  Alcotest.(check bool) "eof at the window's end" true (Sbuf.eof b);
+  check_pos "window end" (4, 2, 13) (Sbuf.pos b);
+  Alcotest.(check (option string)) "whole source registered" (Some src)
+    (Diag.Sources.lookup "w.mlir")
+
+(* A NUL byte is input, not the end: only [eof] says the window is done,
+   and every lexer rejects the byte as an unexpected character. *)
+let sbuf_nul_byte () =
+  let b = Sbuf.create "a\000b" in
+  Sbuf.advance b;
+  Alcotest.(check char) "NUL reads as itself" '\000' (Sbuf.peek b);
+  Alcotest.(check bool) "not eof" false (Sbuf.eof b);
+  let rejects what r =
+    check_err_containing what "unexpected character '\\000'" r
+  in
+  rejects "IR lexer"
+    (Irdl_ir.Parser.parse_ops (Irdl_ir.Context.create ())
+       "\"t.x\"() : () -> ()\n\000\"t.y\"() : () -> ()\n");
+  rejects "IRDL lexer"
+    (Diag.protect (fun () -> Irdl_core.Lexer.tokenize "Dialect \000 x"));
+  (* The pattern parser has no lexer error of its own: a NUL inside an
+     s-expression is a bad argument at its column, not an unterminated
+     '(' at the end of input. *)
+  check_err_containing "pattern parser" "2:13: error: expected '(' or '$'"
+    (Irdl_rewrite.Textual.parse_patterns (Irdl_ir.Context.create ())
+       "Pattern p {\n Match (t.a \000)\n Rewrite $x }")
 
 let sbuf_classifiers () =
   Alcotest.(check bool) "digit" true (Sbuf.is_digit '7');
@@ -260,4 +316,7 @@ let suite =
     tc "sbuf: take_while" sbuf_take_while;
     tc "sbuf: slice between positions" sbuf_slice;
     tc "sbuf: character classifiers" sbuf_classifiers;
+    tc "sbuf: mark and reset" sbuf_mark_reset;
+    tc "sbuf: window of a source" sbuf_window;
+    tc "sbuf: NUL byte is not end of input" sbuf_nul_byte;
   ]

@@ -60,6 +60,23 @@ let write_binary path data =
     close_out oc
   end
 
+(* An optional header, each chunk's printed text with a [// -----] line
+   between chunks, and a final newline, written straight to stdout: the
+   outputs are never joined into one more copy. Format's stdout is flushed
+   first so that anything printed through it stays in order. *)
+let print_outs ?header = function
+  | [] -> ()
+  | outs ->
+      Format.pp_print_flush Format.std_formatter ();
+      Option.iter print_string header;
+      List.iteri
+        (fun i out ->
+          if i > 0 then print_string "\n// -----\n";
+          print_string out)
+        outs;
+      print_char '\n';
+      flush stdout
+
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -676,18 +693,13 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
           if blobs <> [] then write_binary out (String.concat "" blobs)
       | None -> (
           match batch with
-          | None -> (
-              match List.rev doc_outs.(0) with
-              | [] -> ()
-              | outs -> Fmt.pr "%s@." (String.concat "\n// -----\n" outs))
+          | None -> print_outs (List.rev doc_outs.(0))
           | Some _ ->
               List.iteri
                 (fun di (path, _) ->
-                  match List.rev doc_outs.(di) with
-                  | [] -> ()
-                  | outs ->
-                      Fmt.pr "// ===== %s =====@.%s@." path
-                        (String.concat "\n// -----\n" outs))
+                  print_outs
+                    ~header:("// ===== " ^ path ^ " =====\n")
+                    (List.rev doc_outs.(di)))
                 docs)));
   if verify_diagnostics then begin
     (* Expectations come from every input document and every -d dialect

@@ -93,8 +93,7 @@ module Sink = struct
     match t with
     | Text_sink s ->
         if s.first then s.first <- false else Buffer.add_char s.buf '\n';
-        Buffer.add_string s.buf
-          (Fmt.str "%a" (Printer.pp_op s.printer) op)
+        Printer.add_op s.printer s.buf op
     | Binary_sink s ->
         if s.err = None then (
           match

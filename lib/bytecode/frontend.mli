@@ -44,10 +44,12 @@ module Source : sig
       Without [split], the whole payload as one chunk. *)
 end
 
-(** Output accumulation: the textual printer (one printer session, ops
-    joined with a newline — byte-identical to [Printer.ops_to_string]) or
-    the incremental bytecode emitter. Ops may be pushed as they stream;
-    push never raises (the first emit error is reported by {!Sink.close}). *)
+(** Output accumulation: the textual printer (one printer session that
+    renders each op straight into the sink's one buffer with
+    [Printer.add_op], ops joined with a newline — byte-identical to
+    [Printer.ops_to_string]) or the incremental bytecode emitter. Ops may
+    be pushed as they stream; push never raises (the first emit error is
+    reported by {!Sink.close}). *)
 module Sink : sig
   type t
 

@@ -4,6 +4,13 @@
     [Parser.parse_one] is the identity on ASTs up to locations, a property
     the test suite checks with qcheck. *)
 
+(* String literals are quoted exactly as the IR printer quotes them, the
+   inverse of the shared lexer's [Sbuf.string_literal]. *)
+let quoted ppf s =
+  let b = Buffer.create (String.length s + 2) in
+  Irdl_ir.Attr.add_quoted b s;
+  Fmt.string ppf (Buffer.contents b)
+
 let pp_prefix ppf = function
   | Ast.P_type -> Fmt.string ppf "!"
   | Ast.P_attr -> Fmt.string ppf "#"
@@ -18,7 +25,7 @@ let rec pp_cexpr ppf (e : Ast.cexpr) =
       | Some args -> Fmt.pf ppf "<%a>" Fmt.(list ~sep:comma pp_cexpr) args)
   | Ast.C_int { value; kind = None; _ } -> Fmt.pf ppf "%Ld" value
   | Ast.C_int { value; kind = Some k; _ } -> Fmt.pf ppf "%Ld : %s" value k
-  | Ast.C_string { value; _ } -> Fmt.pf ppf "%S" value
+  | Ast.C_string { value; _ } -> quoted ppf value
   | Ast.C_list { elems; _ } ->
       Fmt.pf ppf "[%a]" Fmt.(list ~sep:comma pp_cexpr) elems
 
@@ -31,10 +38,10 @@ let pp_params ppf = function
 
 let pp_summary ppf = function
   | None -> ()
-  | Some s -> Fmt.pf ppf "@,Summary %S" s
+  | Some s -> Fmt.pf ppf "@,Summary %a" quoted s
 
 let pp_cpp ppf snippets =
-  List.iter (fun s -> Fmt.pf ppf "@,CppConstraint %S" s) snippets
+  List.iter (fun s -> Fmt.pf ppf "@,CppConstraint %a" quoted s) snippets
 
 let pp_type_def ppf (t : Ast.type_def) =
   Fmt.pf ppf "@[<v 2>Type %s {" t.t_name;
@@ -71,7 +78,9 @@ let pp_op_def ppf (o : Ast.op_def) =
   | None -> ()
   | Some succs ->
       Fmt.pf ppf "@,Successors (%a)" Fmt.(list ~sep:comma string) succs);
-  (match o.o_format with None -> () | Some f -> Fmt.pf ppf "@,Format %S" f);
+  (match o.o_format with
+  | None -> ()
+  | Some f -> Fmt.pf ppf "@,Format %a" quoted f);
   pp_summary ppf o.o_summary;
   pp_cpp ppf o.o_cpp_constraints;
   Fmt.pf ppf "@]@,}"
@@ -96,13 +105,13 @@ let pp_constraint_def ppf (c : Ast.constraint_def) =
 let pp_param_def ppf (tp : Ast.param_def) =
   Fmt.pf ppf "@[<v 2>TypeOrAttrParam %s {" tp.tp_name;
   pp_summary ppf tp.tp_summary;
-  Fmt.pf ppf "@,CppClassName %S" tp.tp_class_name;
+  Fmt.pf ppf "@,CppClassName %a" quoted tp.tp_class_name;
   (match tp.tp_parser with
   | None -> ()
-  | Some s -> Fmt.pf ppf "@,CppParser %S" s);
+  | Some s -> Fmt.pf ppf "@,CppParser %a" quoted s);
   (match tp.tp_printer with
   | None -> ()
-  | Some s -> Fmt.pf ppf "@,CppPrinter %S" s);
+  | Some s -> Fmt.pf ppf "@,CppPrinter %a" quoted s);
   Fmt.pf ppf "@]@,}"
 
 let pp_item ppf = function

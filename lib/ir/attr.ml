@@ -367,68 +367,165 @@ let type_id s = intern (Type_id s)
 let opaque ~tag repr = intern (Opaque { tag; repr })
 let dyn_attr ~dialect ~name params = intern (Dyn_attr { dialect; name; params })
 
-let pp_signedness ppf = function
-  | Signless -> Fmt.string ppf "i"
-  | Signed -> Fmt.string ppf "si"
-  | Unsigned -> Fmt.string ppf "ui"
+(* ------------------------------------------------------------------ *)
+(* Rendering                                                           *)
+(* ------------------------------------------------------------------ *)
 
-let pp_float_kind ppf k =
-  Fmt.string ppf
-    (match k with BF16 -> "bf16" | F16 -> "f16" | F32 -> "f32" | F64 -> "f64")
+(* The one textual renderer: attributes and types are appended to a
+   [Buffer.t]; the [Format] printers and [to_string]s below wrap it. *)
 
-let rec pp_ty ppf (ty : ty) =
+let str = Buffer.add_string
+let chr = Buffer.add_char
+
+let rec add_nat b n =
+  if n >= 10 then add_nat b (n / 10);
+  chr b (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int b n = if n >= 0 then add_nat b n else str b (string_of_int n)
+
+(* Bytes that {!Sbuf.string_literal} cannot read back verbatim. *)
+let needs_escape c = c < ' ' || c = '"' || c = '\\' || c = '\127'
+
+let add_quoted b s =
+  chr b '"';
+  if not (String.exists needs_escape s) then str b s
+  else
+    String.iter
+      (function
+        | '"' -> str b "\\\""
+        | '\\' -> str b "\\\\"
+        | '\n' -> str b "\\n"
+        | '\t' -> str b "\\t"
+        | c when needs_escape c -> Printf.bprintf b "\\%02X" (Char.code c)
+        | c -> chr b c)
+      s;
+  chr b '"'
+
+(* Finite values print in the shortest decimal form that round-trips and
+   still lexes as a float (it has a '.' or an exponent). Infinities and
+   NaNs have no decimal form: they print as the hex bit pattern of the
+   stored double, which the parser reads back before a float type. *)
+let add_float b value =
+  if not (Float.is_finite value) then
+    Printf.bprintf b "0x%016LX" (Int64.bits_of_float value)
+  else if Float.is_integer value && Float.abs value < 1e15 then
+    Printf.bprintf b "%.1f" value
+  else
+    let s = Printf.sprintf "%.15g" value in
+    let s =
+      if float_of_string s = value then s else Printf.sprintf "%.17g" value
+    in
+    str b s;
+    if not (String.contains s '.' || String.contains s 'e') then str b ".0"
+
+let float_kind_name = function
+  | BF16 -> "bf16"
+  | F16 -> "f16"
+  | F32 -> "f32"
+  | F64 -> "f64"
+
+let rec add_rest add b = function
+  | [] -> ()
+  | x :: xs ->
+      str b ", ";
+      add b x;
+      add_rest add b xs
+
+let add_list add b = function
+  | [] -> ()
+  | x :: xs ->
+      add b x;
+      add_rest add b xs
+
+let rec add_ty b (ty : ty) =
   match ty with
   | Integer { width; signedness } ->
-      Fmt.pf ppf "%a%d" pp_signedness signedness width
-  | Float k -> pp_float_kind ppf k
-  | Index -> Fmt.string ppf "index"
-  | None_ty -> Fmt.string ppf "none"
+      str b
+        (match signedness with
+        | Signless -> "i"
+        | Signed -> "si"
+        | Unsigned -> "ui");
+      add_int b width
+  | Float k -> str b (float_kind_name k)
+  | Index -> str b "index"
+  | None_ty -> str b "none"
   | Function { inputs; outputs } ->
-      Fmt.pf ppf "(%a) -> (%a)"
-        Fmt.(list ~sep:(any ", ") pp_ty)
-        inputs
-        Fmt.(list ~sep:(any ", ") pp_ty)
-        outputs
-  | Tuple tys -> Fmt.pf ppf "tuple<%a>" Fmt.(list ~sep:(any ", ") pp_ty) tys
-  | Dynamic { dialect; name; params = [] } -> Fmt.pf ppf "!%s.%s" dialect name
+      chr b '(';
+      add_list add_ty b inputs;
+      str b ") -> (";
+      add_list add_ty b outputs;
+      chr b ')'
+  | Tuple tys ->
+      str b "tuple<";
+      add_list add_ty b tys;
+      chr b '>'
   | Dynamic { dialect; name; params } ->
-      Fmt.pf ppf "!%s.%s<%a>" dialect name Fmt.(list ~sep:(any ", ") pp) params
+      chr b '!';
+      str b dialect;
+      chr b '.';
+      str b name;
+      add_params b params
 
-and pp ppf (a : t) =
+and add_params b = function
+  | [] -> ()
+  | params ->
+      chr b '<';
+      add_list add b params;
+      chr b '>'
+
+and add b (a : t) =
   match a with
-  | Unit -> Fmt.string ppf "unit"
-  | Bool b -> Fmt.bool ppf b
-  | Int { value; ty } -> Fmt.pf ppf "%Ld : %a" value pp_ty ty
+  | Unit -> str b "unit"
+  | Bool v -> str b (if v then "true" else "false")
+  | Int { value; ty } ->
+      str b (Int64.to_string value);
+      str b " : ";
+      add_ty b ty
   | Float_attr { value; ty } ->
-      (* Shortest decimal form that round-trips; the parser requires a '.'
-         or exponent to lex a float, which %.1f / %g guarantee here. *)
-      let repr =
-        if Float.is_integer value && Float.abs value < 1e15 then
-          Printf.sprintf "%.1f" value
-        else
-          let s = Printf.sprintf "%.15g" value in
-          if float_of_string s = value then s
-          else Printf.sprintf "%.17g" value
-      in
-      Fmt.pf ppf "%s : %a" repr pp_ty ty
-  | String s -> Fmt.pf ppf "%S" s
-  | Array xs -> Fmt.pf ppf "[%a]" Fmt.(list ~sep:(any ", ") pp) xs
+      add_float b value;
+      str b " : ";
+      add_ty b ty
+  | String s -> add_quoted b s
+  | Array xs ->
+      chr b '[';
+      add_list add b xs;
+      chr b ']'
   | Dict kvs ->
-      Fmt.pf ppf "{%a}"
-        Fmt.(list ~sep:(any ", ") (fun ppf (k, v) -> pf ppf "%s = %a" k pp v))
-        kvs
-  | Type ty -> pp_ty ppf ty
-  | Enum { dialect; enum; case } -> Fmt.pf ppf "#%s<%s.%s>" dialect enum case
-  | Symbol s -> Fmt.pf ppf "@%s" s
-  | Location { file; line; col } -> Fmt.pf ppf "loc(%S:%d:%d)" file line col
-  | Type_id id -> Fmt.pf ppf "#typeid<%s>" id
-  | Opaque { tag; repr } -> Fmt.pf ppf "#native<%s, %S>" tag repr
-  | Dyn_attr { dialect; name; params = [] } -> Fmt.pf ppf "#%s.%s" dialect name
+      chr b '{';
+      add_list (fun b (k, v) -> str b k; str b " = "; add b v) b kvs;
+      chr b '}'
+  | Type ty -> add_ty b ty
+  | Enum { dialect; enum; case } ->
+      List.iter (str b) [ "#"; dialect; "<"; enum; "."; case; ">" ]
+  | Symbol s ->
+      chr b '@';
+      str b s
+  | Location { file; line; col } ->
+      str b "loc(";
+      add_quoted b file;
+      Printf.bprintf b ":%d:%d)" line col
+  | Type_id id -> List.iter (str b) [ "#typeid<"; id; ">" ]
+  | Opaque { tag; repr } ->
+      List.iter (str b) [ "#native<"; tag; ", " ];
+      add_quoted b repr;
+      chr b '>'
   | Dyn_attr { dialect; name; params } ->
-      Fmt.pf ppf "#%s.%s<%a>" dialect name Fmt.(list ~sep:(any ", ") pp) params
+      chr b '#';
+      str b dialect;
+      chr b '.';
+      str b name;
+      add_params b params
 
-let ty_to_string ty = Fmt.str "%a" pp_ty ty
-let to_string a = Fmt.str "%a" pp a
+let render add x =
+  let b = Buffer.create 32 in
+  add b x;
+  Buffer.contents b
+
+let ty_to_string = render add_ty
+let to_string = render add
+let pp_float_kind ppf k = Format.pp_print_string ppf (float_kind_name k)
+let pp_ty ppf ty = Format.pp_print_string ppf (ty_to_string ty)
+let pp ppf a = Format.pp_print_string ppf (to_string a)
 
 (** The [i1] constant [true]/[false] used by conditional branches. *)
 let bool_int b = int ~ty:i1 (if b then 1L else 0L)

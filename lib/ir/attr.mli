@@ -129,7 +129,7 @@ val uniquer_stats_merged : unit -> Intern.stats * Intern.stats
 (** Counters summed over every domain's shard. [nodes] counts canonical
     copies per shard, not globally distinct structures. *)
 
-(** {2 Equality, hashing and printing} *)
+(** {2 Equality and hashing} *)
 
 val equal_ty : ty -> ty -> bool
 
@@ -145,7 +145,30 @@ val hash : t -> int
 
 val hash_ty : ty -> int
 
-val pp_signedness : Format.formatter -> signedness -> unit
+(** {2 Rendering}
+
+    One renderer appends the textual form to a [Buffer.t]; the [Format]
+    printers and the [to_string]s are wrappers over it, so diagnostics and
+    printed IR read the same. The text parses back to an equal value:
+    strings are quoted by {!add_quoted}, and a non-finite float prints as
+    the hex bit pattern of the stored double ([0x7FF0000000000000 : f64]),
+    which the parser reads back as those bits before a float type. *)
+
+val add_ty : Buffer.t -> ty -> unit
+val add : Buffer.t -> t -> unit
+
+val add_quoted : Buffer.t -> string -> unit
+(** A double-quoted string literal, the exact inverse of the lexer's
+    [Sbuf.string_literal]. A double quote, a backslash, a newline and a tab
+    are written as backslash escapes; other bytes below 0x20 and 0x7F as a
+    backslash and two uppercase hex digits (ESC is [\1B]); printable ASCII
+    and bytes from 0x80 up verbatim. A string with nothing to escape is
+    appended in one copy. *)
+
+val add_int : Buffer.t -> int -> unit
+(** Decimal digits, appended without an intermediate string for
+    non-negative values. *)
+
 val pp_float_kind : Format.formatter -> float_kind -> unit
 val pp_ty : Format.formatter -> ty -> unit
 val pp : Format.formatter -> t -> unit

@@ -20,6 +20,9 @@ type token =
   | Ident of string  (** bare, possibly dotted: [cmath.mul], [f32] *)
   | Str of string
   | Int_lit of int64
+  | Hex_lit of int64
+      (** [0x7FF0000000000000]: an integer, or a double's bits before a
+          float type *)
   | Float_lit of float
   | Punct of string  (** one of ( ) { } [ ] < > , : = - and "->" *)
   | Eof
@@ -72,7 +75,7 @@ let lex_number buf =
   then float_lit ()
   else
     match Int64.of_string_opt text with
-    | Some i -> Int_lit i
+    | Some i -> if is_hex then Hex_lit i else Int_lit i
     | None -> float_lit ()
 
 let next_token buf : lexed =
@@ -127,6 +130,7 @@ let pp_token ppf = function
   | Ident s -> Fmt.string ppf s
   | Str s -> Fmt.pf ppf "%S" s
   | Int_lit i -> Fmt.pf ppf "%Ld" i
+  | Hex_lit i -> Fmt.pf ppf "0x%LX" i
   | Float_lit f -> Fmt.float ppf f
   | Punct s -> Fmt.string ppf s
   | Eof -> Fmt.string ppf "<eof>"
@@ -337,6 +341,11 @@ and parse_attr p : Attr.t =
       ignore (advance p);
       let ty = if accept_punct p ":" then parse_ty p else Attr.i64 in
       Attr.int ~ty v
+  | Hex_lit v ->
+      ignore (advance p);
+      let ty = if accept_punct p ":" then parse_ty p else Attr.i64 in
+      if Attr.is_float_ty ty then Attr.float ~ty (Int64.float_of_bits v)
+      else Attr.int ~ty v
   | Float_lit v ->
       ignore (advance p);
       let ty = if accept_punct p ":" then parse_ty p else Attr.f64 in

@@ -100,6 +100,13 @@ let rec skip_trivia t =
     skip_trivia t
   end
 
+let hex_value c =
+  match c with
+  | '0' .. '9' -> Char.code c - 48
+  | 'a' .. 'f' -> Char.code c - 87
+  | 'A' .. 'F' -> Char.code c - 55
+  | _ -> -1
+
 let string_literal t start =
   let b = Buffer.create 16 in
   let unterminated () =
@@ -115,7 +122,12 @@ let string_literal t start =
         if eof t then unterminated ();
         let e = peek t in
         advance t;
-        Buffer.add_char b (match e with 'n' -> '\n' | 't' -> '\t' | c -> c);
+        let hi = hex_value e and lo = hex_value (peek t) in
+        if hi >= 0 && lo >= 0 then (
+          advance t;
+          Buffer.add_char b (Char.chr ((hi * 16) + lo)))
+        else
+          Buffer.add_char b (match e with 'n' -> '\n' | 't' -> '\t' | c -> c);
         go ()
     | c ->
         Buffer.add_char b c;

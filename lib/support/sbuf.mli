@@ -70,8 +70,9 @@ val skip_trivia : t -> unit
 
 val string_literal : t -> Loc.pos -> string
 (** The body of a string literal whose opening quote, at [start], has just
-    been consumed, up to and past the closing quote; [\n] and [\t] are
-    escapes, a backslash before any other character quotes it.
+    been consumed, up to and past the closing quote. A backslash and two
+    hex digits is that byte (MLIR's [\1B]); [\n] and [\t] are escapes; a
+    backslash before any other character quotes it.
     @raise Diag.Error_exn at [start] when the input ends first. *)
 
 (** Character classifiers shared by the lexers. *)

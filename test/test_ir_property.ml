@@ -12,7 +12,11 @@ let float_gen =
     [
       QCheck2.Gen.float;
       oneofl [ 0.0; -0.0; 1.5; -3.25; 1e-300; 1e300; 0.1; Float.epsilon;
-               Float.max_float; Float.min_float ];
+               Float.max_float; Float.min_float; 1234567890123457.0 ];
+      (* Non-finite values print as the bits of the double. *)
+      oneofl [ Float.infinity; Float.neg_infinity; Float.nan;
+               Int64.float_of_bits 0x7FF8000000000123L;
+               Int64.float_of_bits 0xFFF0000000000001L ];
     ]
 
 let attr_gen =
@@ -22,7 +26,7 @@ let attr_gen =
         map (fun i -> Attr.int (Int64.of_int i)) int;
         map (fun f -> Attr.float f) float_gen;
         map (fun f -> Attr.float ~ty:Attr.f32 f) float_gen;
-        map Attr.string (string_size ~gen:printable (int_range 0 12));
+        map Attr.string (string_size ~gen:char (int_range 0 12));
         map Attr.bool bool;
         return Attr.unit;
         map Attr.symbol
@@ -31,8 +35,10 @@ let attr_gen =
         return (Attr.typ (Attr.tuple [ Attr.i32; Attr.index ]));
         return (Attr.enum ~dialect:"d" ~enum:"e" "Case");
         return (Attr.type_id "X");
-        return (Attr.opaque ~tag:"P" "payload");
-        return (Attr.location ~file:"f.mlir" ~line:3 ~col:7);
+        map (Attr.opaque ~tag:"P") (string_size ~gen:char (int_range 0 8));
+        map
+          (fun file -> Attr.location ~file ~line:3 ~col:7)
+          (string_size ~gen:char (int_range 0 8));
       ]
   in
   (* {!Attr.dict} rejects duplicate keys, so generated entries are
@@ -73,16 +79,10 @@ let attr_roundtrip =
   QCheck2.Test.make ~name:"attribute print/parse roundtrip" ~count:500
     ~print:Attr.to_string attr_gen
     (fun a ->
-      match (a : Attr.t) with
-      | Attr.Float_attr { value; _ } when not (Float.is_finite value) ->
-          (* NaN/infinity do not round-trip through the decimal syntax;
-             documented limitation. *)
-          QCheck2.assume_fail ()
-      | _ -> (
-          let ctx = Context.create () in
-          match Parser.parse_attr_string ctx (Attr.to_string a) with
-          | Ok a' -> Attr.equal a a'
-          | Error _ -> false))
+      let ctx = Context.create () in
+      match Parser.parse_attr_string ctx (Attr.to_string a) with
+      | Ok a' -> Attr.equal a a'
+      | Error _ -> false)
 
 (* ---------------- random program round trip ---------------- *)
 
@@ -176,9 +176,112 @@ let use_def_consistency =
       | Ok reparsed -> count_distinct prog = count_distinct reparsed
       | Error _ -> false)
 
+(* ---------------- the single renderer on rich programs ---------------- *)
+
+let complex_f32 = Util.complex_f32
+
+(** A random module of 1-4 top-level ops, built from one seed: nested
+    regions with several blocks, block arguments, successors, random
+    attributes (dict, array, dyn, strings of any bytes, non-finite floats)
+    and cmath ops whose custom format applies or falls back to generic. *)
+let rich_module_gen =
+  let+ seed = int in
+  let rs = Random.State.make [| seed |] in
+  let ri n = Random.State.int rs n in
+  let tys = [| Attr.i1; Attr.i32; Attr.f32; Attr.index; complex_f32 |] in
+  let pick_ty () = tys.(ri (Array.length tys)) in
+  let pick avail = List.nth avail (ri (List.length avail)) in
+  let of_ty ty avail =
+    List.filter (fun v -> Attr.equal_ty (Graph.Value.ty v) ty) avail
+  in
+  let attrs () =
+    List.init (ri 3) (fun i ->
+        (Printf.sprintf "a%d" i, QCheck2.Gen.generate1 ~rand:rs attr_gen))
+  in
+  let rec make_op depth avail blocks =
+    let complex = of_ty complex_f32 avail in
+    match ri 6 with
+    | 0 when complex <> [] ->
+        (* custom format applies *)
+        Graph.Op.create
+          ~operands:[ pick complex; pick complex ]
+          ~result_tys:[ complex_f32 ] "cmath.mul"
+    | 1 when complex <> [] ->
+        Graph.Op.create ~operands:[ pick complex ] ~result_tys:[ Attr.f32 ]
+          "cmath.norm"
+    | 2 when avail <> [] ->
+        (* the format's type projection fails: generic fallback *)
+        let v = pick avail in
+        Graph.Op.create ~operands:[ v; v ]
+          ~result_tys:[ Graph.Value.ty v ] "cmath.mul"
+    | 3 when depth < 2 ->
+        Graph.Op.create ~attrs:(attrs ())
+          ~regions:
+            (List.init (1 + ri 2) (fun _ -> make_region (depth + 1) avail))
+          ~result_tys:(List.init (ri 2) (fun _ -> pick_ty ()))
+          "t.region_op"
+    | _ ->
+        let operands =
+          if avail = [] then [] else List.init (ri 3) (fun _ -> pick avail)
+        in
+        let successors =
+          if blocks = [] then [] else List.init (ri 3) (fun _ -> pick blocks)
+        in
+        Graph.Op.create ~operands ~successors ~attrs:(attrs ())
+          ~result_tys:(List.init (ri 3) (fun _ -> pick_ty ()))
+          (Printf.sprintf "t.op%d" (ri 4))
+  and make_region depth avail =
+    let blocks =
+      List.init (1 + ri 3) (fun _ ->
+          Graph.Block.create
+            ~arg_tys:(List.init (ri 3) (fun _ -> pick_ty ()))
+            ())
+    in
+    (* As in MLIR, the entry block is no branch target (its label may be
+       elided). *)
+    let targets = List.tl blocks in
+    List.iter
+      (fun blk ->
+        let avail = ref (avail @ Graph.Block.args blk) in
+        for _ = 0 to ri 4 do
+          let op = make_op depth !avail targets in
+          Graph.Block.append blk op;
+          avail := !avail @ Graph.Op.results op
+        done)
+      blocks;
+    Graph.Region.create ~blocks ()
+  in
+  let avail = ref [] in
+  List.init (1 + ri 4) (fun _ ->
+      let op = make_op 0 !avail [] in
+      avail := !avail @ Graph.Op.results op;
+      op)
+
+let print_module ops = Printer.ops_to_string (Util.cmath_ctx ()) ops
+
+let sink_equals_ops_to_string =
+  QCheck2.Test.make ~name:"op-by-op sink output equals ops_to_string"
+    ~count:200 ~print:print_module rich_module_gen (fun ops ->
+      let ctx = Util.cmath_ctx () in
+      let sink = Irdl_bytecode.Frontend.Sink.text ctx in
+      List.iter (Irdl_bytecode.Frontend.Sink.push sink) ops;
+      Irdl_bytecode.Frontend.Sink.close sink
+      = Ok (Printer.ops_to_string ctx ops))
+
+let print_parse_fixpoint =
+  QCheck2.Test.make ~name:"print . parse . print is a fixpoint" ~count:200
+    ~print:print_module rich_module_gen (fun ops ->
+      let ctx = Util.cmath_ctx () in
+      let printed = Printer.ops_to_string ctx ops in
+      match Parser.parse_ops ctx printed with
+      | Ok ops' -> Printer.ops_to_string ctx ops' = printed
+      | Error d -> QCheck2.Test.fail_report (Irdl_support.Diag.to_string d))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest attr_roundtrip;
     QCheck_alcotest.to_alcotest program_roundtrip;
     QCheck_alcotest.to_alcotest use_def_consistency;
+    QCheck_alcotest.to_alcotest sink_equals_ops_to_string;
+    QCheck_alcotest.to_alcotest print_parse_fixpoint;
   ]

@@ -36,7 +36,8 @@ let rec cexpr_gen n =
         (let* value = map Int64.of_int small_signed_int in
          let* kind = opt (oneofl [ "int32_t"; "uint8_t"; "int64_t" ]) in
          return (Ast.C_int { value; kind; loc }));
-        (let* value = string_size ~gen:(char_range 'a' 'z') (int_range 0 6) in
+        (* any bytes: Pp quotes with the IR printer's [Attr.add_quoted] *)
+        (let* value = string_size ~gen:char (int_range 0 6) in
          return (Ast.C_string { value; loc }));
       ]
   else

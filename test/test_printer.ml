@@ -173,6 +173,77 @@ let attrs_roundtrip () =
       | None -> Alcotest.failf "missing attr %s" k)
     op.Graph.attrs
 
+(* The Format wrappers add nothing to the one renderer, even inside
+   nested boxes narrower than the text. *)
+let pp_wraps_renderer () =
+  let a =
+    Attr.dict
+      (List.init 12 (fun i ->
+           ( Printf.sprintf "key%d" i,
+             Attr.array [ Attr.string "some text"; Attr.typ complex_f32 ] )))
+  in
+  let s = Attr.to_string a in
+  Alcotest.(check bool) "wider than the margin" true (String.length s > 200);
+  Alcotest.(check string) "boxed pp" ("<" ^ s ^ ">")
+    (Fmt.str "@[<hov 2><@[<v 4>%a@]>@]" Attr.pp a);
+  Alcotest.(check string) "boxed pp_ty"
+    (Attr.ty_to_string complex_f32)
+    (Fmt.str "@[<hv 1>@[<hov 3>%a@]@]" Attr.pp_ty complex_f32)
+
+(* cmath.mul's format prints both operands before its type projection
+   fails on i32: the fallback must cut that text off again. *)
+let fallback_mid_render () =
+  let ctx = cmath_ctx () in
+  let x = Graph.Op.create ~result_tys:[ Attr.i32 ] "t.def" in
+  let bad =
+    Graph.Op.create
+      ~operands:[ Graph.Op.result x 0; Graph.Op.result x 0 ]
+      ~result_tys:[ Attr.i32 ] "cmath.mul"
+  in
+  let printer = Printer.create ctx in
+  let buf = Buffer.create 16 in
+  Buffer.add_string buf "before;";
+  Printer.add_op printer buf x;
+  Buffer.add_char buf ';';
+  Printer.add_op printer buf bad;
+  Alcotest.(check string) "generic, no partial custom text"
+    ({|before;%0 = "t.def"() : () -> (i32);|}
+    ^ {|%1 = "cmath.mul"(%0, %0) : (i32, i32) -> (i32)|})
+    (Buffer.contents buf)
+
+(* Every byte value in a string attribute (and an op name, a location
+   file and a native repr) survives text, and bytecode then text. *)
+let all_bytes_roundtrip () =
+  let ctx = Context.create () in
+  let bytes = String.init 256 Char.chr in
+  let op =
+    Graph.Op.create
+      ~attrs:
+        [
+          ("s", Attr.string bytes);
+          ("l", Attr.location ~file:bytes ~line:1 ~col:2);
+          ("n", Attr.opaque ~tag:"P" bytes);
+        ]
+      "t.bytes\"\x00\x7f\xff"
+  in
+  let printed = Printer.op_to_string ctx op in
+  let reparsed = parse_op ctx printed in
+  Alcotest.(check string) "op name" (Graph.Op.name op) (Graph.Op.name reparsed);
+  Alcotest.(check bool) "attributes" true
+    (List.for_all2
+       (fun (k, v) (k', v') -> k = k' && Attr.equal v v')
+       op.Graph.attrs reparsed.Graph.attrs);
+  Alcotest.(check string) "text is a fixpoint" printed
+    (Printer.op_to_string ctx reparsed);
+  let blob =
+    check_ok "emit" (Irdl_bytecode.Bytecode.Write.module_to_string [ op ])
+  in
+  let decoded =
+    check_ok "decode" (Irdl_bytecode.Bytecode.read_module ctx blob)
+  in
+  Alcotest.(check string) "bytecode then text" printed
+    (Printer.ops_to_string ctx decoded)
+
 let suite =
   [
     tc "generic form" generic_form;
@@ -184,4 +255,7 @@ let suite =
     tc "successors round trip" successors_printed;
     tc "nested regions round trip" nested_regions_roundtrip;
     tc "attributes round trip" attrs_roundtrip;
+    tc "Format wrappers equal the renderer" pp_wraps_renderer;
+    tc "fallback mid-render leaves no partial text" fallback_mid_render;
+    tc "every byte round-trips through text and bytecode" all_bytes_roundtrip;
   ]

@@ -31,11 +31,13 @@ type t = {
   op_hooks : (string, Graph.op -> bool) Hashtbl.t;
   codecs : (string, codec) Hashtbl.t;  (** keyed by TypeOrAttrParam name *)
   mutable strict : bool;
-  unresolved : string list Atomic.t;
-      (** Snippets looked up without a registered hook, most recent first;
-          introspectable for tooling and tests. Atomic because the verifier
-          notes unresolved snippets and verification may run on several
-          domains against one shared registry. *)
+  unresolved_lock : Mutex.t;
+      (** Guards [unresolved] and [unresolved_seen]: verification may note
+          snippets from several domains against one shared registry. *)
+  unresolved_seen : (string, unit) Hashtbl.t;
+  mutable unresolved : string list;
+      (** Distinct snippets looked up without a registered hook, most
+          recent first; introspectable for tooling and tests. *)
 }
 
 let create ?(strict = false) () =
@@ -45,7 +47,9 @@ let create ?(strict = false) () =
     op_hooks = Hashtbl.create 16;
     codecs = Hashtbl.create 16;
     strict;
-    unresolved = Atomic.make [];
+    unresolved_lock = Mutex.create ();
+    unresolved_seen = Hashtbl.create 16;
+    unresolved = [];
   }
 
 (** A shared default registry for convenience entry points. *)
@@ -62,15 +66,25 @@ let register_codec t name codec = Hashtbl.replace t.codecs name codec
 
 let find_codec t name = Hashtbl.find_opt t.codecs name
 
+let with_unresolved t f =
+  Mutex.lock t.unresolved_lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.unresolved_lock) f
+
+(* A snippet is recorded (and logged) on its first sighting only: every op
+   carrying it checks it again, and a resident server must not grow the
+   list by one cell per verified op. *)
 let note_unresolved t snippet =
-  Log.debug (fun m -> m "no native hook registered for %S" snippet);
-  (* CAS push: verification may note snippets from several domains at once. *)
-  let rec push () =
-    let cur = Atomic.get t.unresolved in
-    if not (Atomic.compare_and_set t.unresolved cur (snippet :: cur)) then
-      push ()
+  let first =
+    with_unresolved t (fun () ->
+        let first = not (Hashtbl.mem t.unresolved_seen snippet) in
+        if first then begin
+          Hashtbl.replace t.unresolved_seen snippet ();
+          t.unresolved <- snippet :: t.unresolved
+        end;
+        first)
   in
-  push ()
+  if first then
+    Log.debug (fun m -> m "no native hook registered for %S" snippet)
 
 (* Hooks are arbitrary user closures; one that raises must not crash the
    verifier, so a raising hook counts as a failed constraint (with a
@@ -114,5 +128,9 @@ let check_op t snippet op =
         note_unresolved t snippet;
         Ok true)
 
-let unresolved t = List.rev (Atomic.get t.unresolved)
-let clear_unresolved t = Atomic.set t.unresolved []
+let unresolved t = with_unresolved t (fun () -> List.rev t.unresolved)
+
+let clear_unresolved t =
+  with_unresolved t (fun () ->
+      Hashtbl.reset t.unresolved_seen;
+      t.unresolved <- [])

@@ -20,9 +20,11 @@ type t = {
   op_hooks : (string, Graph.op -> bool) Hashtbl.t;
   codecs : (string, codec) Hashtbl.t;
   mutable strict : bool;
-  unresolved : string list Atomic.t;
-      (** Lock-free: verification may note unresolved snippets from several
-          domains against one shared registry. *)
+  unresolved_lock : Mutex.t;
+      (** Verification may note unresolved snippets from several domains
+          against one shared registry. *)
+  unresolved_seen : (string, unit) Hashtbl.t;
+  mutable unresolved : string list;
 }
 
 val create : ?strict:bool -> unit -> t
@@ -48,13 +50,14 @@ val find_codec : t -> string -> codec option
 
 val check_param : t -> string -> Attr.t -> (bool, string) result
 (** Evaluate a snippet: [Ok b] when a hook is registered, [Ok true] (and the
-    snippet recorded) when unresolved and non-strict, [Error snippet] when
-    unresolved in strict mode. *)
+    snippet recorded, on its first sighting only) when unresolved and
+    non-strict, [Error snippet] when unresolved in strict mode. *)
 
 val check_def : t -> string -> Attr.t list -> (bool, string) result
 val check_op : t -> string -> Graph.op -> (bool, string) result
 
 val unresolved : t -> string list
-(** Snippets looked up without a registered hook, oldest first. *)
+(** The distinct snippets looked up without a registered hook, oldest first:
+    each is recorded once, however many checks hit it. *)
 
 val clear_unresolved : t -> unit

@@ -172,6 +172,32 @@ let verify_attributes ~native ~env ~(op : Graph.op)
                 s.s_name reason))
     (Ok env) slots
 
+(* A region's block count and terminator: the region checks that read more
+   than the op's signature. *)
+let check_terminator ~(op : Graph.op) (rd : Resolve.region)
+    (region : Graph.region) =
+  match rd.reg_terminator with
+  | None -> Ok ()
+  | Some term_name -> (
+      if Graph.Region.num_blocks region <> 1 then
+        Diag.errorf ~loc:op.op_loc
+          "'%s': region '%s' must consist of a single block" op.op_name
+          rd.reg_name
+      else
+        match Graph.Region.entry region with
+        | None -> assert false
+        | Some entry -> (
+            match Graph.Block.terminator entry with
+            | Some last when last.op_name = term_name -> Ok ()
+            | Some last ->
+                Diag.errorf ~loc:op.op_loc
+                  "'%s': region '%s' must end with '%s', found '%s'"
+                  op.op_name rd.reg_name term_name last.op_name
+            | None ->
+                Diag.errorf ~loc:op.op_loc
+                  "'%s': region '%s' must end with '%s' but is empty"
+                  op.op_name rd.reg_name term_name))
+
 let verify_regions ~native ~env ~(op : Graph.op) (rdefs : Resolve.region list)
     =
   if List.length op.regions <> List.length rdefs then
@@ -194,27 +220,8 @@ let verify_regions ~native ~env ~(op : Graph.op) (rdefs : Resolve.region list)
                 ~seg_attr:"regionArgSegmentSizes" rd.reg_args
                 (List.map Graph.Value.ty (Graph.Block.args entry))
         in
-        match rd.reg_terminator with
-        | None -> Ok env
-        | Some term_name -> (
-            if Graph.Region.num_blocks region <> 1 then
-              Diag.errorf ~loc:op.op_loc
-                "'%s': region '%s' must consist of a single block" op.op_name
-                rd.reg_name
-            else
-              match Graph.Region.entry region with
-              | None -> assert false
-              | Some entry -> (
-                  match Graph.Block.terminator entry with
-                  | Some last when last.op_name = term_name -> Ok env
-                  | Some last ->
-                      Diag.errorf ~loc:op.op_loc
-                        "'%s': region '%s' must end with '%s', found '%s'"
-                        op.op_name rd.reg_name term_name last.op_name
-                  | None ->
-                      Diag.errorf ~loc:op.op_loc
-                        "'%s': region '%s' must end with '%s' but is empty"
-                        op.op_name rd.reg_name term_name)))
+        let* () = check_terminator ~op rd region in
+        Ok env)
       (Ok env) rdefs op.regions
 
 let verify_successors ~(op : Graph.op) (succs : string list option) =
@@ -244,6 +251,28 @@ let verify_cpp ~native ~(op : Graph.op) snippets =
           Diag.errorf ~loc:op.op_loc
             "no native hook registered for %S (strict mode)" snippet)
     (Ok ()) snippets
+
+(** What the generated verifier checks beyond the op's signature, in its
+    order: each region's block count and terminator, then the IRDL-C++ op
+    hooks (which see the whole op). The verifier runs it in place of the
+    full verifier when the signature already verified. *)
+let make_op_verifier_rest ~native (rop : Resolve.op) =
+  let rec terminators ~op rdefs regions =
+    match (rdefs, regions) with
+    | rd :: rdefs, region :: regions ->
+        let* () = check_terminator ~op rd region in
+        terminators ~op rdefs regions
+    | _ -> Ok ()
+  in
+  if
+    rop.op_cpp = []
+    && List.for_all
+         (fun (rd : Resolve.region) -> rd.reg_terminator = None)
+         rop.op_regions
+  then fun _ -> Ok ()
+  else fun (op : Graph.op) ->
+    let* () = terminators ~op rop.op_regions op.regions in
+    verify_cpp ~native ~op rop.op_cpp
 
 (** The interpreted operation verifier: re-walks the resolved constraint
     tree on every check. Kept as the reference oracle for the compiled
@@ -384,27 +413,8 @@ let verify_cregions ~env ~(op : Graph.op) (cregions : cregion list) =
                 ~seg_attr:"regionArgSegmentSizes" cr.r_args
                 (List.map Graph.Value.ty (Graph.Block.args entry))
         in
-        match rd.reg_terminator with
-        | None -> Ok env
-        | Some term_name -> (
-            if Graph.Region.num_blocks region <> 1 then
-              Diag.errorf ~loc:op.op_loc
-                "'%s': region '%s' must consist of a single block" op.op_name
-                rd.reg_name
-            else
-              match Graph.Region.entry region with
-              | None -> assert false
-              | Some entry -> (
-                  match Graph.Block.terminator entry with
-                  | Some last when last.op_name = term_name -> Ok env
-                  | Some last ->
-                      Diag.errorf ~loc:op.op_loc
-                        "'%s': region '%s' must end with '%s', found '%s'"
-                        op.op_name rd.reg_name term_name last.op_name
-                  | None ->
-                      Diag.errorf ~loc:op.op_loc
-                        "'%s': region '%s' must end with '%s' but is empty"
-                        op.op_name rd.reg_name term_name)))
+        let* () = check_terminator ~op rd region in
+        Ok env)
       (Ok env) cregions op.regions
 
 (** The generated operation verifier: the runtime analog of Listing 2's
@@ -579,6 +589,7 @@ let register_collect ?(native = Native.default) ?(compile = true)
               od_is_terminator = rop.op_successors <> None;
               od_num_regions = List.length rop.op_regions;
               od_verify = op_verifier rop;
+              od_verify_rest = make_op_verifier_rest ~native rop;
               od_format;
             }))
     dl.dl_ops;

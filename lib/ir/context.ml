@@ -10,10 +10,11 @@
     verification cache); reads are only safe from the registering domain.
     {!freeze} transitions the context — under the same lock, so a racing
     registration either completes before the freeze or is cleanly rejected
-    after it — and from then on the dialect maps are immutable: any number
-    of domains may look definitions up and verify concurrently. The
-    verification cache is sharded per domain (each shard touched only by
-    its owning domain), so post-freeze it is append-only and lock-free. *)
+    after it — and from then on the dialect maps and the flat op table are
+    immutable: any number of domains may look definitions up and verify
+    concurrently. The verification caches (type/attr verdicts and the op
+    signature memo) are sharded per domain (each shard touched only by its
+    owning domain), so post-freeze they are lock-free. *)
 
 open Irdl_support
 
@@ -26,6 +27,7 @@ type op_def = {
   od_is_terminator : bool;
   od_num_regions : int;
   od_verify : Graph.op -> (unit, Diag.t) result;
+  od_verify_rest : Graph.op -> (unit, Diag.t) result;
   od_format : Opfmt.t option;
 }
 
@@ -52,6 +54,18 @@ type dialect = {
   mutable d_attrs : attr_def SMap.t;
 }
 
+(* Everything an op's generated constraints read: a pure function of these
+   gives the op's verdict minus the checks [od_verify_rest] repeats. Types
+   and attributes are compared with [==] on interned nodes. *)
+type op_sig = {
+  sg_operands : Attr.ty array;
+  sg_results : Attr.ty array;
+  sg_attrs : (string * Attr.t) list;
+  sg_regions : Attr.ty array option list;
+      (** Entry-block argument types per region; [None]: no entry block. *)
+  sg_successors : int;
+}
+
 (* One domain's slice of the verification cache. Only the owning domain
    ever reads or writes the tables and counters, so no synchronization is
    needed on them; cross-domain visibility of the whole shard record is
@@ -60,13 +74,23 @@ type vc_shard = {
   sh_domain : int;  (** the owning [Domain.id] *)
   sh_ty : (int, (unit, Diag.t) result) Hashtbl.t;
   sh_attr : (int, (unit, Diag.t) result) Hashtbl.t;
+  sh_ops : (string, op_entry) Hashtbl.t;
   mutable sh_hits : int;
   mutable sh_misses : int;
+  mutable sh_memo_hits : int;
+  mutable sh_memo_misses : int;
+}
+
+and op_entry = {
+  oe_def : op_def option;  (** [None]: unregistered *)
+  oe_shard : vc_shard;
+  mutable oe_sigs : op_sig list;  (** verified Ok, newest first *)
 }
 
 type t = {
   mutable dialects : dialect SMap.t;
-  mutable allow_unregistered : bool;
+  ops : (string, op_def) Hashtbl.t;
+  allow_unregistered : bool;
       (** When true (the default, as in [mlir-opt
           --allow-unregistered-dialect]), operations of unknown dialects
           parse and verify structurally only. *)
@@ -86,6 +110,7 @@ type t = {
 let create ?(allow_unregistered = true) () =
   {
     dialects = SMap.empty;
+    ops = Hashtbl.create 256;
     allow_unregistered;
     reg_lock = Mutex.create ();
     frozen = false;
@@ -140,8 +165,11 @@ let shard t =
                   sh_domain = did;
                   sh_ty = Hashtbl.create 256;
                   sh_attr = Hashtbl.create 256;
+                  sh_ops = Hashtbl.create 256;
                   sh_hits = 0;
                   sh_misses = 0;
+                  sh_memo_hits = 0;
+                  sh_memo_misses = 0;
                 }
               in
               t.vc_shards <- s :: t.vc_shards;
@@ -153,13 +181,17 @@ let shard t =
 let invalidate_locked t =
   let dropped =
     List.exists
-      (fun s -> Hashtbl.length s.sh_ty > 0 || Hashtbl.length s.sh_attr > 0)
+      (fun s ->
+        Hashtbl.length s.sh_ty > 0
+        || Hashtbl.length s.sh_attr > 0
+        || Hashtbl.length s.sh_ops > 0)
       t.vc_shards
   in
   List.iter
     (fun s ->
       Hashtbl.reset s.sh_ty;
-      Hashtbl.reset s.sh_attr)
+      Hashtbl.reset s.sh_attr;
+      Hashtbl.reset s.sh_ops)
     t.vc_shards;
   if dropped then t.vc_invalidations <- t.vc_invalidations + 1
 
@@ -193,6 +225,100 @@ let cached_verify_attr t id compute =
         Hashtbl.replace s.sh_attr id r;
         r
 
+(* ---------------------------------------------------------------- *)
+(* Op signature memo                                                 *)
+(* ---------------------------------------------------------------- *)
+
+(* Fixed bounds, so a resident server fed adversarial op names or a
+   stream of distinct constants keeps each shard's memo small. *)
+let memo_max_ops = 4096
+let memo_max_sigs = 4
+
+let op_entry t name =
+  let s = shard t in
+  match Hashtbl.find s.sh_ops name with
+  | e -> e
+  | exception Not_found ->
+      let e =
+        { oe_def = Hashtbl.find_opt t.ops name; oe_shard = s; oe_sigs = [] }
+      in
+      if Hashtbl.length s.sh_ops < memo_max_ops then
+        Hashtbl.add s.sh_ops name e;
+      e
+
+let entry_def e = e.oe_def
+
+(* The comparisons below walk the op in place: a memo hit allocates
+   nothing. *)
+let rec same_operand_tys (k : Attr.ty array) (a : Graph.use array) i =
+  i < 0 || (k.(i) == a.(i).u_value.v_ty && same_operand_tys k a (i - 1))
+
+let rec same_value_tys (k : Attr.ty array) (a : Graph.value array) i =
+  i < 0 || (k.(i) == a.(i).v_ty && same_value_tys k a (i - 1))
+
+let rec same_attrs k (a : (string * Attr.t) list) =
+  k == a
+  ||
+  match (k, a) with
+  | (kn, kv) :: k, (n, v) :: a ->
+      kv == v && String.equal kn n && same_attrs k a
+  | _ -> false
+
+let rec same_regions k (rs : Graph.region list) =
+  match (k, rs) with
+  | [], [] -> true
+  | None :: k, { reg_first = None; _ } :: rs -> same_regions k rs
+  | Some tys :: k, { reg_first = Some b; _ } :: rs ->
+      Array.length tys = Array.length b.blk_args
+      && same_value_tys tys b.blk_args (Array.length tys - 1)
+      && same_regions k rs
+  | _ -> false
+
+let sig_matches (op : Graph.op) sg =
+  Array.length sg.sg_operands = Array.length op.op_operands
+  && Array.length sg.sg_results = Array.length op.op_results
+  && List.compare_length_with op.successors sg.sg_successors = 0
+  && same_operand_tys sg.sg_operands op.op_operands
+       (Array.length op.op_operands - 1)
+  && same_value_tys sg.sg_results op.op_results
+       (Array.length op.op_results - 1)
+  && same_attrs sg.sg_attrs op.attrs
+  && same_regions sg.sg_regions op.regions
+
+let rec find_sig op = function
+  | [] -> false
+  | sg :: rest -> sig_matches op sg || find_sig op rest
+
+let memo_mem e op =
+  let s = e.oe_shard in
+  if find_sig op e.oe_sigs then (
+    s.sh_memo_hits <- s.sh_memo_hits + 1;
+    true)
+  else (
+    s.sh_memo_misses <- s.sh_memo_misses + 1;
+    false)
+
+let signature (op : Graph.op) =
+  let ty (v : Graph.value) = v.v_ty in
+  {
+    sg_operands =
+      Array.map (fun (u : Graph.use) -> ty u.u_value) op.op_operands;
+    sg_results = Array.map ty op.op_results;
+    sg_attrs = op.attrs;
+    sg_regions =
+      List.map
+        (fun (r : Graph.region) ->
+          Option.map (fun (b : Graph.block) -> Array.map ty b.blk_args)
+            r.reg_first)
+        op.regions;
+    sg_successors = List.length op.successors;
+  }
+
+(* The newest signature goes first; past the bound the oldest drops out. *)
+let memo_add e op =
+  e.oe_sigs <-
+    List.filteri (fun i _ -> i < memo_max_sigs) (signature op :: e.oe_sigs)
+
 (* [set_verify_cache t false] restores the pre-memoization behaviour (every
    node re-verified on every visit) — the baseline configuration for
    benchmarks and differential tests. Disabling flushes every shard so a
@@ -210,6 +336,10 @@ type verify_stats = {
   vs_attr_entries : int;
   vs_hits : int;
   vs_misses : int;
+  vs_memo_ops : int;
+  vs_memo_sigs : int;
+  vs_memo_hits : int;
+  vs_memo_misses : int;
   vs_invalidations : int;
 }
 
@@ -219,6 +349,10 @@ let empty_verify_stats =
     vs_attr_entries = 0;
     vs_hits = 0;
     vs_misses = 0;
+    vs_memo_ops = 0;
+    vs_memo_sigs = 0;
+    vs_memo_hits = 0;
+    vs_memo_misses = 0;
     vs_invalidations = 0;
   }
 
@@ -228,6 +362,11 @@ let shard_stats (s : vc_shard) =
     vs_attr_entries = Hashtbl.length s.sh_attr;
     vs_hits = s.sh_hits;
     vs_misses = s.sh_misses;
+    vs_memo_ops = Hashtbl.length s.sh_ops;
+    vs_memo_sigs =
+      Hashtbl.fold (fun _ e n -> n + List.length e.oe_sigs) s.sh_ops 0;
+    vs_memo_hits = s.sh_memo_hits;
+    vs_memo_misses = s.sh_memo_misses;
     vs_invalidations = 0;
   }
 
@@ -237,6 +376,10 @@ let add_verify_stats a b =
     vs_attr_entries = a.vs_attr_entries + b.vs_attr_entries;
     vs_hits = a.vs_hits + b.vs_hits;
     vs_misses = a.vs_misses + b.vs_misses;
+    vs_memo_ops = a.vs_memo_ops + b.vs_memo_ops;
+    vs_memo_sigs = a.vs_memo_sigs + b.vs_memo_sigs;
+    vs_memo_hits = a.vs_memo_hits + b.vs_memo_hits;
+    vs_memo_misses = a.vs_memo_misses + b.vs_memo_misses;
     vs_invalidations = a.vs_invalidations + b.vs_invalidations;
   }
 
@@ -262,10 +405,10 @@ let verify_hit_rate { vs_hits; vs_misses; _ } =
 let pp_verify_stats ppf s =
   Fmt.pf ppf
     "%d type + %d attr entries, %d hits / %d misses (%.1f%% hit rate), %d \
-     invalidations"
+     invalidations; op memo: %d signatures, %d hits / %d misses"
     s.vs_ty_entries s.vs_attr_entries s.vs_hits s.vs_misses
     (100. *. verify_hit_rate s)
-    s.vs_invalidations
+    s.vs_invalidations s.vs_memo_sigs s.vs_memo_hits s.vs_memo_misses
 
 let qualified ~dialect ~name = dialect ^ "." ^ name
 
@@ -292,10 +435,11 @@ let register_op t (od : op_def) =
       check_open t ~what:"operation"
         ~name:(qualified ~dialect:od.od_dialect ~name:od.od_name);
       let d = register_dialect_locked t od.od_dialect in
-      if SMap.mem od.od_name d.d_ops then
-        Diag.raise_error "operation '%s.%s' is already registered"
-          od.od_dialect od.od_name;
+      let qname = qualified ~dialect:od.od_dialect ~name:od.od_name in
+      if Hashtbl.mem t.ops qname then
+        Diag.raise_error "operation '%s' is already registered" qname;
       d.d_ops <- SMap.add od.od_name od d.d_ops;
+      Hashtbl.replace t.ops qname od;
       invalidate_locked t)
 
 let register_type t (td : type_def) =
@@ -320,17 +464,9 @@ let register_attr t (ad : attr_def) =
       d.d_attrs <- SMap.add ad.ad_name ad d.d_attrs;
       invalidate_locked t)
 
-(** Look up the definition for a fully-qualified op name like ["cmath.mul"]. *)
-let lookup_op t qualified_name =
-  match String.index_opt qualified_name '.' with
-  | None -> None
-  | Some i ->
-      let dialect = String.sub qualified_name 0 i in
-      let name =
-        String.sub qualified_name (i + 1)
-          (String.length qualified_name - i - 1)
-      in
-      Option.bind (get_dialect t dialect) (fun d -> SMap.find_opt name d.d_ops)
+(** Look up the definition for a fully-qualified op name like ["cmath.mul"]:
+    one probe of the flat op table. *)
+let lookup_op t qualified_name = Hashtbl.find_opt t.ops qualified_name
 
 let lookup_type t ~dialect ~name =
   Option.bind (get_dialect t dialect) (fun d -> SMap.find_opt name d.d_types)

@@ -7,10 +7,11 @@
     registration lock; reads are only safe from the registering domain.
     {!freeze} transitions the context under the same lock — a registration
     racing a freeze either completes before it or is cleanly rejected after
-    it — and from then on the dialect maps are immutable, so any number of
-    domains may run lookups and verification concurrently. The verification
-    cache is sharded per domain (each shard only ever touched by its owning
-    domain) and post-freeze is append-only and lock-free. *)
+    it — and from then on the dialect maps and the flat op table are
+    immutable, so any number of domains may run lookups and verification
+    concurrently. The verification caches are sharded per domain (each
+    shard only ever touched by its owning domain) and post-freeze are
+    lock-free. *)
 
 open Irdl_support
 
@@ -24,6 +25,12 @@ type op_def = {
   od_num_regions : int;
   od_verify : Graph.op -> (unit, Diag.t) result;
       (** The verifier generated from the IRDL constraints. *)
+  od_verify_rest : Graph.op -> (unit, Diag.t) result;
+      (** The checks of [od_verify] that read more than the op's signature
+          (see {!memo_mem}): region block counts and terminators, then the
+          IRDL-C++ op hooks, in [od_verify]'s order. Only meaningful on an
+          op whose signature already passed [od_verify]; the verifier runs
+          it in place of [od_verify] on a memo hit. *)
   od_format : Opfmt.t option;
       (** Compiled declarative format, when the op defines one. *)
 }
@@ -53,9 +60,12 @@ type dialect = {
 
 type t = private {
   mutable dialects : dialect SMap.t;
-  mutable allow_unregistered : bool;
+  ops : (string, op_def) Hashtbl.t;
+      (** Every registered op by qualified name: {!lookup_op}'s one probe. *)
+  allow_unregistered : bool;
       (** When true (the default), operations/types of unknown dialects
-          parse and verify structurally only. *)
+          parse and verify structurally only. Fixed at {!create}, so the
+          cached verdicts never go stale on it. *)
   reg_lock : Mutex.t;
   mutable frozen : bool;
   mutable vc_shards : vc_shard list;
@@ -98,7 +108,7 @@ val freeze : t -> unit
 val is_frozen : t -> bool
 
 val lookup_op : t -> string -> op_def option
-(** Look up a fully-qualified name like ["cmath.mul"]. *)
+(** Look up a fully-qualified name like ["cmath.mul"]: one hash probe. *)
 
 val lookup_type : t -> dialect:string -> name:string -> type_def option
 val lookup_attr : t -> dialect:string -> name:string -> attr_def option
@@ -118,9 +128,8 @@ val op_stats : t -> int * int * int
     Registering any operation, type or attribute definition flushes all
     shards (the new definition may change what verifies). The cache must
     also be flushed manually — {!invalidate_verify_cache} — if verification
-    behaviour is changed behind the context's back: flipping
-    [allow_unregistered], or registering new native hooks after
-    verification started. *)
+    behaviour is changed behind the context's back: registering new native
+    hooks after verification started. *)
 
 val cached_verify_ty :
   t -> int -> (unit -> (unit, Diag.t) result) -> (unit, Diag.t) result
@@ -131,6 +140,41 @@ val cached_verify_ty :
 
 val cached_verify_attr :
   t -> int -> (unit -> (unit, Diag.t) result) -> (unit, Diag.t) result
+
+(** {2 Op signature memo}
+
+    An op's IRDL verdict is a pure function of its signature: the operand
+    and result types, the [(name, attribute)] list, the region count, each
+    region's entry-block argument types (no entry block is distinct from
+    zero arguments) and the successor count. Each shard keeps one entry per
+    op name — the resolved definition plus up to {!memo_max_sigs}
+    signatures that verified [Ok] — and at most {!memo_max_ops} entries.
+    Signatures compare with [==] on interned nodes, so a node from another
+    domain's uniquer just misses. Errors are never recorded. The memo is
+    flushed with the type/attribute cache and off when it is. *)
+
+type op_entry
+(** One op name's memo entry in one domain's shard. *)
+
+val memo_max_ops : int
+val memo_max_sigs : int
+
+val op_entry : t -> string -> op_entry
+(** The calling domain's entry for a qualified op name, created (and kept,
+    while the shard is under {!memo_max_ops}) on first use: one probe of
+    the shard, plus one of the op table on first use. Call it only with the
+    cache enabled. *)
+
+val entry_def : op_entry -> op_def option
+(** The entry's definition; [None] for an unregistered op. *)
+
+val memo_mem : op_entry -> Graph.op -> bool
+(** Has an op with [op]'s signature verified [Ok] on this entry? Counts a
+    memo hit or miss; allocates nothing. *)
+
+val memo_add : op_entry -> Graph.op -> unit
+(** Record [op]'s signature as verified [Ok], dropping the oldest past
+    {!memo_max_sigs}. *)
 
 val invalidate_verify_cache : t -> unit
 (** Drop all memoized verification results, in every shard. Called
@@ -150,8 +194,12 @@ val verify_cache_enabled : t -> bool
 type verify_stats = {
   vs_ty_entries : int;
   vs_attr_entries : int;
-  vs_hits : int;
+  vs_hits : int;  (** type/attribute cache hits *)
   vs_misses : int;
+  vs_memo_ops : int;  (** op memo entries (op names) *)
+  vs_memo_sigs : int;  (** signatures recorded across those entries *)
+  vs_memo_hits : int;
+  vs_memo_misses : int;
   vs_invalidations : int;
 }
 

@@ -79,13 +79,17 @@ and verify_params ctx = function
       let* () = verify_attr ctx a in
       verify_params ctx rest
 
-let is_terminator ctx (op : Graph.op) =
-  match Context.lookup_op ctx op.op_name with
+let is_terminator_def (def : Context.op_def option) (op : Graph.op) =
+  match def with
   | Some od -> od.od_is_terminator
   | None -> op.successors <> []
 
-(* Structural checks that hold for every operation, registered or not. *)
-let verify_structure ctx (op : Graph.op) =
+let is_terminator ctx (op : Graph.op) =
+  is_terminator_def (Context.lookup_op ctx op.op_name) op
+
+(* Structural checks that hold for every operation, registered or not.
+   [def] is the op's resolved definition. *)
+let verify_structure def (op : Graph.op) =
   let* () =
     (* Successors may only appear on block terminators. *)
     match op.op_parent with
@@ -99,7 +103,7 @@ let verify_structure ctx (op : Graph.op) =
     | _ -> Ok ()
   in
   let* () =
-    if is_terminator ctx op then
+    if is_terminator_def def op then
       match op.op_parent with
       | None -> Ok () (* top-level ops are not inside a block *)
       | Some blk -> (
@@ -140,18 +144,40 @@ let with_op_loc (op : Graph.op) = function
       Error { d with loc = op.op_loc }
   | Error _ as e -> e
 
-let verify_op ctx (op : Graph.op) =
-  with_op_loc op
-  @@
-  let* () = verify_structure ctx op in
+let verify_op_full ctx def (op : Graph.op) =
+  let* () = verify_structure def op in
   let* () = verify_tys ctx (Graph.Op.operand_tys op) in
   let* () = verify_tys ctx (Graph.Op.result_tys op) in
   let* () = verify_params ctx (List.map snd op.attrs) in
-  match Context.lookup_op ctx op.op_name with
-  | Some od -> od.od_verify op
+  match def with
+  | Some (od : Context.op_def) -> od.od_verify op
   | None ->
       if ctx.allow_unregistered then Ok ()
       else Diag.errorf ~loc:op.op_loc "unregistered operation '%s'" op.op_name
+
+(* An op whose signature already verified Ok re-runs only the checks that
+   read more than the signature, which come in the full path's order:
+   structure first, then the definition's region terminators and native
+   hooks. So the first failing check is the one the full path would report,
+   and only Ok verdicts are recorded, so every diagnostic comes from the
+   same code either way. *)
+let verify_op ctx (op : Graph.op) =
+  with_op_loc op
+  @@
+  if not (Context.verify_cache_enabled ctx) then
+    verify_op_full ctx (Context.lookup_op ctx op.op_name) op
+  else
+    let e = Context.op_entry ctx op.op_name in
+    let def = Context.entry_def e in
+    if Context.memo_mem e op then
+      let* () = verify_structure def op in
+      match def with Some od -> od.od_verify_rest op | None -> Ok ()
+    else
+      match verify_op_full ctx def op with
+      | Ok () ->
+          Context.memo_add e op;
+          Ok ()
+      | Error _ as r -> r
 
 (** Verify [op] and everything nested inside it. Stops at the first failure. *)
 let verify ctx (op : Graph.op) =

@@ -62,6 +62,24 @@ let unresolved_bookkeeping () =
   N.clear_unresolved n;
   Alcotest.(check (list string)) "cleared" [] (N.unresolved n)
 
+(* Every check of a hook-less snippet finds it unresolved, but it is
+   recorded once: a resident server must not grow the list per op. *)
+let unresolved_recorded_once () =
+  let n = N.create () in
+  let ctx = Context.create () in
+  let _ =
+    check_ok "load"
+      (Irdl_core.Irdl.load_one ~native:n ctx
+         {|Dialect d { Operation o { CppConstraint "mystery()" } }|})
+  in
+  let op = Graph.Op.create "d.o" in
+  verify_ok ctx op;
+  verify_ok ctx op;
+  Context.set_verify_cache ctx false;
+  verify_ok ctx op;
+  Alcotest.(check (list string)) "recorded once" [ "mystery()" ]
+    (N.unresolved n)
+
 let strict_mode () =
   let n = N.create ~strict:true () in
   (match N.check_param n "x()" (Attr.int 1L) with
@@ -96,6 +114,7 @@ let suite =
     tc "definition-level hooks" def_hooks;
     tc "TypeOrAttrParam codecs" codecs;
     tc "unresolved snippets are recorded" unresolved_bookkeeping;
+    tc "an unresolved snippet is recorded once" unresolved_recorded_once;
     tc "strict mode" strict_mode;
     tc "strict mode end-to-end" strict_end_to_end;
     tc "hook re-registration replaces" hook_replacement;

@@ -1,0 +1,435 @@
+(** Differential tests for the op signature memo: verification with the
+    memo on must give exactly the diagnostics it gives with it off, whatever
+    an op shares with an op verified before it. *)
+
+open Irdl_ir
+open Util
+module R = Irdl_core.Resolve
+module S = Irdl_core.Skeleton
+
+let contains hay needle =
+  let hl = String.length hay and nl = String.length needle in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
+let diag_strings ds = List.map Irdl_support.Diag.to_string ds
+
+let memo_stats ctx = (Context.stats ctx).st_verify
+
+(* [verify_all] with the memo warm, off, and on again from cold. *)
+let verdicts ctx m =
+  Context.set_verify_cache ctx true;
+  let warm = diag_strings (Verifier.verify_all ctx m) in
+  Context.set_verify_cache ctx false;
+  let off = diag_strings (Verifier.verify_all ctx m) in
+  Context.set_verify_cache ctx true;
+  let cold = diag_strings (Verifier.verify_all ctx m) in
+  (warm, off, cold)
+
+(* ---------------------------------------------------------------- *)
+(* Skeleton ops from the corpus, mutated                             *)
+(* ---------------------------------------------------------------- *)
+
+type template = { name : string; make : unit -> Graph.op }
+
+type corpus = {
+  ctx : Context.t;
+  all : template array;
+  with_regions : template array;
+  terminators : template array;
+}
+
+let corpus =
+  lazy
+    (let ctx = Context.create () in
+     let dls = check_ok "corpus" (Irdl_dialects.Corpus.load_all ctx) in
+     let find_dl name =
+       List.find_opt (fun (dl : R.dialect) -> dl.dl_name = name) dls
+     in
+     let lookup ~kind ~dialect ~name =
+       Option.bind (find_dl dialect) (fun (dl : R.dialect) ->
+           let defs =
+             match kind with `Type -> dl.dl_types | `Attr -> dl.dl_attrs
+           in
+           List.find_opt (fun (td : R.typedef) -> td.td_name = name) defs)
+     in
+     let op_lookup ~dialect ~name =
+       Option.bind (find_dl dialect) (fun (dl : R.dialect) ->
+           List.find_opt (fun (o : R.op) -> o.op_name = name) dl.dl_ops)
+     in
+     let templates =
+       List.concat_map
+         (fun (dl : R.dialect) ->
+           List.filter_map
+             (fun (rop : R.op) ->
+               let make () =
+                 S.instantiate_op ~lookup ~op_lookup ~dialect:dl.dl_name rop
+               in
+               match make () with
+               | Error _ -> None
+               | Ok sample ->
+                   Some
+                     ( { name = sample.Graph.op_name;
+                         make = (fun () -> Result.get_ok (make ())) },
+                       sample ))
+             dl.dl_ops)
+         dls
+     in
+     let pick f =
+       Array.of_list
+         (List.filter_map (fun (t, s) -> if f s then Some t else None)
+            templates)
+     in
+     {
+       ctx;
+       all = pick (fun _ -> true);
+       with_regions = pick (fun (s : Graph.op) -> s.regions <> []);
+       terminators = pick (fun s -> Verifier.is_terminator ctx s);
+     })
+
+type mutation =
+  | Clean
+  | Drop_attr
+  | Swap_type of int
+  | Terminator_before of int  (** a terminator placed mid-block *)
+  | Extra_block  (** a second block in the first region *)
+  | Drop_region_terminator
+  | Op_after_region_terminator
+  | Swap_region_arg of int
+  | Add_region_arg
+  | Drop_region
+  | Empty_region  (** the first region loses its blocks *)
+  | Add_successor  (** the enclosing block as a successor *)
+
+let type_pool = [| Attr.i1; Attr.i32; Attr.f64; Attr.index |]
+
+let pp_mutation = function
+  | Clean -> "clean"
+  | Drop_attr -> "drop-attr"
+  | Swap_type i -> Printf.sprintf "swap-type %d" i
+  | Terminator_before i -> Printf.sprintf "terminator-before %d" i
+  | Extra_block -> "extra-block"
+  | Drop_region_terminator -> "drop-region-terminator"
+  | Op_after_region_terminator -> "op-after-region-terminator"
+  | Swap_region_arg i -> Printf.sprintf "swap-region-arg %d" i
+  | Add_region_arg -> "add-region-arg"
+  | Drop_region -> "drop-region"
+  | Empty_region -> "empty-region"
+  | Add_successor -> "add-successor"
+
+let entry_block (op : Graph.op) =
+  match op.regions with r :: _ -> Graph.Region.entry r | [] -> None
+
+let mutate c (op : Graph.op) blk = function
+  | Clean -> ()
+  | Drop_attr -> (
+      match op.attrs with
+      | (name, _) :: _ -> Graph.Op.remove_attr op name
+      | [] -> ())
+  | Swap_type i ->
+      let ty = type_pool.(i mod Array.length type_pool) in
+      if Graph.Op.num_results op > 0 then (Graph.Op.result op 0).v_ty <- ty
+      else if Graph.Op.num_operands op > 0 then
+        (Graph.Op.operand op 0).v_ty <- ty
+  | Terminator_before i ->
+      let t = c.terminators.(i mod Array.length c.terminators) in
+      Graph.Block.append blk (t.make ())
+  | Extra_block -> (
+      match op.regions with
+      | r :: _ -> Graph.Region.add_block r (Graph.Block.create ())
+      | [] -> ())
+  | Drop_region_terminator -> (
+      match Option.bind (entry_block op) Graph.Block.terminator with
+      | Some last -> Graph.detach last
+      | None -> ())
+  | Op_after_region_terminator -> (
+      match entry_block op with
+      | Some b -> Graph.Block.append b (Graph.Op.create "test.filler")
+      | None -> ())
+  | Swap_region_arg i -> (
+      match entry_block op with
+      | Some b when Graph.Block.num_args b > 0 ->
+          (Graph.Block.arg b 0).v_ty <- type_pool.(i mod Array.length type_pool)
+      | _ -> ())
+  | Add_region_arg -> (
+      match entry_block op with
+      | Some b -> ignore (Graph.Block.add_arg b Attr.i32)
+      | None -> ())
+  | Drop_region -> (
+      match op.regions with _ :: rest -> op.regions <- rest | [] -> ())
+  | Empty_region -> (
+      match op.regions with
+      | _ :: rest ->
+          let r = Graph.Region.create () in
+          r.reg_parent <- Some op;
+          op.regions <- r :: rest
+      | [] -> ())
+  | Add_successor -> op.successors <- [ blk ]
+
+(* One block holding each instance after its detached operand
+   placeholders, mutated as asked. *)
+let build c picks =
+  let blk = Graph.Block.create () in
+  List.iter
+    (fun ((t : template), mutation) ->
+      let op = t.make () in
+      Graph.Op.iter_operands op ~f:(fun v ->
+          match Graph.Value.defining_op v with
+          | Some p when p.op_parent = None -> Graph.Block.append blk p
+          | _ -> ());
+      mutate c op blk mutation;
+      Graph.Block.append blk op)
+    picks;
+  Graph.Op.create
+    ~regions:[ Graph.Region.create ~blocks:[ blk ] () ]
+    "test.module"
+
+let gen_picks c =
+  let open QCheck2.Gen in
+  let template =
+    oneof
+      [
+        oneofa c.all; oneofa c.with_regions; oneofa c.terminators;
+      ]
+  in
+  let mutation =
+    frequency
+      [
+        (2, pure Clean);
+        (1, pure Drop_attr);
+        (1, map (fun i -> Swap_type i) nat);
+        (1, map (fun i -> Terminator_before i) nat);
+        (1, pure Extra_block);
+        (1, pure Drop_region_terminator);
+        (1, pure Op_after_region_terminator);
+        (1, map (fun i -> Swap_region_arg i) nat);
+        (1, pure Add_region_arg);
+        (1, pure Drop_region);
+        (1, pure Empty_region);
+        (1, pure Add_successor);
+      ]
+  in
+  (* A few mutated templates repeated through the module: each copy is
+     clean, mutated as its pool entry, or mutated afresh, so most ops repeat
+     a signature the memo has seen. *)
+  let* k = int_range 1 4 in
+  let* pool = list_repeat k (pair template mutation) in
+  let pick =
+    let* t, m = oneofl pool in
+    map (fun m -> (t, m)) (oneof [ pure Clean; pure m; mutation ])
+  in
+  list_size (int_range 1 12) pick
+
+let print_picks picks =
+  String.concat "; "
+    (List.map (fun ((t : template), m) -> t.name ^ " " ^ pp_mutation m) picks)
+
+(* The corpus loads on the first generated case, not when the suite list
+   is built. *)
+let memo_differential =
+  let gen = QCheck2.Gen.(pure () >>= fun () -> gen_picks (Lazy.force corpus)) in
+  QCheck2.Test.make ~name:"memo on and off give identical diagnostics"
+    ~count:1000 ~print:print_picks gen (fun picks ->
+      let c = Lazy.force corpus in
+      let warm, off, cold = verdicts c.ctx (build c picks) in
+      if warm = off && cold = off then true
+      else
+        QCheck2.Test.fail_reportf
+          "memo on (warm):@.%s@.memo off:@.%s@.memo on (cold):@.%s"
+          (String.concat "\n" warm) (String.concat "\n" off)
+          (String.concat "\n" cold))
+
+(* ---------------------------------------------------------------- *)
+(* Unit tests                                                        *)
+(* ---------------------------------------------------------------- *)
+
+let loop body =
+  Printf.sprintf
+    {|"cmath.range_loop"(%%lb, %%lb, %%lb) ({
+  ^body(%%iv: i32):
+%s
+  }) : (i32, i32, i32) -> ()|}
+    body
+
+let term = {|    "cmath.range_loop_terminator"() : () -> ()|}
+
+(* Each later op repeats the first one's signature exactly, and breaks one
+   rule that the signature does not show. *)
+let hit_still_checks_structure () =
+  let ctx = cmath_ctx () in
+  let src =
+    String.concat "\n"
+      [
+        {|"func.func"() ({|};
+        {|^bb0(%lb: i32):|};
+        loop term;
+        loop {|    "t.other"() : () -> ()|};
+        loop (term ^ "\n" ^ {|    "t.after"() : () -> ()|});
+        term;
+        loop term;
+        {|}) : () -> ()|};
+      ]
+  in
+  let m = parse_op ctx src in
+  let before = memo_stats ctx in
+  let warm, off, cold = verdicts ctx m in
+  Alcotest.(check bool) "the broken ops were memo hits" true
+    ((memo_stats ctx).vs_memo_hits > before.vs_memo_hits);
+  Alcotest.(check (list string)) "memo on = memo off" off warm;
+  Alcotest.(check (list string)) "cold memo = memo off" off cold;
+  let expect needle =
+    Alcotest.(check bool) needle true
+      (List.exists (fun d -> contains d needle) warm)
+  in
+  expect "must end with 'cmath.range_loop_terminator', found 't.other'";
+  expect "must end with 'cmath.range_loop_terminator', found 't.after'";
+  expect "terminator 'cmath.range_loop_terminator' must be the last operation"
+
+(* No entry block and an entry block are different signatures, even where
+   the empty region is valid. *)
+let empty_region_is_its_own_signature () =
+  let ctx, _ =
+    load_dialect {|Dialect d { Operation o { Region body { } } }|}
+  in
+  let op ~args =
+    let r =
+      if args = [] then Graph.Region.create ()
+      else
+        Graph.Region.create ~blocks:[ Graph.Block.create ~arg_tys:args () ] ()
+    in
+    Graph.Op.create ~regions:[ r ] "d.o"
+  in
+  verify_ok ctx (op ~args:[]);
+  verify_err ~containing:"region argument" ctx (op ~args:[ Attr.i32 ]);
+  Alcotest.(check int) "no memo hit" 0 (memo_stats ctx).vs_memo_hits
+
+let hook_fires_on_hit () =
+  let native = Irdl_core.Native.create () in
+  Irdl_core.Native.register_op_hook native "notOnLine3($_self)"
+    (fun (op : Graph.op) -> op.op_loc.start_pos.line <> 3);
+  let ctx = Context.create () in
+  let _ =
+    check_ok "load"
+      (Irdl_core.Irdl.load_one ~native ctx
+         {|Dialect d {
+             Operation o {
+               Results (r: !i32)
+               CppConstraint "notOnLine3($_self)"
+             }
+           }|})
+  in
+  let src =
+    String.concat ""
+      (List.map
+         (fun v -> Printf.sprintf "%%%s = \"d.o\"() : () -> i32\n" v)
+         [ "a"; "b"; "c" ])
+  in
+  let ops = check_ok "parse" (Parser.parse_ops ctx src) in
+  let diags = diag_strings (Verifier.verify_ops_all ctx ops) in
+  let s = memo_stats ctx in
+  Alcotest.(check int) "two memo hits" 2 s.vs_memo_hits;
+  match diags with
+  | [ d ] ->
+      Alcotest.(check bool) "rejects line 3" true
+        (contains d ":3:" && contains d "violates native constraint")
+  | ds -> Alcotest.failf "expected one diagnostic, got %d" (List.length ds)
+
+let registration_flushes_memo () =
+  let ctx = Context.create () in
+  let op = Graph.Op.create ~result_tys:[ Attr.i32 ] "d2.x" in
+  verify_ok ctx op;
+  verify_ok ctx op;
+  let s = memo_stats ctx in
+  Alcotest.(check int) "one signature" 1 s.vs_memo_sigs;
+  Alcotest.(check int) "one hit" 1 s.vs_memo_hits;
+  let _ =
+    check_ok "load d2"
+      (Irdl_core.Irdl.load_one ctx
+         {|Dialect d2 { Operation x { Results (r: !f32) } }|})
+  in
+  let s' = memo_stats ctx in
+  Alcotest.(check int) "entries flushed" 0 s'.vs_memo_ops;
+  Alcotest.(check int) "signatures flushed" 0 s'.vs_memo_sigs;
+  Alcotest.(check bool) "invalidation counted" true
+    (s'.vs_invalidations > s.vs_invalidations);
+  verify_err ~containing:"'d2.x': result 'r'" ctx op
+
+let two_domains_agree () =
+  let ctx = cmath_ctx () in
+  let body =
+    String.concat "\n"
+      (List.init 50 (fun i ->
+           Printf.sprintf
+             {|  %%n%d = "cmath.norm"(%%p) : (!cmath.complex<f32>) -> %s|} i
+             (if i mod 7 = 3 then "f64" else "f32")))
+  in
+  let src =
+    String.concat "\n"
+      [
+        {|"func.func"() ({|};
+        {|^bb0(%lb: i32, %p: !cmath.complex<f32>):|};
+        body;
+        loop term;
+        loop {|    "t.other"() : () -> ()|};
+        {|}) : () -> ()|};
+      ]
+  in
+  let m = parse_op ctx src in
+  Context.set_verify_cache ctx false;
+  let off = diag_strings (Verifier.verify_all ctx m) in
+  Context.set_verify_cache ctx true;
+  Context.freeze ctx;
+  let run () = diag_strings (Verifier.verify_all ctx m) in
+  let here = run () in
+  let d1 = Domain.spawn run and d2 = Domain.spawn run in
+  let r1 = Domain.join d1 and r2 = Domain.join d2 in
+  Alcotest.(check bool) "some diagnostics" true (off <> []);
+  Alcotest.(check (list string)) "calling domain = memo off" off here;
+  Alcotest.(check (list string)) "domain 1 = memo off" off r1;
+  Alcotest.(check (list string)) "domain 2 = memo off" off r2;
+  let shards = (Context.stats ~scope:`Per_domain ctx).st_verify_shards in
+  Alcotest.(check int) "one shard per domain" 3 (List.length shards);
+  List.iter
+    (fun (s : Context.verify_stats) ->
+      Alcotest.(check bool) "each shard hit its memo" true (s.vs_memo_hits > 0))
+    shards
+
+let memo_is_bounded () =
+  let ctx = Context.create () in
+  let _ =
+    check_ok "load arith"
+      (Irdl_core.Irdl.load_one ctx Irdl_dialects.Arith.source)
+  in
+  for i = 1 to 10_000 do
+    verify_ok ctx
+      (Graph.Op.create ~result_tys:[ Attr.i64 ]
+         ~attrs:[ ("value", Attr.int ~ty:Attr.i64 (Int64.of_int i)) ]
+         "arith.constant")
+  done;
+  let s = memo_stats ctx in
+  Alcotest.(check int) "one entry" 1 s.vs_memo_ops;
+  Alcotest.(check bool) "signatures within the per-op cap" true
+    (s.vs_memo_sigs <= Context.memo_max_sigs);
+  Alcotest.(check int) "every constant missed" 10_000 s.vs_memo_misses;
+  for i = 1 to 10_000 do
+    verify_ok ctx
+      (Graph.Op.create ~result_tys:[ Attr.i64 ] (Printf.sprintf "u%d.x" i))
+  done;
+  let s = memo_stats ctx in
+  Alcotest.(check bool) "entries within the per-shard cap" true
+    (s.vs_memo_ops <= Context.memo_max_ops);
+  Alcotest.(check bool) "signatures within both caps" true
+    (s.vs_memo_sigs <= Context.memo_max_ops * Context.memo_max_sigs)
+
+let suite =
+  [
+    QCheck_alcotest.to_alcotest memo_differential;
+    tc "a memo hit still checks structure and region terminators"
+      hit_still_checks_structure;
+    tc "an empty region is its own signature"
+      empty_region_is_its_own_signature;
+    tc "an op hook rejecting by location fires on a memo hit" hook_fires_on_hit;
+    tc "registering a dialect flushes the memo" registration_flushes_memo;
+    tc "two domains give the memo-off verdicts" two_domains_agree;
+    tc "the memo stays within its caps" memo_is_bounded;
+  ]

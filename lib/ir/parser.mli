@@ -11,6 +11,17 @@ val builtin_ty_of_ident : string -> Attr.ty option
 
 val int_ty_of_ident : string -> Attr.ty option
 
+val name_table_cap : int
+(** The most entries the calling domain's name table holds: names and
+    [!d.t<...>] type spellings the parser has seen. On reaching it the
+    table is emptied. *)
+
+val name_table_entries : unit -> int
+(** Entries in the calling domain's name table now. *)
+
+val type_memo_stats : unit -> int * int
+(** Type-spelling memo hits and misses in the calling domain so far. *)
+
 val parse_ops :
   ?file:string ->
   ?engine:Diag.Engine.t ->
@@ -41,8 +52,8 @@ val parse_ops :
 (** Pull-based parse sessions: one fully-parsed top-level operation at a
     time (regions materialized per-op), so a driver can parse → verify →
     print → {!release} each op without the whole module ever being
-    resident. Shares the per-op machinery with {!parse_ops}; the sequence
-    of yielded ops and emitted diagnostics is identical. *)
+    resident. {!parse_ops} drains a session, so the sequence of yielded ops
+    and emitted diagnostics is identical. *)
 module Stream : sig
   type session
   (** An in-progress streaming parse over one source buffer. *)

@@ -12,13 +12,15 @@
       diagnostics a run actually produced, reporting both unexpected
       diagnostics and annotations nothing fulfilled. *)
 
+let rec same_from src i sub k m =
+  k = m
+  || String.unsafe_get src (i + k) = String.unsafe_get sub k
+     && same_from src i sub (k + 1) m
+
 (* Whether [sub] occurs in [src] at offset [i]. *)
 let matches_at src i sub =
   let m = String.length sub in
-  i >= 0 && i + m <= String.length src
-  &&
-  let rec go k = k = m || (src.[i + k] = sub.[k] && go (k + 1)) in
-  go 0
+  i >= 0 && i + m <= String.length src && same_from src i sub 0 m
 
 (* Characters [String.trim] strips. *)
 let is_blank c = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\012'
@@ -71,15 +73,23 @@ type expectation = {
 }
 
 (* The first index [i >= from] at which [sub] occurs in [s] and ends by
-   [stop]; an empty [sub] never occurs. *)
+   [stop], or -1. Only a position holding [sub]'s first byte is compared
+   further. *)
+let rec index_from s stop sub m i =
+  if i + m > stop then -1
+  else if
+    String.unsafe_get s i = String.unsafe_get sub 0 && same_from s i sub 1 m
+  then i
+  else index_from s stop sub m (i + 1)
+
+(* [index_from] as an option; an empty [sub] never occurs. *)
 let find_from s ~stop sub from =
   let m = String.length sub in
-  let rec go i =
-    if m = 0 || i + m > stop then None
-    else if matches_at s i sub then Some i
-    else go (i + 1)
-  in
-  go (max 0 from)
+  if m = 0 then None
+  else
+    match index_from s (min stop (String.length s)) sub m (max 0 from) with
+    | -1 -> None
+    | i -> Some i
 
 let contains s sub = find_from s ~stop:(String.length s) sub 0 <> None
 
@@ -187,22 +197,28 @@ let scan_line ~file ~lineno line ~start ~stop =
       (List.rev !expectations, List.rev !errors)
 
 (** Collect every annotation in [src]. Returns the expectations plus
-    harness errors for malformed annotations. *)
+    harness errors for malformed annotations. One pass over the bytes:
+    only a line with a [//] is scanned for annotations. *)
 let scan_expectations ~file src =
   let len = String.length src in
   let expectations = ref [] and errors = ref [] in
-  let rec go start lineno =
-    let stop =
-      match String.index_from_opt src start '\n' with
-      | Some j -> j
-      | None -> len
-    in
-    let exps, errs = scan_line ~file ~lineno src ~start ~stop in
-    expectations := List.rev_append exps !expectations;
-    errors := List.rev_append errs !errors;
-    if stop < len then go (stop + 1) (lineno + 1)
+  let rec go i start lineno =
+    if i < len then
+      match String.unsafe_get src i with
+      | '\n' -> go (i + 1) (i + 1) (lineno + 1)
+      | '/' when i + 1 < len && String.unsafe_get src (i + 1) = '/' ->
+          let stop =
+            match String.index_from_opt src i '\n' with
+            | Some j -> j
+            | None -> len
+          in
+          let exps, errs = scan_line ~file ~lineno src ~start ~stop in
+          expectations := List.rev_append exps !expectations;
+          errors := List.rev_append errs !errors;
+          go (stop + 1) (stop + 1) (lineno + 1)
+      | _ -> go (i + 1) start lineno
   in
-  go 0 1;
+  go 0 0 1;
   (List.rev !expectations, List.rev !errors)
 
 let loc_of_line file line : Loc.t =

@@ -33,6 +33,12 @@ let create ?(file = "<string>") ?window src =
     line_start = w.start }
 
 let eof t = t.off >= t.limit
+let src t = t.src
+let file t = t.file
+let offset t = t.off
+let limit t = t.limit
+let line t = t.line
+let col t = t.off - t.line_start + 1
 
 (* The sentinel for "no character": callers that must tell a NUL byte from
    the end of input test {!eof} first. *)
@@ -87,18 +93,55 @@ let take_while t pred =
 
 let loc_from t (start : Loc.pos) = Loc.span start (pos t)
 
+let jump t off =
+  if off < t.off || off > t.limit then invalid_arg "Sbuf.jump";
+  t.off <- off
+
 let is_digit c = c >= '0' && c <= '9'
 let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
 let is_ident_start c = is_alpha c || c = '_'
 let is_ident_char c = is_alpha c || is_digit c || c = '_' || c = '$'
 let is_space c = c = ' ' || c = '\t' || c = '\r' || c = '\n'
 
-let rec skip_trivia t =
-  skip_while t is_space;
-  if peek t = '/' && peek2 t = '/' then begin
-    skip_while t (fun c -> c <> '\n');
-    skip_trivia t
-  end
+(* The skip loops below test characters inline instead of calling a
+   predicate: they run once per byte of every token. None of the bytes
+   they step over is a newline, so only the offset moves. *)
+
+let skip_ident t =
+  let src = t.src and limit = t.limit in
+  let i = ref t.off in
+  while !i < limit && is_ident_char (String.unsafe_get src !i) do incr i done;
+  t.off <- !i
+
+let skip_keyword t =
+  let src = t.src and limit = t.limit in
+  let i = ref t.off in
+  while
+    !i < limit
+    &&
+    let c = String.unsafe_get src !i in
+    is_ident_char c || c = '.'
+  do
+    incr i
+  done;
+  t.off <- !i
+
+let skip_trivia t =
+  let src = t.src and limit = t.limit in
+  let continue = ref true in
+  while !continue && t.off < limit do
+    match String.unsafe_get src t.off with
+    | ' ' | '\t' | '\r' -> t.off <- t.off + 1
+    | '\n' ->
+        t.off <- t.off + 1;
+        t.line <- t.line + 1;
+        t.line_start <- t.off
+    | '/' when t.off + 1 < limit && String.unsafe_get src (t.off + 1) = '/' ->
+        let i = ref (t.off + 2) in
+        while !i < limit && String.unsafe_get src !i <> '\n' do incr i done;
+        t.off <- !i
+    | _ -> continue := false
+  done
 
 let hex_value c =
   match c with

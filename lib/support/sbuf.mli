@@ -31,6 +31,21 @@ val create : ?file:string -> ?window:window -> string -> t
 val eof : t -> bool
 (** Whether the cursor is at the end of its window. *)
 
+val src : t -> string
+(** The whole source the cursor reads a window of. *)
+
+val file : t -> string
+
+val offset : t -> int
+(** The cursor's byte offset into {!src}. *)
+
+val limit : t -> int
+(** The offset one past the window's last byte. *)
+
+val line : t -> int
+val col : t -> int
+(** The line and 1-based column of the cursor, as in {!pos}. *)
+
 val peek : t -> char
 (** The next character, or ['\000'] at the end of the window. A NUL byte
     in the input also reads as ['\000']: test {!eof} to tell them apart. *)
@@ -63,7 +78,19 @@ val take_while : t -> (char -> bool) -> string
 val loc_from : t -> Loc.pos -> Loc.t
 (** The span from a saved position to the current one. *)
 
+val jump : t -> int -> unit
+(** [jump t off] moves the cursor forward to offset [off] on its current
+    line: the caller guarantees no newline lies between.
+    @raise Invalid_argument when [off] is behind the cursor or past the
+    window. *)
+
 (** Lexing steps shared by the IRDL and IR-syntax lexers. *)
+
+val skip_ident : t -> unit
+(** Skip {!is_ident_char} characters. *)
+
+val skip_keyword : t -> unit
+(** Skip {!is_ident_char} characters and dots: a dotted name. *)
 
 val skip_trivia : t -> unit
 (** Skip whitespace and [//] line comments. *)

@@ -236,6 +236,170 @@ let scan () =
        (fun (e : Diag_harness.expectation) -> (e.exp_line, e.exp_substr))
        exps)
 
+(* The expectation scan as it was before it became one linear pass: a
+   naive per-position search on every line. The property below holds the
+   library to exactly its results. *)
+module Reference_scan = struct
+  let matches_at src i sub =
+    let m = String.length sub in
+    i >= 0 && i + m <= String.length src
+    &&
+    let rec go k = k = m || (src.[i + k] = sub.[k] && go (k + 1)) in
+    go 0
+
+  let find_from s ~stop sub from =
+    let m = String.length sub in
+    let rec go i =
+      if m = 0 || i + m > stop then None
+      else if matches_at s i sub then Some i
+      else go (i + 1)
+    in
+    go (max 0 from)
+
+  let parse_offset line ~stop:n i =
+    if i >= n || line.[i] <> '@' then Some (0, i)
+    else
+      let i = i + 1 in
+      let word_at w delta =
+        let m = String.length w in
+        if i + m <= n && matches_at line i w then Some (delta, i + m) else None
+      in
+      match word_at "above" (-1) with
+      | Some _ as r -> r
+      | None -> (
+          match word_at "below" 1 with
+          | Some _ as r -> r
+          | None ->
+              if i < n && (line.[i] = '+' || line.[i] = '-') then begin
+                let sign = if line.[i] = '+' then 1 else -1 in
+                let j = ref (i + 1) in
+                let v = ref 0 in
+                let digits = ref 0 in
+                while
+                  !j < n && line.[!j] >= '0' && line.[!j] <= '9' && !digits < 6
+                do
+                  v := (!v * 10) + (Char.code line.[!j] - Char.code '0');
+                  incr j;
+                  incr digits
+                done;
+                if !digits = 0 then None else Some (sign * !v, !j)
+              end
+              else None)
+
+  let keywords =
+    [
+      ("expected-error", Diag.Error);
+      ("expected-warning", Diag.Warning);
+      ("expected-note", Diag.Note);
+    ]
+
+  (* (line, declared line, severity, substring) and rendered errors. *)
+  let scan_line ~file ~lineno line ~start ~stop =
+    match find_from line ~stop "//" start with
+    | None -> ([], [])
+    | Some comment_at ->
+        let expectations = ref [] and errors = ref [] in
+        List.iter
+          (fun (kw, severity) ->
+            let rec scan from =
+              match find_from line ~stop kw from with
+              | None -> ()
+              | Some i when i < comment_at -> scan (i + 1)
+              | Some i -> (
+                  let after = i + String.length kw in
+                  match parse_offset line ~stop after with
+                  | None ->
+                      errors :=
+                        Printf.sprintf
+                          "error: %s:%d: malformed offset after '%s' \
+                           (expected @+N, @-N, @above or @below)"
+                          file lineno kw
+                        :: !errors;
+                      scan (after + 1)
+                  | Some (delta, j) -> (
+                      let j = ref j in
+                      while
+                        !j < stop && (line.[!j] = ' ' || line.[!j] = '\t')
+                      do
+                        incr j
+                      done;
+                      match find_from line ~stop "{{" !j with
+                      | Some b when b = !j -> (
+                          match find_from line ~stop "}}" (b + 2) with
+                          | None ->
+                              errors :=
+                                Printf.sprintf
+                                  "error: %s:%d: unterminated {{...}} after \
+                                   '%s'"
+                                  file lineno kw
+                                :: !errors;
+                              scan (after + 1)
+                          | Some e ->
+                              expectations :=
+                                ( lineno + delta,
+                                  lineno,
+                                  severity,
+                                  String.sub line (b + 2) (e - b - 2) )
+                                :: !expectations;
+                              scan (e + 2))
+                      | _ ->
+                          errors :=
+                            Printf.sprintf
+                              "error: %s:%d: expected {{...}} after '%s'" file
+                              lineno kw
+                            :: !errors;
+                          scan (after + 1)))
+            in
+            scan comment_at)
+          keywords;
+        (List.rev !expectations, List.rev !errors)
+
+  let scan_expectations ~file src =
+    let len = String.length src in
+    let expectations = ref [] and errors = ref [] in
+    let rec go start lineno =
+      let stop =
+        match String.index_from_opt src start '\n' with
+        | Some j -> j
+        | None -> len
+      in
+      let exps, errs = scan_line ~file ~lineno src ~start ~stop in
+      expectations := List.rev_append exps !expectations;
+      errors := List.rev_append errs !errors;
+      if stop < len then go (stop + 1) (lineno + 1)
+    in
+    go 0 1;
+    (List.rev !expectations, List.rev !errors)
+end
+
+(* Lines of annotation fragments, valid and malformed, joined by LF or
+   CRLF. *)
+let annotated_gen =
+  let open QCheck2.Gen in
+  let frag =
+    oneofl
+      [
+        "// "; "//"; "/"; " "; "\t"; "\r"; "expected-error"; "expected-warning";
+        "expected-note"; "expected-"; "@+1"; "@-2"; "@+"; "@above"; "@below";
+        "@x"; "@"; "@+1234567"; "{{"; "}}"; "{"; "}"; "msg"; "'d.op' requires";
+        "%0 = \"t.x\"() : () -> ()"; "\n"; "\r\n";
+      ]
+  in
+  map (String.concat "") (list_size (int_range 0 40) frag)
+
+let scan_matches_reference =
+  QCheck2.Test.make ~name:"expectation scan matches the per-position scan"
+    ~count:1000 ~print:(Printf.sprintf "%S") annotated_gen (fun src ->
+      let exps, errs = Diag_harness.scan_expectations ~file:"a.mlir" src in
+      let got =
+        ( List.map
+            (fun (e : Diag_harness.expectation) ->
+              (e.exp_line, e.exp_decl_line, e.exp_severity, e.exp_substr))
+            exps,
+          List.map Diag.to_string errs )
+      in
+      got = Reference_scan.scan_expectations ~file:"a.mlir" src)
+
 let scan_malformed () =
   let _, errs =
     Diag_harness.scan_expectations ~file:"f.mlir"
@@ -283,6 +447,7 @@ let suite =
     QCheck_alcotest.to_alcotest split_property;
     tc "expectation scanning" scan;
     tc "malformed annotations are harness errors" scan_malformed;
+    QCheck_alcotest.to_alcotest scan_matches_reference;
     tc "expectation checking" check_matching;
     tc "severity must match" check_severity_mismatch;
   ]

@@ -97,6 +97,69 @@ let forward_refs () =
      %m2 = \"t.def\"() : () -> f32\n\
      %1 = \"t.use2\"(%0, %m2) : (f32, f32) -> f32\n"
 
+(* N top-level uses, then their N definitions: every use waits in the
+   pending queue until its definition. Both modes must stay linear in N,
+   yield in document order, and report undefined values in order of
+   first use. *)
+let forward_heavy () =
+  let n = 20_000 in
+  let b = Buffer.create (n * 64) in
+  for i = 0 to n - 1 do
+    Printf.bprintf b "\"t.use\"(%%v%d) : (i32) -> ()\n" i
+  done;
+  for i = 0 to n - 1 do
+    Printf.bprintf b "%%v%d = \"t.def\"() : () -> i32\n" i
+  done;
+  let src = Buffer.contents b in
+  let ctx = Context.create () in
+  let timed what f =
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    let dt = Unix.gettimeofday () -. t0 in
+    if dt >= 1.0 then Alcotest.failf "%s took %.2f s for %d forwards" what dt n;
+    r
+  in
+  let ops =
+    timed "materializing" (fun () ->
+        match Parser.parse_ops ctx src with
+        | Ok ops -> ops
+        | Error d -> Alcotest.fail (Diag.to_string d))
+  in
+  Alcotest.(check int) "materialized ops" (2 * n) (List.length ops);
+  let session = Parser.Stream.create ctx src in
+  let first = ref None in
+  let yielded =
+    timed "streaming" (fun () ->
+        let rec go k =
+          match Parser.Stream.next session with
+          | Ok (Some op) ->
+              if !first = None then
+                first :=
+                  Some
+                    ( op.Graph.op_name,
+                      Graph.Value.defining_op (Graph.Op.operand op 0) );
+              Parser.Stream.release op;
+              go (k + 1)
+          | Ok None -> k
+          | Error d -> Alcotest.fail (Diag.to_string d)
+        in
+        go 0)
+  in
+  Alcotest.(check int) "streamed ops" (2 * n) yielded;
+  (match !first with
+  | Some ("t.use", Some def) ->
+      Alcotest.(check string) "operand patched" "t.def" def.Graph.op_name
+  | _ -> Alcotest.fail "the first use must come first, its operand defined");
+  let engine = Diag.Engine.create () in
+  ignore
+    (Parser.parse_ops ~engine ctx
+       "\"t.use\"(%c) : (i32) -> ()\n\"t.use\"(%a) : (i32) -> ()\n\
+        \"t.use\"(%b) : (i32) -> ()\n%a = \"t.def\"() : () -> i32\n");
+  Alcotest.(check (list string))
+    "undefined values in order of first use"
+    [ "use of undefined value %c"; "use of undefined value %b" ]
+    (List.map (fun (d : Diag.t) -> d.message) (Diag.Engine.diagnostics engine))
+
 let error_recovery () =
   check_differential "error recovery"
     "%0 = \"t.const\"() : () -> i32\n\
@@ -253,6 +316,8 @@ let suite =
     Alcotest.test_case "differential: well-formed" `Quick well_formed;
     Alcotest.test_case "differential: regions" `Quick regions;
     Alcotest.test_case "differential: forward refs" `Quick forward_refs;
+    Alcotest.test_case "2x10^4 top-level forward refs stay linear" `Quick
+      forward_heavy;
     Alcotest.test_case "differential: error recovery" `Quick error_recovery;
     Alcotest.test_case "fail-fast: same first error, sticky" `Quick
       fail_fast_error;

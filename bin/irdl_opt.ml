@@ -119,6 +119,13 @@ let effective_pipeline ~pipeline ~have_patterns ~dce ~cse ~dominance =
   in
   if entries = [] then None else Some (String.concat "," entries)
 
+(* GC pacing of a [--listen] server: OCaml 4's default, below 5.1's 120.
+   Its serve loops allocate on several domains at once, which lets the
+   major heap grow further past the few-MB live set: with 5.1's default,
+   peak RSS on perfbench's two-client round trip read 23.6 MB against
+   20.1 MB for one loop (+17%); with this setting, 20.4 MB. *)
+let listen_space_overhead = 80
+
 (* --batch PATH: a directory (every *.mlir / *.irdlbc in it, sorted) or a
    text file listing one IR path per line ('#' comments and blank lines
    skipped). *)
@@ -334,7 +341,9 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
     Server.install_signal_handlers ();
     let answered =
       match listen with
-      | Some path -> Server.serve_unix ~config ctx ~path ()
+      | Some path ->
+          Gc.set { (Gc.get ()) with space_overhead = listen_space_overhead };
+          Server.serve_unix ~config ctx ~path ()
       | None ->
           Server.serve_fd ~config ctx ~in_fd:Unix.stdin ~out_fd:Unix.stdout ()
     in
@@ -1022,7 +1031,8 @@ let listen =
           "Like $(b,--serve), but listen on a Unix-domain socket at \
            $(docv), serving any number of concurrent connections until \
            SIGTERM/SIGINT (in-flight requests drain first; the socket \
-           file is removed on exit).")
+           file is removed on exit). $(b,--jobs) sets the number of \
+           serve loops, one per domain.")
 
 let connect =
   Arg.(

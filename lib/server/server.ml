@@ -435,9 +435,10 @@ let accept ctx i event =
               i.cfg.max_queue = 0 && i.n_todo >= internal_batch
             end)
 
-(* Run every [Todo] of the burst through the pool and write the burst's
-   responses, in arrival order, to [write]. Returns the number written. *)
-let dispatch pool ctx cfg sources i ~write =
+(* Run every [Todo] of the burst with [run] (through the pool, or inline)
+   and write the burst's responses, in arrival order, to [write]. Returns
+   the number written. *)
+let dispatch run ctx cfg sources i ~write =
   let arr = Array.of_list (List.rev i.slots) in
   i.slots <- [];
   i.n_todo <- 0;
@@ -454,7 +455,7 @@ let dispatch pool ctx cfg sources i ~write =
         handle ctx cfg rq)
       todos
   in
-  let results = Domain_pool.run pool thunks in
+  let results = run thunks in
   let next = ref 0 in
   Array.iter
     (fun s ->
@@ -487,7 +488,9 @@ let serve_fd ?(config = default_config) ctx ~in_fd ~out_fd () =
   let flush () =
     if i.slots <> [] then
       answered :=
-        !answered + dispatch pool ctx config sources i ~write:(write_all out_fd)
+        !answered
+        + dispatch (Domain_pool.run pool) ctx config sources i
+            ~write:(write_all out_fd)
   in
   let drain_events () =
     if not i.corrupt then begin
@@ -517,7 +520,7 @@ let serve_fd ?(config = default_config) ctx ~in_fd ~out_fd () =
             drain_events ();
             flush ()
         | n ->
-            Wire.feed r (Bytes.sub_string buf 0 n);
+            Wire.feed_bytes r buf ~off:0 ~len:n;
             loop ()
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
     end
@@ -536,27 +539,22 @@ type conn = {
   mutable c_closed : bool;
 }
 
-let serve_unix ?(config = default_config) ctx ~path () =
-  Context.freeze ctx;
-  let sources = Diag.Sources.snapshot () in
-  (try Unix.unlink path with Unix.Unix_error _ -> ());
-  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind lfd (Unix.ADDR_UNIX path);
-  Unix.listen lfd 64;
+(* One serve loop: accept on the shared non-blocking [lfd], own the
+   connections it accepted, and answer their requests inline, in arrival
+   order. Returns the number of requests answered once shutdown is
+   requested and its connections are drained. *)
+let serve_loop ctx config sources lfd =
   let answered = ref 0 in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.close lfd with Unix.Unix_error _ -> ());
-      try Unix.unlink path with Unix.Unix_error _ -> ())
-  @@ fun () ->
-  let domains = if config.domains > 0 then Some config.domains else None in
-  Domain_pool.with_pool ?domains @@ fun pool ->
   let conns = ref [] in
+  (* Out of descriptors: skip [lfd] for one select round, so the held
+     connections are served and closed instead of spinning on it. *)
+  let accepting = ref true in
   let flush c =
     if c.c_intake.slots <> [] then
       answered :=
         !answered
-        + dispatch pool ctx config sources c.c_intake ~write:(fun s ->
+        + dispatch (Array.map (fun f -> f ())) ctx config sources c.c_intake
+            ~write:(fun s ->
               (* A client that hung up mid-drain loses its responses but
                  must not take the server down. *)
               try write_all c.c_fd s
@@ -588,7 +586,7 @@ let serve_unix ?(config = default_config) ctx ~path () =
         flush c;
         close_conn c
     | n ->
-        Wire.feed c.c_reader (Bytes.sub_string buf 0 n);
+        Wire.feed_bytes c.c_reader buf ~off:0 ~len:n;
         drain_events c;
         if c.c_intake.corrupt then begin
           flush c;
@@ -601,13 +599,17 @@ let serve_unix ?(config = default_config) ctx ~path () =
   let rec loop () =
     if not (shutdown_requested ()) then begin
       conns := List.filter (fun c -> not c.c_closed) !conns;
-      let fds = lfd :: List.map (fun c -> c.c_fd) !conns in
+      let fds = List.map (fun c -> c.c_fd) !conns in
+      let fds = if !accepting then lfd :: fds else fds in
+      accepting := true;
       match Unix.select fds [] [] 0.05 with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
       | ready, _, _ ->
           if List.mem lfd ready then begin
             match Unix.accept ~cloexec:true lfd with
             | fd, _ ->
+                (* Some systems hand the listener's O_NONBLOCK down. *)
+                Unix.clear_nonblock fd;
                 conns :=
                   {
                     c_fd = fd;
@@ -618,7 +620,13 @@ let serve_unix ?(config = default_config) ctx ~path () =
                     c_closed = false;
                   }
                   :: !conns
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+            (* Another loop won the race, or the client gave up. *)
+            | exception
+                Unix.Unix_error
+                  (Unix.(EINTR | EAGAIN | EWOULDBLOCK | ECONNABORTED), _, _) ->
+                ()
+            | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+                accepting := false
           end;
           List.iter
             (fun c ->
@@ -633,6 +641,7 @@ let serve_unix ?(config = default_config) ctx ~path () =
           loop ()
     end
   in
+  Fun.protect ~finally:(fun () -> List.iter close_conn !conns) @@ fun () ->
   loop ();
   (* Shutdown: stop accepting, answer everything already taken in. *)
   List.iter
@@ -645,15 +654,45 @@ let serve_unix ?(config = default_config) ctx ~path () =
     !conns;
   !answered
 
+let serve_unix ?(config = default_config) ctx ~path () =
+  Context.freeze ctx;
+  let sources = Diag.Sources.snapshot () in
+  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close lfd with Unix.Unix_error _ -> ());
+      try Unix.unlink path with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  Unix.bind lfd (Unix.ADDR_UNIX path);
+  Unix.listen lfd 64;
+  Unix.set_nonblock lfd;
+  let loops =
+    if config.domains > 0 then config.domains
+    else Domain.recommended_domain_count ()
+  in
+  (* A loop that fails stops the others, which drain; the first failure is
+     re-raised once all have joined, so no capacity is lost silently. *)
+  let run_loop () =
+    try Ok (serve_loop ctx config sources lfd)
+    with exn ->
+      let bt = Printexc.get_raw_backtrace () in
+      request_shutdown ();
+      Error (exn, bt)
+  in
+  let spawned = List.init (loops - 1) (fun _ -> Domain.spawn run_loop) in
+  (* This domain's loop runs before any join, not after. *)
+  let mine = run_loop () in
+  List.fold_left
+    (fun n -> function
+      | Ok k -> n + k
+      | Error (exn, bt) -> Printexc.raise_with_backtrace exn bt)
+    0
+    (mine :: List.map Domain.join spawned)
+
 (* ------------------------------------------------------------------ *)
 (* Client                                                              *)
 (* ------------------------------------------------------------------ *)
-
-let u32 s off =
-  (Char.code s.[off] lsl 24)
-  lor (Char.code s.[off + 1] lsl 16)
-  lor (Char.code s.[off + 2] lsl 8)
-  lor Char.code s.[off + 3]
 
 let read_exact fd n =
   let b = Bytes.create n in
@@ -699,9 +738,9 @@ let roundtrip ~path ~kind ?(id = "1") ?(file = "<request>") ?(deadline_ms = 0)
               if String.sub fixed 0 4 <> Wire.response_magic then
                 Error "bad response magic"
               else
-                let hlen = u32 fixed 4
-                and dlen = u32 fixed 8
-                and olen = u32 fixed 12 in
+                let hlen = Wire.get_u32 fixed 4
+                and dlen = Wire.get_u32 fixed 8
+                and olen = Wire.get_u32 fixed 12 in
                 let* rest = read_exact fd (hlen + dlen + olen) in
                 let* header, diags, output =
                   Wire.decode_response (fixed ^ rest)

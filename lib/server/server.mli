@@ -4,9 +4,10 @@
     loaded once) and answers framed requests — parse, verify, re-print,
     emit bytecode — over a byte stream: stdin/stdout ({!serve_fd}, the
     [--serve] mode) or a Unix-domain socket ({!serve_unix}, [--listen]).
-    Request fan-out goes through the work-stealing {!Domain_pool}, so a
-    batch of pipelined requests is processed in parallel while responses
-    are always written in arrival order.
+    On a byte stream, a burst of pipelined requests fans out through the
+    work-stealing {!Domain_pool}; on a socket, each domain runs its own
+    serve loop and answers the connections it accepted inline. Either way
+    a connection's responses are written in arrival order.
 
     Robustness contract, enforced per request:
     - {b Budgets}: the server's configured {!Limits.t} is {!Limits.meet}ed
@@ -83,7 +84,9 @@ type config = {
       (** > 0 bounds accepted-per-burst requests (excess is shed with
           [retry_later]); 0 accepts everything, dispatching in internal
           batches *)
-  domains : int;  (** {!Domain_pool} width; 0 = recommended count *)
+  domains : int;
+      (** the number of serve loops for {!serve_unix}, the {!Domain_pool}
+          width for {!serve_fd}; 0 = recommended count *)
   generic : bool;  (** print in generic form, as [irdl-opt --generic] *)
   retry_after_ms : int;  (** the hint sent with shed responses *)
 }
@@ -108,8 +111,8 @@ val handle : Irdl_ir.Context.t -> config -> request -> response
     [Out_of_memory]): internal failures and injected faults become
     [internal_error] responses. Safe to call from any domain of a pool
     provided [ctx] is frozen; call {!Diag.Sources.preload} with the
-    loader domain's snapshot first so diagnostics render dialect-file
-    snippets identically to a one-shot run. *)
+    loader domain's snapshot first (once per domain) so diagnostics render
+    dialect-file snippets identically to a one-shot run. *)
 
 val response_frame : response -> string
 (** The encoded wire frame of a response. *)
@@ -155,7 +158,16 @@ val serve_unix :
 (** Listen on a Unix-domain socket at [path] (an existing socket file is
     replaced), serving any number of concurrent connections until
     shutdown; then stop accepting, drain, close every connection and
-    unlink [path]. Returns the number of requests answered. *)
+    unlink [path]. Returns the number of requests answered.
+
+    [config.domains] serve loops (the calling domain and [domains - 1]
+    spawned ones) share the non-blocking listening socket. Each loop owns
+    the connections it accepted and answers their requests inline, one
+    connection burst at a time: a long request holds up only its own
+    loop, and the connections that loop already accepted. An [accept]
+    that runs out of descriptors is retried after one [select] round. If a
+    loop fails, the others are shut down and drain, and its exception is
+    re-raised once all have joined. *)
 
 (** {1 Client} *)
 

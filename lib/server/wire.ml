@@ -107,8 +107,9 @@ type state =
 
 type reader = {
   max_payload : int;
-  mutable acc : string;  (* unconsumed bytes start at [pos] *)
+  mutable buf : Bytes.t;  (* unconsumed bytes are [pos, len) *)
   mutable pos : int;
+  mutable len : int;
   ready : event Queue.t;
   mutable state : state;
 }
@@ -116,16 +117,18 @@ type reader = {
 let reader ?(max_payload = 0) () =
   {
     max_payload;
-    acc = "";
+    buf = Bytes.empty;
     pos = 0;
+    len = 0;
     ready = Queue.create ();
     state = Scanning;
   }
 
-let buffered r = String.length r.acc - r.pos
+let buffered r = r.len - r.pos
+let u32_at r off = get_u32 (Bytes.unsafe_to_string r.buf) (r.pos + off)
 
 let take r n =
-  let s = String.sub r.acc r.pos n in
+  let s = Bytes.sub_string r.buf r.pos n in
   r.pos <- r.pos + n;
   s
 
@@ -145,7 +148,7 @@ let rec step r =
       end
   | Scanning ->
       if buffered r >= 12 then begin
-        let m = String.sub r.acc r.pos 4 in
+        let m = Bytes.sub_string r.buf r.pos 4 in
         if m <> request_magic then begin
           let msg =
             Printf.sprintf "bad request magic %S (protocol error)" m
@@ -154,8 +157,8 @@ let rec step r =
           Queue.add (Corrupt msg) r.ready
         end
         else
-          let hlen = get_u32 r.acc (r.pos + 4) in
-          let plen = get_u32 r.acc (r.pos + 8) in
+          let hlen = u32_at r 4 in
+          let plen = u32_at r 8 in
           if hlen < 0 || hlen > max_header_bytes then begin
             let msg =
               Printf.sprintf "request header of %d bytes exceeds the %d-byte cap"
@@ -187,18 +190,44 @@ let rec step r =
           end
       end
 
-let feed r s =
+(* Append after dropping consumed bytes. When that leaves too little room
+   the buffer doubles, or jumps to the end of a frame whose prefix has
+   arrived once the next doubling would pass it: a large request costs at
+   most about twice its size, and a declared length alone allocates
+   nothing. A buffer over 1 MiB is released once all of it is consumed. *)
+let feed_bytes r b ~off ~len =
   (match r.state with
   | Broken _ -> ()
-  | _ ->
-      if s <> "" then begin
-        (* Compact: drop consumed bytes before appending. *)
-        let rem = buffered r in
-        if rem = 0 then r.acc <- s
-        else r.acc <- String.sub r.acc r.pos rem ^ s;
-        r.pos <- 0
-      end);
+  | _ when len > 0 ->
+      let live = buffered r in
+      if live = 0 then begin
+        r.pos <- 0;
+        r.len <- 0;
+        if Bytes.length r.buf > 1 lsl 20 then r.buf <- Bytes.empty
+      end;
+      if r.len + len > Bytes.length r.buf then begin
+        let need = live + len in
+        let frame =
+          match r.state with
+          | Scanning when live >= 12 -> 12 + u32_at r 4 + u32_at r 8
+          | _ -> max_int
+        in
+        let dst =
+          if need <= Bytes.length r.buf then r.buf
+          else Bytes.create (if frame <= 4 * need then max need frame else 2 * need)
+        in
+        Bytes.blit r.buf r.pos dst 0 live;
+        r.buf <- dst;
+        r.pos <- 0;
+        r.len <- live
+      end;
+      Bytes.blit b off r.buf r.len len;
+      r.len <- r.len + len
+  | _ -> ());
   step r
+
+let feed r s =
+  feed_bytes r (Bytes.unsafe_of_string s) ~off:0 ~len:(String.length s)
 
 let poll r =
   match Queue.take_opt r.ready with

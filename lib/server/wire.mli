@@ -28,6 +28,9 @@ val max_header_bytes : int
 (** Hard cap (64 KiB) on a frame's header section; a larger declared
     header is a protocol error, not a resource question. *)
 
+val get_u32 : string -> int -> int
+(** The big-endian u32 at an offset (the frames' length fields). *)
+
 val encode_header : (string * string) list -> string
 (** @raise Invalid_argument when a key or value contains ['\n'] or a key
     contains ['=']. *)
@@ -69,8 +72,14 @@ val reader : ?max_payload:int -> unit -> reader
 (** [max_payload] is the discard threshold; 0 (default) buffers any
     declared payload length. *)
 
+val feed_bytes : reader -> bytes -> off:int -> len:int -> unit
+(** Append [len] received bytes of [b] from [off]. The reader copies them
+    into one growable buffer (doubling, with consumed bytes dropped first),
+    so receiving a frame costs time and allocation linear in its size, and
+    its payload is copied out once. *)
+
 val feed : reader -> string -> unit
-(** Append received bytes. *)
+(** [feed_bytes] over a whole string. *)
 
 val poll : reader -> event option
 (** The next complete event, if any. After {!Corrupt} is returned once,

@@ -100,6 +100,82 @@ let wire_reader_corrupt_is_sticky () =
   | Some (Wire.Corrupt _) -> ()
   | _ -> Alcotest.fail "corrupt must be sticky"
 
+(* Every event of a reader fed [s] in pieces of the given sizes (the rest
+   in one), polled after each piece, up to and including a [Corrupt]. *)
+let events_of_pieces ~max_payload s sizes =
+  let r = Wire.reader ~max_payload () in
+  let b = Bytes.of_string s in
+  let events = ref [] and broken = ref false in
+  let rec drain () =
+    if not !broken then
+      match Wire.poll r with
+      | None -> ()
+      | Some e ->
+          events := e :: !events;
+          (match e with Wire.Corrupt _ -> broken := true | _ -> ());
+          drain ()
+  in
+  let rec go off = function
+    | _ when off >= Bytes.length b -> ()
+    | n :: rest ->
+        let n = min n (Bytes.length b - off) in
+        Wire.feed_bytes r b ~off ~len:n;
+        drain ();
+        go (off + n) rest
+    | [] -> go off [ Bytes.length b - off ]
+  in
+  go 0 sizes;
+  drain ();
+  List.rev !events
+
+(* Frames (some past the 64-byte discard threshold, some with an empty
+   payload), optionally followed by garbage, fed in random pieces: 1-byte
+   pieces and pieces that split the 12-byte prefix included. *)
+let wire_pieces_prop =
+  let open QCheck2.Gen in
+  let frame =
+    map2
+      (fun id payload -> Wire.encode_request ~header:[ ("id", id) ] ~payload)
+      (string_size ~gen:(char_range 'a' 'z') (int_range 0 6))
+      (string_size (oneof [ int_range 0 16; int_range 0 200 ]))
+  in
+  let stream =
+    map2
+      (fun frames tail -> String.concat "" frames ^ tail)
+      (list_size (int_range 0 8) frame)
+      (oneofl [ ""; "junk that is no frame" ])
+  in
+  let sizes = list (oneof [ return 1; int_range 1 13; int_range 1 700 ]) in
+  QCheck2.Test.make ~name:"wire: any piece sizes give the events of one feed"
+    ~count:300 (pair stream sizes) (fun (s, sizes) ->
+      events_of_pieces ~max_payload:64 s sizes
+      = events_of_pieces ~max_payload:64 s [])
+
+let wire_reader_linear_alloc () =
+  let size = 16 * 1024 * 1024 in
+  let frame =
+    Wire.encode_request ~header:[ ("id", "big") ]
+      ~payload:(String.make size 'x')
+  in
+  let piece = Bytes.create 65536 in
+  let r = Wire.reader () in
+  let before = Gc.allocated_bytes () in
+  let off = ref 0 in
+  while !off < String.length frame do
+    let n = min (Bytes.length piece) (String.length frame - !off) in
+    Bytes.blit_string frame !off piece 0 n;
+    Wire.feed_bytes r piece ~off:0 ~len:n;
+    off := !off + n
+  done;
+  let allocated = Gc.allocated_bytes () -. before in
+  (match Wire.poll r with
+  | Some (Wire.Frame { payload; _ }) ->
+      Alcotest.(check int) "payload received" size (String.length payload)
+  | _ -> Alcotest.fail "expected the frame");
+  if allocated > 4. *. float_of_int size then
+    Alcotest.failf "receiving a %d-byte frame allocated %.0f bytes" size
+      allocated
+
 (* ---------------------------------------------------------------- *)
 (* Request decoding                                                  *)
 (* ---------------------------------------------------------------- *)
@@ -405,23 +481,50 @@ let serve_fd_drains_on_shutdown_request () =
 (* Socket listener + client                                          *)
 (* ---------------------------------------------------------------- *)
 
+let socket_path () =
+  let path = Filename.temp_file "irdl_server" ".sock" in
+  Sys.remove path;
+  path
+
+(* Wait for the listener to bind. *)
+let rec await_socket ?(n = 500) path =
+  if n = 0 then Alcotest.fail "socket never appeared";
+  if not (Sys.file_exists path) then begin
+    Unix.sleepf 0.01;
+    await_socket ~n:(n - 1) path
+  end
+
+(* Run [f path] against [serve_unix] with two serve loops on another
+   domain, then shut the server down: [f]'s result and the number of
+   requests the server answered. *)
+let with_listener ctx f =
+  Server.reset_shutdown ();
+  let path = socket_path () in
+  let config = { Server.default_config with Server.domains = 2 } in
+  let srv = Domain.spawn (fun () -> Server.serve_unix ~config ctx ~path ()) in
+  let answered () =
+    Server.request_shutdown ();
+    let n = Domain.join srv in
+    Server.reset_shutdown ();
+    n
+  in
+  match
+    await_socket path;
+    f path
+  with
+  | v -> (v, answered ())
+  | exception e ->
+      ignore (answered ());
+      raise e
+
 let serve_unix_roundtrip () =
   Server.reset_shutdown ();
   Fun.protect ~finally:Server.reset_shutdown @@ fun () ->
   let ctx = cmath_ctx () in
-  let path = Filename.temp_file "irdl_server" ".sock" in
-  Sys.remove path;
+  let path = socket_path () in
   let config = { Server.default_config with Server.domains = 2 } in
   let srv = Domain.spawn (fun () -> Server.serve_unix ~config ctx ~path ()) in
-  (* Wait for the listener to bind. *)
-  let rec await n =
-    if n = 0 then Alcotest.fail "socket never appeared";
-    if not (Sys.file_exists path) then begin
-      Unix.sleepf 0.01;
-      await (n - 1)
-    end
-  in
-  await 500;
+  await_socket path;
   (match Server.roundtrip ~path ~kind:Server.Ping "" with
   | Ok rs -> Alcotest.(check bool) "ping ok" true (rs.Server.rs_status = Server.Ok_)
   | Error e -> Alcotest.failf "ping failed: %s" e);
@@ -447,6 +550,60 @@ let serve_unix_roundtrip () =
   let answered = Domain.join srv in
   Alcotest.(check bool) "server answered everything" true (answered >= 4);
   Alcotest.(check bool) "socket removed" false (Sys.file_exists path)
+
+let write_all fd s =
+  let rec go off =
+    if off < String.length s then
+      go (off + Unix.write_substring fd s off (String.length s - off))
+  in
+  go 0
+
+let read_to_eof fd =
+  let b = Buffer.create 4096 and chunk = Bytes.create 65536 in
+  let rec go () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> Buffer.contents b
+    | n ->
+        Buffer.add_subbytes b chunk 0 n;
+        go ()
+  in
+  go ()
+
+(* A long request occupies only the loop that accepted its connection:
+   the other loop answers a ping meanwhile. *)
+let serve_unix_no_head_of_line () =
+  let ctx = cmath_ctx () in
+  let big = Buffer.create (15 * 1024 * 1024) in
+  for i = 0 to 124_999 do
+    Printf.bprintf big
+      "%%c%d = \"t.cast\"() : () -> (!cmath.complex<f32>)\n\
+       %%n%d = \"cmath.norm\"(%%c%d) : (!cmath.complex<f32>) -> (f32)\n"
+      i i i
+  done;
+  let slow = encode_req ~id:"slow" ~kind:"verify" (Buffer.contents big) in
+  let slow_rs, answered =
+    with_listener ctx @@ fun path ->
+    let a = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Fun.protect ~finally:(fun () -> Unix.close a) @@ fun () ->
+    Unix.connect a (Unix.ADDR_UNIX path);
+    write_all a slow;
+    Unix.shutdown a Unix.SHUTDOWN_SEND;
+    (* Give A's loop the moment it needs to read the frame's tail. *)
+    Unix.sleepf 0.05;
+    (match Server.roundtrip ~path ~kind:Server.Ping "" with
+    | Ok rs -> check_status "ping" Server.Ok_ rs
+    | Error e -> Alcotest.failf "ping failed: %s" e);
+    let pending =
+      match Unix.select [ a ] [] [] 0.0 with [], _, _ -> true | _ -> false
+    in
+    Alcotest.(check bool) "ping answered before the slow response" true
+      pending;
+    decode_responses (read_to_eof a)
+  in
+  (match slow_rs with
+  | [ rs ] -> check_status "slow request" Server.Ok_ rs
+  | _ -> Alcotest.fail "expected one response to the slow request");
+  Alcotest.(check int) "both answered" 2 answered
 
 (* ---------------------------------------------------------------- *)
 (* Soak                                                              *)
@@ -516,12 +673,83 @@ let soak () =
     (Failpoints.injected_count "pool.task")
     !injected
 
+(* The soak's request mix over the socket: [clients] domains run closed
+   loops of connect-send-receive round trips against two serve loops with
+   the failpoint armed. Each response is byte-for-byte [serve_fd]'s answer
+   to the same frame, unless the failpoint poisoned it. *)
+let socket_soak () =
+  let n = soak_n () and clients = 3 in
+  let ctx = cmath_ctx () in
+  let rqs =
+    Array.init n (fun i ->
+        let kind, payload, _ = soak_kind i in
+        let limits =
+          if i mod 23 = 11 && i mod 5 <> 2 then Limits.create ~max_ops:1 ()
+          else Limits.unlimited
+        in
+        req ~id:(string_of_int i) ~file:(string_of_int i ^ ".mlir") ~limits
+          (Option.get (Server.kind_of_string kind))
+          payload)
+  in
+  Server.reset_shutdown ();
+  let _, reference =
+    serve_over_files ctx
+      (Array.to_list
+         (Array.map
+            (fun rq ->
+              Wire.encode_request
+                ~header:(Server.request_header rq ~deadline_ms:0)
+                ~payload:rq.Server.rq_payload)
+            rqs))
+  in
+  let reference = Array.of_list (List.map Server.response_frame reference) in
+  Alcotest.(check int) "reference answers" n (Array.length reference);
+  Alcotest.(check bool) "arm failpoint" true
+    (Result.is_ok (Failpoints.configure "pool.task:97"));
+  Fun.protect ~finally:Failpoints.clear @@ fun () ->
+  let got = Array.make n (Error "not sent") in
+  let (), answered =
+    with_listener ctx @@ fun path ->
+    let client k () =
+      let i = ref k in
+      while !i < n do
+        let rq = rqs.(!i) in
+        got.(!i) <-
+          Server.roundtrip ~path ~kind:rq.Server.rq_kind ~id:rq.Server.rq_id
+            ~file:rq.Server.rq_file ~limits:rq.Server.rq_limits
+            rq.Server.rq_payload;
+        i := !i + clients
+      done
+    in
+    List.iter Domain.join (List.init clients (fun k -> Domain.spawn (client k)))
+  in
+  Alcotest.(check int) "every request answered" n answered;
+  let injected = ref 0 in
+  Array.iteri
+    (fun i r ->
+      match r with
+      | Error e -> Alcotest.failf "request %d: %s" i e
+      | Ok rs when rs.Server.rs_status = Server.Internal_error -> incr injected
+      | Ok rs ->
+          Alcotest.(check string)
+            (Printf.sprintf "request %d as serve_fd answers it" i)
+            reference.(i) (Server.response_frame rs))
+    got;
+  if n >= 97 then
+    Alcotest.(check bool) "some requests were poisoned" true (!injected > 0);
+  Alcotest.(check int)
+    "every injection became one internal_error response"
+    (Failpoints.injected_count "pool.task")
+    !injected
+
 let suite =
   [
     tc "wire: header round-trip" wire_header_roundtrip;
     tc "wire: reader reassembles split frames" wire_reader_reassembles;
     tc "wire: oversized payload discarded, bounded" wire_reader_oversized_discard;
     tc "wire: corrupt stream is sticky" wire_reader_corrupt_is_sticky;
+    QCheck_alcotest.to_alcotest wire_pieces_prop;
+    tc "wire: a large frame costs linear allocation" wire_reader_linear_alloc;
     tc "request: decode and reject" parse_request_cases;
     tc "handle: status classification" handle_classification;
     tc "handle: budgets and ceilings" handle_budgets;
@@ -531,5 +759,9 @@ let suite =
     tc "serve_fd: sheds beyond --max-queue" serve_fd_sheds_over_max_queue;
     tc "serve_fd: drains on shutdown request" serve_fd_drains_on_shutdown_request;
     tc "serve_unix: socket round-trip and shutdown" serve_unix_roundtrip;
+    tc "serve_unix: a long request blocks only its own loop"
+      serve_unix_no_head_of_line;
     tc "soak: mixed request storm, all answered" soak;
+    tc "soak: concurrent socket clients, answers as serve_fd gives them"
+      socket_soak;
   ]

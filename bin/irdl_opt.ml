@@ -49,18 +49,20 @@ module Frontend = Irdl_bytecode.Frontend
 module Source = Frontend.Source
 module Server = Irdl_server.Server
 
-let write_binary path data =
+(* Output arrives as pages (see [Frontend.Sink]); they are written in
+   order and never joined. *)
+let write_binary path pages =
   if path = "-" then begin
     Out_channel.set_binary_mode stdout true;
-    print_string data
+    List.iter print_string pages
   end
   else begin
     let oc = open_out_bin path in
-    output_string oc data;
+    List.iter (output_string oc) pages;
     close_out oc
   end
 
-(* An optional header, each chunk's printed text with a [// -----] line
+(* An optional header, each chunk's printed pages with a [// -----] line
    between chunks, and a final newline, written straight to stdout: the
    outputs are never joined into one more copy. Format's stdout is flushed
    first so that anything printed through it stays in order. *)
@@ -70,9 +72,9 @@ let print_outs ?header = function
       Format.pp_print_flush Format.std_formatter ();
       Option.iter print_string header;
       List.iteri
-        (fun i out ->
+        (fun i pages ->
           if i > 0 then print_string "\n// -----\n";
-          print_string out)
+          List.iter print_string pages)
         outs;
       print_char '\n';
       flush stdout
@@ -202,7 +204,7 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
           prerr_string rs.Server.rs_diags;
           (match emit_bytecode with
           | Some out when rs.Server.rs_output <> "" ->
-              write_binary out rs.Server.rs_output
+              write_binary out [ rs.Server.rs_output ]
           | _ -> print_string rs.Server.rs_output);
           exit (Server.status_exit_code rs.Server.rs_status)));
   let engine = Diag.Engine.create ~max_errors () in
@@ -268,7 +270,7 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
       match
         Bytecode.Write.dialects_to_string (List.rev !resolved_dialects)
       with
-      | Ok blob -> write_binary out blob
+      | Ok blob -> write_binary out [ blob ]
       | Error d -> fail_diag d)
     emit_dialect_bytecode;
   (* Textual rewrite patterns (fully dynamic pattern-based flow, paper §3);
@@ -449,7 +451,9 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
       match Frontend.Stream.next session with
       | Ok None | Error _ -> ()
       | Ok (Some op) ->
-          vdiags := Irdl_ir.Verifier.verify_all ctx op :: !vdiags;
+          (match Irdl_ir.Verifier.verify_all ctx op with
+          | [] -> ()
+          | ds -> vdiags := ds :: !vdiags);
           if want_output then Frontend.Sink.push sink op;
           Frontend.Stream.release op;
           drain ()
@@ -463,7 +467,7 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
       List.iter (Diag.Engine.emit engine) diags;
       if diags <> [] then verify_failed := true
       else if want_output && Diag.Engine.error_count engine = e0 then
-        match Frontend.Sink.close sink with
+        match Frontend.Sink.close_pages sink with
         | Ok out -> output := Some out
         | Error d ->
             Diag.Engine.emit engine d;
@@ -511,7 +515,7 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
               else Frontend.Sink.text ~generic ctx
             in
             List.iter (Frontend.Sink.push sink) ops;
-            match Frontend.Sink.close sink with
+            match Frontend.Sink.close_pages sink with
             | Ok out -> output := Some out
             | Error d ->
                 Diag.Engine.emit engine d;
@@ -699,7 +703,7 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
           let blobs =
             List.concat (List.mapi (fun di _ -> List.rev doc_outs.(di)) docs)
           in
-          if blobs <> [] then write_binary out (String.concat "" blobs)
+          if blobs <> [] then write_binary out (List.concat blobs)
       | None -> (
           match batch with
           | None -> print_outs (List.rev doc_outs.(0))

@@ -70,10 +70,17 @@ module Source = struct
 end
 
 module Sink = struct
+  (* Text output is kept as pages: once the working buffer reaches
+     [page_size] after a push, its contents become an immutable page and
+     the buffer is reused. Output is never joined into one string, so it
+     costs no doubling chain and no output-sized copy. *)
+  let page_size = 65536
+
   type t =
     | Text_sink of {
         printer : Printer.t;
         buf : Buffer.t;
+        mutable pages : string list;  (** newest first *)
         mutable first : bool;
       }
     | Binary_sink of { w : Bytecode.Write.t; mutable err : Diag.t option }
@@ -83,6 +90,7 @@ module Sink = struct
       {
         printer = Printer.create ?generic ctx;
         buf = Buffer.create 256;
+        pages = [];
         first = true;
       }
 
@@ -93,7 +101,11 @@ module Sink = struct
     match t with
     | Text_sink s ->
         if s.first then s.first <- false else Buffer.add_char s.buf '\n';
-        Printer.add_op s.printer s.buf op
+        Printer.add_op s.printer s.buf op;
+        if Buffer.length s.buf >= page_size then begin
+          s.pages <- Buffer.contents s.buf :: s.pages;
+          Buffer.clear s.buf
+        end
     | Binary_sink s ->
         if s.err = None then (
           match
@@ -102,12 +114,23 @@ module Sink = struct
           | Ok () -> ()
           | Error d -> s.err <- Some d)
 
+  let close_binary w = function
+    | Some d -> Error d
+    | None -> Bytecode.Write.close w
+
+  let close_pages = function
+    | Text_sink s ->
+        Ok
+          (List.rev
+             (if Buffer.length s.buf = 0 then s.pages
+              else Buffer.contents s.buf :: s.pages))
+    | Binary_sink s ->
+        Result.map (fun blob -> [ blob ]) (close_binary s.w s.err)
+
   let close = function
-    | Text_sink s -> Ok (Buffer.contents s.buf)
-    | Binary_sink s -> (
-        match s.err with
-        | Some d -> Error d
-        | None -> Bytecode.Write.close s.w)
+    | Text_sink { pages = []; buf; _ } -> Ok (Buffer.contents buf)
+    | Text_sink _ as t -> Result.map (String.concat "") (close_pages t)
+    | Binary_sink s -> close_binary s.w s.err
 end
 
 module Stream = struct

@@ -45,11 +45,12 @@ module Source : sig
 end
 
 (** Output accumulation: the textual printer (one printer session that
-    renders each op straight into the sink's one buffer with
-    [Printer.add_op], ops joined with a newline — byte-identical to
-    [Printer.ops_to_string]) or the incremental bytecode emitter. Ops may
-    be pushed as they stream; push never raises (the first emit error is
-    reported by {!Sink.close}). *)
+    renders each op straight into the sink's working buffer with
+    [Printer.add_op], ops joined with a newline, the output kept as
+    {!Sink.page_size} pages — byte-identical to [Printer.ops_to_string])
+    or the incremental bytecode emitter. Ops may be pushed as they stream;
+    push never raises (the first emit error is reported by {!Sink.close}
+    and {!Sink.close_pages}). *)
 module Sink : sig
   type t
 
@@ -57,7 +58,18 @@ module Sink : sig
   val bytecode : unit -> t
   val is_binary : t -> bool
   val push : t -> Graph.op -> unit
+
+  val page_size : int
+  (** A text sink turns its working buffer into an immutable page each time
+      it reaches this many bytes after a push (64 KiB). *)
+
+  val close_pages : t -> (string list, Diag.t) result
+  (** The output as pages, in order: their concatenation is the output. A
+      text sink that was pushed no op gives no page; a bytecode sink gives
+      its one blob. *)
+
   val close : t -> (string, Diag.t) result
+  (** The output as one string (the pages joined). *)
 end
 
 (** Format-erased pull-based parsing: [Ir.Parser.Stream] for text,

@@ -19,6 +19,7 @@
       conversion between text and an {!Irdl_ir.Attr.Opaque} payload. *)
 
 open Irdl_ir
+module SSet = Set.Make (String)
 
 type codec = {
   codec_parse : string -> Attr.t option;
@@ -31,14 +32,20 @@ type t = {
   op_hooks : (string, Graph.op -> bool) Hashtbl.t;
   codecs : (string, codec) Hashtbl.t;  (** keyed by TypeOrAttrParam name *)
   mutable strict : bool;
-  unresolved_lock : Mutex.t;
-      (** Guards [unresolved] and [unresolved_seen]: verification may note
-          snippets from several domains against one shared registry. *)
-  unresolved_seen : (string, unit) Hashtbl.t;
-  mutable unresolved : string list;
+  unresolved : unresolved Atomic.t;
+      (** Verification may note snippets from several domains against one
+          shared registry: readers probe the immutable snapshot without a
+          lock, and a new snippet is added by compare-and-set. *)
+}
+
+and unresolved = {
+  seen : SSet.t;
+  order : string list;
       (** Distinct snippets looked up without a registered hook, most
           recent first; introspectable for tooling and tests. *)
 }
+
+let no_unresolved = { seen = SSet.empty; order = [] }
 
 let create ?(strict = false) () =
   {
@@ -47,9 +54,7 @@ let create ?(strict = false) () =
     op_hooks = Hashtbl.create 16;
     codecs = Hashtbl.create 16;
     strict;
-    unresolved_lock = Mutex.create ();
-    unresolved_seen = Hashtbl.create 16;
-    unresolved = [];
+    unresolved = Atomic.make no_unresolved;
   }
 
 (** A shared default registry for convenience entry points. *)
@@ -66,25 +71,18 @@ let register_codec t name codec = Hashtbl.replace t.codecs name codec
 
 let find_codec t name = Hashtbl.find_opt t.codecs name
 
-let with_unresolved t f =
-  Mutex.lock t.unresolved_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.unresolved_lock) f
-
 (* A snippet is recorded (and logged) on its first sighting only: every op
    carrying it checks it again, and a resident server must not grow the
-   list by one cell per verified op. *)
-let note_unresolved t snippet =
-  let first =
-    with_unresolved t (fun () ->
-        let first = not (Hashtbl.mem t.unresolved_seen snippet) in
-        if first then begin
-          Hashtbl.replace t.unresolved_seen snippet ();
-          t.unresolved <- snippet :: t.unresolved
-        end;
-        first)
-  in
-  if first then
-    Log.debug (fun m -> m "no native hook registered for %S" snippet)
+   list by one cell per verified op. A repeat sighting is one probe of the
+   current snapshot: no lock, no allocation, so domains that verify the
+   same snippet never serialize on it. *)
+let rec note_unresolved t snippet =
+  let u = Atomic.get t.unresolved in
+  if not (SSet.mem snippet u.seen) then
+    let u' = { seen = SSet.add snippet u.seen; order = snippet :: u.order } in
+    if Atomic.compare_and_set t.unresolved u u' then
+      Log.debug (fun m -> m "no native hook registered for %S" snippet)
+    else note_unresolved t snippet
 
 (* Hooks are arbitrary user closures; one that raises must not crash the
    verifier, so a raising hook counts as a failed constraint (with a
@@ -128,9 +126,5 @@ let check_op t snippet op =
         note_unresolved t snippet;
         Ok true)
 
-let unresolved t = with_unresolved t (fun () -> List.rev t.unresolved)
-
-let clear_unresolved t =
-  with_unresolved t (fun () ->
-      Hashtbl.reset t.unresolved_seen;
-      t.unresolved <- [])
+let unresolved t = List.rev (Atomic.get t.unresolved).order
+let clear_unresolved t = Atomic.set t.unresolved no_unresolved

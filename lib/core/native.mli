@@ -20,12 +20,14 @@ type t = {
   op_hooks : (string, Graph.op -> bool) Hashtbl.t;
   codecs : (string, codec) Hashtbl.t;
   mutable strict : bool;
-  unresolved_lock : Mutex.t;
+  unresolved : unresolved Atomic.t;
       (** Verification may note unresolved snippets from several domains
-          against one shared registry. *)
-  unresolved_seen : (string, unit) Hashtbl.t;
-  mutable unresolved : string list;
+          against one shared registry: a repeat sighting reads this
+          snapshot without a lock; a first one adds to it by
+          compare-and-set. *)
 }
+
+and unresolved = { seen : Set.Make(String).t; order : string list }
 
 val create : ?strict:bool -> unit -> t
 

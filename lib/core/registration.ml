@@ -238,19 +238,19 @@ let verify_successors ~(op : Graph.op) (succs : string list option) =
           op.op_name (List.length names)
           (List.length op.successors)
 
-let verify_cpp ~native ~(op : Graph.op) snippets =
-  List.fold_left
-    (fun acc snippet ->
-      let* () = acc in
+(* The first failing snippet decides; a passing run allocates nothing, as
+   it runs on every memo hit. *)
+let rec verify_cpp ~native ~(op : Graph.op) = function
+  | [] -> Ok ()
+  | snippet :: rest -> (
       match Native.check_op native snippet op with
-      | Ok true -> Ok ()
+      | Ok true -> verify_cpp ~native ~op rest
       | Ok false ->
           Diag.errorf ~loc:op.op_loc "'%s' violates native constraint %S"
             op.op_name snippet
       | Error snippet ->
           Diag.errorf ~loc:op.op_loc
             "no native hook registered for %S (strict mode)" snippet)
-    (Ok ()) snippets
 
 (** What the generated verifier checks beyond the op's signature, in its
     order: each region's block count and terminator, then the IRDL-C++ op
@@ -259,9 +259,10 @@ let verify_cpp ~native ~(op : Graph.op) snippets =
 let make_op_verifier_rest ~native (rop : Resolve.op) =
   let rec terminators ~op rdefs regions =
     match (rdefs, regions) with
-    | rd :: rdefs, region :: regions ->
-        let* () = check_terminator ~op rd region in
-        terminators ~op rdefs regions
+    | rd :: rdefs, region :: regions -> (
+        match check_terminator ~op rd region with
+        | Ok () -> terminators ~op rdefs regions
+        | Error _ as e -> e)
     | _ -> Ok ()
   in
   if
@@ -271,8 +272,9 @@ let make_op_verifier_rest ~native (rop : Resolve.op) =
          rop.op_regions
   then fun _ -> Ok ()
   else fun (op : Graph.op) ->
-    let* () = terminators ~op rop.op_regions op.regions in
-    verify_cpp ~native ~op rop.op_cpp
+    match terminators ~op rop.op_regions op.regions with
+    | Ok () -> verify_cpp ~native ~op rop.op_cpp
+    | Error _ as e -> e
 
 (** The interpreted operation verifier: re-walks the resolved constraint
     tree on every check. Kept as the reference oracle for the compiled

@@ -301,8 +301,19 @@ and intern (a0 : t) : t =
       in
       Attr_uniquer.intern attr_uniquer rebuilt
 
-let id a = Attr_uniquer.id (attr_uniquer ()) (intern a)
-let id_ty ty = Ty_uniquer.id (ty_uniquer ()) (intern_ty ty)
+(* A node built by the constructors is already canonical: one physical
+   probe answers, with no deep [intern] walk and no option. *)
+let id a =
+  let u = attr_uniquer () in
+  match Attr_uniquer.canonical_id u a with
+  | -1 -> Attr_uniquer.id u (intern a)
+  | id -> id
+
+let id_ty ty =
+  let u = ty_uniquer () in
+  match Ty_uniquer.canonical_id u ty with
+  | -1 -> Ty_uniquer.id u (intern_ty ty)
+  | id -> id
 
 (** The calling domain's shard counters. Single-domain programs see exactly
     the historical process-wide numbers (there is only one shard). *)
@@ -386,9 +397,13 @@ let add_int b n = if n >= 0 then add_nat b n else str b (string_of_int n)
 (* Bytes that {!Sbuf.string_literal} cannot read back verbatim. *)
 let needs_escape c = c < ' ' || c = '"' || c = '\\' || c = '\127'
 
+let rec has_escape s i =
+  i < String.length s
+  && (needs_escape (String.unsafe_get s i) || has_escape s (i + 1))
+
 let add_quoted b s =
   chr b '"';
-  if not (String.exists needs_escape s) then str b s
+  if not (has_escape s 0) then str b s
   else
     String.iter
       (function

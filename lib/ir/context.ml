@@ -84,7 +84,8 @@ type vc_shard = {
 and op_entry = {
   oe_def : op_def option;  (** [None]: unregistered *)
   oe_shard : vc_shard;
-  mutable oe_sigs : op_sig list;  (** verified Ok, newest first *)
+  mutable oe_sigs : op_sig list;
+      (** verified Ok; at most [memo_max_sigs], never evicted *)
 }
 
 type t = {
@@ -144,22 +145,22 @@ let check_open t ~what ~name =
 (* ---------------------------------------------------------------- *)
 
 let rec find_shard did = function
-  | [] -> None
+  | [] -> raise Not_found
   | (s : vc_shard) :: rest ->
-      if s.sh_domain = did then Some s else find_shard did rest
+      if s.sh_domain = did then s else find_shard did rest
 
 (* The calling domain's shard, created on first use. Domain ids are never
    reused within a process, so a shard belongs to exactly one domain for
-   the lifetime of the context. *)
+   the lifetime of the context. Finding it allocates nothing. *)
 let shard t =
   let did = (Domain.self () :> int) in
   match find_shard did t.vc_shards with
-  | Some s -> s
-  | None ->
+  | s -> s
+  | exception Not_found ->
       locked t (fun () ->
           match find_shard did t.vc_shards with
-          | Some s -> s
-          | None ->
+          | s -> s
+          | exception Not_found ->
               let s =
                 {
                   sh_domain = did;
@@ -197,33 +198,28 @@ let invalidate_locked t =
 
 let invalidate_verify_cache t = locked t (fun () -> invalidate_locked t)
 
-let cached_verify_ty t id compute =
-  if not t.vc_enabled then compute ()
+(* [verify t x] is passed with its argument rather than as a thunk, and
+   the probe raises rather than returning an option: a hit allocates
+   nothing. *)
+let cached_verify tbl_of t id verify x =
+  if not t.vc_enabled then verify t x
   else
     let s = shard t in
-    match Hashtbl.find_opt s.sh_ty id with
-    | Some r ->
+    match Hashtbl.find (tbl_of s) id with
+    | r ->
         s.sh_hits <- s.sh_hits + 1;
         r
-    | None ->
+    | exception Not_found ->
         s.sh_misses <- s.sh_misses + 1;
-        let r = compute () in
-        Hashtbl.replace s.sh_ty id r;
+        let r = verify t x in
+        Hashtbl.replace (tbl_of s) id r;
         r
 
-let cached_verify_attr t id compute =
-  if not t.vc_enabled then compute ()
-  else
-    let s = shard t in
-    match Hashtbl.find_opt s.sh_attr id with
-    | Some r ->
-        s.sh_hits <- s.sh_hits + 1;
-        r
-    | None ->
-        s.sh_misses <- s.sh_misses + 1;
-        let r = compute () in
-        Hashtbl.replace s.sh_attr id r;
-        r
+let cached_verify_ty t id verify ty =
+  cached_verify (fun s -> s.sh_ty) t id verify ty
+
+let cached_verify_attr t id verify a =
+  cached_verify (fun s -> s.sh_attr) t id verify a
 
 (* ---------------------------------------------------------------- *)
 (* Op signature memo                                                 *)
@@ -314,10 +310,14 @@ let signature (op : Graph.op) =
     sg_successors = List.length op.successors;
   }
 
-(* The newest signature goes first; past the bound the oldest drops out. *)
+(* Fill-once: the first [memo_max_sigs] signatures that verify stay, and
+   later ones are never recorded. Evicting instead would make an op name
+   with more live signatures than slots (placeholder ops, constants with
+   distinct values) miss on every op. Only Ok verdicts are recorded, so
+   keeping any subset of them is sound. *)
 let memo_add e op =
-  e.oe_sigs <-
-    List.filteri (fun i _ -> i < memo_max_sigs) (signature op :: e.oe_sigs)
+  if List.compare_length_with e.oe_sigs memo_max_sigs < 0 then
+    e.oe_sigs <- signature op :: e.oe_sigs
 
 (* [set_verify_cache t false] restores the pre-memoization behaviour (every
    node re-verified on every visit) — the baseline configuration for

@@ -132,14 +132,23 @@ val op_stats : t -> int * int * int
     hooks after verification started. *)
 
 val cached_verify_ty :
-  t -> int -> (unit -> (unit, Diag.t) result) -> (unit, Diag.t) result
-(** [cached_verify_ty t id compute] returns the memoized verification
+  t ->
+  int ->
+  (t -> Attr.ty -> (unit, Diag.t) result) ->
+  Attr.ty ->
+  (unit, Diag.t) result
+(** [cached_verify_ty t id verify ty] returns the memoized verification
     result for the type with dense id [id] in the calling domain's shard,
-    running (and recording) [compute] on the first visit. [id] must come
-    from {!Attr.id_ty} evaluated on the calling domain. *)
+    running (and recording) [verify t ty] on the first visit. [id] must
+    come from {!Attr.id_ty} evaluated on the calling domain. A hit
+    allocates nothing. *)
 
 val cached_verify_attr :
-  t -> int -> (unit -> (unit, Diag.t) result) -> (unit, Diag.t) result
+  t ->
+  int ->
+  (t -> Attr.t -> (unit, Diag.t) result) ->
+  Attr.t ->
+  (unit, Diag.t) result
 
 (** {2 Op signature memo}
 
@@ -147,8 +156,9 @@ val cached_verify_attr :
     and result types, the [(name, attribute)] list, the region count, each
     region's entry-block argument types (no entry block is distinct from
     zero arguments) and the successor count. Each shard keeps one entry per
-    op name — the resolved definition plus up to {!memo_max_sigs}
-    signatures that verified [Ok] — and at most {!memo_max_ops} entries.
+    op name — the resolved definition plus the first {!memo_max_sigs}
+    signatures that verified [Ok], never evicted — and at most
+    {!memo_max_ops} entries.
     Signatures compare with [==] on interned nodes, so a node from another
     domain's uniquer just misses. Errors are never recorded. The memo is
     flushed with the type/attribute cache and off when it is. *)
@@ -173,8 +183,8 @@ val memo_mem : op_entry -> Graph.op -> bool
     memo hit or miss; allocates nothing. *)
 
 val memo_add : op_entry -> Graph.op -> unit
-(** Record [op]'s signature as verified [Ok], dropping the oldest past
-    {!memo_max_sigs}. *)
+(** Record [op]'s signature as verified [Ok] while the entry holds fewer
+    than {!memo_max_sigs}; a full entry is left as it is. *)
 
 val invalidate_verify_cache : t -> unit
 (** Drop all memoized verification results, in every shard. Called

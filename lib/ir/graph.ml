@@ -664,16 +664,26 @@ let erase op =
     operations can still take them as operands, but they no longer point
     back at the defining subtree: once the caller drops its own reference,
     the whole operation tree is garbage. *)
+let release_value (v : value) = v.v_def <- Released
+
+let release_op o =
+  Op.drop_operand_uses o;
+  Array.iter release_value o.op_results
+
+(* A region-less op, the common case in a streamed module, is released
+   without the walk's worklist. *)
 let release op =
   detach op;
-  Op.walk op ~f:(fun o ->
-      Op.drop_operand_uses o;
-      Array.iter (fun (v : value) -> v.v_def <- Released) o.op_results;
-      List.iter
-        (fun r ->
-          Region.iter_blocks r ~f:(fun b ->
-              Array.iter (fun (v : value) -> v.v_def <- Released) b.blk_args))
-        o.regions)
+  match op.regions with
+  | [] -> release_op op
+  | _ ->
+      Op.walk op ~f:(fun o ->
+          release_op o;
+          List.iter
+            (fun r ->
+              Region.iter_blocks r ~f:(fun b ->
+                  Array.iter release_value b.blk_args))
+            o.regions)
 
 (** Replace every use of [from] by [to_] in operations nested inside [scope]
     (inclusive). With the intrusive use chains this touches only [from]'s

@@ -68,6 +68,10 @@ module type S = sig
       lookup is O(1) via a physical-identity side table rather than a
       structural re-hash of the whole node. *)
 
+  val canonical_id : table -> node -> int
+  (** The id of [x] when [x] is itself a canonical node (one physical
+      probe, no allocation; counts a hit), [-1] otherwise. *)
+
   val mem : table -> node -> bool
 
   val stats : table -> stats
@@ -147,17 +151,22 @@ module Make (H : HASHED) : S with type node = H.t = struct
           Some canonical
       | None -> None
 
-  let id t x =
-    match Phys.find_opt t.phys x with
-    | Some id ->
+  let canonical_id t x =
+    match Phys.find t.phys x with
+    | id ->
         t.hits <- t.hits + 1;
         id
-    | None -> (
+    | exception Not_found -> -1
+
+  let id t x =
+    match canonical_id t x with
+    | -1 -> (
         match Tbl.find_opt t.tbl x with
         | Some (_, id) ->
             t.hits <- t.hits + 1;
             id
         | None -> insert t x)
+    | id -> id
 
   let mem t x = Phys.mem t.phys x || Tbl.mem t.tbl x
 

@@ -47,6 +47,10 @@ module type S = sig
   (** The unique id of [x]'s canonical node, interning it if needed. Ids are
       dense, starting at 0, and never reused within a table. *)
 
+  val canonical_id : table -> node -> int
+  (** The id of [x] when [x] is itself a canonical node (one physical
+      probe, no allocation; counts a hit), [-1] otherwise. *)
+
   val mem : table -> node -> bool
   val stats : table -> stats
 

@@ -13,13 +13,12 @@ let ( let* ) = Result.bind
 (* Types and attributes are hash-consed with dense ids (PR 1), so the
    context memoizes each composite node's verification result: repeat
    visits of a type already seen — the common case in any realistic module
-   — are a single hashtable probe. Leaf nodes verify vacuously and are not
-   worth an entry. *)
+   — are a single hashtable probe, with no allocation. Leaf nodes verify
+   vacuously and are not worth an entry. *)
 let rec verify_ty ctx (ty : Attr.ty) =
   match ty with
   | Attr.Dynamic _ | Attr.Function _ | Attr.Tuple _ ->
-      Context.cached_verify_ty ctx (Attr.id_ty ty) (fun () ->
-          verify_ty_uncached ctx ty)
+      Context.cached_verify_ty ctx (Attr.id_ty ty) verify_ty_uncached ty
   | _ -> Ok ()
 
 and verify_ty_uncached ctx (ty : Attr.ty) =
@@ -43,23 +42,23 @@ and verify_ty_uncached ctx (ty : Attr.ty) =
 
 and verify_tys ctx = function
   | [] -> Ok ()
-  | ty :: rest ->
-      let* () = verify_ty ctx ty in
-      verify_tys ctx rest
+  | ty :: rest -> (
+      match verify_ty ctx ty with
+      | Ok () -> verify_tys ctx rest
+      | Error _ as e -> e)
 
 and verify_attr ctx (a : Attr.t) =
   match a with
   | Attr.Type ty -> verify_ty ctx ty
   | Attr.Int { ty; _ } | Attr.Float_attr { ty; _ } -> verify_ty ctx ty
   | Attr.Array _ | Attr.Dict _ | Attr.Dyn_attr _ ->
-      Context.cached_verify_attr ctx (Attr.id a) (fun () ->
-          verify_attr_uncached ctx a)
+      Context.cached_verify_attr ctx (Attr.id a) verify_attr_uncached a
   | _ -> Ok ()
 
 and verify_attr_uncached ctx (a : Attr.t) =
   match a with
   | Attr.Array xs -> verify_params ctx xs
-  | Attr.Dict kvs -> verify_params ctx (List.map snd kvs)
+  | Attr.Dict kvs -> verify_named ctx kvs
   | Attr.Dyn_attr { dialect; name; params } -> (
       let* () = verify_params ctx params in
       match Context.lookup_attr ctx ~dialect ~name with
@@ -75,9 +74,17 @@ and verify_attr_uncached ctx (a : Attr.t) =
 
 and verify_params ctx = function
   | [] -> Ok ()
-  | a :: rest ->
-      let* () = verify_attr ctx a in
-      verify_params ctx rest
+  | a :: rest -> (
+      match verify_attr ctx a with
+      | Ok () -> verify_params ctx rest
+      | Error _ as e -> e)
+
+and verify_named ctx = function
+  | [] -> Ok ()
+  | (_, a) :: rest -> (
+      match verify_attr ctx a with
+      | Ok () -> verify_named ctx rest
+      | Error _ as e -> e)
 
 let is_terminator_def (def : Context.op_def option) (op : Graph.op) =
   match def with
@@ -87,51 +94,45 @@ let is_terminator_def (def : Context.op_def option) (op : Graph.op) =
 let is_terminator ctx (op : Graph.op) =
   is_terminator_def (Context.lookup_op ctx op.op_name) op
 
+let is_last_in blk (op : Graph.op) =
+  match Graph.Block.terminator blk with
+  | Some last -> last.op_id = op.op_id
+  | None -> false
+
+let rec all_in_region (blk : Graph.block) = function
+  | [] -> true
+  | (s : Graph.block) :: rest ->
+      (match (s.blk_parent, blk.blk_parent) with
+      | Some a, Some b -> a == b
+      | None, None -> true
+      | _ -> false)
+      && all_in_region blk rest
+
 (* Structural checks that hold for every operation, registered or not.
-   [def] is the op's resolved definition. *)
+   [def] is the op's resolved definition. A detached op can only fail on
+   successors, so it costs one test. *)
 let verify_structure def (op : Graph.op) =
-  let* () =
-    (* Successors may only appear on block terminators. *)
-    match op.op_parent with
-    | Some blk when op.successors <> [] -> (
-        match Graph.Block.terminator blk with
-        | Some last when last.op_id = op.op_id -> Ok ()
-        | _ ->
-            Diag.errorf ~loc:op.op_loc
-              "'%s' has successors but is not the last operation in its block"
-              op.op_name)
-    | _ -> Ok ()
-  in
-  let* () =
-    if is_terminator_def def op then
-      match op.op_parent with
-      | None -> Ok () (* top-level ops are not inside a block *)
-      | Some blk -> (
-          match Graph.Block.terminator blk with
-          | Some last when last.op_id = op.op_id -> Ok ()
-          | _ ->
-              Diag.errorf ~loc:op.op_loc
-                "terminator '%s' must be the last operation in its block"
-                op.op_name)
-    else Ok ()
-  in
-  (* Successor block must belong to the same region as the op's block. *)
   match op.op_parent with
-  | None when op.successors <> [] ->
-      Diag.errorf ~loc:op.op_loc "'%s': successors on a detached operation"
-        op.op_name
-  | None -> Ok ()
+  | None -> (
+      match op.successors with
+      | [] -> Ok ()
+      | _ ->
+          Diag.errorf ~loc:op.op_loc
+            "'%s': successors on a detached operation" op.op_name)
   | Some blk ->
-      if
-        List.for_all
-          (fun (s : Graph.block) ->
-            match (s.blk_parent, blk.blk_parent) with
-            | Some a, Some b -> a == b
-            | None, None -> true
-            | _ -> false)
-          op.successors
-      then Ok ()
+      if op.successors <> [] && not (is_last_in blk op) then
+        (* Successors may only appear on block terminators. *)
+        Diag.errorf ~loc:op.op_loc
+          "'%s' has successors but is not the last operation in its block"
+          op.op_name
+      else if is_terminator_def def op && not (is_last_in blk op) then
+        Diag.errorf ~loc:op.op_loc
+          "terminator '%s' must be the last operation in its block"
+          op.op_name
+      else if all_in_region blk op.successors then Ok ()
       else
+        (* Successor block must belong to the same region as the op's
+           block. *)
         Diag.errorf ~loc:op.op_loc
           "'%s': successor blocks must be in the same region" op.op_name
 
@@ -144,16 +145,41 @@ let with_op_loc (op : Graph.op) = function
       Error { d with loc = op.op_loc }
   | Error _ as e -> e
 
+let rec verify_operand_tys ctx (a : Graph.use array) i =
+  if i = Array.length a then Ok ()
+  else
+    match verify_ty ctx a.(i).u_value.v_ty with
+    | Ok () -> verify_operand_tys ctx a (i + 1)
+    | Error _ as e -> e
+
+let rec verify_value_tys ctx (a : Graph.value array) i =
+  if i = Array.length a then Ok ()
+  else
+    match verify_ty ctx a.(i).v_ty with
+    | Ok () -> verify_value_tys ctx a (i + 1)
+    | Error _ as e -> e
+
+(* Walks the operands, results and attributes in place: no per-op lists. *)
 let verify_op_full ctx def (op : Graph.op) =
-  let* () = verify_structure def op in
-  let* () = verify_tys ctx (Graph.Op.operand_tys op) in
-  let* () = verify_tys ctx (Graph.Op.result_tys op) in
-  let* () = verify_params ctx (List.map snd op.attrs) in
-  match def with
-  | Some (od : Context.op_def) -> od.od_verify op
-  | None ->
-      if ctx.allow_unregistered then Ok ()
-      else Diag.errorf ~loc:op.op_loc "unregistered operation '%s'" op.op_name
+  match verify_structure def op with
+  | Error _ as e -> e
+  | Ok () -> (
+      match verify_operand_tys ctx op.op_operands 0 with
+      | Error _ as e -> e
+      | Ok () -> (
+          match verify_value_tys ctx op.op_results 0 with
+          | Error _ as e -> e
+          | Ok () -> (
+              match verify_named ctx op.attrs with
+              | Error _ as e -> e
+              | Ok () -> (
+                  match def with
+                  | Some (od : Context.op_def) -> od.od_verify op
+                  | None ->
+                      if ctx.allow_unregistered then Ok ()
+                      else
+                        Diag.errorf ~loc:op.op_loc
+                          "unregistered operation '%s'" op.op_name))))
 
 (* An op whose signature already verified Ok re-runs only the checks that
    read more than the signature, which come in the full path's order:
@@ -170,8 +196,9 @@ let verify_op ctx (op : Graph.op) =
     let e = Context.op_entry ctx op.op_name in
     let def = Context.entry_def e in
     if Context.memo_mem e op then
-      let* () = verify_structure def op in
-      match def with Some od -> od.od_verify_rest op | None -> Ok ()
+      match (verify_structure def op, def) with
+      | Ok (), Some od -> od.od_verify_rest op
+      | r, _ -> r
     else
       match verify_op_full ctx def op with
       | Ok () ->
@@ -207,12 +234,15 @@ let diag_order (a : Diag.t) (b : Diag.t) =
     output is diffable. *)
 let verify_all ctx (op : Graph.op) =
   Failpoints.hit "verify";
-  let diags = ref [] in
-  Graph.Op.walk op ~f:(fun o ->
-      match verify_op ctx o with
-      | Ok () -> ()
-      | Error d -> diags := d :: !diags);
-  List.sort_uniq diag_order !diags
+  match op.regions with
+  | [] -> ( match verify_op ctx op with Ok () -> [] | Error d -> [ d ])
+  | _ ->
+      let diags = ref [] in
+      Graph.Op.walk op ~f:(fun o ->
+          match verify_op ctx o with
+          | Ok () -> ()
+          | Error d -> diags := d :: !diags);
+      List.sort_uniq diag_order !diags
 
 (** Verify a whole parsed module (a list of top-level operations), stopping
     at the first failure. This is the hook the pass manager's

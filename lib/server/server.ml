@@ -237,8 +237,10 @@ let run_module ctx config rq =
     match Frontend.Stream.next session with
     | Ok None | Error _ -> ()
     | Ok (Some op) ->
-        if want_verify then
-          vdiags := Verifier.verify_all ctx op :: !vdiags;
+        (if want_verify then
+           match Verifier.verify_all ctx op with
+           | [] -> ()
+           | ds -> vdiags := ds :: !vdiags);
         Option.iter (fun s -> Frontend.Sink.push s op) sink;
         Frontend.Stream.release op;
         drain ()

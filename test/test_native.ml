@@ -80,6 +80,46 @@ let unresolved_recorded_once () =
   Alcotest.(check (list string)) "recorded once" [ "mystery()" ]
     (N.unresolved n)
 
+(* Domains that verify ops carrying the same hook-less snippet record it
+   once between them, and a strict registry still rejects each op. *)
+let unresolved_across_domains () =
+  let n = N.create () in
+  let ctx = Context.create () in
+  let _ =
+    check_ok "load"
+      (Irdl_core.Irdl.load_one ~native:n ctx
+         {|Dialect d { Operation o { CppConstraint "mystery()" } }|})
+  in
+  Context.freeze ctx;
+  let ops = Array.init 10_000 (fun _ -> Graph.Op.create "d.o") in
+  let verify_every () =
+    Array.to_list ops
+    |> List.concat_map (Verifier.verify_all ctx)
+    |> List.sort_uniq compare
+    |> List.map Irdl_support.Diag.to_string
+  in
+  let on_domains f =
+    List.map Domain.join (List.init 4 (fun _ -> Domain.spawn f))
+  in
+  List.iter
+    (Alcotest.(check (list string)) "every op verifies" [])
+    (on_domains verify_every);
+  Alcotest.(check (list string)) "recorded once" [ "mystery()" ]
+    (N.unresolved n);
+  let strict_error =
+    let sn = N.create ~strict:true () in
+    let sctx, _ =
+      load_dialect ~native:sn
+        {|Dialect d { Operation o { CppConstraint "mystery()" } }|}
+    in
+    check_err "strict" (Verifier.verify sctx (Graph.Op.create "d.o"))
+  in
+  n.strict <- true;
+  List.iter
+    (Alcotest.(check (list string)) "strict rejects every op"
+       [ strict_error ])
+    (on_domains verify_every)
+
 let strict_mode () =
   let n = N.create ~strict:true () in
   (match N.check_param n "x()" (Attr.int 1L) with
@@ -115,6 +155,8 @@ let suite =
     tc "TypeOrAttrParam codecs" codecs;
     tc "unresolved snippets are recorded" unresolved_bookkeeping;
     tc "an unresolved snippet is recorded once" unresolved_recorded_once;
+    tc "an unresolved snippet is recorded once across domains"
+      unresolved_across_domains;
     tc "strict mode" strict_mode;
     tc "strict mode end-to-end" strict_end_to_end;
     tc "hook re-registration replaces" hook_replacement;

@@ -311,6 +311,74 @@ let sources_drop () =
   (* Dropping an absent file is a no-op. *)
   Diag.Sources.drop "drop-me.mlir"
 
+(* ---------------- paged text sink ---------------- *)
+
+module Sink = Irdl_bytecode.Frontend.Sink
+
+let page = Sink.page_size
+
+(* A detached op with a string attribute of [n] bytes: its printed length
+   grows with [n] one for one. *)
+let padded n =
+  Graph.Op.create ~attrs:[ ("s", Attr.string (String.make n 'a')) ] "t.pad"
+
+(* Both ways out of a sink must give exactly [Printer.ops_to_string]. *)
+let check_pages name ?pages ops =
+  let ctx = Context.create () in
+  let expect = Printer.ops_to_string ctx ops in
+  let sink () =
+    let s = Sink.text ctx in
+    List.iter (Sink.push s) ops;
+    s
+  in
+  let got = Result.get_ok (Sink.close_pages (sink ())) in
+  Alcotest.(check string) (name ^ ": pages") expect (String.concat "" got);
+  Alcotest.(check string)
+    (name ^ ": close") expect
+    (Result.get_ok (Sink.close (sink ())));
+  Alcotest.(check bool) (name ^ ": no empty page") true
+    (List.for_all (fun p -> p <> "") got);
+  Option.iter
+    (fun n -> Alcotest.(check int) (name ^ ": page count") n (List.length got))
+    pages;
+  got
+
+let paged_sink () =
+  ignore (check_pages "empty module" ~pages:0 []);
+  ignore (check_pages "one op" ~pages:1 [ padded 3 ]);
+  let many =
+    List.init 6_000 (fun i ->
+        Graph.Op.create ~result_tys:[ Attr.i32 ]
+          ~attrs:[ ("v", Attr.int (Int64.of_int i)) ]
+          "t.x")
+  in
+  let got = check_pages "more than four pages" many in
+  Alcotest.(check bool) "more than four pages" true (List.length got > 4);
+  let big =
+    Graph.Op.create
+      ~attrs:
+        [
+          ( "a",
+            Attr.array (List.init 20_000 (fun i -> Attr.int (Int64.of_int i)))
+          );
+        ]
+      "t.big"
+  in
+  let got =
+    check_pages "one op longer than a page" [ padded 1; big; padded 2 ]
+  in
+  Alcotest.(check bool) "the long op fills a page" true
+    (List.exists (fun p -> String.length p > page) got);
+  (* Pad the last op so that the output ends exactly on the page boundary:
+     the sink then cuts its one page and holds nothing more. *)
+  let ctx = Context.create () in
+  let head = List.init 100 (fun _ -> padded 10) in
+  let len ops = String.length (Printer.ops_to_string ctx ops) in
+  let base = len (head @ [ padded 0 ]) in
+  let ops = head @ [ padded (page - base) ] in
+  Alcotest.(check int) "output is one page long" page (len ops);
+  ignore (check_pages "ends on a page boundary" ~pages:1 ops)
+
 let suite =
   [
     Alcotest.test_case "differential: well-formed" `Quick well_formed;
@@ -330,4 +398,6 @@ let suite =
       sessions_are_independent;
     Alcotest.test_case "Context.stats scopes" `Quick stats_scopes;
     Alcotest.test_case "Diag.Sources.drop" `Quick sources_drop;
+    Alcotest.test_case "paged sink: pages join to ops_to_string" `Quick
+      paged_sink;
   ]

@@ -421,6 +421,82 @@ let memo_is_bounded () =
   Alcotest.(check bool) "signatures within both caps" true
     (s.vs_memo_sigs <= Context.memo_max_ops * Context.memo_max_sigs)
 
+(* Minor words [verify_all] allocates per op once every op's signature is
+   in the memo. *)
+let words_per_op ctx ops =
+  let verify () =
+    Array.iter
+      (fun op ->
+        match Verifier.verify_all ctx op with
+        | [] -> ()
+        | d :: _ ->
+            Alcotest.failf "unexpected: %s" (Irdl_support.Diag.to_string d))
+      ops
+  in
+  verify ();
+  let before = Gc.minor_words () in
+  verify ();
+  (Gc.minor_words () -. before) /. float_of_int (Array.length ops)
+
+let check_budget what words =
+  if words > 2. then
+    Alcotest.failf "%s: %.1f minor words per op, budget 2" what words
+
+(* Region-less registered ops with a dynamic operand type and an array
+   attribute, and unregistered leaves, all memo hits: the hit path and the
+   unregistered path allocate nothing but the measurement itself. *)
+let verify_allocation_budget () =
+  let ctx = cmath_ctx () in
+  let _ =
+    check_ok "load arith"
+      (Irdl_core.Irdl.load_one ctx Irdl_dialects.Arith.source)
+  in
+  let src = Graph.Op.create ~result_tys:[ complex_f32 ] "t.src" in
+  let c = Graph.Op.result src 0 in
+  let value = Attr.array [ Attr.int 1L; Attr.int 2L ] in
+  let hits =
+    Array.init 10_000 (fun i ->
+        if i land 1 = 0 then
+          Graph.Op.create ~operands:[ c ] ~result_tys:[ Attr.f32 ] "cmath.norm"
+        else
+          Graph.Op.create ~result_tys:[ Attr.i64 ] ~attrs:[ ("value", value) ]
+            "arith.constant")
+  in
+  check_budget "registered memo hits" (words_per_op ctx hits);
+  let leaves =
+    Array.init 10_000 (fun _ ->
+        Graph.Op.create ~result_tys:[ Attr.i32 ] "test.source")
+  in
+  check_budget "unregistered leaves" (words_per_op ctx leaves)
+
+(* An op name with more live signatures than the memo holds keeps the ones
+   it recorded first, so those still hit: newest-first eviction would miss
+   on every op of the cycle. *)
+let memo_does_not_thrash () =
+  let ctx = Context.create () in
+  let tys =
+    [| Attr.i1; Attr.i8; Attr.i16; Attr.i32; Attr.i64; Attr.f32; Attr.f64;
+       Attr.index |]
+  in
+  let round () =
+    Array.iter
+      (fun ty -> verify_ok ctx (Graph.Op.create ~result_tys:[ ty ] "u.x"))
+      tys
+  in
+  round ();
+  let s0 = memo_stats ctx in
+  for _ = 1 to 10 do
+    round ()
+  done;
+  let s = memo_stats ctx in
+  let hits = s.vs_memo_hits - s0.vs_memo_hits
+  and misses = s.vs_memo_misses - s0.vs_memo_misses in
+  Alcotest.(check bool)
+    (Printf.sprintf "at least half hit (%d hits, %d misses)" hits misses)
+    true (hits >= misses);
+  Alcotest.(check int) "signatures stay at the cap" Context.memo_max_sigs
+    s.vs_memo_sigs
+
 let suite =
   [
     QCheck_alcotest.to_alcotest memo_differential;
@@ -432,4 +508,8 @@ let suite =
     tc "registering a dialect flushes the memo" registration_flushes_memo;
     tc "two domains give the memo-off verdicts" two_domains_agree;
     tc "the memo stays within its caps" memo_is_bounded;
+    tc "memo hits and unregistered leaves allocate nothing"
+      verify_allocation_budget;
+    tc "a name with more signatures than slots still hits"
+      memo_does_not_thrash;
   ]

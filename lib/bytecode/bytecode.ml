@@ -972,6 +972,9 @@ let rec decode_op c strs ((ty_at, attr_at) as pool) st ~blocks : Graph.op =
   let n_results = read_count c "result" in
   let result_tys, res_idx = read_results c ty_at n_results in
   let attrs = read_attr_pairs c strs attr_at (read_count c "attribute") in
+  (match Attr.duplicate_key attrs with
+  | Some k -> cfail c "%s" (Attr.duplicate_key_message k) c.c_pos
+  | None -> ());
   let successors = read_successors c blocks (read_count c "successor") in
   let regions = decode_regions c strs pool st (read_count c "region") in
   let op =

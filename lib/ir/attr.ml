@@ -239,20 +239,38 @@ let uniquer_key : uniquer_shard Domain.DLS.key =
 let ty_uniquer () = (Domain.DLS.get uniquer_key).sh_tys
 let attr_uniquer () = (Domain.DLS.get uniquer_key).sh_attrs
 
+let by_key (a, _) (b, _) = String.compare a b
+
+(* A key of sorted entries that occurs more than once. *)
+let rec adjacent_key = function
+  | (k1, _) :: ((k2, _) :: _ as rest) ->
+      if String.equal k1 k2 then Some k1 else adjacent_key rest
+  | _ -> None
+
+let duplicate_key kvs =
+  let rec mem k = function
+    | [] -> false
+    | (k', _) :: rest -> String.equal k k' || mem k rest
+  in
+  let rec pairwise = function
+    | [] -> None
+    | (k, _) :: rest -> if mem k rest then Some k else pairwise rest
+  in
+  (* Pairwise allocates nothing for the few entries an op has; sorting
+     bounds a long dictionary at n log n. *)
+  if List.compare_length_with kvs 8 <= 0 then pairwise kvs
+  else adjacent_key (List.stable_sort by_key kvs)
+
+let duplicate_key_message k =
+  Printf.sprintf "duplicate key '%s' in dictionary attribute" k
+
 (** Canonicalize a dictionary's entries: stable-sort by key so equality and
     hashing are key-order-insensitive, and reject duplicate keys. *)
 let canonicalize_dict kvs =
-  let sorted =
-    List.stable_sort (fun (a, _) (b, _) -> String.compare a b) kvs
-  in
-  let rec check = function
-    | (k1, _) :: ((k2, _) :: _ as rest) ->
-        if String.equal k1 k2 then
-          Diag.raise_error "duplicate key '%s' in dictionary attribute" k1;
-        check rest
-    | _ -> ()
-  in
-  check sorted;
+  let sorted = List.stable_sort by_key kvs in
+  (match adjacent_key sorted with
+  | Some k -> Diag.raise_error "%s" (duplicate_key_message k)
+  | None -> ());
   sorted
 
 (** Deeply intern an attribute/type assembled outside this module (tests,

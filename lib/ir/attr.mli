@@ -87,6 +87,13 @@ val dict : (string * t) list -> t
     equality key-order-insensitive.
     @raise Irdl_support.Diag.Error_exn on duplicate keys. *)
 
+val duplicate_key : (string * 'a) list -> string option
+(** A key that occurs more than once among the entries, if any: for an
+    op's attributes and a dictionary's entries before {!dict}. *)
+
+val duplicate_key_message : string -> string
+(** The error {!dict} raises for a repeated key. *)
+
 val typ : ty -> t
 val enum : dialect:string -> enum:string -> string -> t
 val symbol : string -> t

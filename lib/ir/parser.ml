@@ -7,8 +7,10 @@
 
     The lexer is a cursor: the current token's kind, payload and span are
     mutable fields of the parser, so lexing a token allocates nothing and a
-    {!Loc.t} is built only where one is stored or reported. Names and type
-    spellings go through a per-domain table (see "The name table"). *)
+    {!Loc.t} is built only where one is stored or reported. Names, type
+    spellings and op signatures go through a per-domain table (see "The
+    name table"), [%] names through a per-domain scope table (see "The
+    scope table"). *)
 
 open Irdl_support
 
@@ -58,12 +60,13 @@ let builtin_ty_of_ident s : Attr.ty option =
 (* ------------------------------------------------------------------ *)
 
 (* One table per domain maps each distinct spelling — an identifier, an
-   op name, a plain string literal, a [!]/[#]/[@] name, or a whole
-   [!d.t<...>] type spelling — to one entry holding a shared copy of it.
-   It is probed by hashing the source bytes in place, so a repeated
-   spelling costs no allocation. An entry also caches what the parser
-   asks of a spelling: the builtin type it names, its [dialect.name]
-   split and, for a type spelling, the type it parsed to.
+   op name, a plain string literal, a [!]/[#]/[@] name, a whole
+   [!d.t<...>] type spelling or a whole op signature — to one entry
+   holding a shared copy of it. It is probed by hashing the source bytes
+   in place, so a repeated spelling costs no allocation. An entry also
+   caches what the parser asks of a spelling: the builtin type it names,
+   its [dialect.name] split and, for a type spelling or a signature, what
+   it parsed to.
 
    The cached types come from the domain's own uniquer shard ({!Attr}):
    the table is domain-local for the same reason. It is a cache with a
@@ -72,13 +75,20 @@ let builtin_ty_of_ident s : Attr.ty option =
    first parse in a domain and lives as long as the domain, so per-chunk
    sessions do not allocate it again. *)
 
+(* The types of an op signature [(…) -> (…)]. A memoized pair is shared
+   by every op parsed from it: {!Graph.Op.create_prebuilt} keeps neither
+   array. *)
+type signature = { operand_tys : Attr.ty array; result_tys : Attr.ty array }
+
+(* What a full parse of exactly an entry's bytes returned, recorded only
+   when no lexer error was recovered on the way. *)
+type memo = No_memo | Ty of Attr.ty | Sig of signature
+
 type entry = {
   spelling : string;
   builtin : Attr.ty option;  (** the builtin type it names as an identifier *)
   dotted : (string * string) option;  (** split at its first dot *)
-  mutable memo : Attr.ty option;
-      (** for a [!d.t<...>] spelling: the type a full parse of exactly
-          these bytes returned *)
+  mutable memo : memo;  (** for a [!d.t<...>] spelling or a signature *)
 }
 
 let split_at_dot s =
@@ -92,10 +102,10 @@ let split_at_dot s =
    re-interning. *)
 let make_entry s =
   { spelling = s; builtin = Option.map Attr.intern_ty (builtin_ty_of_ident s);
-    dotted = split_at_dot s; memo = None }
+    dotted = split_at_dot s; memo = No_memo }
 
 (* Marks a free slot; never handed out. *)
-let vacant = { spelling = ""; builtin = None; dotted = None; memo = None }
+let vacant = { spelling = ""; builtin = None; dotted = None; memo = No_memo }
 
 let table_slots = 8192 (* a power of two *)
 let table_cap = table_slots / 2
@@ -108,38 +118,53 @@ type table = {
   mutable used : int;
   mutable memo_hits : int;
   mutable memo_misses : int;
+  mutable sig_hits : int;
+  mutable sig_misses : int;
 }
 
 let table_key : table Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       { slots = Array.make table_slots vacant; used = 0; memo_hits = 0;
-        memo_misses = 0 })
+        memo_misses = 0; sig_hits = 0; sig_misses = 0 })
 
-(* FNV-1a over [src.[off .. stop-1]]. *)
-let hash_span src off stop =
-  let h = ref 0x811c9dc5 in
-  for i = off to stop - 1 do
-    h := (!h lxor Char.code (String.unsafe_get src i)) * 0x100000001b3
-  done;
-  !h lxor (!h lsr 29)
+(* FNV-1a over [src.[i .. stop-1]], a word at a time while one fits, then
+   a final mix that folds the high bits, which a product only reaches
+   from below, into the low ones a table index keeps. *)
+let rec fnv src i stop h =
+  if i + 8 <= stop then
+    fnv src (i + 8) stop
+      ((h lxor Int64.to_int (String.get_int64_le src i)) * 0x100000001b3)
+  else if i < stop then
+    fnv src (i + 1) stop
+      ((h lxor Char.code (String.unsafe_get src i)) * 0x100000001b3)
+  else
+    let h = (h lxor (h lsr 32)) * 0x2545f4914f6cdd1d in
+    h lxor (h lsr 29)
 
-let rec same_bytes k src off i n =
-  i = n
-  || String.unsafe_get k i = String.unsafe_get src (off + i)
-     && same_bytes k src off (i + 1) n
+let hash_span src off stop = fnv src off stop 0x811c9dc5
+
+(* Whether [a.[i .. i+n-1]] and [b.[j .. j+n-1]] hold the same bytes. *)
+let rec same_bytes a i b j n =
+  if n >= 8 then
+    Int64.equal (String.get_int64_le a i) (String.get_int64_le b j)
+    && same_bytes a (i + 8) b (j + 8) (n - 8)
+  else
+    n = 0
+    || String.unsafe_get a i = String.unsafe_get b j
+       && same_bytes a (i + 1) b (j + 1) (n - 1)
 
 (* The slot holding [src.[off .. off+len-1]], or the free slot where it
    belongs. *)
 let rec probe slots src off len mask i =
   let e = Array.unsafe_get slots i in
   if e == vacant
-     || (String.length e.spelling = len && same_bytes e.spelling src off 0 len)
+     || (String.length e.spelling = len && same_bytes e.spelling 0 src off len)
   then i
   else probe slots src off len mask ((i + 1) land mask)
 
-let intern_span tbl src off stop =
+let intern_with make tbl src off stop =
   let len = stop - off in
-  if len > max_spelling then make_entry (String.sub src off len)
+  if len > max_spelling then make (String.sub src off len)
   else
     let mask = table_slots - 1 in
     let home = hash_span src off stop land mask in
@@ -147,7 +172,7 @@ let intern_span tbl src off stop =
     let e = Array.unsafe_get tbl.slots i in
     if e != vacant then e
     else begin
-      let e = make_entry (String.sub src off len) in
+      let e = make (String.sub src off len) in
       if tbl.used >= table_cap then begin
         Array.fill tbl.slots 0 table_slots vacant;
         tbl.used <- 0;
@@ -158,12 +183,39 @@ let intern_span tbl src off stop =
       e
     end
 
+let intern_span = intern_with make_entry
+
+(* A type spelling or a signature, which starts with [!] or [(]: no
+   identifier or name shares its bytes, so its entry needs no builtin type
+   or dotted split. *)
+let intern_memo_key =
+  intern_with (fun s ->
+      { spelling = s; builtin = None; dotted = None; memo = No_memo })
+
 let name_table_cap = table_cap
 let name_table_entries () = (Domain.DLS.get table_key).used
 
 let type_memo_stats () =
   let t = Domain.DLS.get table_key in
   (t.memo_hits, t.memo_misses)
+
+let signature_memo_stats () =
+  let t = Domain.DLS.get table_key in
+  (t.sig_hits, t.sig_misses)
+
+(* One past the closing quote of a string whose body starts at [i], or -1
+   when a newline or [stop] comes first. *)
+let rec string_end src stop i =
+  if i >= stop then -1
+  else
+    match String.unsafe_get src i with
+    | '"' -> i + 1
+    | '\n' -> -1
+    | '\\' ->
+        if i + 1 < stop && String.unsafe_get src (i + 1) <> '\n' then
+          string_end src stop (i + 2)
+        else -1
+    | _ -> string_end src stop (i + 1)
 
 (* The end (one past the closing [>]) of the type spelling whose [<] is
    just before [i], or -1. Strings are skipped, [->] is not a closer, and
@@ -180,21 +232,73 @@ let rec spelling_end src stop i depth =
         else spelling_end src stop (i + 1) (depth - 1)
     | '-' when i + 1 < stop && String.unsafe_get src (i + 1) = '>' ->
         spelling_end src stop (i + 2) depth
-    | '"' -> quoted_end src stop (i + 1) depth
+    | '"' ->
+        let j = string_end src stop (i + 1) in
+        if j < 0 then -1 else spelling_end src stop j depth
     | '\n' | '{' | '}' -> -1
     | _ -> spelling_end src stop (i + 1) depth
 
-and quoted_end src stop i depth =
+let is_comment src stop i =
+  i + 1 < stop && String.unsafe_get src (i + 1) = '/'
+  && String.unsafe_get src i = '/'
+
+(* One past the [)] that balances the [(] at [i], or -1. Strings are
+   skipped; the scan gives up at a newline, a brace, [//] or [stop]. *)
+let rec paren_end src stop i depth =
   if i >= stop then -1
   else
     match String.unsafe_get src i with
-    | '"' -> spelling_end src stop (i + 1) depth
-    | '\n' -> -1
-    | '\\' ->
-        if i + 1 < stop && String.unsafe_get src (i + 1) <> '\n' then
-          quoted_end src stop (i + 2) depth
-        else -1
-    | _ -> quoted_end src stop (i + 1) depth
+    | '(' -> paren_end src stop (i + 1) (depth + 1)
+    | ')' -> if depth = 1 then i + 1 else paren_end src stop (i + 1) (depth - 1)
+    | '"' ->
+        let j = string_end src stop (i + 1) in
+        if j < 0 then -1 else paren_end src stop j depth
+    | '\n' | '{' | '}' -> -1
+    | '/' when is_comment src stop i -> -1
+    | _ -> paren_end src stop (i + 1) depth
+
+let rec skip_blanks src stop i =
+  if i < stop
+     && (match String.unsafe_get src i with
+        | ' ' | '\t' | '\r' -> true
+        | _ -> false)
+  then skip_blanks src stop (i + 1)
+  else i
+
+(* One past the last non-blank byte from [i] on before a newline, a brace,
+   [//] or the window end [limit], or [last] when there is none, or -1
+   when the scan reaches a cap [stop] short of [limit] first: the bytes
+   after the cap might continue the last token. *)
+let rec line_end src stop limit i last =
+  if i >= stop then if stop = limit then last else -1
+  else
+    match String.unsafe_get src i with
+    | '\n' | '{' | '}' -> last
+    | '/' when is_comment src stop i -> last
+    | ' ' | '\t' | '\r' -> line_end src stop limit (i + 1) last
+    | '"' ->
+        let j = string_end src stop (i + 1) in
+        if j < 0 then -1 else line_end src stop limit j j
+    | _ -> line_end src stop limit (i + 1) (i + 1)
+
+(* The end of the op signature [(…) -> (…)] or [(…) -> ty] whose [(] is at
+   [i], scanning no further than [stop] (at most the window end [limit]),
+   or -1. A bare result type runs to the end of its line, up to a brace or
+   a comment, trailing blanks left out. Every end is a token boundary; like
+   {!spelling_end} the span is only a candidate. *)
+let signature_end src stop limit i =
+  let j = paren_end src stop i 0 in
+  let j = if j < 0 then stop else skip_blanks src stop j in
+  if j + 1 >= stop || String.unsafe_get src j <> '-'
+     || String.unsafe_get src (j + 1) <> '>'
+  then -1
+  else
+    let k = skip_blanks src stop (j + 2) in
+    if k >= stop then -1
+    else if String.unsafe_get src k = '(' then paren_end src stop k 0
+    else
+      let e = line_end src stop limit k k in
+      if e = k then -1 else e
 
 (* ------------------------------------------------------------------ *)
 (* Tokens                                                              *)
@@ -248,6 +352,187 @@ let punct_text = function
       ""
 
 (* ------------------------------------------------------------------ *)
+(* The scope table                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* [%name]s are looked up by their bytes in the source. A slot holds the
+   offset of one occurrence of the name, the stamp of the scope that bound
+   it, and the binding, so a name costs no allocation.
+
+   Scoping is MLIR's. A definition made inside a region is dropped when
+   the region closes; a forward placeholder is bound at depth 0, so it
+   stays visible to the enclosing scopes until it is defined. Nothing is
+   erased on close: each scope opened gets a fresh stamp, larger than
+   those of the scopes around it, and a binding is live only while its
+   stamp is one of the open scopes'. Dead slots are reused by later
+   bindings and dropped when the table is rebuilt, which it is when three
+   quarters of its slots are taken.
+
+   The table is per domain, like the name table, and kept across
+   sessions: a session claims it and empties it in place when it ends.
+   Arrays over 256 words go straight to the major heap, so allocating one
+   per [--split-input-file] chunk would cost memory. *)
+
+type 'a scope = {
+  mutable keys : int array;
+      (** per slot: the name's offset (-1 when empty) and the stamp of the
+          scope that bound it *)
+  mutable vals : 'a array;
+  mutable taken : int;  (** non-empty slots *)
+  dummy : 'a;
+}
+
+type scopes = {
+  values : Graph.value scope;
+  mutable src : string;  (** the session's source ... *)
+  mutable limit : int;  (** ... and the end of its window *)
+  mutable stamps : int array;
+      (** the stamp of the open scope at each depth, increasing with it *)
+  mutable depth : int;
+  mutable stamp : int;  (** the last stamp handed out *)
+  mutable in_use : bool;  (** a parse session holds it *)
+}
+
+let value_slots = 1024 (* a power of two *)
+
+let new_scope slots dummy =
+  { keys = Array.make (2 * slots) (-1); vals = Array.make slots dummy;
+    taken = 0; dummy }
+
+let new_scopes slots =
+  { values = new_scope slots (Graph.Value.forward_ref ""); src = "";
+    limit = 0; stamps = Array.make 8 0; depth = 0; stamp = 0;
+    in_use = false }
+
+(* Whether [st] is among [stamps.(lo .. hi)], which increase. *)
+let rec stamp_in stamps st lo hi =
+  lo <= hi
+  &&
+  let mid = (lo + hi) / 2 in
+  let m = Array.unsafe_get stamps mid in
+  m = st
+  || if m < st then stamp_in stamps st (mid + 1) hi
+     else stamp_in stamps st lo (mid - 1)
+
+(* Whether the binding in slot [i] of [keys] was made in a scope that is
+   still open. Other slots are dead. *)
+let live_at sc keys i =
+  stamp_in sc.stamps (Array.unsafe_get keys ((2 * i) + 1)) 0 sc.depth
+
+let live sc s i = live_at sc s.keys i
+
+(* A slot keeps no length: a name is the run of identifier bytes at its
+   offset, cut at the window end as the lexer cuts it. *)
+let name_ends sc i =
+  i >= sc.limit || not (Sbuf.is_ident_char (String.unsafe_get sc.src i))
+
+let rec name_end sc i = if name_ends sc i then i else name_end sc (i + 1)
+
+(* The slot of the live binding of [src.[off .. off+len-1]], or [-j-1]
+   where [j] is the slot a new binding of it goes to: the first dead slot
+   on its probe chain, else the empty slot ending it. *)
+let rec find sc s off len mask i free =
+  let o = Array.unsafe_get s.keys (2 * i) in
+  if o < 0 then -(if free >= 0 then free else i) - 1
+  else if not (live sc s i) then
+    let free = if free >= 0 then free else i in
+    find sc s off len mask ((i + 1) land mask) free
+  else if o + len <= sc.limit && same_bytes sc.src o sc.src off len && name_ends sc (o + len)
+  then i
+  else find sc s off len mask ((i + 1) land mask) free
+
+let lookup sc s off len =
+  let mask = Array.length s.vals - 1 in
+  find sc s off len mask (hash_span sc.src off (off + len) land mask) (-1)
+
+let rec empty keys mask j =
+  if keys.(2 * j) < 0 then j else empty keys mask ((j + 1) land mask)
+
+(* Drop the dead slots: the live bindings move to a table of the same
+   size, or twice the size when they fill three eighths of this one. *)
+let rebuild sc s =
+  let n = Array.length s.vals and keys = s.keys and vals = s.vals in
+  let count = ref 0 in
+  for i = 0 to n - 1 do
+    if keys.(2 * i) >= 0 && live_at sc keys i then incr count
+  done;
+  let slots = if 8 * !count >= 3 * n then 2 * n else n in
+  s.keys <- Array.make (2 * slots) (-1);
+  s.vals <- Array.make slots s.dummy;
+  s.taken <- !count;
+  let mask = slots - 1 in
+  for i = 0 to n - 1 do
+    let off = keys.(2 * i) in
+    if off >= 0 && live_at sc keys i then begin
+      let h = hash_span sc.src off (name_end sc off) in
+      let j = empty s.keys mask (h land mask) in
+      s.keys.(2 * j) <- off;
+      s.keys.((2 * j) + 1) <- keys.((2 * i) + 1);
+      s.vals.(j) <- vals.(i)
+    end
+  done
+
+(* Bind the name at [off] to [v] in the open scope at [depth], in the slot
+   [lookup] returned for it. *)
+let bind sc s slot off depth v =
+  let i = if slot < 0 then -slot - 1 else slot in
+  if s.keys.(2 * i) < 0 then s.taken <- s.taken + 1;
+  s.keys.(2 * i) <- off;
+  s.keys.((2 * i) + 1) <- sc.stamps.(depth);
+  s.vals.(i) <- v;
+  if 4 * s.taken > 3 * Array.length s.vals then rebuild sc s
+
+let open_scope sc =
+  sc.depth <- sc.depth + 1;
+  sc.stamp <- sc.stamp + 1;
+  if sc.depth = Array.length sc.stamps then
+    sc.stamps <- Array.append sc.stamps (Array.make sc.depth 0);
+  sc.stamps.(sc.depth) <- sc.stamp
+
+(* The scopes a new session starts with: the domain's when they are
+   free, else fresh ones that become the domain's. So a session that is
+   never finished keeps its own and costs later sessions one allocation,
+   not one each. *)
+let scopes_key : scopes ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      ref (new_scopes value_slots))
+
+let claim_scopes src limit =
+  let slot = Domain.DLS.get scopes_key in
+  if !slot.in_use then
+    slot := new_scopes value_slots;
+  let sc = !slot in
+  sc.in_use <- true;
+  sc.src <- src;
+  sc.limit <- limit;
+  sc
+
+(* Empty a table at the end of a session, in place: it holds on to no
+   value of the session, and the next one allocates nothing. A table a
+   large session grew is replaced by a small one. *)
+let reset s slots =
+  if Array.length s.vals > slots then begin
+    s.keys <- Array.make (2 * slots) (-1);
+    s.vals <- Array.make slots s.dummy
+  end
+  else if s.taken > 0 then begin
+    Array.fill s.keys 0 (2 * slots) (-1);
+    Array.fill s.vals 0 slots s.dummy
+  end;
+  s.taken <- 0
+
+let release_scopes sc =
+  if sc.in_use then begin
+    reset sc.values value_slots;
+    sc.src <- "";
+    sc.in_use <- false
+  end
+
+(* Scopes for a parser that binds no name (a standalone type or
+   attribute); never claimed, never written. *)
+let no_scopes = new_scopes 1
+
+(* ------------------------------------------------------------------ *)
 (* Parser state                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -283,7 +568,13 @@ type t = {
   mutable e_col : int;
   mutable last_end : int;  (** end offset of the last consumed token *)
   mutable lex_errors : int;  (** lexer errors recovered so far *)
-  values : (string, Graph.value) Hashtbl.t;
+  scopes : scopes;  (** the [%name] bindings *)
+  mutable labels : (string, Graph.block) Hashtbl.t option;
+      (** the current region's, made at its first label *)
+  mutable names_at : int array;
+      (** the result names of the ops being parsed, a stack of [%]
+          offset, end offset, line and column *)
+  mutable names_top : int;
   (* Forward references: placeholders in creation order. Every one below
      [fwd_low] has been defined, so "all forwards created before id [n]
      resolved" is an amortized O(1) check. *)
@@ -377,13 +668,12 @@ let lex_string p =
   end;
   Str
 
-(* A [%] or [^] name: not interned, they rarely repeat across chunks. *)
+(* A [%] name is looked up by its span in the scope table, a [^] label
+   by the string {!label_block} makes: no payload is made. *)
 let lex_id p tok =
   let buf = p.buf in
   Sbuf.advance buf;
-  let start = Sbuf.offset buf in
   Sbuf.skip_ident buf;
-  p.text <- String.sub (Sbuf.src buf) start (Sbuf.offset buf - start);
   tok
 
 let lex_name p ~skip tok =
@@ -469,15 +759,17 @@ let rec next_token p =
           next_token p)
 
 (* A parser before its first token: it reads as [Eof]. *)
-let make ?engine ~budget ctx buf =
+let make ?engine ~budget ~scopes ctx buf =
   { ctx; buf; names = Domain.DLS.get table_key; engine; budget; tok = Eof;
     text = ""; entry = vacant; num = 0L; fnum = 0.; t_off = 0; t_line = 0;
     t_col = 0; e_off = 0; e_line = 0; e_col = 0; last_end = 0;
-    lex_errors = 0; values = Hashtbl.create 64; fwds = [||]; n_fwds = 0;
-    fwd_low = 0 }
+    lex_errors = 0; scopes; labels = None; names_at = [||]; names_top = 0;
+    fwds = [||]; n_fwds = 0; fwd_low = 0 }
 
+(* [scoped:false] for a parse that binds no name, which then claims no
+   scope table. *)
 let create ?(file = "<string>") ?engine ?(limits = Limits.unlimited) ?window
-    ctx src =
+    ?(scoped = true) ctx src =
   let budget = Limits.budget limits in
   let w = match window with Some w -> w | None -> Sbuf.whole src in
   let buf = Sbuf.create ~file ~window:w src in
@@ -485,8 +777,15 @@ let create ?(file = "<string>") ?engine ?(limits = Limits.unlimited) ?window
     ~loc:(Loc.point (Sbuf.pos buf))
     (w.Sbuf.stop - w.Sbuf.start);
   Failpoints.hit "parse";
-  let p = make ?engine ~budget ctx buf in
-  next_token p;
+  let scopes =
+    if scoped then claim_scopes src (Sbuf.limit buf) else no_scopes
+  in
+  let p = make ?engine ~budget ~scopes ctx buf in
+  (match next_token p with
+  | () -> ()
+  | exception e ->
+      release_scopes p.scopes;
+      raise e);
   p
 
 let advance p =
@@ -501,10 +800,14 @@ let bang_entry p =
   end;
   p.entry
 
+(* The name of the current [%] or [^] token, without its sigil. *)
+let id_text p =
+  String.sub (Sbuf.src p.buf) (p.t_off + 1) (p.e_off - p.t_off - 1)
+
 let pp_token p ppf () =
   match p.tok with
-  | Value_id -> Fmt.pf ppf "%%%s" p.text
-  | Block_id -> Fmt.pf ppf "^%s" p.text
+  | Value_id -> Fmt.pf ppf "%%%s" (id_text p)
+  | Block_id -> Fmt.pf ppf "^%s" (id_text p)
   | Symbol_id -> Fmt.pf ppf "@%s" p.text
   | Bang_id -> Fmt.pf ppf "!%s" (bang_entry p).spelling
   | Hash_id -> Fmt.pf ppf "#%s" p.text
@@ -566,7 +869,7 @@ let rec parse_ty p : Attr.ty =
   | Ident when String.equal p.text "tuple" ->
       advance p;
       expect p Less;
-      Attr.tuple (parse_ty_list_until p Greater)
+      Attr.tuple (Array.to_list (parse_ty_array_until p Greater))
   | Ident -> (
       match p.entry.builtin with
       | Some ty ->
@@ -576,14 +879,21 @@ let rec parse_ty p : Attr.ty =
   | Bang_id ->
       if Sbuf.peek p.buf = '<' then parse_spelled_ty p else parse_dynamic_ty p
   | Lparen ->
-      advance p;
-      let inputs = parse_ty_list_until p Rparen in
-      expect p Arrow;
-      let outputs =
-        if accept p Lparen then parse_ty_list_until p Rparen else [ parse_ty p ]
-      in
-      Attr.function_ty ~inputs ~outputs
+      let { operand_tys; result_tys } = parse_function_tys p in
+      Attr.function_ty ~inputs:(Array.to_list operand_tys)
+        ~outputs:(Array.to_list result_tys)
   | _ -> fail p "expected a type"
+
+(* [(…) -> (…)] or [(…) -> ty], at its [(]. *)
+and parse_function_tys p =
+  advance p;
+  let operand_tys = parse_ty_array_until p Rparen in
+  expect p Arrow;
+  let result_tys =
+    if accept p Lparen then parse_ty_array_until p Rparen
+    else [| parse_ty p |]
+  in
+  { operand_tys; result_tys }
 
 (* [!d.t<...>] with the [<] right after the name: the type-spelling memo.
    Parsing reads no context state, so the same bytes always parse to the
@@ -600,20 +910,20 @@ and parse_spelled_ty p =
   in
   if stop < 0 then parse_dynamic_ty p
   else
-    let key = intern_span p.names src p.t_off stop in
+    let key = intern_memo_key p.names src p.t_off stop in
     match key.memo with
-    | Some ty ->
+    | Ty ty ->
         p.names.memo_hits <- p.names.memo_hits + 1;
         Sbuf.jump buf stop;
         p.last_end <- stop;
         next_token p;
         ty
-    | None ->
+    | No_memo | Sig _ ->
         p.names.memo_misses <- p.names.memo_misses + 1;
         let lex_errors = p.lex_errors in
         let ty = parse_dynamic_ty p in
         if p.last_end = stop && p.lex_errors = lex_errors then
-          key.memo <- Some ty;
+          key.memo <- Ty ty;
         ty
 
 and parse_dynamic_ty p =
@@ -623,15 +933,21 @@ and parse_dynamic_ty p =
   let params = if accept p Less then parse_attr_list_until p Greater else [] in
   Attr.dynamic ~dialect ~name params
 
-and parse_ty_list_until p closer =
-  if accept p closer then [] else parse_ty_list p closer []
+and parse_ty_array_until p closer =
+  if accept p closer then [||] else parse_ty_array p closer 0
 
-and parse_ty_list p closer acc =
+(* The types up to [closer], the [i]th first: the array is made once its
+   length is known, with no list on the way. *)
+and parse_ty_array p closer i =
   let ty = parse_ty p in
-  if accept p Comma then parse_ty_list p closer (ty :: acc)
-  else (
-    expect p closer;
-    List.rev (ty :: acc))
+  let tys =
+    if accept p Comma then parse_ty_array p closer (i + 1)
+    else (
+      expect p closer;
+      Array.make (i + 1) ty)
+  in
+  Array.unsafe_set tys i ty;
+  tys
 
 and parse_attr p : Attr.t =
   match p.tok with
@@ -684,9 +1000,7 @@ and parse_attr p : Attr.t =
   | Lbrack ->
       advance p;
       Attr.array (parse_attr_list_until p Rbrack)
-  | Lbrace ->
-      advance p;
-      Attr.dict (parse_attr_dict_entries p)
+  | Lbrace -> Attr.dict (parse_attr_dict p)
   | Hash_id -> parse_hash_attr p
   | Bang_id | Lparen -> Attr.typ (parse_ty p)
   | _ -> fail p "expected an attribute"
@@ -734,8 +1048,21 @@ and parse_attr_list p closer acc =
     expect p closer;
     List.rev (a :: acc))
 
-and parse_attr_dict_entries p =
-  if accept p Rbrace then [] else parse_dict_entries p []
+(* [{k = v, ...}], at its [{]: an op's attributes or a dictionary
+   attribute. A repeated key is an error at the [{]. *)
+and parse_attr_dict p =
+  let off = p.t_off and line = p.t_line and col = p.t_col in
+  advance p;
+  let entries = if accept p Rbrace then [] else parse_dict_entries p [] in
+  (match Attr.duplicate_key entries with
+  | Some k ->
+      Diag.raise_error
+        ~loc:
+          (Loc.span (pos_at p off line col)
+             (pos_at p (off + 1) line (col + 1)))
+        "%s" (Attr.duplicate_key_message k)
+  | None -> ());
+  entries
 
 and parse_dict_entries p acc =
   let key = expect_ident p in
@@ -745,6 +1072,37 @@ and parse_dict_entries p acc =
   else (
     expect p Rbrace;
     List.rev ((key, v) :: acc))
+
+(* An op signature, at its [(]: the signature memo. As with a type
+   spelling, the types depend on the bytes alone, so a hit jumps the
+   cursor past them and shares the cached arrays. A span is recorded only
+   when a full parse consumed exactly it without a recovered lexer
+   error. *)
+let parse_signature p =
+  if p.tok != Lparen then fail p "expected '('";
+  let buf = p.buf in
+  let src = Sbuf.src buf and limit = Sbuf.limit buf in
+  let stop =
+    signature_end src (min limit (p.t_off + max_spelling)) limit p.t_off
+  in
+  if stop < 0 then parse_function_tys p
+  else
+    let key = intern_memo_key p.names src p.t_off stop in
+    let t = p.names in
+    match key.memo with
+    | Sig s ->
+        t.sig_hits <- t.sig_hits + 1;
+        Sbuf.jump buf stop;
+        p.last_end <- stop;
+        next_token p;
+        s
+    | No_memo | Ty _ ->
+        t.sig_misses <- t.sig_misses + 1;
+        let lex_errors = p.lex_errors in
+        let s = parse_function_tys p in
+        if p.last_end = stop && p.lex_errors = lex_errors then
+          key.memo <- Sig s;
+        s
 
 (* ------------------------------------------------------------------ *)
 (* Values and blocks                                                   *)
@@ -780,41 +1138,52 @@ let undefined p =
   go (p.n_fwds - 1) []
 
 (** Resolve a value use; creates a forward placeholder on first use before
-    definition, remembering where that first use was for error reporting. *)
+    definition, remembering where that first use was for error reporting.
+    The placeholder is bound at depth 0: it stays visible after the region
+    of its use closes. *)
 let parse_value_use p =
   if p.tok != Value_id then fail p "expected SSA value name";
-  let name = p.text in
-  match Hashtbl.find p.values name with
-  | v ->
-      advance p;
-      v
-  | exception Not_found ->
-      let v = Graph.Value.forward_ref name in
-      add_forward p { f_name = name; f_loc = loc p; f_val = v };
-      Hashtbl.replace p.values name v;
-      advance p;
-      v
+  let sc = p.scopes in
+  let off = p.t_off + 1 and len = p.e_off - p.t_off - 1 in
+  let slot = lookup sc sc.values off len in
+  if slot >= 0 then begin
+    advance p;
+    Array.unsafe_get sc.values.vals slot
+  end
+  else begin
+    let name = String.sub sc.src off len in
+    let v = Graph.Value.forward_ref name in
+    add_forward p { f_name = name; f_loc = loc p; f_val = v };
+    bind sc sc.values slot off 0 v;
+    advance p;
+    v
+  end
 
-(** Bind a definition for [name]. If a forward placeholder exists it is
-    patched in place (keeping use identity) and returned. *)
-let define_value p name (fresh : Graph.value) =
-  match Hashtbl.find p.values name with
-  | { v_def = Graph.Forward_ref _; _ } as placeholder ->
-      placeholder.v_ty <- fresh.v_ty;
-      placeholder.v_def <- fresh.v_def;
-      placeholder
-  | _ ->
-      Hashtbl.replace p.values name fresh;
-      fresh
-  | exception Not_found ->
-      Hashtbl.add p.values name fresh;
-      fresh
-
-let expect_value_id p =
-  if p.tok != Value_id then fail p "expected SSA value name";
-  let s = p.text in
-  advance p;
-  s
+(** Bind the name spelled from the [%] at [off] to [stop] (on [line], at
+    [col]) to a definition in the current scope. A forward placeholder is
+    patched in place (keeping use identity) and returned; a name that is
+    already defined and visible is an error there. *)
+let define_value p ~off ~stop ~line ~col (fresh : Graph.value) =
+  let sc = p.scopes in
+  let slot = lookup sc sc.values (off + 1) (stop - off - 1) in
+  let bound =
+    if slot < 0 then fresh
+    else
+      match sc.values.vals.(slot) with
+      | { v_def = Graph.Forward_ref _; _ } as placeholder ->
+          placeholder.v_ty <- fresh.v_ty;
+          placeholder.v_def <- fresh.v_def;
+          placeholder
+      | _ ->
+          Diag.raise_error
+            ~loc:
+              (Loc.span (pos_at p off line col)
+                 (pos_at p stop line (col + stop - off)))
+            "redefinition of SSA value '%s'"
+            (String.sub sc.src off (stop - off))
+  in
+  bind sc sc.values slot (off + 1) sc.depth bound;
+  bound
 
 (* ------------------------------------------------------------------ *)
 (* Operations                                                          *)
@@ -828,25 +1197,60 @@ let at_op_start p =
   | Ident -> Option.is_some p.entry.dotted
   | _ -> false
 
+(* How deep inside its own structure an op that starts at [i] failed at
+   [stop]: the braces and parens opened in [src.[i .. stop-1]] and not
+   closed, from the outermost open brace in, strings and comments skipped.
+   [open_] lists them innermost first, [true] for a brace. Parens left
+   open outside any brace are not counted: they more likely end a
+   truncated line than a structure the op goes on with. *)
+let rec nesting src stop i open_ =
+  if i >= stop then
+    let rec from_brace = function
+      | true :: _ as inner -> List.length inner
+      | false :: outer -> from_brace outer
+      | [] -> 0
+    in
+    from_brace (List.rev open_)
+  else
+    match String.unsafe_get src i with
+    | '{' -> nesting src stop (i + 1) (true :: open_)
+    | '(' -> nesting src stop (i + 1) (false :: open_)
+    | '}' | ')' ->
+        nesting src stop (i + 1) (match open_ with [] -> [] | _ :: o -> o)
+    | '"' ->
+        let j = string_end src stop (i + 1) in
+        nesting src stop (if j < 0 then i + 1 else j) open_
+    | '/' when is_comment src stop i ->
+        let j =
+          match String.index_from_opt src i '\n' with
+          | Some j -> j
+          | None -> stop
+        in
+        nesting src stop j open_
+    | _ -> nesting src stop (i + 1) open_
+
 (* Skip tokens after a failed operation until something that can start the
    next one, a closing [}] of the enclosing region (left unconsumed for the
    region parser), or end of file. Brace/paren nesting is tracked so tokens
    inside the abandoned op's sub-structure are not mistaken for sync
-   points. *)
-let rec resync_op p depth =
-  match p.tok with
-  | Eof -> ()
-  | Rbrace when depth = 0 -> ()
-  | _ when depth = 0 && at_op_start p -> ()
-  | Lbrace | Lparen ->
-      advance p;
-      resync_op p (depth + 1)
-  | Rbrace | Rparen ->
-      advance p;
-      resync_op p (max 0 (depth - 1))
-  | _ ->
-      advance p;
-      resync_op p depth
+   points; it starts at the nesting the op failed in. *)
+let resync_op p ~start =
+  let rec go depth =
+    match p.tok with
+    | Eof -> ()
+    | Rbrace when depth = 0 -> ()
+    | _ when depth = 0 && at_op_start p -> ()
+    | Lbrace | Lparen ->
+        advance p;
+        go (depth + 1)
+    | Rbrace | Rparen ->
+        advance p;
+        go (max 0 (depth - 1))
+    | _ ->
+        advance p;
+        go depth
+  in
+  go (nesting (Sbuf.src p.buf) p.t_off start [])
 
 (* After an op failed and recovery resynchronized: never loop without
    consuming. *)
@@ -854,60 +1258,89 @@ let ensure_progress p ~before =
   if p.t_off = before then
     match p.tok with Eof | Rbrace | Block_id -> () | _ -> advance p
 
-type block_scope = (string, Graph.block) Hashtbl.t
-
-let scope_block (scope : block_scope) name =
-  match Hashtbl.find_opt scope name with
-  | Some b -> b
+(* The block the [^label] token names in the current region, created on
+   first sight. *)
+let label_block p =
+  let labels =
+    match p.labels with
+    | Some t -> t
+    | None ->
+        let t = Hashtbl.create 4 in
+        p.labels <- Some t;
+        t
+  in
+  let off = p.t_off + 1 in
+  let name = String.sub (Sbuf.src p.buf) off (p.e_off - off) in
+  match Hashtbl.find_opt labels name with
+  | Some b -> (name, b)
   | None ->
       let b = Graph.Block.create () in
-      Hashtbl.replace scope name b;
-      b
+      Hashtbl.replace labels name b;
+      (name, b)
 
-let rec parse_names p acc =
-  let n = expect_value_id p in
-  if accept p Comma then parse_names p (n :: acc) else List.rev (n :: acc)
+(* Push the result names [%a, %b, ...] onto [names_at]; their number. *)
+let rec push_names p n =
+  if p.tok != Value_id then fail p "expected SSA value name";
+  let i = p.names_top in
+  if i + 4 > Array.length p.names_at then begin
+    let grown = Array.make (max 16 (2 * i)) 0 in
+    Array.blit p.names_at 0 grown 0 i;
+    p.names_at <- grown
+  end;
+  let a = p.names_at in
+  a.(i) <- p.t_off;
+  a.(i + 1) <- p.e_off;
+  a.(i + 2) <- p.t_line;
+  a.(i + 3) <- p.t_col;
+  p.names_top <- i + 4;
+  advance p;
+  if accept p Comma then push_names p (n + 1) else n + 1
 
-let rec parse_operands p acc =
+(* The operands up to [)], the [i]th first: as {!parse_ty_array}. *)
+let rec parse_operands p i =
   let v = parse_value_use p in
-  if accept p Comma then parse_operands p (v :: acc)
-  else (
-    expect p Rparen;
-    List.rev (v :: acc))
+  let vs =
+    if accept p Comma then parse_operands p (i + 1)
+    else (
+      expect p Rparen;
+      Array.make (i + 1) v)
+  in
+  Array.unsafe_set vs i v;
+  vs
 
 (* Set (for forwards) or check operand types. *)
-let rec bind_operand_tys ~name ~op_loc (operands : Graph.value list) tys =
-  match (operands, tys) with
-  | v :: vs, ty :: tys ->
-      (match v.v_def with
-      | Graph.Forward_ref _ -> v.v_ty <- ty
-      | _ ->
-          if not (Attr.equal_ty v.v_ty ty) then
-            Diag.raise_error ~loc:op_loc
-              "'%s': operand has type %s but was declared with %s" name
-              (Attr.ty_to_string v.v_ty) (Attr.ty_to_string ty));
-      bind_operand_tys ~name ~op_loc vs tys
-  | _ -> ()
+let bind_operand_tys ~name ~op_loc (operands : Graph.value array) tys =
+  for i = 0 to Array.length operands - 1 do
+    let v = Array.unsafe_get operands i and ty = Array.unsafe_get tys i in
+    match v.Graph.v_def with
+    | Graph.Forward_ref _ -> v.v_ty <- ty
+    | _ ->
+        if not (Attr.equal_ty v.v_ty ty) then
+          Diag.raise_error ~loc:op_loc
+            "'%s': operand has type %s but was declared with %s" name
+            (Attr.ty_to_string v.v_ty) (Attr.ty_to_string ty)
+  done
 
-let rec parse_op p ~(scope : block_scope option) : Graph.op =
+let rec parse_op p : Graph.op =
   let op_loc = loc p in
   (* Budget accounting happens before anything is consumed; a blown budget
      raises [Fatal_exn], which skips op-boundary recovery entirely. *)
   Limits.tick_op p.budget ~loc:op_loc;
   (* Optional result list: %a, %b = ... *)
-  let result_names =
+  let base = p.names_top in
+  let n_names =
     if p.tok == Value_id then (
-      let names = parse_names p [] in
+      let n = push_names p 0 in
       expect p Equal;
-      names)
-    else []
+      n)
+    else 0
   in
   let op =
     match p.tok with
     | Str ->
         let name = p.text in
         advance p;
-        parse_generic_body p ~scope ~name ~op_loc
+        parse_generic_body p ~name ~op_loc
     | Ident when Option.is_some p.entry.dotted -> (
         let name = p.text in
         advance p;
@@ -922,38 +1355,38 @@ let rec parse_op p ~(scope : block_scope option) : Graph.op =
         | None -> fail p "unknown operation '%s' in custom form" name)
     | _ -> fail p "expected an operation"
   in
-  if result_names <> [] then (
-    if List.length result_names <> Graph.Op.num_results op then
+  if n_names > 0 then begin
+    if n_names <> Graph.Op.num_results op then
       Diag.raise_error ~loc:op_loc
         "'%s' produces %d results but %d names were bound" op.Graph.op_name
-        (Graph.Op.num_results op)
-        (List.length result_names);
+        (Graph.Op.num_results op) n_names;
     (* Forward placeholders are patched in place and substituted for the
        fresh result values, keeping the identity earlier uses point at. *)
-    List.iteri
-      (fun i name ->
-        op.Graph.op_results.(i) <-
-          define_value p name op.Graph.op_results.(i))
-      result_names);
+    for i = 0 to n_names - 1 do
+      let a = p.names_at and j = base + (4 * i) in
+      op.Graph.op_results.(i) <-
+        define_value p ~off:a.(j) ~stop:a.(j + 1) ~line:a.(j + 2)
+          ~col:a.(j + 3) op.Graph.op_results.(i)
+    done
+  end;
+  p.names_top <- base;
   op
 
-and parse_generic_body p ~scope ~name ~op_loc : Graph.op =
+and parse_generic_body p ~name ~op_loc : Graph.op =
   expect p Lparen;
-  let operands = if accept p Rparen then [] else parse_operands p [] in
+  let operands = if accept p Rparen then [||] else parse_operands p 0 in
   let successors =
     if accept p Lbrack then (
-      let scope =
-        match scope with
-        | Some s -> s
-        | None ->
-            Diag.raise_error ~loc:op_loc
-              "successors are only allowed inside a region"
-      in
+      if p.scopes.depth = 0 then
+        Diag.raise_error ~loc:op_loc
+          "successors are only allowed inside a region";
       let rec go acc =
-        let tok = p.tok and b = p.text in
+        if p.tok != Block_id then begin
+          advance p;
+          fail p "expected block name"
+        end;
+        let _, blk = label_block p in
         advance p;
-        if tok != Block_id then fail p "expected block name";
-        let blk = scope_block scope b in
         if accept p Comma then go (blk :: acc)
         else (
           expect p Rbrack;
@@ -974,54 +1407,58 @@ and parse_generic_body p ~scope ~name ~op_loc : Graph.op =
       go []
     else []
   in
-  let attrs = if accept p Lbrace then parse_attr_dict_entries p else [] in
+  let attrs = if p.tok == Lbrace then parse_attr_dict p else [] in
   expect p Colon;
-  expect p Lparen;
-  let operand_tys = parse_ty_list_until p Rparen in
-  expect p Arrow;
-  let result_tys =
-    if accept p Lparen then parse_ty_list_until p Rparen else [ parse_ty p ]
-  in
-  if List.compare_lengths operand_tys operands <> 0 then
+  let { operand_tys; result_tys; _ } = parse_signature p in
+  if Array.length operand_tys <> Array.length operands then
     Diag.raise_error ~loc:op_loc
-      "'%s': %d operands but %d operand types" name (List.length operands)
-      (List.length operand_tys);
+      "'%s': %d operands but %d operand types" name (Array.length operands)
+      (Array.length operand_tys);
   bind_operand_tys ~name ~op_loc operands operand_tys;
   (* Every type and attribute parsed is already canonical in this domain's
      uniquer shard. *)
-  Graph.Op.create_prebuilt ~operands:(Array.of_list operands)
-    ~result_tys:(Array.of_list result_tys) ~attrs ~regions ~successors
+  Graph.Op.create_prebuilt ~operands ~result_tys ~attrs ~regions ~successors
     ~loc:op_loc name
 
 (* Operations up to the end of a block. In fail-soft mode each operation is
    parsed under its own protection, so one bad op in a block does not
    abandon the ops after it. *)
-and parse_block_body p scope blk =
+and parse_block_body p blk =
   match p.tok with
   | Rbrace | Block_id | Eof -> ()
   | _ -> (
       match p.engine with
       | None ->
-          Graph.Block.append blk (parse_op p ~scope:(Some scope));
-          parse_block_body p scope blk
+          Graph.Block.append blk (parse_op p);
+          parse_block_body p blk
       | Some e ->
           if not (Diag.Engine.limit_reached e) then begin
-            let before = p.t_off in
-            (match parse_op p ~scope:(Some scope) with
+            let before = p.t_off and names_top = p.names_top in
+            (match parse_op p with
             | op -> Graph.Block.append blk op
             | exception Diag.Error_exn d ->
                 Diag.Engine.emit e d;
-                resync_op p 0;
+                p.names_top <- names_top;
+                resync_op p ~start:before;
                 ensure_progress p ~before);
-            parse_block_body p scope blk
+            parse_block_body p blk
           end)
 
+(* A region is a scope: its definitions and labels are dropped when it
+   closes, also when it fails. *)
 and parse_region p : Graph.region =
   let region_start = loc p in
   Limits.enter_region p.budget ~loc:region_start;
-  Fun.protect ~finally:(fun () -> Limits.leave_region p.budget) @@ fun () ->
+  let sc = p.scopes in
+  let depth = sc.depth and labels = p.labels in
+  Fun.protect ~finally:(fun () ->
+      Limits.leave_region p.budget;
+      sc.depth <- depth;
+      p.labels <- labels)
+  @@ fun () ->
   expect p Lbrace;
-  let scope : block_scope = Hashtbl.create 4 in
+  open_scope sc;
+  p.labels <- None;
   let region = Graph.Region.create () in
   (* Implicit entry block: operations before any ^label. *)
   (match p.tok with
@@ -1029,26 +1466,28 @@ and parse_region p : Graph.region =
   | _ ->
       let entry = Graph.Block.create () in
       Graph.Region.add_block region entry;
-      parse_block_body p scope entry);
+      parse_block_body p entry);
   let rec labeled_blocks () =
     if p.tok == Block_id then begin
-      let label = p.text in
+      let label, blk = label_block p in
       advance p;
-      let blk = scope_block scope label in
       if blk.Graph.blk_parent <> None then
         Diag.raise_error ~loc:(loc p) "duplicate block label ^%s" label;
       (* Block arguments: (%a: ty, ...) *)
       if accept p Lparen then
         if not (accept p Rparen) then begin
           let rec args () =
-            let name = expect_value_id p in
+            if p.tok != Value_id then fail p "expected SSA value name";
+            let off = p.t_off and stop = p.e_off in
+            let line = p.t_line and col = p.t_col in
+            advance p;
             expect p Colon;
             let ty = parse_ty p in
             let v = Graph.Block.add_arg blk ty in
             (* As with results: a forward placeholder is patched in place
                and substituted into the argument slot, keeping the
                identity earlier uses point at. *)
-            let bound = define_value p name v in
+            let bound = define_value p ~off ~stop ~line ~col v in
             if bound != v then
               blk.Graph.blk_args.(Graph.Block.num_args blk - 1) <- bound;
             if accept p Comma then args () else expect p Rparen
@@ -1057,18 +1496,18 @@ and parse_region p : Graph.region =
         end;
       expect p Colon;
       Graph.Region.add_block region blk;
-      parse_block_body p scope blk;
+      parse_block_body p blk;
       labeled_blocks ()
     end
   in
   labeled_blocks ();
   expect p Rbrace;
   (* Every referenced block must have been defined (attached). *)
-  Hashtbl.iter
-    (fun name (b : Graph.block) ->
-      if b.blk_parent = None then
-        Diag.raise_error ~loc:region_start "use of undefined block ^%s" name)
-    scope;
+  Option.iter
+    (Hashtbl.iter (fun name (b : Graph.block) ->
+         if b.blk_parent = None then
+           Diag.raise_error ~loc:region_start "use of undefined block ^%s" name))
+    p.labels;
   region
 
 and parse_custom_body p ~name ~od:_ ~(format : Opfmt.t) ~op_loc : Graph.op =
@@ -1239,7 +1678,7 @@ module Stream = struct
           sp =
             make ?engine
               ~budget:(Limits.budget Limits.unlimited)
-              ctx (Sbuf.create ~file:"" "");
+              ~scopes:no_scopes ctx (Sbuf.create ~file:"" "");
           s_engine = engine;
           s_queue = Queue.create ();
           s_eof = true;
@@ -1273,11 +1712,12 @@ module Stream = struct
               (Diag.error ~loc:brace_loc "unexpected '}'")
       | _ -> (
           let before = p.t_off in
-          match parse_op p ~scope:None with
+          p.names_top <- 0;
+          match parse_op p with
           | op -> enqueue s op
           | exception Diag.Error_exn d ->
               Diag.Engine.emit engine d;
-              resync_op p 0;
+              resync_op p ~start:before;
               if p.t_off = before && p.tok != Eof then advance p)
 
   (* Consume one top-level op in fail-fast mode; raises on error. *)
@@ -1285,7 +1725,7 @@ module Stream = struct
     let p = s.sp in
     match p.tok with
     | Eof -> s.s_eof <- true
-    | _ -> enqueue s (parse_op p ~scope:None)
+    | _ -> enqueue s (parse_op p)
 
   (* End-of-input bookkeeping, once: the undefined-value check of [finish]
      (fail-fast) or [finish_collect] (fail-soft). After it runs, any still-
@@ -1293,6 +1733,7 @@ module Stream = struct
   let finish_stream s =
     if not s.s_finished then begin
       s.s_finished <- true;
+      release_scopes s.sp.scopes;
       match s.s_engine with
       | Some engine -> finish_collect s.sp engine
       | None -> finish s.sp
@@ -1326,6 +1767,7 @@ module Stream = struct
             (match s.s_engine with
             | Some engine -> Diag.Engine.emit engine d
             | None -> ());
+            release_scopes s.sp.scopes;
             s.s_eof <- true;
             s.s_failed <- Some d;
             Error d)
@@ -1356,7 +1798,8 @@ let parse_ops ?file ?engine ?limits ?window ctx src :
 let parse_op_string ?file ctx src =
   Diag.protect_any (fun () ->
       let p = create ?file ctx src in
-      let op = parse_op p ~scope:None in
+      Fun.protect ~finally:(fun () -> release_scopes p.scopes) @@ fun () ->
+      let op = parse_op p in
       if p.tok != Eof then fail p "trailing input after operation";
       finish p;
       op)
@@ -1364,7 +1807,7 @@ let parse_op_string ?file ctx src =
 (** Parse a standalone type, e.g. ["!cmath.complex<f32>"]. *)
 let parse_type_string ?file ctx src =
   Diag.protect_any (fun () ->
-      let p = create ?file ctx src in
+      let p = create ?file ~scoped:false ctx src in
       let ty = parse_ty p in
       if p.tok != Eof then fail p "trailing input after type";
       ty)
@@ -1372,7 +1815,7 @@ let parse_type_string ?file ctx src =
 (** Parse a standalone attribute. *)
 let parse_attr_string ?file ctx src =
   Diag.protect_any (fun () ->
-      let p = create ?file ctx src in
+      let p = create ?file ~scoped:false ctx src in
       let a = parse_attr p in
       if p.tok != Eof then fail p "trailing input after attribute";
       a)

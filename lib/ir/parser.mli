@@ -1,7 +1,13 @@
 (** Parser for the textual IR syntax produced by {!Printer}: the generic
     form and, for operations registered with a declarative format, the
     custom pretty form. Forward references to values and blocks are allowed
-    within a region. *)
+    within a region.
+
+    SSA names are scoped as in MLIR: a name is defined once in the scopes
+    it is visible in ("redefinition of SSA value"), a definition made
+    inside a region is dropped when the region closes, and a block label
+    is visible only in its own region. An op's attribute names are
+    unique ("duplicate key"). *)
 
 open Irdl_support
 
@@ -20,7 +26,11 @@ val name_table_entries : unit -> int
 (** Entries in the calling domain's name table now. *)
 
 val type_memo_stats : unit -> int * int
-(** Type-spelling memo hits and misses in the calling domain so far. *)
+(** Type-spelling memo hits and misses in the calling domain so far. A
+    signature-memo hit probes no type spelling. *)
+
+val signature_memo_stats : unit -> int * int
+(** Op-signature memo hits and misses in the calling domain so far. *)
 
 val parse_ops :
   ?file:string ->

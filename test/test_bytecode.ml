@@ -262,6 +262,28 @@ let writer_toplevel_successor () =
   check_err_containing "emit with top-level successor" "successor"
     (Bytecode.Write.module_to_string [ op ])
 
+(* An op built with a repeated attribute name serializes as it is; the
+   reader rejects it, located at the byte after its attributes, and a
+   fail-soft read reports it and goes on. *)
+let reader_duplicate_attribute () =
+  let one = Attr.int ~ty:Attr.i32 1L and two = Attr.int ~ty:Attr.i32 2L in
+  let op =
+    Graph.Op.create ~attrs:[ ("a", one); ("b", one); ("a", two) ] "t.op"
+  in
+  let blob = emit_ok "emit" [ op ] in
+  check_err_containing "read"
+    "malformed bytecode: duplicate key 'a' in dictionary attribute at byte"
+    (Bytecode.read_module (ctx ()) blob);
+  let msg = check_err "read" (Bytecode.read_module (ctx ()) blob) in
+  let engine = Diag.Engine.create () in
+  let ops =
+    check_ok "fail-soft read" (Bytecode.read_module ~engine (ctx ()) blob)
+  in
+  Alcotest.(check int) "no op" 0 (List.length ops);
+  Alcotest.(check (list string))
+    "one diagnostic" [ msg ]
+    (List.map Diag.to_string (Diag.Engine.diagnostics engine))
+
 (* ---------------- version and kind skew ---------------- *)
 
 let version_skew () =
@@ -642,6 +664,7 @@ let suite =
     tc "multi-document buffers" multi_document;
     tc "writer: undefined value" writer_undefined_value;
     tc "writer: top-level successor" writer_toplevel_successor;
+    tc "reader: duplicate attribute names" reader_duplicate_attribute;
     tc "version and kind skew" version_skew;
     tc "compatibility window (v1 frozen, skew located)" compat_window;
     tc "dialect pack registers (warm start)" dialect_pack_registers;

@@ -22,7 +22,7 @@
    to `--jobs 1` (same stderr, same stdout, same exit code, same
    --diag-json). Flags whose output is inherently cross-chunk —
    --max-errors, --pass-timing[-json], the IR print-around-pass dumps —
-   force the sequential path.
+   force the sequential path, with a warning.
 
    Exit codes: 0 success; 1 parse-class failure (IRDL/pattern/pipeline/IR
    parsing); 2 verify-class failure (verifier or pass failures on IR that
@@ -34,9 +34,12 @@
    `--pass-timing`/`--pass-timing-json` report per-pass wall-clock time;
    `--print-ir-before/-after[-all]` snapshot the IR around passes; and
    `--verify-each` re-runs the (memoized) verifier between passes so a
-   pass that breaks IR invariants is caught and attributed by name. The
-   historical `--dce`/`--cse`/`--dominance` flags remain as deprecated
-   aliases that desugar into pipeline entries. *)
+   pass that breaks IR invariants is caught and attributed by name.
+
+   Every chunk, sequential or under `--jobs`, runs through the one chunk
+   driver `Frontend.run`: with no pipeline each top-level op is parsed,
+   verified, printed and released as it arrives; with a pipeline the ops
+   are kept for it. *)
 
 open Cmdliner
 module Diag = Irdl_support.Diag
@@ -106,21 +109,6 @@ let with_out_channel path f =
         f ppf;
         Format.pp_print_flush ppf ())
 
-(* The deprecated boolean flags desugar into pipeline entries, in the
-   historical execution order (dominance check, pattern application, CSE,
-   DCE). With an explicit --pass-pipeline the alias entries are appended
-   after it; the parser then reports duplicates uniformly. *)
-let effective_pipeline ~pipeline ~have_patterns ~dce ~cse ~dominance =
-  let explicit = Option.is_some pipeline in
-  let entries =
-    Option.to_list pipeline
-    @ (if dominance then [ "verify-dominance" ] else [])
-    @ (if have_patterns && not explicit then [ "canonicalize" ] else [])
-    @ (if cse then [ "cse" ] else [])
-    @ if dce then [ "dce" ] else []
-  in
-  if entries = [] then None else Some (String.concat "," entries)
-
 (* GC pacing of a [--listen] server: OCaml 4's default, below 5.1's 120.
    Its serve loops allocate on several domains at once, which lets the
    major heap grow further past the few-MB live set: with 5.1's default,
@@ -144,9 +132,9 @@ let batch_inputs path =
 
 let run dialect_files pattern_files with_corpus with_cmath input generic
     verify_only split_input_file verify_diagnostics max_errors diag_json
-    pipeline dce cse dominance verify_each print_ir_before print_ir_after
+    pipeline verify_each print_ir_before print_ir_after
     print_ir_before_all print_ir_after_all pass_timing pass_timing_json strict
-    verify_stats jobs batch streaming no_streaming emit_bytecode load_bytecode
+    verify_stats jobs batch emit_bytecode load_bytecode
     emit_dialect_bytecode serve listen connect failpoints_spec max_queue
     max_ops max_region_depth max_payload_bytes deadline_ms verbose =
   setup_logs verbose;
@@ -296,8 +284,10 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
      fails fast. Pipeline text carries no annotations to expect diagnostics
      against, so this is fatal even under --verify-diagnostics. *)
   let pipeline_src =
-    effective_pipeline ~pipeline ~have_patterns:(patterns <> []) ~dce ~cse
-      ~dominance
+    (* -p patterns with no --pass-pipeline run as 'canonicalize'. *)
+    match pipeline with
+    | None when patterns <> [] -> Some "canonicalize"
+    | p -> p
   in
   let passes =
     match pipeline_src with
@@ -352,34 +342,11 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
     Logs.info (fun m -> m "served %d request(s)" answered);
     finish 0
   end;
-  if streaming && no_streaming then begin
-    Fmt.epr "irdl-opt: --streaming and --no-streaming are mutually exclusive@.";
-    finish 1
-  end;
-  (* Materialize-vs-stream decision: a pass pipeline transforms the module
-     as a whole, so it needs every op resident; --verify-stats reports
-     cache counters of exactly the work the materializing semantics define
-     (streaming eagerly verifies ops of chunks that later parse-fail, so
-     its counters would differ); everything else (verify, re-print,
-     --verify-diagnostics) is per-op and streams by default. *)
-  let use_streaming =
-    if no_streaming then false
-    else if passes = [] && not verify_stats then true
-    else begin
-      if streaming then
-        Logs.warn (fun m ->
-            m
-              "--streaming ignored: %s; using the materializing parser"
-              (if passes <> [] then
-                 "a pass pipeline needs the whole module resident"
-               else "--verify-stats counts materializing-semantics work"));
-      false
-    end
-  in
-  (* Run a pipeline over [ops], reporting to [engine]. [timing] carries the
+  (* Run a pipeline over [ops]: the diagnostics of a failing pass, or of
+     re-verifying the transformed IR. [timing] carries the
      --pass-timing[-json] sinks on the sequential path; parallel workers
      pass [None] (those flags force sequential execution). *)
-  let run_passes ~engine ~verify_failed ~timing passes ops =
+  let run_passes ~timing passes ops =
     (* Run the pipeline (even over an empty module: the timing report is
        still produced, with every pass at zero ops). *)
     let mgr =
@@ -387,16 +354,9 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
         ~print_ir_after ~print_ir_before_all ~print_ir_after_all passes
     in
     match Irdl_pass.Pass_manager.run mgr ctx ops with
-    | Error d ->
-        Diag.Engine.emit engine d;
-        verify_failed := true
-    | Ok report -> (
-        (* Whatever ran — CSE and DCE included — the transformed IR must
-           still verify, pipeline instrumentation or not. *)
-        let post = Irdl_ir.Verifier.verify_ops_all ctx ops in
-        List.iter (Diag.Engine.emit engine) post;
-        if post <> [] then verify_failed := true;
-        match timing with
+    | Error d -> [ d ]
+    | Ok report ->
+        (match timing with
         | None -> ()
         | Some (pass_timing, pass_timing_json) ->
             Option.iter
@@ -412,7 +372,10 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
                   let oc = open_out path in
                   output_string oc json;
                   close_out oc)
-              pass_timing_json)
+              pass_timing_json);
+        (* Whatever ran — CSE and DCE included — the transformed IR must
+           still verify, pipeline instrumentation or not. *)
+        Irdl_ir.Verifier.verify_ops_all ctx ops
   in
   (* --emit-bytecode switches every output sink from the textual printer
      to the bytecode emitter; everything else (chunking, verification,
@@ -424,107 +387,29 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
     if deadline_ms > 0 then Limits.with_deadline_ms base_limits deadline_ms
     else base_limits
   in
-  (* One input chunk through the streaming frontend: parse (or decode),
-     verify, emit and release one top-level op at a time, so peak memory
-     is bounded by the largest op rather than the chunk. Byte-identical to
-     the materializing path below: parse diagnostics flow through the
-     shared engine in parse order; per-op verification results are held
-     back and merged into [Verifier.verify_ops_all]'s stable order at
-     end-of-stream (and discarded on a parse failure, which skips
-     verification there too); output flows through one [Frontend.Sink]
-     session — the textual sink joins exactly like
-     [Printer.ops_to_string]. *)
-  let process_chunk_stream ~engine ~path payload =
-    let e0 = Diag.Engine.error_count engine in
-    let parse_failed = ref false and verify_failed = ref false in
-    let output = ref None in
-    let want_output = not (verify_only || verify_diagnostics) in
-    let session =
-      Frontend.Stream.create ~file:path ~engine ~limits:run_limits ctx payload
-    in
-    let sink =
-      if emit_binary then Frontend.Sink.bytecode ()
-      else Frontend.Sink.text ~generic ctx
-    in
-    let vdiags = ref [] in
-    let rec drain () =
-      match Frontend.Stream.next session with
-      | Ok None | Error _ -> ()
-      | Ok (Some op) ->
-          (match Irdl_ir.Verifier.verify_all ctx op with
-          | [] -> ()
-          | ds -> vdiags := ds :: !vdiags);
-          if want_output then Frontend.Sink.push sink op;
-          Frontend.Stream.release op;
-          drain ()
-    in
-    drain ();
-    if Diag.Engine.error_count engine > e0 then parse_failed := true
-    else begin
-      let diags =
-        Irdl_ir.Verifier.merge_diags (List.concat (List.rev !vdiags))
-      in
-      List.iter (Diag.Engine.emit engine) diags;
-      if diags <> [] then verify_failed := true
-      else if want_output && Diag.Engine.error_count engine = e0 then
-        match Frontend.Sink.close_pages sink with
-        | Ok out -> output := Some out
-        | Error d ->
-            Diag.Engine.emit engine d;
-            verify_failed := true
-    end;
-    (!parse_failed, !verify_failed, !output)
-  in
-  (* One input chunk, against an arbitrary engine: the sequential driver
-     passes the main engine, parallel workers a local one (replayed in
-     input order afterwards). Returns (parse_failed, verify_failed,
-     printed output). A chunk that fails to parse or verify never blocks
-     the chunks after it. *)
-  let process_chunk ~engine ~streaming ~timing passes ~path payload =
+  (* One input chunk through the chunk driver, against an arbitrary
+     engine: the sequential driver passes the main engine, parallel workers
+     a local one (replayed in input order afterwards). A chunk that fails
+     to parse or verify never blocks the chunks after it. *)
+  let process_chunk ~engine ~timing passes ~path payload =
     if load_bytecode && not (Source.is_binary payload) then begin
       Diag.Engine.emit engine
         (Diag.error
            ~loc:(Irdl_support.Loc.point (Irdl_support.Loc.start_of_file path))
            "--load-bytecode: input is not IRDL bytecode (bad magic)");
-      (true, false, None)
+      { Frontend.parse_failed = true; verify_failed = false; output = None }
     end
-    else if streaming && passes = [] then
-      process_chunk_stream ~engine ~path payload
-    else begin
-      let e0 = Diag.Engine.error_count engine in
-      let parse_failed = ref false and verify_failed = ref false in
-      let output = ref None in
-      let ops =
-        Frontend.parse_module ~file:path ~engine ~limits:run_limits ctx payload
-        |> Result.value ~default:[]
+    else
+      let sink =
+        if verify_only || verify_diagnostics then None
+        else if emit_binary then Some (Frontend.Sink.bytecode ())
+        else Some (Frontend.Sink.text ~generic ctx)
       in
-      if Diag.Engine.error_count engine > e0 then parse_failed := true
-      else begin
-        let vdiags = Irdl_ir.Verifier.verify_ops_all ctx ops in
-        List.iter (Diag.Engine.emit engine) vdiags;
-        if vdiags <> [] then verify_failed := true
-        else begin
-          if passes <> [] then
-            run_passes ~engine ~verify_failed ~timing passes ops;
-          if
-            (not (verify_only || verify_diagnostics))
-            && Diag.Engine.error_count engine = e0
-          then begin
-            let sink =
-              if emit_binary then Frontend.Sink.bytecode ()
-              else Frontend.Sink.text ~generic ctx
-            in
-            List.iter (Frontend.Sink.push sink) ops;
-            match Frontend.Sink.close_pages sink with
-            | Ok out -> output := Some out
-            | Error d ->
-                Diag.Engine.emit engine d;
-                verify_failed := true
-          end
-        end
-      end;
-      (!parse_failed, !verify_failed, !output)
-    end
+      let pipeline =
+        if passes = [] then None else Some (run_passes ~timing passes)
+      in
+      Frontend.run ~file:path ~engine ~limits:run_limits ~verify:true ?sink
+        ?pipeline ctx payload
   in
   if Option.is_some batch && Option.is_some input then begin
     Fmt.epr "irdl-opt: --batch cannot be combined with a positional INPUT@.";
@@ -561,10 +446,13 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
   in
   (match docs with
   | [] when batch = None ->
-      if passes <> [] then
-        run_passes ~engine ~verify_failed
-          ~timing:(Some (pass_timing, pass_timing_json))
-          passes []
+      if passes <> [] then begin
+        let ds =
+          run_passes ~timing:(Some (pass_timing, pass_timing_json)) passes []
+        in
+        List.iter (Diag.Engine.emit engine) ds;
+        if ds <> [] then verify_failed := true
+      end
       else if not verify_diagnostics then
         Fmt.pr "registered dialects: %s@."
           (String.concat ", "
@@ -585,14 +473,28 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
       in
       (* --max-errors couples chunks (the cap is global); the pass
          instrumentation sinks interleave per-chunk output. Both are
-         inherently sequential, so fall back silently. *)
-      let flags_allow_parallel =
-        max_errors = 0
-        && pass_timing = None
-        && pass_timing_json = None
-        && print_ir_before = [] && print_ir_after = []
-        && (not print_ir_before_all)
-        && not print_ir_after_all
+         inherently sequential: fall back, and say so. *)
+      let sequential_flags =
+        List.filter_map
+          (fun (on, flag) -> if on then Some flag else None)
+          [
+            (max_errors <> 0, "--max-errors");
+            (pass_timing <> None, "--pass-timing");
+            (pass_timing_json <> None, "--pass-timing-json");
+            (print_ir_before <> [], "--print-ir-before");
+            (print_ir_after <> [], "--print-ir-after");
+            (print_ir_before_all, "--print-ir-before-all");
+            (print_ir_after_all, "--print-ir-after-all");
+          ]
+      in
+      if n_jobs > 1 && sequential_flags <> [] then
+        Fmt.epr "irdl-opt: warning: --jobs %d ignored: %s runs sequentially@."
+          jobs
+          (String.concat ", " sequential_flags);
+      let note di (r : Frontend.outcome) =
+        if r.parse_failed then parse_failed := true;
+        if r.verify_failed then verify_failed := true;
+        Option.iter (fun o -> doc_outs.(di) <- o :: doc_outs.(di)) r.output
       in
       (* Parallel execution needs every chunk cut up front (the workers
          share the task array); the sequential driver below keeps one
@@ -600,7 +502,7 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
          document, whose text is registered here, once, for every worker
          to render snippets from. *)
       let tasks =
-        if n_jobs > 1 && flags_allow_parallel then
+        if n_jobs > 1 && sequential_flags = [] then
           List.concat
             (List.mapi
                (fun di (path, fetch) ->
@@ -619,14 +521,10 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
             let src = fetch_doc fetch in
             List.iter
               (fun chunk ->
-                let pf, vf, out =
-                  process_chunk ~engine ~streaming:use_streaming
-                    ~timing:(Some (pass_timing, pass_timing_json))
-                    passes ~path chunk
-                in
-                if pf then parse_failed := true;
-                if vf then verify_failed := true;
-                Option.iter (fun o -> doc_outs.(di) <- o :: doc_outs.(di)) out)
+                note di
+                  (process_chunk ~engine
+                     ~timing:(Some (pass_timing, pass_timing_json))
+                     passes ~path chunk))
               (chunks_of src);
             (* This document's diagnostics are flushed (handlers render at
                emit time): drop its buffer so a long --batch run does not
@@ -668,11 +566,11 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
                          ~available:(Irdl_pass.Passes.builtin ~patterns ())
                          src)
               in
-              let pf, vf, out =
-                process_chunk ~engine:worker_engine ~streaming:use_streaming
-                  ~timing:None wpasses ~path chunk
+              let r =
+                process_chunk ~engine:worker_engine ~timing:None wpasses ~path
+                  chunk
               in
-              (List.rev !rendered, pf, vf, out))
+              (List.rev !rendered, r))
             tasks
         in
         let results =
@@ -683,16 +581,14 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
            engine, pre-rendered text straight to stderr — byte-identical
            to the sequential printer handler. *)
         Array.iteri
-          (fun i (diags, pf, vf, out) ->
+          (fun i (diags, r) ->
             let di, _, _ = tasks.(i) in
             List.iter
               (fun (d, rendered) ->
                 Diag.Engine.record engine d;
                 if not verify_diagnostics then Fmt.epr "%s@." rendered)
               diags;
-            if pf then parse_failed := true;
-            if vf then verify_failed := true;
-            Option.iter (fun o -> doc_outs.(di) <- o :: doc_outs.(di)) out)
+            note di r)
           results
       end;
       (match emit_bytecode with
@@ -843,30 +739,6 @@ let pipeline =
            pattern rewriting, uses the patterns of $(b,-p)), cse, dce, \
            verify-dominance.")
 
-let dce =
-  Arg.(
-    value & flag
-    & info [ "dce" ]
-        ~doc:
-          "Deprecated alias: appends 'dce' to the pass pipeline \
-           (equivalent to --pass-pipeline dce).")
-
-let cse =
-  Arg.(
-    value & flag
-    & info [ "cse" ]
-        ~doc:
-          "Deprecated alias: appends 'cse' to the pass pipeline \
-           (equivalent to --pass-pipeline cse).")
-
-let dominance =
-  Arg.(
-    value & flag
-    & info [ "dominance" ]
-        ~doc:
-          "Deprecated alias: appends 'verify-dominance' to the pass \
-           pipeline (equivalent to --pass-pipeline verify-dominance).")
-
 let verify_each =
   Arg.(
     value & flag
@@ -929,7 +801,9 @@ let verify_stats =
     & info [ "verify-stats" ]
         ~doc:
           "Report verification-cache statistics (entries, hit rate, \
-           invalidations) on stderr after the run.")
+           invalidations) on stderr after the run. Ops are verified as \
+           they are parsed, so the counts include ops of chunks that \
+           later fail to parse.")
 
 let jobs =
   Arg.(
@@ -940,9 +814,11 @@ let jobs =
            $(docv) domains in parallel over the frozen dialect registry \
            (default 1; 0 picks the machine's recommended domain count). \
            Output, exit code and $(b,--diag-json) are byte-identical to a \
-           sequential run. Falls back to sequential execution when \
-           combined with $(b,--max-errors), $(b,--pass-timing[-json]) or \
-           $(b,--print-ir-*), whose output is inherently cross-chunk.")
+           sequential run. Falls back to sequential execution, with a \
+           warning, when combined with $(b,--max-errors), \
+           $(b,--pass-timing[-json]) or $(b,--print-ir-*), whose output is \
+           inherently cross-chunk. With $(b,--listen), the number of \
+           serve loops.")
 
 let batch =
   Arg.(
@@ -956,28 +832,6 @@ let batch =
            by a '// ===== <path> =====' header. Cannot be combined with a \
            positional $(b,INPUT).")
 
-let streaming =
-  Arg.(
-    value & flag
-    & info [ "streaming" ]
-        ~doc:
-          "Force the streaming frontend: parse, verify, re-print and \
-           release one top-level operation at a time, bounding peak memory \
-           by the largest single operation instead of the whole module. \
-           This is already the default whenever no pass pipeline runs; \
-           with passes (which transform the module as a whole) the flag \
-           warns and falls back to the materializing parser. Output, exit \
-           code and $(b,--diag-json) are byte-identical either way.")
-
-let no_streaming =
-  Arg.(
-    value & flag
-    & info [ "no-streaming" ]
-        ~doc:
-          "Force the materializing parser even on runs where the streaming \
-           frontend would apply. Exists for differential testing and \
-           debugging; output is byte-identical either way.")
-
 let emit_bytecode =
   Arg.(
     value & opt (some string) None
@@ -988,8 +842,8 @@ let emit_bytecode =
            processed chunk becomes one self-delimiting bytecode document; \
            under $(b,--batch) the documents of every file are concatenated \
            in input order (bytecode needs no headers or separators). \
-           Composes with $(b,--split-input-file), $(b,--jobs) and the \
-           streaming frontend.")
+           Composes with $(b,--split-input-file), $(b,--batch) and \
+           $(b,--jobs).")
 
 let load_bytecode =
   Arg.(
@@ -1023,9 +877,10 @@ let serve =
            verify, print, emit-bytecode, ping, stats, shutdown) are \
            answered until end of input. Responses preserve request order; \
            diagnostics are byte-identical to a one-shot run over the same \
-           input. $(b,--jobs) sets the worker-domain count, the \
-           $(b,--max-*)/$(b,--deadline-ms) budgets become the server-wide \
-           ceiling, and $(b,--max-queue) bounds the accepted burst.")
+           input. Each burst of pipelined requests is answered inline, in \
+           arrival order; the $(b,--max-*)/$(b,--deadline-ms) budgets \
+           become the server-wide ceiling, and $(b,--max-queue) bounds the \
+           accepted burst.")
 
 let listen =
   Arg.(
@@ -1116,13 +971,12 @@ let cmd =
     Term.(
       const run $ dialect_files $ pattern_files $ with_corpus $ with_cmath
       $ input $ generic $ verify_only $ split_input_file $ verify_diagnostics
-      $ max_errors $ diag_json $ pipeline $ dce $ cse $ dominance
-      $ verify_each $ print_ir_before $ print_ir_after $ print_ir_before_all
-      $ print_ir_after_all $ pass_timing $ pass_timing_json $ strict
-      $ verify_stats $ jobs $ batch $ streaming $ no_streaming $ emit_bytecode
-      $ load_bytecode $ emit_dialect_bytecode $ serve $ listen $ connect
-      $ failpoints $ max_queue $ max_ops $ max_region_depth
-      $ max_payload_bytes $ deadline_ms $ verbose)
+      $ max_errors $ diag_json $ pipeline $ verify_each $ print_ir_before
+      $ print_ir_after $ print_ir_before_all $ print_ir_after_all
+      $ pass_timing $ pass_timing_json $ strict $ verify_stats $ jobs $ batch
+      $ emit_bytecode $ load_bytecode $ emit_dialect_bytecode $ serve
+      $ listen $ connect $ failpoints $ max_queue $ max_ops
+      $ max_region_depth $ max_payload_bytes $ deadline_ms $ verbose)
 
 (* With SIGPIPE ignored, a downstream reader that stops early (irdl-opt
    ... | head) surfaces as EPIPE on write instead of killing the process;

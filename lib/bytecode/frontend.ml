@@ -2,9 +2,8 @@
    [Source.payload] classified by magic sniffing (text or bytecode), every
    output flows through a [Sink] (textual printer or bytecode emitter), and
    [Stream] erases the text/bytecode distinction behind the pull-based
-   session API of [Ir.Parser.Stream]. Drivers compose these uniformly
-   across --split-input-file, --batch, --jobs and streaming instead of
-   growing per-format input paths. *)
+   session API of [Ir.Parser.Stream]. [run] is the one chunk driver over
+   them, for every caller and both formats. *)
 
 open Irdl_support
 module Graph = Irdl_ir.Graph
@@ -153,11 +152,72 @@ module Stream = struct
   let release = Graph.release
 end
 
-let parse_module ?file ?engine ?limits ctx payload =
-  match payload with
-  | Source.Text (s, window) ->
-      Ir_parser.parse_ops ?file ?engine ?limits ~window ctx s
-  | Source.Binary b -> Bytecode.read_module ?file ?engine ?limits ctx b
+type outcome = {
+  parse_failed : bool;
+  verify_failed : bool;
+  output : string list option;
+}
+
+(* The drain is one tail-recursive loop per chunk: per op it allocates only
+   the cons of a non-empty verify result and, with a pipeline, the cons
+   that keeps the op. *)
+let run ?file ~engine ?limits ~verify ?sink ?pipeline ctx payload =
+  let e0 = Diag.Engine.error_count engine in
+  let session = Stream.create ?file ~engine ?limits ctx payload in
+  let keep = Option.is_some pipeline in
+  let rec drain vdiags kept =
+    match Stream.next session with
+    | Ok None | Error _ -> (vdiags, kept)
+    | Ok (Some op) ->
+        let vdiags =
+          if not verify then vdiags
+          else
+            match Irdl_ir.Verifier.verify_all ctx op with
+            | [] -> vdiags
+            | ds -> ds :: vdiags
+        in
+        if keep then drain vdiags (op :: kept)
+        else begin
+          (match sink with Some s -> Sink.push s op | None -> ());
+          Stream.release op;
+          drain vdiags kept
+        end
+  in
+  let vdiags, kept = drain [] [] in
+  let clean = Diag.Engine.error_count engine = e0 in
+  let outcome ~verify_failed output =
+    { parse_failed = not clean; verify_failed; output }
+  in
+  (* Output only while no error was added; an emit error counts as a
+     verify failure. *)
+  let close ~verify_failed =
+    match sink with
+    | Some s when Diag.Engine.error_count engine = e0 -> (
+        match Sink.close_pages s with
+        | Ok pages -> outcome ~verify_failed (Some pages)
+        | Error d ->
+            Diag.Engine.emit engine d;
+            outcome ~verify_failed:true None)
+    | _ -> outcome ~verify_failed None
+  in
+  if not clean then outcome ~verify_failed:false None
+  else
+    match Irdl_ir.Verifier.merge_diags (List.concat (List.rev vdiags)) with
+    | _ :: _ as ds ->
+        List.iter (Diag.Engine.emit engine) ds;
+        outcome ~verify_failed:true None
+    | [] -> (
+        match pipeline with
+        | None -> close ~verify_failed:false
+        | Some f ->
+            let ops = List.rev kept in
+            let ds = f ops in
+            List.iter (Diag.Engine.emit engine) ds;
+            (match sink with
+            | Some s when Diag.Engine.error_count engine = e0 ->
+                List.iter (Sink.push s) ops
+            | _ -> ());
+            close ~verify_failed:(ds <> []))
 
 let load_dialects ?native ?compile ?file ?engine ctx payload =
   match (payload, engine) with

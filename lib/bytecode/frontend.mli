@@ -3,8 +3,8 @@
     Every input becomes a {!Source.payload} classified by magic sniffing;
     every output flows through a {!Sink}; {!Stream} erases the format
     distinction behind the pull-based session API of
-    [Irdl_ir.Parser.Stream]. Drivers (irdl-opt) compose these uniformly
-    across [--split-input-file], [--batch], [--jobs] and streaming. *)
+    [Irdl_ir.Parser.Stream]. {!run} composes the three into the chunk
+    driver that [irdl-opt] (sequential and [--jobs]) and the server call. *)
 
 open Irdl_support
 module Graph = Irdl_ir.Graph
@@ -89,18 +89,36 @@ module Stream : sig
   val release : Graph.op -> unit
 end
 
-val parse_module :
+(** What {!run} did with one chunk. *)
+type outcome = {
+  parse_failed : bool;  (** the engine's error count rose while draining *)
+  verify_failed : bool;
+      (** verifier, pipeline or sink diagnostics were emitted *)
+  output : string list option;
+      (** the sink's pages ({!Sink.close_pages}), when a sink was given and
+          no error was added *)
+}
+
+val run :
   ?file:string ->
-  ?engine:Diag.Engine.t ->
+  engine:Diag.Engine.t ->
   ?limits:Limits.t ->
+  verify:bool ->
+  ?sink:Sink.t ->
+  ?pipeline:(Graph.op list -> Diag.t list) ->
   Context.t ->
   Source.payload ->
-  (Graph.op list, Diag.t) result
-(** Materialize a whole payload: [Parser.parse_ops] for text,
-    [Bytecode.read_module] for bytecode; same fail-fast/fail-soft
-    [?engine] discipline as both. [limits] caps payload size, op count,
-    region depth and wall time (see {!Limits}); budget violations abort
-    the session even in fail-soft mode. *)
+  outcome
+(** The one chunk driver: drain a {!Stream} over the payload, verifying
+    each top-level op as it arrives ([verify]), then emit the held verify
+    diagnostics ([Verifier.merge_diags] order) after the parse diagnostics.
+    A parse failure drops them. Without [pipeline], each op is pushed to
+    [sink] and released as it arrives, so peak memory is bounded by the
+    largest op. With [pipeline], the ops are kept; after a clean verify
+    the callback runs over them, the diagnostics it returns are emitted
+    and count as a verify failure, and the ops are then pushed to [sink].
+    Output is produced only when no error was added to [engine]; a sink
+    error is emitted and counts as a verify failure. *)
 
 val load_dialects :
   ?native:Irdl_core.Native.t ->

@@ -9,7 +9,7 @@
 
     Kept separate from {!Verifier} because the textual format deliberately
     allows forward references while parsing; dominance is checked on demand
-    (e.g. [irdl-opt --dominance]). *)
+    (e.g. [irdl-opt --pass-pipeline verify-dominance]). *)
 
 open Irdl_support
 

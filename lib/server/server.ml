@@ -2,7 +2,6 @@
 
 open Irdl_support
 module Context = Irdl_ir.Context
-module Verifier = Irdl_ir.Verifier
 module Frontend = Irdl_bytecode.Frontend
 module Source = Frontend.Source
 
@@ -204,81 +203,42 @@ let classify engine ~parse_failed ~verify_failed =
   else if verify_failed then Verify_error
   else Ok_
 
-(* The module-processing kinds mirror [irdl-opt]'s streaming chunk driver
-   exactly: parse (or decode), verify, emit and release one top-level op
-   at a time; parse diagnostics flow through the engine in parse order;
-   per-op verification results are held back and merged into the stable
-   [verify_ops_all] order at end-of-stream, and discarded when the parse
-   failed. The engine's handler renders into a buffer, so the response's
-   diagnostics section is byte-for-byte the one-shot stderr text. *)
+(* The module-processing kinds run [irdl-opt]'s chunk driver,
+   [Frontend.run]. The engine's handler renders into a buffer, so the
+   response's diagnostics section is byte-for-byte the one-shot stderr
+   text. *)
 let run_module ctx config rq =
-  let limits = Limits.meet config.limits rq.rq_limits in
   let engine = Diag.Engine.create () in
   let dbuf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer dbuf in
   Diag.Engine.add_handler engine (Diag.Engine.printer ppf);
-  let payload = Source.classify rq.rq_payload in
-  let want_verify = rq.rq_kind <> Parse in
-  let want_output =
-    match rq.rq_kind with Print | Emit_bytecode -> true | _ -> false
-  in
-  let parse_failed = ref false and verify_failed = ref false in
-  let output = ref None in
-  let session =
-    Frontend.Stream.create ~file:rq.rq_file ~engine ~limits ctx payload
-  in
   let sink =
-    if not want_output then None
-    else if rq.rq_kind = Emit_bytecode then Some (Frontend.Sink.bytecode ())
-    else Some (Frontend.Sink.text ~generic:config.generic ctx)
+    match rq.rq_kind with
+    | Print -> Some (Frontend.Sink.text ~generic:config.generic ctx)
+    | Emit_bytecode -> Some (Frontend.Sink.bytecode ())
+    | _ -> None
   in
-  let vdiags = ref [] in
-  let rec drain () =
-    match Frontend.Stream.next session with
-    | Ok None | Error _ -> ()
-    | Ok (Some op) ->
-        (if want_verify then
-           match Verifier.verify_all ctx op with
-           | [] -> ()
-           | ds -> vdiags := ds :: !vdiags);
-        Option.iter (fun s -> Frontend.Sink.push s op) sink;
-        Frontend.Stream.release op;
-        drain ()
+  let r =
+    Frontend.run ~file:rq.rq_file ~engine
+      ~limits:(Limits.meet config.limits rq.rq_limits)
+      ~verify:(rq.rq_kind <> Parse) ?sink ctx
+      (Source.classify rq.rq_payload)
   in
-  drain ();
-  if Diag.Engine.error_count engine > 0 then parse_failed := true
-  else begin
-    let diags = Verifier.merge_diags (List.concat (List.rev !vdiags)) in
-    List.iter (Diag.Engine.emit engine) diags;
-    if diags <> [] then verify_failed := true
-    else
-      Option.iter
-        (fun s ->
-          match Frontend.Sink.close s with
-          | Ok out -> output := Some out
-          | Error d ->
-              Diag.Engine.emit engine d;
-              verify_failed := true)
-        sink
-  end;
   Format.pp_print_flush ppf ();
-  let status =
-    classify engine ~parse_failed:!parse_failed ~verify_failed:!verify_failed
-  in
-  let rs_output =
-    match (!output, rq.rq_kind) with
-    (* Text output gets the final newline [Fmt.pr "%s@."] would add;
-       bytecode is the raw blob. *)
-    | Some o, Print -> o ^ "\n"
-    | Some o, Emit_bytecode -> o
-    | _ -> ""
-  in
   {
     rs_id = rq.rq_id;
-    rs_status = status;
+    rs_status =
+      classify engine ~parse_failed:r.parse_failed
+        ~verify_failed:r.verify_failed;
     rs_errors = Diag.Engine.error_count engine;
     rs_diags = Buffer.contents dbuf;
-    rs_output;
+    rs_output =
+      (match (r.output, rq.rq_kind) with
+      (* Text output gets the final newline [Fmt.pr "%s@."] would add;
+         bytecode is the raw blob. *)
+      | Some pages, Print -> String.concat "" (pages @ [ "\n" ])
+      | Some pages, _ -> String.concat "" pages
+      | None, _ -> "");
     rs_retry_after_ms = None;
   }
 
@@ -297,10 +257,8 @@ let handle ctx config rq =
     ~finally:(fun () -> if rq.rq_file <> "" then Diag.Sources.drop rq.rq_file)
   @@ fun () ->
   try
-    (* The per-request fault seam. It lives here — inside the task, inside
-       the catch-all — rather than in [Domain_pool], whose contract is to
-       re-raise a task exception batch-wide: an injected fault must poison
-       exactly one response. *)
+    (* The per-request fault seam, inside the catch-all: an injected fault
+       must poison exactly one response. *)
     Failpoints.hit "pool.task";
     match rq.rq_kind with
     | Ping | Shutdown -> synth_response ~id:rq.rq_id ~status:Ok_ None
@@ -378,100 +336,88 @@ let write_all fd s =
   go 0
 
 (* Requests and already-synthesized responses of one intake burst, in
-   arrival order: dispatch fans the [Todo]s through the pool, then the
-   responses are written back in slot order, so pipelined clients can
-   match responses to requests positionally as well as by id. *)
+   arrival order. They are answered inline and written back in slot order,
+   so pipelined clients can match responses to requests positionally as
+   well as by id. *)
 type slot = Todo of request | Done of response
 
-(* When unbounded, dispatch is still chunked so a pipelined flood is
-   answered incrementally instead of accumulating until end of input. *)
+(* When unbounded, a burst is still answered in windows, so a pipelined
+   flood is answered incrementally instead of accumulating until end of
+   input. *)
 let internal_batch = 256
 
-type intake = {
+(* One serve loop's state: the context it answers against, its read
+   buffer and the number of requests it answered. *)
+type loop = { ctx : Context.t; buf : Bytes.t; mutable answered : int }
+
+let loop ctx = { ctx; buf = Bytes.create 65536; answered = 0 }
+
+(* One client: its input and output descriptors (stdin and stdout for
+   [serve_fd], one socket for both in [serve_unix]) and its burst. *)
+type conn = {
+  c_in : Unix.file_descr;
+  c_out : Unix.file_descr;
+  c_reader : Wire.reader;
   cfg : config;
-  mutable slots : slot list;  (* reversed *)
+  mutable slots : slot list;  (** reversed *)
   mutable n_todo : int;
   mutable corrupt : bool;
+  mutable c_done : bool;  (** end of input, a corrupt frame, or hung up *)
 }
 
-let intake cfg = { cfg; slots = []; n_todo = 0; corrupt = false }
-let push i s = i.slots <- s :: i.slots
+let conn cfg ~in_fd ~out_fd =
+  {
+    c_in = in_fd;
+    c_out = out_fd;
+    c_reader = Wire.reader ~max_payload:cfg.limits.Limits.max_payload_bytes ();
+    cfg;
+    slots = [];
+    n_todo = 0;
+    corrupt = false;
+    c_done = false;
+  }
+
+let push c s = c.slots <- s :: c.slots
 
 (* Accept one decoded wire event into the burst. Returns [true] when the
-   caller should dispatch before accepting more (window full on an
+   caller should answer the burst before accepting more (window full on an
    unbounded queue; a bounded queue sheds instead). *)
-let accept ctx i event =
+let accept ctx c event =
   match event with
   | Wire.Corrupt msg ->
-      i.corrupt <- true;
-      push i (Done (invalid_response ~id:"" "%s" msg));
+      c.corrupt <- true;
+      push c (Done (invalid_response ~id:"" "%s" msg));
       false
   | Wire.Frame { header; payload; oversized } ->
       let id = Option.value (Wire.header_get header "id") ~default:"" in
       if oversized then begin
-        push i
-          (Done (oversized_response ~id i.cfg.limits.Limits.max_payload_bytes));
+        push c
+          (Done (oversized_response ~id c.cfg.limits.Limits.max_payload_bytes));
         false
       end
       else (
         match parse_request ~header ~payload with
         | Error rs ->
-            push i (Done rs);
+            push c (Done rs);
             false
         | Ok ({ rq_kind = Ping | Stats | Shutdown; _ } as rq) ->
             (* Control requests are cheap; answer inline, in order. *)
             if rq.rq_kind = Shutdown then request_shutdown ();
-            push i (Done (handle ctx i.cfg rq));
+            push c (Done (handle ctx c.cfg rq));
             false
         | Ok rq ->
-            if i.cfg.max_queue > 0 && i.n_todo >= i.cfg.max_queue then begin
-              push i
+            if c.cfg.max_queue > 0 && c.n_todo >= c.cfg.max_queue then begin
+              push c
                 (Done
                    (shed_response ~id:rq.rq_id
-                      ~retry_after_ms:i.cfg.retry_after_ms));
+                      ~retry_after_ms:c.cfg.retry_after_ms));
               false
             end
             else begin
-              push i (Todo rq);
-              i.n_todo <- i.n_todo + 1;
-              i.cfg.max_queue = 0 && i.n_todo >= internal_batch
+              push c (Todo rq);
+              c.n_todo <- c.n_todo + 1;
+              c.cfg.max_queue = 0 && c.n_todo >= internal_batch
             end)
-
-(* Run every [Todo] of the burst with [run] (through the pool, or inline)
-   and write the burst's responses, in arrival order, to [write]. Returns
-   the number written. *)
-let dispatch run ctx cfg sources i ~write =
-  let arr = Array.of_list (List.rev i.slots) in
-  i.slots <- [];
-  i.n_todo <- 0;
-  let todos =
-    Array.of_list
-      (List.filter_map
-         (function Todo rq -> Some rq | Done _ -> None)
-         (Array.to_list arr))
-  in
-  let thunks =
-    Array.map
-      (fun rq () ->
-        Diag.Sources.preload sources;
-        handle ctx cfg rq)
-      todos
-  in
-  let results = run thunks in
-  let next = ref 0 in
-  Array.iter
-    (fun s ->
-      let rs =
-        match s with
-        | Done rs -> rs
-        | Todo _ ->
-            let rs = results.(!next) in
-            incr next;
-            rs
-      in
-      write (response_frame rs))
-    arr;
-  Array.length arr
 
 let readable fd =
   match Unix.select [ fd ] [] [] 0.0 with
@@ -479,149 +425,104 @@ let readable fd =
   | _ -> true
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
 
+(* Answer the burst gathered so far, inline, in arrival order. A client
+   that hung up loses its responses but must not take the server down. *)
+let flush lp c =
+  let slots = List.rev c.slots in
+  c.slots <- [];
+  c.n_todo <- 0;
+  List.iter
+    (fun s ->
+      let rs = match s with Done rs -> rs | Todo rq -> handle lp.ctx c.cfg rq in
+      lp.answered <- lp.answered + 1;
+      if not c.c_done then
+        try write_all c.c_out (response_frame rs)
+        with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+          c.c_done <- true)
+    slots
+
+let drain_events lp c =
+  let rec go () =
+    if not c.corrupt then
+      match Wire.poll c.c_reader with
+      | None -> ()
+      | Some e ->
+          if accept lp.ctx c e then flush lp c;
+          go ()
+  in
+  go ()
+
+(* Answer everything taken in; the connection is then done. *)
+let finish lp c =
+  drain_events lp c;
+  flush lp c;
+  c.c_done <- true
+
+(* One read: accept what it completes. End of input and a corrupt frame
+   finish the connection. *)
+let service lp c =
+  match Unix.read c.c_in lp.buf 0 (Bytes.length lp.buf) with
+  | 0 -> finish lp c
+  | n ->
+      Wire.feed_bytes c.c_reader lp.buf ~off:0 ~len:n;
+      drain_events lp c;
+      if c.corrupt then finish lp c
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
+      c.c_done <- true
+
+(* Input pause: the client went quiet mid-pipeline — answer the burst
+   gathered so far instead of waiting on [read] with work in hand. *)
+let flush_if_paused lp c =
+  if c.slots <> [] && not (readable c.c_in) then flush lp c
+
 let serve_fd ?(config = default_config) ctx ~in_fd ~out_fd () =
   Context.freeze ctx;
-  let sources = Diag.Sources.snapshot () in
-  let domains = if config.domains > 0 then Some config.domains else None in
-  Domain_pool.with_pool ?domains @@ fun pool ->
-  let r = Wire.reader ~max_payload:config.limits.Limits.max_payload_bytes () in
-  let i = intake config in
-  let answered = ref 0 in
-  let flush () =
-    if i.slots <> [] then
-      answered :=
-        !answered
-        + dispatch (Domain_pool.run pool) ctx config sources i
-            ~write:(write_all out_fd)
-  in
-  let drain_events () =
-    if not i.corrupt then begin
-      let rec go () =
-        match Wire.poll r with
-        | None -> ()
-        | Some e ->
-            if accept ctx i e then flush ();
-            if not i.corrupt then go ()
-      in
+  let lp = loop ctx in
+  let c = conn config ~in_fd ~out_fd in
+  let rec go () =
+    if not c.c_done then begin
+      if not (shutdown_requested ()) then flush_if_paused lp c;
+      if shutdown_requested () then finish lp c else service lp c;
       go ()
     end
   in
-  let buf = Bytes.create 65536 in
-  let rec loop () =
-    drain_events ();
-    if i.corrupt || shutdown_requested () then flush ()
-    else begin
-      (* Input pause: the client went quiet mid-pipeline — answer the
-         burst gathered so far instead of blocking on [read] with work
-         in hand. *)
-      if i.slots <> [] && not (readable in_fd) then flush ();
-      if shutdown_requested () then flush ()
-      else
-        match Unix.read in_fd buf 0 (Bytes.length buf) with
-        | 0 ->
-            drain_events ();
-            flush ()
-        | n ->
-            Wire.feed_bytes r buf ~off:0 ~len:n;
-            loop ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-    end
-  in
-  loop ();
-  !answered
+  go ();
+  lp.answered
 
 (* ------------------------------------------------------------------ *)
 (* Socket listener                                                     *)
 (* ------------------------------------------------------------------ *)
 
-type conn = {
-  c_fd : Unix.file_descr;
-  c_reader : Wire.reader;
-  c_intake : intake;
-  mutable c_closed : bool;
-}
+let close_conn c = try Unix.close c.c_in with Unix.Unix_error _ -> ()
 
 (* One serve loop: accept on the shared non-blocking [lfd], own the
    connections it accepted, and answer their requests inline, in arrival
    order. Returns the number of requests answered once shutdown is
    requested and its connections are drained. *)
 let serve_loop ctx config sources lfd =
-  let answered = ref 0 in
+  (* The loader domain's sources, so diagnostics render dialect-file
+     snippets as a one-shot run does. *)
+  Diag.Sources.preload sources;
+  let lp = loop ctx in
   let conns = ref [] in
   (* Out of descriptors: skip [lfd] for one select round, so the held
      connections are served and closed instead of spinning on it. *)
   let accepting = ref true in
-  let flush c =
-    if c.c_intake.slots <> [] then
-      answered :=
-        !answered
-        + dispatch (Array.map (fun f -> f ())) ctx config sources c.c_intake
-            ~write:(fun s ->
-              (* A client that hung up mid-drain loses its responses but
-                 must not take the server down. *)
-              try write_all c.c_fd s
-              with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ())
-  in
-  let close_conn c =
-    if not c.c_closed then begin
-      c.c_closed <- true;
-      try Unix.close c.c_fd with Unix.Unix_error _ -> ()
-    end
-  in
-  let drain_events c =
-    if not c.c_intake.corrupt then begin
-      let rec go () =
-        match Wire.poll c.c_reader with
-        | None -> ()
-        | Some e ->
-            if accept ctx c.c_intake e then flush c;
-            if not c.c_intake.corrupt then go ()
-      in
-      go ()
-    end
-  in
-  let buf = Bytes.create 65536 in
-  let service c =
-    match Unix.read c.c_fd buf 0 (Bytes.length buf) with
-    | 0 ->
-        drain_events c;
-        flush c;
-        close_conn c
-    | n ->
-        Wire.feed_bytes c.c_reader buf ~off:0 ~len:n;
-        drain_events c;
-        if c.c_intake.corrupt then begin
-          flush c;
-          close_conn c
-        end
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-        close_conn c
-  in
-  let rec loop () =
+  let rec go () =
     if not (shutdown_requested ()) then begin
-      conns := List.filter (fun c -> not c.c_closed) !conns;
-      let fds = List.map (fun c -> c.c_fd) !conns in
+      let fds = List.map (fun c -> c.c_in) !conns in
       let fds = if !accepting then lfd :: fds else fds in
       accepting := true;
       match Unix.select fds [] [] 0.05 with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
       | ready, _, _ ->
           if List.mem lfd ready then begin
             match Unix.accept ~cloexec:true lfd with
             | fd, _ ->
                 (* Some systems hand the listener's O_NONBLOCK down. *)
                 Unix.clear_nonblock fd;
-                conns :=
-                  {
-                    c_fd = fd;
-                    c_reader =
-                      Wire.reader
-                        ~max_payload:config.limits.Limits.max_payload_bytes ();
-                    c_intake = intake config;
-                    c_closed = false;
-                  }
-                  :: !conns
+                conns := conn config ~in_fd:fd ~out_fd:fd :: !conns
             (* Another loop won the race, or the client gave up. *)
             | exception
                 Unix.Unix_error
@@ -631,30 +532,23 @@ let serve_loop ctx config sources lfd =
                 accepting := false
           end;
           List.iter
-            (fun c ->
-              if (not c.c_closed) && List.mem c.c_fd ready then service c)
+            (fun c -> if List.mem c.c_in ready then service lp c)
             !conns;
-          List.iter
-            (fun c ->
-              if (not c.c_closed) && c.c_intake.slots <> []
-                 && not (readable c.c_fd)
-              then flush c)
-            !conns;
-          loop ()
+          List.iter (fun c -> if not c.c_done then flush_if_paused lp c) !conns;
+          conns :=
+            List.filter
+              (fun c ->
+                if c.c_done then close_conn c;
+                not c.c_done)
+              !conns;
+          go ()
     end
   in
   Fun.protect ~finally:(fun () -> List.iter close_conn !conns) @@ fun () ->
-  loop ();
+  go ();
   (* Shutdown: stop accepting, answer everything already taken in. *)
-  List.iter
-    (fun c ->
-      if not c.c_closed then begin
-        drain_events c;
-        flush c;
-        close_conn c
-      end)
-    !conns;
-  !answered
+  List.iter (finish lp) !conns;
+  lp.answered
 
 let serve_unix ?(config = default_config) ctx ~path () =
   Context.freeze ctx;

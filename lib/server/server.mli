@@ -4,10 +4,11 @@
     loaded once) and answers framed requests — parse, verify, re-print,
     emit bytecode — over a byte stream: stdin/stdout ({!serve_fd}, the
     [--serve] mode) or a Unix-domain socket ({!serve_unix}, [--listen]).
-    On a byte stream, a burst of pipelined requests fans out through the
-    work-stealing {!Domain_pool}; on a socket, each domain runs its own
-    serve loop and answers the connections it accepted inline. Either way
-    a connection's responses are written in arrival order.
+    Requests are answered inline by a serve loop: on a byte stream, one
+    loop on the calling domain; on a socket, one loop per domain, each
+    answering the connections it accepted. Either way a connection's
+    responses are written in arrival order. Module requests run the same
+    chunk driver as a one-shot run ({!Irdl_bytecode.Frontend.run}).
 
     Robustness contract, enforced per request:
     - {b Budgets}: the server's configured {!Limits.t} is {!Limits.meet}ed
@@ -82,11 +83,11 @@ type config = {
           request can tighten but never loosen it *)
   max_queue : int;
       (** > 0 bounds accepted-per-burst requests (excess is shed with
-          [retry_later]); 0 accepts everything, dispatching in internal
-          batches *)
+          [retry_later]); 0 accepts everything, answering in internal
+          windows *)
   domains : int;
-      (** the number of serve loops for {!serve_unix}, the {!Domain_pool}
-          width for {!serve_fd}; 0 = recommended count *)
+      (** the number of serve loops for {!serve_unix}; 0 = recommended
+          count. {!serve_fd} runs one loop. *)
   generic : bool;  (** print in generic form, as [irdl-opt --generic] *)
   retry_after_ms : int;  (** the hint sent with shed responses *)
 }
@@ -150,8 +151,10 @@ val serve_fd :
 (** Serve framed requests from [in_fd], writing responses to [out_fd], in
     arrival order, until end of input, a protocol error (answered with a
     final [invalid_request] response), or shutdown — in every case the
-    requests already accepted are processed and answered first. Freezes
-    [ctx]. Returns the number of requests answered. *)
+    requests already accepted are processed and answered first. Each read
+    burst is answered inline, on the calling domain. If [out_fd] hangs up,
+    serving stops. Freezes [ctx]. Returns the number of requests
+    answered. *)
 
 val serve_unix :
   ?config:config -> Irdl_ir.Context.t -> path:string -> unit -> int

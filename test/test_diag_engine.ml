@@ -176,7 +176,7 @@ let split_property =
       let parse ~file payload =
         let engine = Diag.Engine.create () in
         ignore
-          (Irdl_bytecode.Frontend.parse_module ~file ~engine ~limits ctx
+          (Irdl_bytecode.Frontend.run ~file ~engine ~limits ~verify:false ctx
              payload);
         Diag.Engine.diagnostics engine
       in

@@ -1,9 +1,11 @@
-(** The streaming frontend ({!Irdl_ir.Parser.Stream}) differentially
-    against the materializing parser: same ops, byte-identical printed IR,
-    identical diagnostics (order included), same fail-fast/fail-soft
-    behavior — across hand-written inputs, error-recovery inputs and
-    generated 10^3..10^4-op modules. Plus the release semantics the
-    streaming driver relies on. *)
+(** The chunk driver ({!Irdl_bytecode.Frontend.run}) differentially
+    against the materializing oracle ([Parser.parse_ops] or
+    [Bytecode.read_module], then [Verifier.verify_ops_all] and the printer):
+    same verdict, byte-identical printed IR, identical diagnostics (order
+    included) — in both driver modes (release each op, or keep the ops for
+    a pipeline), for text and bytecode payloads, across hand-written
+    inputs, error-recovery inputs and generated 10^3..10^4-op modules. Plus
+    the streaming parser's own semantics the driver relies on. *)
 
 open Irdl_support
 module Attr = Irdl_ir.Attr
@@ -12,65 +14,71 @@ module Context = Irdl_ir.Context
 module Parser = Irdl_ir.Parser
 module Printer = Irdl_ir.Printer
 module Verifier = Irdl_ir.Verifier
+module Bytecode = Irdl_bytecode.Bytecode
+module Frontend = Irdl_bytecode.Frontend
+module Source = Frontend.Source
 
 let messages e =
   List.map (fun (d : Diag.t) -> Diag.to_string d) (Diag.Engine.diagnostics e)
 
-(* Drain a fail-soft session, mimicking irdl-opt's streaming driver: print
-   each op into one printer session, collect per-op verification results,
-   release, and merge the verification diagnostics at end-of-stream. *)
-let drain_collect ?engine ctx src =
-  let session = Parser.Stream.create ?engine ctx src in
-  let printer = Printer.create ctx in
-  let buf = Buffer.create 256 in
-  let count = ref 0 in
-  let vdiags = ref [] in
-  let rec go () =
-    match Parser.Stream.next session with
-    | Ok None -> Ok ()
-    | Error d -> Error d
-    | Ok (Some op) ->
-        incr count;
-        vdiags := Verifier.verify_all ctx op :: !vdiags;
-        if Buffer.length buf > 0 then Buffer.add_char buf '\n';
-        Buffer.add_string buf (Fmt.str "%a" (Printer.pp_op printer) op);
-        Parser.Stream.release op;
-        go ()
+(* The oracle: materialize the whole payload, verify it as one module and
+   print it. The driver's contract, spelled out: verify diagnostics follow
+   the parse diagnostics and are dropped on a parse failure; output only
+   when nothing failed. *)
+let oracle ~verify ctx payload =
+  let engine = Diag.Engine.create () in
+  let ops =
+    match payload with
+    | Source.Text (s, window) -> Parser.parse_ops ~engine ~window ctx s
+    | Source.Binary b -> Bytecode.read_module ~engine ctx b
   in
-  let result = go () in
-  ( result,
-    !count,
-    Buffer.contents buf,
-    Verifier.merge_diags (List.concat (List.rev !vdiags)) )
+  let ops = Result.value ops ~default:[] in
+  let parse_failed = Diag.Engine.error_count engine > 0 in
+  let vdiags =
+    if parse_failed || not verify then [] else Verifier.verify_ops_all ctx ops
+  in
+  List.iter (Diag.Engine.emit engine) vdiags;
+  let output =
+    if parse_failed || vdiags <> [] then None
+    else Some (Printer.ops_to_string ctx ops)
+  in
+  (parse_failed, vdiags <> [], messages engine, output, List.length ops)
 
-(* The materializing reference for the same source. *)
-let materialize ?engine ctx src =
-  match Parser.parse_ops ?engine ctx src with
-  | Ok ops ->
-      ( Ok (),
-        List.length ops,
-        Printer.ops_to_string ctx ops,
-        Verifier.verify_ops_all ctx ops )
-  | Error d -> (Error d, 0, "", [])
+(* The driver over the same payload into a text sink. With [keep], a
+   pipeline that records how many ops it was given and reports nothing. *)
+let driver ~verify ~keep ctx payload =
+  let engine = Diag.Engine.create () in
+  let seen = ref (-1) in
+  let pipeline =
+    if keep then
+      Some
+        (fun ops ->
+          seen := List.length ops;
+          [])
+    else None
+  in
+  let r =
+    Frontend.run ~engine ~verify ~sink:(Frontend.Sink.text ctx) ?pipeline ctx
+      payload
+  in
+  (r, messages engine, Option.map (String.concat "") r.output, !seen)
 
-(* Both paths over [src], asserting byte-identical output. Fail-soft runs
-   get fresh engines whose recorded diagnostics must also agree. *)
-let check_differential name src =
-  let ctx = Context.create () in
-  let em = Diag.Engine.create () in
-  let m_res, m_count, m_text, m_vdiags = materialize ~engine:em ctx src in
-  let es = Diag.Engine.create () in
-  let s_res, s_count, s_text, s_vdiags = drain_collect ~engine:es ctx src in
-  Alcotest.(check bool) (name ^ ": both Ok") true (m_res = Ok () && s_res = Ok ());
-  Alcotest.(check int) (name ^ ": op count") m_count s_count;
-  Alcotest.(check string) (name ^ ": printed IR") m_text s_text;
-  Alcotest.(check (list string))
-    (name ^ ": parse diagnostics")
-    (messages em) (messages es);
-  Alcotest.(check (list string))
-    (name ^ ": verify diagnostics")
-    (List.map Diag.to_string m_vdiags)
-    (List.map Diag.to_string s_vdiags)
+let check_payload ?(verify = true) ~keep ctx name payload =
+  let name = name ^ if keep then " (keep ops)" else " (release ops)" in
+  let o_pf, o_vf, o_msgs, o_out, o_count = oracle ~verify ctx payload in
+  let r, msgs, out, seen = driver ~verify ~keep ctx payload in
+  Alcotest.(check bool) (name ^ ": parse failed") o_pf r.parse_failed;
+  Alcotest.(check bool) (name ^ ": verify failed") o_vf r.verify_failed;
+  Alcotest.(check (list string)) (name ^ ": diagnostics") o_msgs msgs;
+  Alcotest.(check (option string)) (name ^ ": printed IR") o_out out;
+  if keep && not (o_pf || o_vf) then
+    Alcotest.(check int) (name ^ ": pipeline saw every op") o_count seen
+
+(* Both driver modes over [src] against the oracle. *)
+let check_differential ?(ctx = Context.create ()) ?verify name src =
+  List.iter
+    (fun keep -> check_payload ?verify ~keep ctx name (Source.classify src))
+    [ false; true ]
 
 (* ---------------- hand-written inputs ---------------- *)
 
@@ -258,16 +266,101 @@ let generated_errors () =
         (generated ~err_every:97 n))
     [ 1_000; 5_000 ]
 
-(* Streaming keeps only the value records alive: after draining a
-   generated module with ops released as they come, re-verifying the next
-   module still works (no poisoned state in the context). *)
+(* Releasing ops keeps only the value records alive: after draining a
+   generated module, re-running the next one still works (no poisoned
+   state in the context). *)
 let sessions_are_independent () =
   let ctx = Context.create () in
-  let src = generated 1_000 in
-  let _, c1, t1, _ = drain_collect ctx src in
-  let _, c2, t2, _ = drain_collect ctx src in
-  Alcotest.(check int) "same count across sessions" c1 c2;
-  Alcotest.(check string) "same text across sessions" t1 t2
+  let payload = Source.classify (generated 1_000) in
+  let run () =
+    let _, _, out, _ = driver ~verify:true ~keep:false ctx payload in
+    out
+  in
+  let t1 = run () in
+  Alcotest.(check bool) "first session prints" true (t1 <> None);
+  Alcotest.(check (option string)) "same text across sessions" t1 (run ())
+
+(* ---------------- driver: cmath, ~verify:false, pipelines ---------------- *)
+
+let cmath_src =
+  "%c = \"cmath.constant\"() {value = 2.0 : f32} : () -> !cmath.complex<f32>\n\
+   %m = \"cmath.mul\"(%c, %c) : (!cmath.complex<f32>, !cmath.complex<f32>) \
+   -> !cmath.complex<f32>\n"
+
+let bad_verify_src = "%bad = \"cmath.norm\"() : () -> f32\n"
+
+(* Three failing ops around good ones: the verify diagnostics must come
+   out in [merge_diags] order, not in drain order. *)
+let bad_verify_many =
+  "%b1 = \"cmath.norm\"() : () -> f32\n" ^ cmath_src
+  ^ "%b2 = \"cmath.mul\"(%c) : (!cmath.complex<f32>) -> !cmath.complex<f32>\n\
+     %b3 = \"cmath.norm\"(%c, %c) : (!cmath.complex<f32>, \
+     !cmath.complex<f32>) -> f32\n"
+
+(* Encode [src] (which must parse) as one bytecode document. *)
+let to_bytecode ctx src =
+  Util.check_ok "emit"
+    (Bytecode.Write.module_to_string
+       (Util.check_ok "parse" (Parser.parse_ops ctx src)))
+
+let cmath_payloads () =
+  let ctx = Util.cmath_ctx () in
+  List.iter
+    (fun (name, src) ->
+      check_differential ~ctx ("text " ^ name) src;
+      let payload = Source.classify (to_bytecode ctx src) in
+      Alcotest.(check bool) (name ^ ": sniffed as bytecode") true
+        (Source.is_binary payload);
+      List.iter
+        (fun keep -> check_payload ~keep ctx ("bytecode " ^ name) payload)
+        [ false; true ])
+    [
+      ("clean", cmath_src);
+      ("verify error", bad_verify_src);
+      ("verify errors", bad_verify_many);
+    ]
+
+let verify_off () =
+  let ctx = Util.cmath_ctx () in
+  check_differential ~ctx ~verify:false "verify off"
+    (cmath_src ^ bad_verify_src);
+  (* The module fails to verify, yet with verification off it prints. *)
+  let r, msgs, out, _ =
+    driver ~verify:false ~keep:false ctx (Source.classify bad_verify_src)
+  in
+  Alcotest.(check (list string)) "no diagnostics" [] msgs;
+  Alcotest.(check bool) "not failed" false (r.parse_failed || r.verify_failed);
+  Alcotest.(check bool) "printed" true (out <> None)
+
+(* A pipeline runs only after a clean verify, over the ops in document
+   order; what it reports is a verify failure and suppresses the output. *)
+let pipeline_mode () =
+  let ctx = Util.cmath_ctx () in
+  let run ?(report = []) src =
+    let engine = Diag.Engine.create () in
+    let names = ref [] in
+    let pipeline ops =
+      names := List.map (fun (op : Graph.op) -> op.op_name) ops;
+      report
+    in
+    let r =
+      Frontend.run ~engine ~verify:true ~sink:(Frontend.Sink.text ctx)
+        ~pipeline ctx (Source.classify src)
+    in
+    (r, messages engine, !names)
+  in
+  let r, _, names = run cmath_src in
+  Alcotest.(check (list string)) "ops in order"
+    [ "cmath.constant"; "cmath.mul" ] names;
+  Alcotest.(check bool) "clean run prints" true (r.output <> None);
+  let r, _, names = run (cmath_src ^ bad_verify_src) in
+  Alcotest.(check (list string)) "not run after a verify failure" [] names;
+  Alcotest.(check bool) "verify failed" true r.verify_failed;
+  let r, msgs, _ = run ~report:[ Diag.make "pass failed" ] cmath_src in
+  Alcotest.(check bool) "pipeline report is a verify failure" true
+    (r.verify_failed && not r.parse_failed);
+  Alcotest.(check (list string)) "report emitted" [ "error: pass failed" ] msgs;
+  Alcotest.(check bool) "no output" true (r.output = None)
 
 (* ---------------- unified stats / sources ---------------- *)
 
@@ -396,6 +489,10 @@ let suite =
       generated_errors;
     Alcotest.test_case "sessions are independent" `Quick
       sessions_are_independent;
+    Alcotest.test_case "differential: cmath text and bytecode payloads" `Quick
+      cmath_payloads;
+    Alcotest.test_case "differential: ~verify:false" `Quick verify_off;
+    Alcotest.test_case "driver: pipeline mode" `Quick pipeline_mode;
     Alcotest.test_case "Context.stats scopes" `Quick stats_scopes;
     Alcotest.test_case "Diag.Sources.drop" `Quick sources_drop;
     Alcotest.test_case "paged sink: pages join to ops_to_string" `Quick

@@ -18,8 +18,8 @@
    where [strtab] and [pool] are deduplicated tables (strings; types and
    attributes in one table, children referencing earlier entries only) that
    intern directly on load through the {!Attr} smart constructors, and
-   [op_index] lists the byte length of every top-level op so a streaming
-   reader can skip ops — regions included — without decoding them.
+   [op_index] lists the byte length of every top-level op, which bounds
+   each op's decode.
 
    Value cross-references are explicit indices assigned by the writer at
    first encounter (use or definition), which keeps the writer single-pass
@@ -874,7 +874,6 @@ let read_loc c strs =
 type mstate = {
   ms_vals : Graph.value option array;
   mutable ms_forwards : (int * Graph.value) list;
-  mutable ms_skipped : bool;
   ms_budget : Limits.budget;
       (** session-wide (spans documents in a multi-doc buffer); blown
           budgets raise {!Diag.Fatal_exn} and end the whole session *)
@@ -1051,7 +1050,10 @@ type docstate = {
 module Stream = struct
   type session = {
     s_cur : cursor;  (* spans the whole (possibly multi-document) buffer *)
-    s_engine : Diag.Engine.t option;
+    s_engine : Diag.Engine.t;
+    s_result :
+      (Graph.op option, Diag.t) result -> (Graph.op option, Diag.t) result;
+        (* the caller's answer ({!Diag.Engine.fail_fast}) *)
     s_queue : pending Queue.t;
     s_budget : Limits.budget;  (* shared by every document of the buffer *)
     mutable s_doc : docstate option;
@@ -1062,10 +1064,12 @@ module Stream = struct
   let create ?(file = "<bytecode>") ?engine ?(limits = Limits.unlimited)
       (_ctx : Context.t) s =
     let budget = Limits.budget limits in
+    let engine, s_result = Diag.Engine.fail_fast engine in
     let sp =
       {
         s_cur = cursor ~file s;
         s_engine = engine;
+        s_result;
         s_queue = Queue.create ();
         s_budget = budget;
         s_doc = None;
@@ -1083,53 +1087,36 @@ module Stream = struct
      with
     | Ok () -> ()
     | Error d ->
-        (match engine with Some e -> Diag.Engine.emit e d | None -> ());
+        Diag.Engine.emit engine d;
         sp.s_failed <- Some d;
         sp.s_eof <- true);
     sp
 
-  (* Fail-soft sessions recover at the next document — except from budget
-     violations, which must stay sticky: resuming after "too many ops"
-     would keep consuming the very resource that ran out. *)
+  (* Errors are emitted and the session recovers at the next document —
+     except from budget violations, which must stay sticky: resuming after
+     "too many ops" would keep consuming the very resource that ran out. *)
   let fail sp d =
-    match sp.s_engine with
-    | Some e when not (Limits.is_budget_code d.Diag.code) ->
-        Diag.Engine.emit e d;
-        Ok ()
-    | Some e ->
-        Diag.Engine.emit e d;
-        sp.s_failed <- Some d;
-        Error d
-    | None ->
-        sp.s_failed <- Some d;
-        Error d
+    Diag.Engine.emit sp.s_engine d;
+    if Limits.is_budget_code d.Diag.code then begin
+      sp.s_failed <- Some d;
+      Error d
+    end
+    else Ok ()
 
-  (* End-of-document: report (or, after a [skip], release) every value
-     still undefined, then mark queued ops deliverable as-is — a document
-     boundary is final, nothing later can resolve them. *)
+  (* End-of-document: report every value still undefined, then mark queued
+     ops deliverable as-is — a document boundary is final, nothing later
+     can resolve them. *)
   let finish_doc sp doc =
-    let st = doc.d_state in
     let outcome =
-      match st.ms_forwards with
+      match doc.d_state.ms_forwards with
       | [] -> Ok ()
       | forwards ->
-          if st.ms_skipped then begin
-            (* Skipped ops own the missing definitions; stand the
-               placeholders down like a streamed-and-released subtree. *)
-            List.iter
-              (fun (_, (v : Graph.value)) -> v.v_def <- Graph.Released)
-              forwards;
-            Ok ()
-          end
-          else
-            let d =
-              Diag.error
-                ~loc:(Loc.point (Loc.start_of_file sp.s_cur.c_file))
-                "malformed bytecode: %d value index%s used but never defined"
-                (List.length forwards)
-                (if List.length forwards = 1 then "" else "es")
-            in
-            fail sp d
+          fail sp
+            (Diag.error
+               ~loc:(Loc.point (Loc.start_of_file sp.s_cur.c_file))
+               "malformed bytecode: %d value index%s used but never defined"
+               (List.length forwards)
+               (if List.length forwards = 1 then "" else "es"))
     in
     Queue.iter (fun p -> p.pd_forwards <- []) sp.s_queue;
     sp.s_doc <- None;
@@ -1183,7 +1170,6 @@ module Stream = struct
                   {
                     ms_vals = Array.make total_vals None;
                     ms_forwards = [];
-                    ms_skipped = false;
                     ms_budget = sp.s_budget;
                   };
                 d_lens = lens;
@@ -1220,7 +1206,7 @@ module Stream = struct
     doc.d_i <- doc.d_i + 1;
     op
 
-  let rec next sp : (Graph.op option, Diag.t) result =
+  let rec pull sp : (Graph.op option, Diag.t) result =
     match sp.s_failed with
     | Some d -> Error d
     | None ->
@@ -1241,7 +1227,7 @@ module Stream = struct
                       abandon_doc sp doc;
                       match fail sp d with
                       | Error d -> Error d
-                      | Ok () -> next sp))
+                      | Ok () -> pull sp))
               | op when
                   (match doc.d_state.ms_forwards with
                   | [] -> true
@@ -1259,11 +1245,11 @@ module Stream = struct
                            | _ -> false)
                   in
                   Queue.push { pd_op = op; pd_forwards = forwards } sp.s_queue;
-                  next sp)
+                  pull sp)
           | Some doc -> (
               match finish_doc sp doc with
               | Error d -> Error d
-              | Ok () -> next sp)
+              | Ok () -> pull sp)
           | None ->
               if remaining sp.s_cur = 0 then
                 if Queue.is_empty sp.s_queue then begin
@@ -1274,44 +1260,11 @@ module Stream = struct
               else begin
                 match open_doc sp with
                 | Error d -> Error d
-                | Ok () -> if sp.s_eof then Ok None else next sp
+                | Ok () -> if sp.s_eof then Ok None else pull sp
               end
         end
 
-  (* Skip the next top-level op without materializing it: one index hop.
-     Values it would have defined surface as [Released] at end of document.
-     [Ok false] at end of input. *)
-  let rec skip sp : (bool, Diag.t) result =
-    match sp.s_failed with
-    | Some d -> Error d
-    | None -> (
-        match sp.s_doc with
-        | Some doc when doc.d_i < Array.length doc.d_lens -> (
-            match
-              Diag.protect_any (fun () ->
-                  let len = doc.d_lens.(doc.d_i) in
-                  let c = doc.d_cur in
-                  if len > remaining c then
-                    cfail c "truncated op (%d bytes)" len c.c_pos;
-                  c.c_pos <- c.c_pos + len;
-                  doc.d_i <- doc.d_i + 1;
-                  doc.d_state.ms_skipped <- true)
-            with
-            | Ok () -> Ok true
-            | Error d -> (
-                abandon_doc sp doc;
-                match fail sp d with Error d -> Error d | Ok () -> skip sp))
-        | Some doc -> (
-            match finish_doc sp doc with
-            | Error d -> Error d
-            | Ok () -> skip sp)
-        | None ->
-            if remaining sp.s_cur = 0 then Ok false
-            else begin
-              match open_doc sp with
-              | Error d -> Error d
-              | Ok () -> if sp.s_eof then Ok false else skip sp
-            end)
+  let next sp = sp.s_result (pull sp)
 
   let release = Graph.release
 end
@@ -1501,33 +1454,24 @@ let decode_dialect c strs attr_at : Resolve.dialect =
   }
 
 let read_dialects ?(file = "<bytecode>") ?engine s =
+  let engine, result = Diag.Engine.fail_fast engine in
   let c = cursor ~file s in
-  let fail_or acc d =
-    match engine with
-    | Some e ->
-        Diag.Engine.emit e d;
-        Ok acc
-    | None -> Error d
-  in
   let rec go acc =
-    if remaining c = 0 then Ok (List.rev acc)
+    if remaining c = 0 then List.rev acc
     else
       match Diag.protect_any (fun () -> read_header c) with
-      | Error d -> (
-          match fail_or acc d with
-          | Error d -> Error d
-          | Ok acc ->
-              (* No trustworthy payload length: stop here. *)
-              Ok (List.rev acc))
-      | Ok h when h.dh_kind <> Dialect_doc -> (
+      | Error d ->
+          Diag.Engine.emit engine d;
+          (* No trustworthy payload length: stop here. *)
+          List.rev acc
+      | Ok h when h.dh_kind <> Dialect_doc ->
           c.c_pos <- h.dh_payload_end;
-          let d =
-            Diag.error
-              ~loc:(Loc.point (Loc.start_of_file file))
-              "bytecode document holds an IR module, expected dialect \
-               definitions"
-          in
-          match fail_or acc d with Error d -> Error d | Ok acc -> go acc)
+          Diag.Engine.emit engine
+            (Diag.error
+               ~loc:(Loc.point (Loc.start_of_file file))
+               "bytecode document holds an IR module, expected dialect \
+                definitions");
+          go acc
       | Ok h -> (
           let dc = { c with c_end = h.dh_payload_end } in
           match
@@ -1540,13 +1484,12 @@ let read_dialects ?(file = "<bytecode>") ?engine s =
           | Ok dls ->
               c.c_pos <- h.dh_payload_end;
               go (List.rev_append dls acc)
-          | Error d -> (
+          | Error d ->
               c.c_pos <- h.dh_payload_end;
-              match fail_or acc d with
-              | Error d -> Error d
-              | Ok acc -> go acc))
+              Diag.Engine.emit engine d;
+              go acc)
   in
-  go []
+  result (Ok (go []))
 
 (* ------------------------------------------------------------------ *)
 (* Structural equality (round-trip oracles)                           *)

@@ -5,14 +5,15 @@
     [magic version kind payload_len payload]; documents concatenate freely
     (the binary analog of [// -----] chunks). Module payloads carry
     deduplicated string and type/attribute tables that intern directly on
-    load, plus a byte-length index of the top-level ops so a streaming
-    reader can {!Stream.skip} an op — regions included — without decoding
-    it.
+    load, plus a byte-length index of the top-level ops, which bounds each
+    op's decode.
 
     The reader never crashes on malformed input: every read is
-    bounds-checked and surfaces as a located diagnostic (an [Error], or an
-    emit on the fail-soft [?engine]). See DESIGN.md "Bytecode format" for
-    the layout and compatibility policy. *)
+    bounds-checked and surfaces as a located diagnostic, emitted to the
+    [?engine]. Reading resumes at the next document. Called without an
+    engine, a reader runs the same code on a private engine and returns
+    its first error as [Error] ({!Diag.Engine.fail_fast}). See DESIGN.md
+    "Bytecode format" for the layout and compatibility policy. *)
 
 open Irdl_support
 module Graph = Irdl_ir.Graph
@@ -76,21 +77,23 @@ val read_module :
   Context.t ->
   string ->
   (Graph.op list, Diag.t) result
-(** Materialize every module document of the buffer. Fail-fast without
-    [engine] (first error, as [Error]); fail-soft with it (errors emitted,
-    decoding resumes at the next document boundary, always [Ok] with the
-    ops that decoded). Drains {!Stream} internally, so diagnostics are
-    identical to the streaming path. [limits] caps payload size, decoded
-    ops, region depth and wall time across the whole buffer; budget
-    violations abort the session even in fail-soft mode. *)
+(** Materialize every module document of the buffer. Errors are emitted
+    to [engine] and decoding resumes at the next document boundary; the
+    result is [Ok] with the ops that decoded, or [Error] with a budget
+    violation. Without [engine], the first error is returned as [Error].
+    Drains {!Stream} internally, so diagnostics are identical to the
+    streaming path. [limits] caps payload size, decoded ops, region depth
+    and wall time across the whole buffer; a blown budget ends the
+    session. *)
 
 val read_dialects :
   ?file:string ->
   ?engine:Diag.Engine.t ->
   string ->
   (Resolve.dialect list, Diag.t) result
-(** Decode every dialect document of the buffer; error discipline as
-    {!read_module}. The surface AST is not serialized: loaded dialects
+(** Decode every dialect document of the buffer; errors as in
+    {!read_module}, and with [engine] the result is always [Ok]. The
+    surface AST is not serialized: loaded dialects
     carry a minimal [dl_ast] holding only the enum definitions. *)
 
 (** Pull-based reading, API-compatible with {!Irdl_ir.Parser.Stream}: one
@@ -109,18 +112,12 @@ module Stream : sig
   val next : session -> (Graph.op option, Diag.t) result
   (** The next top-level op, [Ok None] at end of input. As with the
       textual stream, an op is yielded only once every forward value
-      reference pending at its decode has resolved. In fail-fast mode the
-      first error is sticky; with an engine, errors are emitted and the
-      session resumes at the next document — except budget violations
+      reference pending at its decode has resolved. Errors are emitted and
+      the session resumes at the next document, except budget violations
       (diagnostic code [resource_exhausted]/[deadline_exceeded]), which
-      are sticky in both modes. *)
-
-  val skip : session -> (bool, Diag.t) result
-  (** Skip the next top-level op {e without decoding it} — one hop through
-      the byte-length index, regions included. [Ok false] at end of
-      input. Values defined by skipped ops surface as [Released]
-      placeholders to later uses, mirroring a streamed-and-released
-      subtree. *)
+      end it with a sticky [Error]. A session opened without an engine
+      yields no op once an error was emitted: it returns the first one,
+      sticky. *)
 
   val release : Graph.op -> unit
   (** Alias of {!Graph.release}. *)

@@ -220,31 +220,9 @@ let run ?file ~engine ?limits ~verify ?sink ?pipeline ctx payload =
             close ~verify_failed:(ds <> []))
 
 let load_dialects ?native ?compile ?file ?engine ctx payload =
-  match (payload, engine) with
-  | Source.Text _, None ->
-      Irdl_core.Irdl.load ?native ?compile ?file ctx (Source.contents payload)
-  | Source.Text _, Some engine ->
-      Ok
-        (Irdl_core.Irdl.load_collect ?native ?compile ?file ~engine ctx
-           (Source.contents payload))
-  | Source.Binary b, None ->
-      Result.bind (Bytecode.read_dialects ?file b) (fun dls ->
-          let rec reg = function
-            | [] -> Ok dls
-            | dl :: tl ->
-                Result.bind
-                  (Irdl_core.Registration.register ?native ?compile ctx dl)
-                  (fun () -> reg tl)
-          in
-          reg dls)
-  | Source.Binary b, Some engine -> (
-      match Bytecode.read_dialects ?file ~engine b with
-      | Error d -> Error d
-      | Ok dls ->
-          List.iter
-            (fun dl ->
-              List.iter (Diag.Engine.emit engine)
-                (Irdl_core.Registration.register_collect ?native ?compile ctx
-                   dl))
-            dls;
-          Ok dls)
+  Irdl_core.Irdl.load_with ?native ?compile ?engine ctx (fun engine ->
+      match payload with
+      | Source.Text _ ->
+          Irdl_core.Irdl.read ?file ~engine (Source.contents payload)
+      | Source.Binary b ->
+          Result.value ~default:[] (Bytecode.read_dialects ?file ~engine b))

@@ -128,8 +128,7 @@ val load_dialects :
   Context.t ->
   Source.payload ->
   (Irdl_core.Resolve.dialect list, Diag.t) result
-(** Load and register dialect definitions from IRDL text ([Irdl.load]) or
-    a bytecode dialect pack ([Bytecode.read_dialects] + registration).
-    With [engine] the load is fail-soft: errors are emitted, surviving
-    definitions are registered, and the result is [Ok] with the dialects
-    that loaded. *)
+(** Load and register dialect definitions from IRDL text or a bytecode
+    dialect pack, through [Irdl.load_with]: with [engine], errors are
+    emitted, surviving definitions are registered, and the result is [Ok]
+    with the dialects that loaded; without it, the first error. *)

@@ -11,71 +11,55 @@
 
 open Irdl_support
 
-let ( let* ) = Result.bind
-
 (** Parse IRDL source into ASTs. *)
 let parse = Parser.parse_file
 
-(** Parse, resolve and register every dialect in [src] into [ctx]. Returns
-    the resolved dialects for introspection. *)
-let load ?native ?compile ?file (ctx : Irdl_ir.Context.t) src :
-    (Resolve.dialect list, Diag.t) result =
-  let* asts = Parser.parse_file ?file src in
-  let* resolved =
-    List.fold_left
-      (fun acc ast ->
-        let* acc = acc in
-        let* dl = Resolve.resolve_dialect ast in
-        Ok (dl :: acc))
-      (Ok []) asts
-  in
-  let resolved = List.rev resolved in
-  let* () =
-    List.fold_left
-      (fun acc dl ->
-        let* () = acc in
-        Registration.register ?native ?compile ctx dl)
-      (Ok ()) resolved
-  in
-  Ok resolved
+(** Parse and resolve, every error emitted to [engine]: the dialects that
+    resolved. *)
+let read ?file ~engine src =
+  Parser.parse_file ?file ~engine src
+  |> Result.value ~default:[]
+  |> List.filter_map (fun ast ->
+         Result.to_option (Resolve.resolve_dialect ~engine ast))
 
-(** Fail-soft variant of {!load}: every error across parsing, resolution
-    and registration is emitted to [engine], and every definition that
-    survives is registered — a dialect file with three mistakes reports all
-    three in one run, and its good definitions still work. *)
-let load_collect ?native ?compile ?file ~engine (ctx : Irdl_ir.Context.t) src
-    : Resolve.dialect list =
-  let asts =
-    Parser.parse_file ?file ~engine src |> Result.value ~default:[]
-  in
-  let resolved =
-    List.filter_map
-      (fun ast -> Result.to_option (Resolve.resolve_dialect ~engine ast))
-      asts
-  in
+(** The one load path: [read] dialects on the engine, then register each
+    while the engine's error cap is not reached, every error emitted to
+    the engine. Without an engine the cap is one error, so nothing is
+    registered once reading or a registration failed, and the first error
+    is returned. *)
+let load_with ?native ?compile ?engine ctx read =
+  let engine, result = Diag.Engine.fail_fast engine in
+  let dls = read engine in
   List.iter
     (fun dl ->
-      List.iter (Diag.Engine.emit engine)
-        (Registration.register_collect ?native ?compile ctx dl))
-    resolved;
-  resolved
+      if not (Diag.Engine.limit_reached engine) then
+        List.iter (Diag.Engine.emit engine)
+          (Registration.register_collect ?native ?compile ctx dl))
+    dls;
+  result (Ok dls)
+
+(** Parse, resolve and register every dialect in [src] into [ctx]. Returns
+    the resolved dialects for introspection. *)
+let load ?native ?compile ?file ctx src =
+  load_with ?native ?compile ctx (fun engine -> read ?file ~engine src)
+
+(** {!load} on [engine]: a dialect file with three mistakes reports all
+    three in one run, and its good definitions still work. *)
+let load_collect ?native ?compile ?file ~engine ctx src =
+  load_with ?native ?compile ~engine ctx (fun engine -> read ?file ~engine src)
+  |> Result.value ~default:[]
 
 (** [load] for sources containing exactly one dialect. *)
 let load_one ?native ?compile ?file ctx src : (Resolve.dialect, Diag.t) result
     =
-  let* dls = load ?native ?compile ?file ctx src in
-  match dls with
-  | [ dl ] -> Ok dl
-  | dls ->
+  match load ?native ?compile ?file ctx src with
+  | Error _ as e -> e
+  | Ok [ dl ] -> Ok dl
+  | Ok dls ->
       Diag.errorf "expected exactly one dialect definition, found %d"
         (List.length dls)
 
 (** Parse and resolve without registering (used by the analysis pipeline). *)
 let analyze ?file src : (Resolve.dialect list, Diag.t) result =
-  let* asts = Parser.parse_file ?file src in
-  List.fold_left
-    (fun acc ast ->
-      let* acc = acc in
-      let* dl = Resolve.resolve_dialect ast in
-      Ok (acc @ [ dl ]))
-    (Ok []) asts
+  let engine, result = Diag.Engine.fail_fast None in
+  result (Ok (read ?file ~engine src))

@@ -9,33 +9,33 @@
 
 open Irdl_support
 
-val parse :
-  ?file:string ->
-  ?engine:Diag.Engine.t ->
-  string ->
+val parse : ?file:string -> ?engine:Diag.Engine.t -> string ->
   (Ast.dialect list, Diag.t) result
-(** Parse IRDL source into ASTs (no resolution or registration). Alias of
-    {!Parser.parse_file}: with [engine] the parse is fail-soft and always
-    returns [Ok]; without it the first error is returned as [Error]. *)
+(** Parse IRDL source into ASTs: {!Parser.parse_file}. *)
 
-val load :
-  ?native:Native.t -> ?compile:bool -> ?file:string -> Irdl_ir.Context.t ->
-  string -> (Resolve.dialect list, Diag.t) result
-(** Parse, resolve and register every dialect in the source. Returns the
-    resolved dialects for introspection. [compile] (default [true]) selects
-    compiled constraint checkers; see {!Registration.register}. *)
-
-val load_collect :
-  ?native:Native.t -> ?compile:bool -> ?file:string ->
-  engine:Diag.Engine.t -> Irdl_ir.Context.t -> string ->
+val read : ?file:string -> engine:Diag.Engine.t -> string ->
   Resolve.dialect list
-(** Fail-soft variant of {!load}: every error across parsing, resolution
-    and registration is emitted to [engine], and every definition that
-    survives is registered, so one run reports all errors in a source. *)
+(** Parse and resolve, errors emitted to [engine]: what resolved. *)
 
-val load_one :
-  ?native:Native.t -> ?compile:bool -> ?file:string -> Irdl_ir.Context.t ->
-  string -> (Resolve.dialect, Diag.t) result
+val load_with : ?native:Native.t -> ?compile:bool -> ?engine:Diag.Engine.t ->
+  Irdl_ir.Context.t -> (Diag.Engine.t -> Resolve.dialect list) ->
+  (Resolve.dialect list, Diag.t) result
+(** The one load path: register what a reader ({!read}, a bytecode pack)
+    returns while the engine's error cap is not reached. Without [engine]
+    the cap is one error, returned as [Error] ({!Diag.Engine.fail_fast}). *)
+
+val load : ?native:Native.t -> ?compile:bool -> ?file:string ->
+  Irdl_ir.Context.t -> string -> (Resolve.dialect list, Diag.t) result
+(** [load_with] over {!read}: nothing is registered after the first error.
+    [compile] (default [true]) selects compiled constraint checkers. *)
+
+val load_collect : ?native:Native.t -> ?compile:bool -> ?file:string ->
+  engine:Diag.Engine.t -> Irdl_ir.Context.t -> string -> Resolve.dialect list
+(** {!load} on [engine]: one run reports every error in a source, and every
+    definition that survives is registered. *)
+
+val load_one : ?native:Native.t -> ?compile:bool -> ?file:string ->
+  Irdl_ir.Context.t -> string -> (Resolve.dialect, Diag.t) result
 (** {!load} for sources containing exactly one dialect. *)
 
 val analyze :

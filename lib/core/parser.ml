@@ -1,34 +1,30 @@
 (** Recursive-descent parser for IRDL.
 
     The grammar is LL(1) over the token stream produced by {!Lexer}; IRDL
-    keywords are contextual, so definition names may collide with them. *)
+    keywords are contextual, so definition names may collide with them.
+    Every error is emitted to the parser's engine and parsing resumes at
+    the next item or dialect; an entry point called without an engine
+    returns its first error ({!Diag.Engine.fail_fast}). *)
 
 open Irdl_support
 
 type t = {
   buf : Sbuf.t;
-  engine : Diag.Engine.t option;
-      (** when set, lexing and dialect bodies recover instead of aborting *)
+  engine : Diag.Engine.t;  (** where recovered errors go *)
   mutable lookahead : Lexer.t;
 }
 
-(* Lex the next token. In fail-soft mode lexer errors are emitted to the
-   engine and lexing retried: every lexer raise leaves the buffer strictly
-   advanced (or at end of file), so this terminates. *)
-let next_token p =
-  match p.engine with
-  | None -> Lexer.next_token p.buf
-  | Some e ->
-      let rec go () =
-        match Diag.protect (fun () -> Lexer.next_token p.buf) with
-        | Ok t -> t
-        | Error d ->
-            Diag.Engine.emit e d;
-            go ()
-      in
-      go ()
+(* Lex the next token. Lexer errors are emitted to the engine and lexing
+   retried: every lexer raise leaves the buffer strictly advanced (or at
+   end of file), so this terminates. *)
+let rec next_token p =
+  match Lexer.next_token p.buf with
+  | t -> t
+  | exception Diag.Error_exn d ->
+      Diag.Engine.emit p.engine d;
+      next_token p
 
-let create ?(file = "<string>") ?engine src =
+let create ?(file = "<string>") ~engine src =
   let buf = Sbuf.create ~file src in
   let p = { buf; engine; lookahead = { Lexer.tok = Lexer.Eof; loc = Loc.unknown } } in
   p.lookahead <- next_token p;
@@ -477,20 +473,18 @@ let parse_dialect_body p ~start : Ast.dialect =
   while !continue do
     if accept_punct p "}" then continue := false
     else
-      match (peek p, p.engine) with
-      | Lexer.Eof, None -> items := parse_item p :: !items (* fail as before *)
-      | Lexer.Eof, Some e ->
-          Diag.Engine.emit e
+      match peek p with
+      | Lexer.Eof ->
+          Diag.Engine.emit p.engine
             (Diag.error ~loc:(loc p) "unexpected end of file in dialect '%s'"
                d_name);
           continue := false
-      | _, None -> items := parse_item p :: !items
-      | _, Some e -> (
-          match Diag.protect (fun () -> parse_item p) with
-          | Ok item -> items := item :: !items
-          | Error d ->
-              Diag.Engine.emit e d;
-              if Diag.Engine.limit_reached e then continue := false
+      | _ -> (
+          match parse_item p with
+          | item -> items := item :: !items
+          | exception Diag.Error_exn d ->
+              Diag.Engine.emit p.engine d;
+              if Diag.Engine.limit_reached p.engine then continue := false
               else
                 (match resync_item p with
                 | `Item -> () (* next iteration parses it *)
@@ -523,54 +517,40 @@ let resync_dialect p =
   in
   go 0
 
-(** Parse a whole IRDL file: a sequence of dialect definitions.
-
-    Without [engine] the parse is fail-fast: the first error aborts and is
-    returned as [Error]. With [engine] it is fail-soft: every error is
-    emitted to the engine with resynchronization at item and dialect
-    boundaries, and the result is always [Ok] with the dialects whose
-    headers parsed (keeping the items that survived). *)
+(** Parse a whole IRDL file: a sequence of dialect definitions. Every
+    error is emitted to the engine with resynchronization at item and
+    dialect boundaries; the result is [Ok] with the dialects whose headers
+    parsed (keeping the items that survived). *)
 let parse_file ?file ?engine src : (Ast.dialect list, Diag.t) result =
-  match engine with
-  | None ->
+  let engine, result = Diag.Engine.fail_fast engine in
+  let dialects =
+    match
       Diag.protect_any (fun () ->
-          let p = create ?file src in
+          let p = create ?file ~engine src in
           let rec go acc =
             match peek p with
             | Lexer.Eof -> List.rev acc
-            | _ -> go (parse_dialect p :: acc)
+            | _ when Diag.Engine.limit_reached engine -> List.rev acc
+            | _ -> (
+                let before = (loc p).start_pos.offset in
+                match parse_dialect p with
+                | d -> go (d :: acc)
+                | exception Diag.Error_exn d ->
+                    Diag.Engine.emit engine d;
+                    resync_dialect p;
+                    (* Belt and braces: never loop without consuming. *)
+                    if (loc p).start_pos.offset = before && peek p <> Lexer.Eof
+                    then ignore (advance p);
+                    go acc)
           in
           go [])
-  | Some engine ->
-      Ok
-        (match
-           Diag.protect_any (fun () ->
-               let p = create ?file ~engine src in
-               let dialects = ref [] in
-               let continue = ref true in
-               while !continue do
-                 match peek p with
-                 | Lexer.Eof -> continue := false
-                 | _ when Diag.Engine.limit_reached engine -> continue := false
-                 | _ -> (
-                     let before = (loc p).start_pos.offset in
-                     match Diag.protect (fun () -> parse_dialect p) with
-                     | Ok d -> dialects := d :: !dialects
-                     | Error d ->
-                         Diag.Engine.emit engine d;
-                         resync_dialect p;
-                         (* Belt and braces: never loop without consuming. *)
-                         if
-                           (loc p).start_pos.offset = before
-                           && peek p <> Lexer.Eof
-                         then ignore (advance p))
-               done;
-               List.rev !dialects)
-         with
-        | Ok ds -> ds
-        | Error d ->
-            Diag.Engine.emit engine d;
-            [])
+    with
+    | Ok ds -> ds
+    | Error d ->
+        Diag.Engine.emit engine d;
+        []
+  in
+  result (Ok dialects)
 
 (** Parse a source expected to contain exactly one dialect. *)
 let parse_one ?file src : (Ast.dialect, Diag.t) result =
@@ -583,9 +563,11 @@ let parse_one ?file src : (Ast.dialect, Diag.t) result =
 
 (** Parse a standalone constraint expression (used by tests and tooling). *)
 let parse_constraint_string ?file src : (Ast.cexpr, Diag.t) result =
-  Diag.protect_any (fun () ->
-      let p = create ?file src in
-      let e = parse_cexpr p in
-      match peek p with
-      | Lexer.Eof -> e
-      | _ -> fail p "trailing input after constraint")
+  let engine, result = Diag.Engine.fail_fast None in
+  result
+    (Diag.protect_any (fun () ->
+         let p = create ?file ~engine src in
+         let e = parse_cexpr p in
+         match peek p with
+         | Lexer.Eof -> e
+         | _ -> fail p "trailing input after constraint"))

@@ -10,12 +10,12 @@ val parse_file :
   (Ast.dialect list, Diag.t) result
 (** Parse a whole IRDL file: a sequence of [Dialect name { ... }].
 
-    Without [engine] the parse is fail-fast: it stops at the first error,
-    returned as [Error]. With [engine] it is fail-soft: every
-    lexing/parsing error is emitted to the engine and parsing resumes at
-    the next item or dialect boundary, so one run reports all errors; the
-    result is always [Ok] with the dialects (and the items within them)
-    that parsed. *)
+    Every lexing/parsing error is emitted to [engine] and parsing resumes
+    at the next item or dialect boundary, so one run reports all errors;
+    the result is [Ok] with the dialects (and the items within them) that
+    parsed. Without [engine] the same parse runs on a private engine and
+    its first error is returned as [Error] ({!Diag.Engine.fail_fast}), as
+    by every entry point below. *)
 
 val parse_one : ?file:string -> string -> (Ast.dialect, Diag.t) result
 (** Parse a source expected to contain exactly one dialect. *)

@@ -75,20 +75,15 @@ type scope = {
   expanding : string list;  (** alias expansion stack, for cycle detection *)
 }
 
-let scope_of_dialect ?on_dup (d : Ast.dialect) =
-  (* Duplicate definitions raise by default; a fail-soft caller passes
-     [on_dup] to record the error and keep the first definition. *)
+(* A duplicate definition is an error on [engine]; the first one is
+   kept. *)
+let scope_of_dialect ~engine (d : Ast.dialect) =
   let add_named name v map loc what =
     if SMap.mem name map then begin
-      let diag =
-        Diag.error ~loc "duplicate %s definition '%s' in dialect %s" what name
-          d.d_name
-      in
-      match on_dup with
-      | None -> raise (Diag.Error_exn diag)
-      | Some f ->
-          f diag;
-          map
+      Diag.Engine.emit engine
+        (Diag.error ~loc "duplicate %s definition '%s' in dialect %s" what
+           name d.d_name);
+      map
     end
     else SMap.add name v map
   in
@@ -491,29 +486,24 @@ let resolve_op sc (o : Ast.op_def) : op =
     op_loc = o.o_loc;
   }
 
-(** Resolve a whole dialect definition. Fail-fast without [engine] (first
-    error returned as [Error]); fail-soft with it — every error (duplicate
+(** Resolve a whole dialect definition. Every error (duplicate
     definitions, unresolvable references, misplaced variadics) is emitted
     and resolution continues with the next definition, so one run reports
-    all errors. In fail-soft mode definitions that fail to resolve are
-    dropped; the result is [Error] (already emitted) only when the dialect
-    scope itself could not be built. *)
+    all errors. Definitions that fail to resolve are dropped; the result
+    is [Error] (already emitted) only when the dialect scope itself could
+    not be built. Without [engine], the first error is returned. *)
 let resolve_dialect ?engine (d : Ast.dialect) : (dialect, Diag.t) result =
-  let result =
+  let engine, result = Diag.Engine.fail_fast engine in
+  let resolved =
     Diag.protect_any ~loc:d.d_loc (fun () ->
-        let on_dup = Option.map (fun e -> Diag.Engine.emit e) engine in
-        let sc = scope_of_dialect ?on_dup d in
-        (* Fail-fast: let the exception propagate to [protect_any].
-           Fail-soft: emit and drop just this definition. *)
+        let sc = scope_of_dialect ~engine d in
+        (* An error drops just this definition. *)
         let keep ~loc f x =
-          match engine with
-          | None -> Some (f x)
-          | Some engine -> (
-              match Diag.protect_any ~loc (fun () -> f x) with
-              | Ok v -> Some v
-              | Error diag ->
-                  Diag.Engine.emit engine diag;
-                  None)
+          match Diag.protect_any ~loc (fun () -> f x) with
+          | Ok v -> Some v
+          | Error diag ->
+              Diag.Engine.emit engine diag;
+              None
         in
         let dl_types =
           List.filter_map
@@ -562,7 +552,7 @@ let resolve_dialect ?engine (d : Ast.dialect) : (dialect, Diag.t) result =
           dl_ast = d;
         })
   in
-  (match (result, engine) with
-  | Error diag, Some engine -> Diag.Engine.emit engine diag
-  | _ -> ());
-  result
+  (match resolved with
+  | Error diag -> Diag.Engine.emit engine diag
+  | Ok _ -> ());
+  result resolved

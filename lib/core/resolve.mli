@@ -55,9 +55,9 @@ val resolve_dialect :
   ?engine:Diag.Engine.t -> Ast.dialect -> (dialect, Diag.t) result
 (** Resolve a whole dialect definition.
 
-    Without [engine] the resolve is fail-fast: it stops at the first
-    error, returned as [Error]. With [engine] it is fail-soft: every error
-    is emitted and resolution continues with the next definition, so one
-    run reports all errors; definitions that fail to resolve are dropped
-    from the returned dialect, and the result is [Error] (also emitted)
-    only when the dialect scope itself could not be built. *)
+    Every error is emitted to [engine] and resolution continues with the
+    next definition, so one run reports all errors; definitions that fail
+    to resolve are dropped from the returned dialect, and the result is
+    [Error] (also emitted) only when the dialect scope itself could not be
+    built. Without [engine] the same resolve runs on a private engine and
+    its first error is returned as [Error] ({!Diag.Engine.fail_fast}). *)

@@ -7,10 +7,14 @@
 
     The lexer is a cursor: the current token's kind, payload and span are
     mutable fields of the parser, so lexing a token allocates nothing and a
-    {!Loc.t} is built only where one is stored or reported. Names, type
-    spellings and op signatures go through a per-domain table (see "The
-    name table"), [%] names through a per-domain scope table (see "The
-    scope table"). *)
+    {!Loc.t} is built only where one is stored or reported. Names and op
+    signatures go through a per-domain table (see "The name table"), [%]
+    names through a per-domain scope table (see "The scope table").
+
+    There is one recovery mode. Lexer errors, failed ops and undefined
+    values are emitted to the session's engine and parsing resumes at the
+    next op; an entry point called without an engine runs on a private
+    one and returns its first error ({!Diag.Engine.fail_fast}). *)
 
 open Irdl_support
 
@@ -60,13 +64,12 @@ let builtin_ty_of_ident s : Attr.ty option =
 (* ------------------------------------------------------------------ *)
 
 (* One table per domain maps each distinct spelling — an identifier, an
-   op name, a plain string literal, a [!]/[#]/[@] name, a whole
-   [!d.t<...>] type spelling or a whole op signature — to one entry
-   holding a shared copy of it. It is probed by hashing the source bytes
-   in place, so a repeated spelling costs no allocation. An entry also
-   caches what the parser asks of a spelling: the builtin type it names,
-   its [dialect.name] split and, for a type spelling or a signature, what
-   it parsed to.
+   op name, a plain string literal, a [!]/[#]/[@] name or a whole op
+   signature — to one entry holding a shared copy of it. It is probed by
+   hashing the source bytes in place, so a repeated spelling costs no
+   allocation. An entry also caches what the parser asks of a spelling:
+   the builtin type it names, its [dialect.name] split and, for a
+   signature, what it parsed to.
 
    The cached types come from the domain's own uniquer shard ({!Attr}):
    the table is domain-local for the same reason. It is a cache with a
@@ -80,15 +83,13 @@ let builtin_ty_of_ident s : Attr.ty option =
    array. *)
 type signature = { operand_tys : Attr.ty array; result_tys : Attr.ty array }
 
-(* What a full parse of exactly an entry's bytes returned, recorded only
-   when no lexer error was recovered on the way. *)
-type memo = No_memo | Ty of Attr.ty | Sig of signature
-
 type entry = {
   spelling : string;
   builtin : Attr.ty option;  (** the builtin type it names as an identifier *)
   dotted : (string * string) option;  (** split at its first dot *)
-  mutable memo : memo;  (** for a [!d.t<...>] spelling or a signature *)
+  mutable memo : signature option;
+      (** for a signature: what a full parse of exactly its bytes returned,
+          recorded only when no lexer error was recovered on the way *)
 }
 
 let split_at_dot s =
@@ -102,10 +103,10 @@ let split_at_dot s =
    re-interning. *)
 let make_entry s =
   { spelling = s; builtin = Option.map Attr.intern_ty (builtin_ty_of_ident s);
-    dotted = split_at_dot s; memo = No_memo }
+    dotted = split_at_dot s; memo = None }
 
 (* Marks a free slot; never handed out. *)
-let vacant = { spelling = ""; builtin = None; dotted = None; memo = No_memo }
+let vacant = { spelling = ""; builtin = None; dotted = None; memo = None }
 
 let table_slots = 8192 (* a power of two *)
 let table_cap = table_slots / 2
@@ -116,16 +117,14 @@ let max_spelling = 256
 type table = {
   slots : entry array;  (** open addressing, linear probing *)
   mutable used : int;
-  mutable memo_hits : int;
-  mutable memo_misses : int;
   mutable sig_hits : int;
   mutable sig_misses : int;
 }
 
 let table_key : table Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      { slots = Array.make table_slots vacant; used = 0; memo_hits = 0;
-        memo_misses = 0; sig_hits = 0; sig_misses = 0 })
+      { slots = Array.make table_slots vacant; used = 0; sig_hits = 0;
+        sig_misses = 0 })
 
 (* FNV-1a over [src.[i .. stop-1]], a word at a time while one fits, then
    a final mix that folds the high bits, which a product only reaches
@@ -185,19 +184,14 @@ let intern_with make tbl src off stop =
 
 let intern_span = intern_with make_entry
 
-(* A type spelling or a signature, which starts with [!] or [(]: no
-   identifier or name shares its bytes, so its entry needs no builtin type
-   or dotted split. *)
+(* A signature, which starts with [(]: no identifier or name shares its
+   bytes, so its entry needs no builtin type or dotted split. *)
 let intern_memo_key =
   intern_with (fun s ->
-      { spelling = s; builtin = None; dotted = None; memo = No_memo })
+      { spelling = s; builtin = None; dotted = None; memo = None })
 
 let name_table_cap = table_cap
 let name_table_entries () = (Domain.DLS.get table_key).used
-
-let type_memo_stats () =
-  let t = Domain.DLS.get table_key in
-  (t.memo_hits, t.memo_misses)
 
 let signature_memo_stats () =
   let t = Domain.DLS.get table_key in
@@ -216,27 +210,6 @@ let rec string_end src stop i =
           string_end src stop (i + 2)
         else -1
     | _ -> string_end src stop (i + 1)
-
-(* The end (one past the closing [>]) of the type spelling whose [<] is
-   just before [i], or -1. Strings are skipped, [->] is not a closer, and
-   the scan gives up at a newline, a brace or [stop]. The result is only a
-   candidate: a spelling is memoized only when a full parse consumed
-   exactly it. *)
-let rec spelling_end src stop i depth =
-  if i >= stop then -1
-  else
-    match String.unsafe_get src i with
-    | '<' -> spelling_end src stop (i + 1) (depth + 1)
-    | '>' ->
-        if depth = 1 then i + 1
-        else spelling_end src stop (i + 1) (depth - 1)
-    | '-' when i + 1 < stop && String.unsafe_get src (i + 1) = '>' ->
-        spelling_end src stop (i + 2) depth
-    | '"' ->
-        let j = string_end src stop (i + 1) in
-        if j < 0 then -1 else spelling_end src stop j depth
-    | '\n' | '{' | '}' -> -1
-    | _ -> spelling_end src stop (i + 1) depth
 
 let is_comment src stop i =
   i + 1 < stop && String.unsafe_get src (i + 1) = '/'
@@ -284,8 +257,9 @@ let rec line_end src stop limit i last =
 (* The end of the op signature [(…) -> (…)] or [(…) -> ty] whose [(] is at
    [i], scanning no further than [stop] (at most the window end [limit]),
    or -1. A bare result type runs to the end of its line, up to a brace or
-   a comment, trailing blanks left out. Every end is a token boundary; like
-   {!spelling_end} the span is only a candidate. *)
+   a comment, trailing blanks left out. Every end is a token boundary. The
+   span is only a candidate: a signature is memoized only when a full
+   parse consumed exactly it. *)
 let signature_end src stop limit i =
   let j = paren_end src stop i 0 in
   let j = if j < 0 then stop else skip_blanks src stop j in
@@ -546,8 +520,7 @@ type t = {
   ctx : Context.t;
   buf : Sbuf.t;
   names : table;
-  engine : Diag.Engine.t option;
-      (** when set, lexing and op sequences recover instead of aborting *)
+  engine : Diag.Engine.t;  (** where recovered errors go *)
   budget : Limits.budget;
       (** resource accounting; blown budgets raise {!Diag.Fatal_exn}, which
           deliberately escapes the fail-soft recovery below *)
@@ -555,9 +528,7 @@ type t = {
   mutable tok : token;
   mutable text : string;
       (** the name of an id or ident token, the body of a string *)
-  mutable entry : entry;
-      (** name-table entry of an ident, [#] or [@] name; of a [!] name once
-          {!bang_entry} asked for it *)
+  mutable entry : entry;  (** name-table entry of an ident or a name *)
   mutable num : int64;  (** value of an [Int_lit] or [Hex_lit] *)
   mutable fnum : float;  (** value of a [Float_lit] *)
   mutable t_off : int;
@@ -686,15 +657,6 @@ let lex_name p ~skip tok =
   p.text <- e.spelling;
   tok
 
-(* A [!] name is interned only when asked for, by {!bang_entry}: a
-   memoized type spelling skips it. *)
-let lex_bang p =
-  let buf = p.buf in
-  Sbuf.advance buf;
-  Sbuf.skip_keyword buf;
-  p.entry <- vacant;
-  Bang_id
-
 let lex_punct p tok =
   Sbuf.advance p.buf;
   tok
@@ -713,7 +675,7 @@ let lex p =
        | '%' -> lex_id p Value_id
        | '^' -> lex_id p Block_id
        | '@' -> lex_name p ~skip:true Symbol_id
-       | '!' -> lex_bang p
+       | '!' -> lex_name p ~skip:true Bang_id
        | '#' -> lex_name p ~skip:true Hash_id
        | '-' when Sbuf.peek2 buf = '>' ->
            Sbuf.advance buf;
@@ -745,21 +707,18 @@ let lex p =
   p.e_line <- Sbuf.line buf;
   p.e_col <- Sbuf.col buf
 
-(* Lex the next token; in fail-soft mode lexer errors go to the engine and
-   lexing is retried (every lexer raise leaves the buffer advanced). *)
+(* Lex the next token; lexer errors go to the engine and lexing is retried
+   (every lexer raise leaves the buffer advanced). *)
 let rec next_token p =
-  match p.engine with
-  | None -> lex p
-  | Some e -> (
-      match lex p with
-      | () -> ()
-      | exception Diag.Error_exn d ->
-          Diag.Engine.emit e d;
-          p.lex_errors <- p.lex_errors + 1;
-          next_token p)
+  match lex p with
+  | () -> ()
+  | exception Diag.Error_exn d ->
+      Diag.Engine.emit p.engine d;
+      p.lex_errors <- p.lex_errors + 1;
+      next_token p
 
 (* A parser before its first token: it reads as [Eof]. *)
-let make ?engine ~budget ~scopes ctx buf =
+let make ~engine ~budget ~scopes ctx buf =
   { ctx; buf; names = Domain.DLS.get table_key; engine; budget; tok = Eof;
     text = ""; entry = vacant; num = 0L; fnum = 0.; t_off = 0; t_line = 0;
     t_col = 0; e_off = 0; e_line = 0; e_col = 0; last_end = 0;
@@ -768,7 +727,7 @@ let make ?engine ~budget ~scopes ctx buf =
 
 (* [scoped:false] for a parse that binds no name, which then claims no
    scope table. *)
-let create ?(file = "<string>") ?engine ?(limits = Limits.unlimited) ?window
+let create ?(file = "<string>") ~engine ?(limits = Limits.unlimited) ?window
     ?(scoped = true) ctx src =
   let budget = Limits.budget limits in
   let w = match window with Some w -> w | None -> Sbuf.whole src in
@@ -780,7 +739,7 @@ let create ?(file = "<string>") ?engine ?(limits = Limits.unlimited) ?window
   let scopes =
     if scoped then claim_scopes src (Sbuf.limit buf) else no_scopes
   in
-  let p = make ?engine ~budget ~scopes ctx buf in
+  let p = make ~engine ~budget ~scopes ctx buf in
   (match next_token p with
   | () -> ()
   | exception e ->
@@ -792,14 +751,6 @@ let advance p =
   p.last_end <- p.e_off;
   next_token p
 
-let bang_entry p =
-  if p.entry == vacant then begin
-    let e = intern_span p.names (Sbuf.src p.buf) (p.t_off + 1) p.e_off in
-    p.entry <- e;
-    p.text <- e.spelling
-  end;
-  p.entry
-
 (* The name of the current [%] or [^] token, without its sigil. *)
 let id_text p =
   String.sub (Sbuf.src p.buf) (p.t_off + 1) (p.e_off - p.t_off - 1)
@@ -809,7 +760,7 @@ let pp_token p ppf () =
   | Value_id -> Fmt.pf ppf "%%%s" (id_text p)
   | Block_id -> Fmt.pf ppf "^%s" (id_text p)
   | Symbol_id -> Fmt.pf ppf "@%s" p.text
-  | Bang_id -> Fmt.pf ppf "!%s" (bang_entry p).spelling
+  | Bang_id -> Fmt.pf ppf "!%s" p.text
   | Hash_id -> Fmt.pf ppf "#%s" p.text
   | Ident -> Fmt.string ppf p.text
   | Str -> Fmt.pf ppf "%S" p.text
@@ -876,8 +827,7 @@ let rec parse_ty p : Attr.ty =
           advance p;
           ty
       | None -> fail p "unknown builtin type '%s'" p.text)
-  | Bang_id ->
-      if Sbuf.peek p.buf = '<' then parse_spelled_ty p else parse_dynamic_ty p
+  | Bang_id -> parse_dynamic_ty p
   | Lparen ->
       let { operand_tys; result_tys } = parse_function_tys p in
       Attr.function_ty ~inputs:(Array.to_list operand_tys)
@@ -895,39 +845,8 @@ and parse_function_tys p =
   in
   { operand_tys; result_tys }
 
-(* [!d.t<...>] with the [<] right after the name: the type-spelling memo.
-   Parsing reads no context state, so the same bytes always parse to the
-   same type; a hit skips them in one jump (no newline inside, so only the
-   column moves). A spelling is recorded only when a full parse consumed
-   exactly the scanned bytes without a recovered lexer error. *)
-and parse_spelled_ty p =
-  let buf = p.buf in
-  let src = Sbuf.src buf in
-  let stop =
-    spelling_end src
-      (min (Sbuf.limit buf) (p.t_off + max_spelling))
-      (Sbuf.offset buf + 1) 1
-  in
-  if stop < 0 then parse_dynamic_ty p
-  else
-    let key = intern_memo_key p.names src p.t_off stop in
-    match key.memo with
-    | Ty ty ->
-        p.names.memo_hits <- p.names.memo_hits + 1;
-        Sbuf.jump buf stop;
-        p.last_end <- stop;
-        next_token p;
-        ty
-    | No_memo | Sig _ ->
-        p.names.memo_misses <- p.names.memo_misses + 1;
-        let lex_errors = p.lex_errors in
-        let ty = parse_dynamic_ty p in
-        if p.last_end = stop && p.lex_errors = lex_errors then
-          key.memo <- Ty ty;
-        ty
-
 and parse_dynamic_ty p =
-  let e = bang_entry p in
+  let e = p.entry in
   advance p;
   let dialect, name = dialect_name p e in
   let params = if accept p Less then parse_attr_list_until p Greater else [] in
@@ -1073,11 +992,11 @@ and parse_dict_entries p acc =
     expect p Rbrace;
     List.rev ((key, v) :: acc))
 
-(* An op signature, at its [(]: the signature memo. As with a type
-   spelling, the types depend on the bytes alone, so a hit jumps the
-   cursor past them and shares the cached arrays. A span is recorded only
-   when a full parse consumed exactly it without a recovered lexer
-   error. *)
+(* An op signature, at its [(]: the signature memo. Parsing types reads
+   no context state, so the same bytes always parse to the same types: a
+   hit jumps the cursor past them (no newline inside, so only the column
+   moves) and shares the cached arrays. A span is recorded only when a
+   full parse consumed exactly it without a recovered lexer error. *)
 let parse_signature p =
   if p.tok != Lparen then fail p "expected '('";
   let buf = p.buf in
@@ -1090,18 +1009,18 @@ let parse_signature p =
     let key = intern_memo_key p.names src p.t_off stop in
     let t = p.names in
     match key.memo with
-    | Sig s ->
+    | Some s ->
         t.sig_hits <- t.sig_hits + 1;
         Sbuf.jump buf stop;
         p.last_end <- stop;
         next_token p;
         s
-    | No_memo | Ty _ ->
+    | None ->
         t.sig_misses <- t.sig_misses + 1;
         let lex_errors = p.lex_errors in
         let s = parse_function_tys p in
         if p.last_end = stop && p.lex_errors = lex_errors then
-          key.memo <- Sig s;
+          key.memo <- Some s;
         s
 
 (* ------------------------------------------------------------------ *)
@@ -1420,29 +1339,24 @@ and parse_generic_body p ~name ~op_loc : Graph.op =
   Graph.Op.create_prebuilt ~operands ~result_tys ~attrs ~regions ~successors
     ~loc:op_loc name
 
-(* Operations up to the end of a block. In fail-soft mode each operation is
-   parsed under its own protection, so one bad op in a block does not
-   abandon the ops after it. *)
+(* Operations up to the end of a block. Each operation is parsed under its
+   own protection, so one bad op in a block does not abandon the ops after
+   it. *)
 and parse_block_body p blk =
   match p.tok with
   | Rbrace | Block_id | Eof -> ()
-  | _ -> (
-      match p.engine with
-      | None ->
-          Graph.Block.append blk (parse_op p);
-          parse_block_body p blk
-      | Some e ->
-          if not (Diag.Engine.limit_reached e) then begin
-            let before = p.t_off and names_top = p.names_top in
-            (match parse_op p with
-            | op -> Graph.Block.append blk op
-            | exception Diag.Error_exn d ->
-                Diag.Engine.emit e d;
-                p.names_top <- names_top;
-                resync_op p ~start:before;
-                ensure_progress p ~before);
-            parse_block_body p blk
-          end)
+  | _ ->
+      if not (Diag.Engine.limit_reached p.engine) then begin
+        let before = p.t_off and names_top = p.names_top in
+        (match parse_op p with
+        | op -> Graph.Block.append blk op
+        | exception Diag.Error_exn d ->
+            Diag.Engine.emit p.engine d;
+            p.names_top <- names_top;
+            resync_op p ~start:before;
+            ensure_progress p ~before);
+        parse_block_body p blk
+      end
 
 (* A region is a scope: its definitions and labels are dropped when it
    closes, also when it fails. *)
@@ -1604,18 +1518,11 @@ and parse_custom_body p ~name ~od:_ ~(format : Opfmt.t) ~op_loc : Graph.op =
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* One located error per value that was used but never defined. *)
 let finish p =
-  match undefined p with
-  | [] -> ()
-  | f :: _ ->
-      Diag.raise_error ~loc:f.f_loc "use of undefined value %%%s" f.f_name
-
-(* Collect-mode counterpart of {!finish}: one located error per value that
-   was used but never defined. *)
-let finish_collect p engine =
   List.iter
     (fun f ->
-      Diag.Engine.emit engine
+      Diag.Engine.emit p.engine
         (Diag.error ~loc:f.f_loc "use of undefined value %%%s" f.f_name))
     (undefined p)
 
@@ -1631,11 +1538,11 @@ module Stream = struct
   (* A parsed op is only handed out once every forward reference that was
      pending when its parse finished has been resolved: a consumer
      verifying (or printing) the op immediately must see the same patched
-     values it would see at the end of the module. Ops are queued FIFO,
-     each with the number of forward placeholders created by then; the
-     head is yielded once all of those have been defined. Well-formed
-     modules with no top-level forward references (the overwhelmingly
-     common case) keep the queue at length one. *)
+     values it would see at the end of the module. An op parsed with
+     nothing queued ahead and nothing unresolved goes straight out; the
+     others are queued FIFO, each with the number of forward placeholders
+     created by then, and the head is yielded once all of those have been
+     defined. *)
   type pending = {
     pd_op : Graph.op;
     pd_forwards : int;  (** forwards created before [pd_op] finished *)
@@ -1643,43 +1550,38 @@ module Stream = struct
 
   type session = {
     sp : t;
-    s_engine : Diag.Engine.t option;
+    s_result :
+      (Graph.op option, Diag.t) result -> (Graph.op option, Diag.t) result;
+        (** the caller's answer ({!Diag.Engine.fail_fast}) *)
     s_queue : pending Queue.t;
     mutable s_eof : bool;  (** No more input will be consumed. *)
     mutable s_finished : bool;  (** End-of-parse bookkeeping done. *)
     mutable s_failed : Diag.t option;
-        (** Fail-fast mode only: the error that ended the session. *)
+        (** the budget violation or internal error that ended the session *)
   }
 
   let create ?file ?engine ?limits ?window ctx src =
+    let engine, s_result = Diag.Engine.fail_fast engine in
     (* Session open can itself fail — payload over budget, injected fault —
        and must fail like everything else in a session: a sticky [Error]
        from [next], not an exception out of [create]. *)
     match
       Diag.protect_any (fun () ->
-          create ?file ?engine ?limits ?window ctx src)
+          create ?file ~engine ?limits ?window ctx src)
     with
     | Ok sp ->
-        {
-          sp;
-          s_engine = engine;
-          s_queue = Queue.create ();
-          s_eof = false;
-          s_finished = false;
-          s_failed = None;
-        }
+        { sp; s_result; s_queue = Queue.create (); s_eof = false;
+          s_finished = false; s_failed = None }
     | Error d ->
-        (match engine with
-        | Some e -> Diag.Engine.emit e d
-        | None -> ());
+        Diag.Engine.emit engine d;
         (* A placeholder parser over nothing, with no file name so that it
            registers nothing over the real source. *)
         {
           sp =
-            make ?engine
+            make ~engine
               ~budget:(Limits.budget Limits.unlimited)
               ~scopes:no_scopes ctx (Sbuf.create ~file:"" "");
-          s_engine = engine;
+          s_result;
           s_queue = Queue.create ();
           s_eof = true;
           s_finished = true;
@@ -1693,53 +1595,26 @@ module Stream = struct
   let enqueue s op =
     Queue.add { pd_op = op; pd_forwards = s.sp.n_fwds } s.s_queue
 
-  (* Consume one top-level item in fail-soft mode: an op, or a failed op
-     and the tokens up to the next sync point, or a stray brace. *)
-  let step_collect s engine =
-    let p = s.sp in
-    if Diag.Engine.limit_reached engine then s.s_eof <- true
-    else
-      match p.tok with
-      | Eof -> s.s_eof <- true
-      | Rbrace ->
-          (* Fallout of an earlier abandoned op — or a genuinely stray
-             brace. Consume it either way so it cannot poison the ops
-             after it. *)
-          let brace_loc = loc p in
-          advance p;
-          if not (Diag.Engine.has_errors engine) then
-            Diag.Engine.emit engine
-              (Diag.error ~loc:brace_loc "unexpected '}'")
-      | _ -> (
-          let before = p.t_off in
-          p.names_top <- 0;
-          match parse_op p with
-          | op -> enqueue s op
-          | exception Diag.Error_exn d ->
-              Diag.Engine.emit engine d;
-              resync_op p ~start:before;
-              if p.t_off = before && p.tok != Eof then advance p)
-
-  (* Consume one top-level op in fail-fast mode; raises on error. *)
-  let step_failfast s =
-    let p = s.sp in
-    match p.tok with
-    | Eof -> s.s_eof <- true
-    | _ -> enqueue s (parse_op p)
-
-  (* End-of-input bookkeeping, once: the undefined-value check of [finish]
-     (fail-fast) or [finish_collect] (fail-soft). After it runs, any still-
-     pending ops are handed out as they are. *)
+  (* End-of-input bookkeeping, once: the undefined-value check. After it
+     runs, any still-pending ops are handed out as they are. *)
   let finish_stream s =
     if not s.s_finished then begin
       s.s_finished <- true;
       release_scopes s.sp.scopes;
-      match s.s_engine with
-      | Some engine -> finish_collect s.sp engine
-      | None -> finish s.sp
+      finish s.sp
     end
 
+  (* The next op to hand out. Each step consumes one top-level item: an
+     op, a failed op and the tokens up to the next sync point, or a stray
+     brace. Once the engine's error cap is reached nothing more is
+     consumed and the session is finished at once, so a caller that stops
+     at its error leaves no scope table claimed. *)
   let rec pull s =
+    let p = s.sp in
+    if (not s.s_eof) && Diag.Engine.limit_reached p.engine then begin
+      s.s_eof <- true;
+      finish_stream s
+    end;
     if head_ready s then Some (Queue.pop s.s_queue).pd_op
     else if s.s_eof then begin
       finish_stream s;
@@ -1747,58 +1622,93 @@ module Stream = struct
       | Some pd -> Some pd.pd_op
       | None -> None
     end
-    else begin
-      (match s.s_engine with
-      | Some engine -> step_collect s engine
-      | None -> step_failfast s);
-      pull s
-    end
+    else
+      match p.tok with
+      | Eof ->
+          s.s_eof <- true;
+          pull s
+      | Rbrace ->
+          (* Fallout of an earlier abandoned op — or a genuinely stray
+             brace. Consume it either way so it cannot poison the ops
+             after it. *)
+          let brace_loc = loc p in
+          advance p;
+          if not (Diag.Engine.has_errors p.engine) then
+            Diag.Engine.emit p.engine
+              (Diag.error ~loc:brace_loc "unexpected '}'");
+          pull s
+      | _ -> (
+          let before = p.t_off in
+          p.names_top <- 0;
+          match parse_op p with
+          | op
+            when Queue.is_empty s.s_queue
+                 && resolved_prefix p >= p.n_fwds
+                 && not (Diag.Engine.limit_reached p.engine) ->
+              Some op
+          | op ->
+              enqueue s op;
+              pull s
+          | exception Diag.Error_exn d ->
+              Diag.Engine.emit p.engine d;
+              resync_op p ~start:before;
+              if p.t_off = before && p.tok != Eof then advance p;
+              pull s)
 
   let next s : (Graph.op option, Diag.t) result =
     match s.s_failed with
-    | Some d -> Error d
+    | Some d -> s.s_result (Error d)
     | None -> (
-        match Diag.protect_any (fun () -> pull s) with
-        | Ok _ as ok -> ok
-        | Error d ->
-            (* Fail-fast sessions die on their first error; fail-soft
-               sessions only land here on a budget violation or an
-               internal error escaping op recovery. *)
-            (match s.s_engine with
-            | Some engine -> Diag.Engine.emit engine d
-            | None -> ());
+        (* [match ... with exception] rather than [protect_any]: this runs
+           once per op and the thunk closure would be its only envelope.
+           A budget violation or an internal error escaping op recovery
+           lands in the cold arm, which re-raises into [protect_any] for
+           the standard conversion and ends the session. *)
+        match pull s with
+        | op -> s.s_result (Ok op)
+        | exception e ->
+            let d =
+              match Diag.protect_any (fun () -> raise e) with
+              | Ok () -> assert false
+              | Error d -> d
+            in
+            Diag.Engine.emit s.sp.engine d;
             release_scopes s.sp.scopes;
             s.s_eof <- true;
             s.s_failed <- Some d;
-            Error d)
+            s.s_result (Error d))
 
   let release = Graph.release
 end
 
-(** Parse a sequence of top-level operations.
-
-    Without [engine] the parse is fail-fast: the first error aborts and is
-    returned as [Error]. With [engine] the parse is fail-soft: every
-    lexing/parsing error (and every use of an undefined value) is emitted
-    to the engine, parsing resumes at the next operation boundary, and the
-    result is always [Ok] with the operations that parsed — or none, when
-    a budget violation or internal error ended the parse. *)
+(** Parse a sequence of top-level operations: every error is emitted to
+    the engine and the result is [Ok] with the operations that parsed — or
+    none, when a budget violation or internal error ended the parse.
+    Without [engine], the first error is returned as [Error]. *)
 let parse_ops ?file ?engine ?limits ?window ctx src :
     (Graph.op list, Diag.t) result =
-  let s = Stream.create ?file ?engine ?limits ?window ctx src in
+  let engine, result = Diag.Engine.fail_fast engine in
+  let s = Stream.create ?file ~engine ?limits ?window ctx src in
   let rec drain acc =
     match Stream.next s with
     | Ok (Some op) -> drain (op :: acc)
     | Ok None -> Ok (List.rev acc)
-    | Error d -> if Option.is_none engine then Error d else Ok []
+    | Error _ -> Ok []
   in
-  drain []
+  result (drain [])
+
+(* A standalone parse, which returns its first error. *)
+let standalone ?file ~scoped ctx src f =
+  let engine, result = Diag.Engine.fail_fast None in
+  result
+    (Diag.protect_any (fun () ->
+         let p = create ?file ~engine ~scoped ctx src in
+         Fun.protect ~finally:(fun () -> release_scopes p.scopes) @@ fun () ->
+         f p))
 
 (** Parse exactly one operation. *)
 let parse_op_string ?file ctx src =
-  Diag.protect_any (fun () ->
-      let p = create ?file ctx src in
-      Fun.protect ~finally:(fun () -> release_scopes p.scopes) @@ fun () ->
+  standalone ?file ~scoped:true ctx src (fun p ->
       let op = parse_op p in
       if p.tok != Eof then fail p "trailing input after operation";
       finish p;
@@ -1806,16 +1716,14 @@ let parse_op_string ?file ctx src =
 
 (** Parse a standalone type, e.g. ["!cmath.complex<f32>"]. *)
 let parse_type_string ?file ctx src =
-  Diag.protect_any (fun () ->
-      let p = create ?file ~scoped:false ctx src in
+  standalone ?file ~scoped:false ctx src (fun p ->
       let ty = parse_ty p in
       if p.tok != Eof then fail p "trailing input after type";
       ty)
 
 (** Parse a standalone attribute. *)
 let parse_attr_string ?file ctx src =
-  Diag.protect_any (fun () ->
-      let p = create ?file ~scoped:false ctx src in
+  standalone ?file ~scoped:false ctx src (fun p ->
       let a = parse_attr p in
       if p.tok != Eof then fail p "trailing input after attribute";
       a)

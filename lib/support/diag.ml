@@ -366,6 +366,18 @@ module Engine = struct
   let suppressed_count e = e.n_suppressed
   let has_errors e = e.n_errors > 0
 
+  (* The last error in [diags_rev] is the first one emitted. *)
+  let first_error e =
+    List.fold_left
+      (fun first (d : diag) -> if d.severity = Error then Some d else first)
+      None e.diags_rev
+
+  let fail_fast = function
+    | Some e -> (e, Fun.id)
+    | None ->
+        let e = create ~max_errors:1 () in
+        (e, fun r -> match first_error e with Some d -> Result.Error d | None -> r)
+
   (** A handler printing each diagnostic to [ppf], one per line, with
       source snippets unless [snippets:false]. *)
   let printer ?(snippets = true) ppf : handler =

@@ -175,6 +175,14 @@ module Engine : sig
   val suppressed_count : t -> int
   val has_errors : t -> bool
 
+  val fail_fast : t option -> t * (('a, diag) result -> ('a, diag) result)
+  (** How an entry point with an optional engine runs its one, fail-soft,
+      code path: the engine to run it on, and what to do with its result.
+      [fail_fast (Some e)] is [e] and the identity. [fail_fast None] is a
+      private engine capped at one error, so a recovering reader stops
+      soon after it, and a function that turns any result into [Error d]
+      once the first error [d] was emitted to that engine. *)
+
   val printer : ?snippets:bool -> Format.formatter -> handler
   (** A handler printing each diagnostic (with snippets by default). *)
 

@@ -182,45 +182,6 @@ let stream_equals_materialize () =
       Alcotest.fail "streamed load differs from emitted module"
   done
 
-(* ---------------- streaming skip ---------------- *)
-
-let skip_semantics () =
-  let c = ctx () in
-  let src =
-    "%a = \"t.const\"() : () -> i32\n\
-     %b = \"t.add\"(%a) : (i32) -> i32\n\
-     %c = \"t.mul\"(%b) : (i32) -> i32\n"
-  in
-  let ops = check_ok "parse" (Irdl_ir.Parser.parse_ops c src) in
-  let blob = emit_ok "emit" ops in
-  (* Skip the first op: the remaining two still load; the skipped
-     definition surfaces as a Released placeholder. *)
-  let session = Bytecode.Stream.create (ctx ()) blob in
-  (match Bytecode.Stream.skip session with
-  | Ok true -> ()
-  | _ -> Alcotest.fail "skip should succeed");
-  let rec drain acc =
-    match Bytecode.Stream.next session with
-    | Ok None -> List.rev acc
-    | Ok (Some op) -> drain (op :: acc)
-    | Error d -> Alcotest.failf "stream error: %s" (Diag.to_string d)
-  in
-  let rest = drain [] in
-  Alcotest.(check int) "two ops after skip" 2 (List.length rest);
-  let b = List.hd rest in
-  (match (Graph.Op.operand b 0).v_def with
-  | Graph.Released -> ()
-  | _ -> Alcotest.fail "skipped definition should be Released");
-  (* Skipping everything: three skips then end of input. *)
-  let session = Bytecode.Stream.create (ctx ()) blob in
-  let rec count n =
-    match Bytecode.Stream.skip session with
-    | Ok true -> count (n + 1)
-    | Ok false -> n
-    | Error d -> Alcotest.failf "skip error: %s" (Diag.to_string d)
-  in
-  Alcotest.(check int) "three ops skipped" 3 (count 0)
-
 (* ---------------- multi-document buffers ---------------- *)
 
 let multi_document () =
@@ -660,7 +621,6 @@ let suite =
     tc "round-trip: corpus + cmath dialects" roundtrip_corpus_dialects;
     tc "round-trip: generated dialects (1000)" roundtrip_generated_dialects;
     tc "stream equals materialize" stream_equals_materialize;
-    tc "stream skip semantics" skip_semantics;
     tc "multi-document buffers" multi_document;
     tc "writer: undefined value" writer_undefined_value;
     tc "writer: top-level successor" writer_toplevel_successor;

@@ -138,7 +138,7 @@ let parse_errors () =
   in
   err "no dialect" "Type t {}" "expected 'Dialect'";
   err "bad item" "Dialect d { Frobnicate }" "expected a dialect item";
-  err "unclosed" "Dialect d {" "expected a dialect item";
+  err "unclosed" "Dialect d {" "unexpected end of file in dialect 'd'";
   err "bad field" "Dialect d { Operation o { Bogus } }" "expected an operation field";
   err "param needs class" "Dialect d { TypeOrAttrParam P { Summary \"x\" } }"
     "CppClassName";

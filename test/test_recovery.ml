@@ -7,9 +7,6 @@ open Util
 
 let engine () = Diag.Engine.create ()
 
-let messages e =
-  List.map (fun (d : Diag.t) -> d.message) (Diag.Engine.diagnostics e)
-
 let located e =
   List.for_all
     (fun (d : Diag.t) -> not (Loc.is_unknown d.loc))
@@ -143,19 +140,23 @@ let ir_region_recovery () =
         (List.mem "t.fine" !nested)
   | _ -> Alcotest.failf "expected the wrapper op to survive"
 
-(* Fail-fast and collecting entry points agree on the first error. *)
+(* Fixed cases of the robustness agreement property: a call without an
+   engine returns the first error of the run on one. The unterminated
+   dialect and the stray top-level [}] are inputs on which two separate
+   recovery modes gave different first errors. *)
 let first_error_agrees () =
-  let src = "Dialect d {\n  Type a { Bogus }\n  Type b { Bogus }\n}\n" in
-  let fail_fast =
-    match Irdl_core.Parser.parse_file src with
-    | Error (d : Diag.t) -> d.message
-    | Ok _ -> Alcotest.fail "expected an error"
+  let agree what run src =
+    match Test_robustness.first_error_agrees run src with
+    | Ok () -> ()
+    | Error msg -> Alcotest.failf "%s: %s" what msg
   in
-  let e = engine () in
-  let _ = Result.get_ok (Irdl_core.Parser.parse_file ~engine:e src) in
-  match messages e with
-  | first :: _ -> Alcotest.(check string) "same first message" fail_fast first
-  | [] -> Alcotest.fail "collect reported nothing"
+  agree "two bad IRDL items" Test_robustness.irdl_parse
+    "Dialect d {\n  Type a { Bogus }\n  Type b { Bogus }\n}\n";
+  agree "unterminated dialect" Test_robustness.irdl_parse "Dialect d {";
+  agree "stray top-level brace" Test_robustness.ir_text
+    "\"t.a\"() : () -> ()\n}\n\"t.b\"() : () -> ()\n";
+  agree "error inside a region" Test_robustness.ir_text
+    "\"t.wrap\"() ({\n  \"t.bad\"(%nope) : (i32) -> ()\n}) : () -> ()\n"
 
 let suite =
   [

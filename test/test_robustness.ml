@@ -1,8 +1,11 @@
-(** Robustness properties: no parser entry point may escape with anything
-    but a diagnostic, whatever the input. *)
+(** Robustness properties: no reader entry point may escape with anything
+    but a diagnostic, whatever the input, and each reader called without
+    an engine answers with the first error of its run on one. There is
+    one property per reader and generator, and it checks both. *)
 
 open QCheck2.Gen
 open Util
+module Diag = Irdl_support.Diag
 
 let printable_gen = string_size ~gen:printable (int_range 0 120)
 
@@ -18,28 +21,119 @@ let token_soup_gen =
   let* frags = list_size (int_range 0 40) frag in
   return (String.concat "" frags)
 
-let never_raises name f gen =
-  QCheck2.Test.make ~name ~count:500 gen (fun src ->
-      match f src with Ok _ | Error _ -> true | exception _ -> false)
+(* Raw bytes, the full 0-255 range: embedded NULs, broken UTF-8, control
+   characters. *)
+let bytes_gen = string_size ~gen:(map Char.chr (int_range 0 255)) (int_range 0 120)
 
-let irdl_parser_total g name =
-  never_raises name (fun src -> Irdl_core.Parser.parse_file src) g
+(* Point mutations of [s]: valid-looking input that goes wrong somewhere
+   in the middle — the profile recovery must survive. *)
+let mutate s =
+  let n = String.length s in
+  let* edits = list_size (int_range 1 4) (pair (int_range 0 (n - 1)) char) in
+  let b = Bytes.of_string s in
+  List.iter (fun (i, c) -> Bytes.set b i c) edits;
+  return (Bytes.to_string b)
 
-let ir_parser_total g name =
-  never_raises name
-    (fun src -> Irdl_ir.Parser.parse_ops (Irdl_ir.Context.create ()) src)
-    g
+(* Real IRDL sources, mutated. *)
+let mutated_corpus_gen =
+  let* entry = oneofl Irdl_dialects.Corpus.all in
+  mutate entry.Irdl_dialects.Corpus.source
 
-let pattern_parser_total g name =
-  never_raises name
+(* The dialects a mutated corpus source parses to, one of them picked. *)
+let mutated_ast_gen =
+  let* src = mutated_corpus_gen in
+  let engine = Diag.Engine.create () in
+  match Irdl_core.Parser.parse_file ~engine src with
+  | Ok (_ :: _ as asts) -> oneofl asts
+  | Ok [] | Error _ ->
+      return
+        { Irdl_core.Ast.d_name = "none"; d_items = [];
+          d_loc = Irdl_support.Loc.unknown }
+
+(* A bytecode module with regions, block arguments, successors and a
+   forward reference, mutated. *)
+let mutated_blob_gen =
+  let src =
+    "%a = \"t.const\"() {v = 1 : i32} : () -> i32\n\
+     \"t.use\"(%later) : (i32) -> ()\n\
+     %later = \"t.add\"(%a, %a) : (i32, i32) -> i32\n\
+     \"t.region\"() ({\n\
+     ^bb0(%x: i32):\n\
+    \  \"t.br\"() [^bb1] : () -> ()\n\
+     ^bb1:\n\
+    \  \"t.ret\"(%x) : (i32) -> ()\n\
+     }) : () -> ()\n"
+  in
+  let ctx = Irdl_ir.Context.create () in
+  let ops = check_ok "parse" (Irdl_ir.Parser.parse_ops ctx src) in
+  mutate (check_ok "emit" (Irdl_bytecode.Bytecode.Write.module_to_string ops))
+
+(** [first_error_agrees run src]: [run ?engine src] raises nothing with
+    or without an engine, and without one it returns [Error d] exactly
+    when the run on an engine emitted an error, [d] the first one. Every
+    diagnostic emitted has a message. *)
+let first_error_agrees (run : ?engine:Diag.Engine.t -> 'a -> ('b, Diag.t) result)
+    src =
+  let engine = Diag.Engine.create () in
+  match (run ~engine src, run src) with
+  | exception e -> Error ("raised " ^ Printexc.to_string e)
+  | _, without -> (
+      let diags = Diag.Engine.diagnostics engine in
+      let first =
+        List.find_opt (fun (d : Diag.t) -> d.severity = Diag.Error) diags
+      in
+      if List.exists (fun (d : Diag.t) -> d.message = "") diags then
+        Error "a diagnostic without a message"
+      else
+        match (first, without) with
+        | None, Ok _ -> Ok ()
+        | Some d, Error d' when d = d' -> Ok ()
+        | Some d, Error d' ->
+            Error
+              (Printf.sprintf "first error %S, without an engine %S"
+                 (Diag.to_string d) (Diag.to_string d'))
+        | Some d, Ok _ ->
+            Error
+              (Printf.sprintf "first error %S, without an engine Ok"
+                 (Diag.to_string d))
+        | None, Error d' ->
+            Error
+              (Printf.sprintf "no error, without an engine %S"
+                 (Diag.to_string d')))
+
+let agreement ?print ?(count = 500) name run gen =
+  QCheck2.Test.make ~name ~count ?print gen (fun src ->
+      match first_error_agrees run src with
+      | Ok () -> true
+      | Error msg -> QCheck2.Test.fail_report msg)
+
+(* The readers, each with an optional engine. *)
+
+let ir_text ?engine src =
+  Irdl_ir.Parser.parse_ops ?engine (Irdl_ir.Context.create ()) src
+
+let bytecode_module ?engine blob =
+  Irdl_bytecode.Bytecode.read_module ?engine (Irdl_ir.Context.create ()) blob
+
+let irdl_parse ?engine src = Irdl_core.Parser.parse_file ?engine src
+let resolve ?engine ast = Irdl_core.Resolve.resolve_dialect ?engine ast
+
+let load ?engine src =
+  let ctx = Irdl_ir.Context.create () in
+  match engine with
+  | None -> Irdl_core.Irdl.load ctx src
+  | Some engine -> Ok (Irdl_core.Irdl.load_collect ~engine ctx src)
+
+let str = Printf.sprintf "%S"
+
+let pattern_parser_total =
+  QCheck2.Test.make ~name:"pattern parser total" ~count:500 token_soup_gen
     (fun src ->
-      Irdl_rewrite.Textual.parse_patterns (Irdl_ir.Context.create ()) src)
-    g
-
-let load_total g name =
-  never_raises name
-    (fun src -> Irdl_core.Irdl.load (Irdl_ir.Context.create ()) src)
-    g
+      match
+        Irdl_rewrite.Textual.parse_patterns (Irdl_ir.Context.create ()) src
+      with
+      | Ok _ | Error _ -> true
+      | exception _ -> false)
 
 (* Verification never raises either, even on badly-shaped ops. *)
 let verify_total () =
@@ -58,81 +152,30 @@ let verify_total () =
   | Ok () -> Alcotest.fail "should not verify"
   | Error _ -> ()
 
-(* Raw bytes, the full 0-255 range: embedded NULs, broken UTF-8, control
-   characters. *)
-let bytes_gen = string_size ~gen:(map Char.chr (int_range 0 255)) (int_range 0 120)
-
-(* Real IRDL sources with random point mutations: valid-looking input that
-   goes wrong somewhere in the middle — the profile recovery must survive. *)
-let mutated_corpus_gen =
-  let* entry = oneofl Irdl_dialects.Corpus.all in
-  let src = entry.Irdl_dialects.Corpus.source in
-  let n = String.length src in
-  let* edits = list_size (int_range 1 4) (pair (int_range 0 (n - 1)) char) in
-  let b = Bytes.of_string src in
-  List.iter (fun (i, c) -> Bytes.set b i c) edits;
-  return (Bytes.to_string b)
-
-(* The collecting entry points are total too: whatever the input, every
-   reported diagnostic carries a location and nothing escapes. *)
-let collect_never_raises name f gen =
-  QCheck2.Test.make ~name ~count:300 gen (fun src ->
-      let engine = Irdl_support.Diag.Engine.create () in
-      match f ~engine src with
-      | _ ->
-          List.for_all
-            (fun (d : Irdl_support.Diag.t) -> d.message <> "")
-            (Irdl_support.Diag.Engine.diagnostics engine)
-      | exception _ -> false)
-
-let irdl_collect_total g name =
-  collect_never_raises name
-    (fun ~engine src -> Irdl_core.Parser.parse_file ~engine src)
-    g
-
-let ir_collect_total g name =
-  collect_never_raises name
-    (fun ~engine src ->
-      Irdl_ir.Parser.parse_ops ~engine (Irdl_ir.Context.create ()) src)
-    g
-
-let load_collect_total g name =
-  collect_never_raises name
-    (fun ~engine src ->
-      Irdl_core.Irdl.load_collect ~engine (Irdl_ir.Context.create ()) src)
-    g
-
 let suite =
-  [
-    QCheck_alcotest.to_alcotest
-      (irdl_parser_total printable_gen "IRDL parser total on noise");
-    QCheck_alcotest.to_alcotest
-      (irdl_parser_total token_soup_gen "IRDL parser total on token soup");
-    QCheck_alcotest.to_alcotest
-      (ir_parser_total printable_gen "IR parser total on noise");
-    QCheck_alcotest.to_alcotest
-      (ir_parser_total token_soup_gen "IR parser total on token soup");
-    QCheck_alcotest.to_alcotest
-      (pattern_parser_total token_soup_gen "pattern parser total");
-    QCheck_alcotest.to_alcotest
-      (load_total token_soup_gen "load (parse+resolve+register) total");
-    tc "verifier total on malformed ops" verify_total;
-    QCheck_alcotest.to_alcotest
-      (irdl_parser_total bytes_gen "IRDL parser total on raw bytes");
-    QCheck_alcotest.to_alcotest
-      (ir_parser_total bytes_gen "IR parser total on raw bytes");
-    QCheck_alcotest.to_alcotest
-      (load_total mutated_corpus_gen "load total on mutated corpus");
-    QCheck_alcotest.to_alcotest
-      (irdl_collect_total token_soup_gen "IRDL collect total on token soup");
-    QCheck_alcotest.to_alcotest
-      (irdl_collect_total bytes_gen "IRDL collect total on raw bytes");
-    QCheck_alcotest.to_alcotest
-      (irdl_collect_total mutated_corpus_gen "IRDL collect total on mutated corpus");
-    QCheck_alcotest.to_alcotest
-      (ir_collect_total token_soup_gen "IR collect total on token soup");
-    QCheck_alcotest.to_alcotest
-      (ir_collect_total bytes_gen "IR collect total on raw bytes");
-    QCheck_alcotest.to_alcotest
-      (load_collect_total mutated_corpus_gen "load_collect total on mutated corpus");
-  ]
+  List.map QCheck_alcotest.to_alcotest
+    [
+      agreement ~print:str "IRDL parser total on noise" irdl_parse printable_gen;
+      agreement ~print:str "IRDL parser total on token soup" irdl_parse
+        token_soup_gen;
+      agreement ~print:str "IR parser total on noise" ir_text printable_gen;
+      agreement ~print:str "IR parser total on token soup" ir_text
+        token_soup_gen;
+      pattern_parser_total;
+      agreement ~print:str "load (parse+resolve+register) total" load
+        token_soup_gen;
+    ]
+  @ [ tc "verifier total on malformed ops" verify_total ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [
+        agreement ~print:str "IRDL parser total on raw bytes" irdl_parse
+          bytes_gen;
+        agreement ~print:str "IR parser total on raw bytes" ir_text bytes_gen;
+        agreement "load total on mutated corpus" load mutated_corpus_gen;
+        agreement ~count:300 "IRDL collect total on mutated corpus" irdl_parse
+          mutated_corpus_gen;
+        agreement ~count:300 "resolve total on mutated corpus" resolve
+          mutated_ast_gen;
+        agreement ~print:str "bytecode reader total on mutated blobs"
+          bytecode_module mutated_blob_gen;
+      ]

@@ -444,6 +444,8 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
       Fmt.epr "irdl-opt: %s@." msg;
       finish 1
   in
+  (* Each text document's annotations once a walk has found them. *)
+  let doc_scans = Array.make (List.length docs) None in
   (match docs with
   | [] when batch = None ->
       if passes <> [] then begin
@@ -466,8 +468,20 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
          cuts text at '// -----' lines and bytecode at document
          boundaries, --batch contributes one document per file; both
          compose. *)
-      let chunks_of payload = Source.chunks ~split:split_input_file payload in
       let doc_outs = Array.make (List.length docs) [] in
+      (* Chunks and annotations come from the same lines: under
+         --verify-diagnostics one walk of a text document gives both, and
+         its annotations are kept for the check at the end. *)
+      let chunks_of di path payload =
+        match payload with
+        | Source.Text (src, _) when verify_diagnostics ->
+            let windows, scanned = Harness.scan ~file:path src in
+            doc_scans.(di) <- Some scanned;
+            if split_input_file then
+              List.map (fun w -> Source.Text (src, w)) windows
+            else [ payload ]
+        | _ -> Source.chunks ~split:split_input_file payload
+      in
       let n_jobs =
         if jobs <= 0 then Domain.recommended_domain_count () else jobs
       in
@@ -510,7 +524,9 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
                  (match payload with
                  | Source.Text (src, _) -> Diag.Sources.register ~file:path src
                  | Source.Binary _ -> ());
-                 List.map (fun chunk -> (di, path, chunk)) (chunks_of payload))
+                 List.map
+                   (fun chunk -> (di, path, chunk))
+                   (chunks_of di path payload))
                docs)
           |> Array.of_list
         else [||]
@@ -525,7 +541,7 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
                   (process_chunk ~engine
                      ~timing:(Some (pass_timing, pass_timing_json))
                      passes ~path chunk))
-              (chunks_of src);
+              (chunks_of di path src);
             (* This document's diagnostics are flushed (handlers render at
                emit time): drop its buffer so a long --batch run does not
                retain every processed source. *)
@@ -614,25 +630,22 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
     (* Expectations come from every input document and every -d dialect
        file. Bytecode carries no comments to annotate, so binary payloads
        contribute none. *)
-    let sources =
-      List.filter_map
-        (fun p ->
-          match Source.classify (read_file p) with
-          | Source.Text (src, _) -> Some (p, src)
-          | Source.Binary _ -> None)
-        dialect_files
-      @ List.filter_map
-          (fun (p, fetch) ->
-            match fetch_doc fetch with
-            | Source.Text (src, _) -> Some (p, src)
-            | Source.Binary _ -> None)
-          docs
+    let scan_text p = function
+      | Source.Text (src, _) -> Some (Harness.scan_expectations ~file:p src)
+      | Source.Binary _ -> None
     in
     let expectations, scan_errors =
       List.split
-        (List.map
-           (fun (file, src) -> Harness.scan_expectations ~file src)
-           sources)
+        (List.filter_map
+           (fun p -> scan_text p (Source.classify (read_file p)))
+           dialect_files
+        @ List.filter_map Fun.id
+            (List.mapi
+               (fun di (p, fetch) ->
+                 match doc_scans.(di) with
+                 | Some _ as scanned -> scanned
+                 | None -> scan_text p (fetch_doc fetch))
+               docs))
     in
     let expectations = List.concat expectations
     and scan_errors = List.concat scan_errors in

@@ -877,6 +877,8 @@ type mstate = {
   ms_budget : Limits.budget;
       (** session-wide (spans documents in a multi-doc buffer); blown
           budgets raise {!Diag.Fatal_exn} and end the whole session *)
+  ms_ctx : Context.t;
+  ms_handles : Graph.op_handle array;  (** by string-table index *)
 }
 
 let ms_use c st idx =
@@ -961,8 +963,19 @@ let rec read_successors c blocks n =
     in
     b :: read_successors c blocks (n - 1)
 
+(* Once per document and spelling; its users check a handle again. *)
+let handle_at st i name =
+  let h = st.ms_handles.(i) in
+  if h != Graph.unresolved then h
+  else
+    let h = Context.resolve st.ms_ctx h name in
+    st.ms_handles.(i) <- h;
+    h
+
 let rec decode_op c strs ((ty_at, attr_at) as pool) st ~blocks : Graph.op =
-  let name = str_at c strs (read_uv c) in
+  let i = read_uv c in
+  let name = str_at c strs i in
+  let handle = handle_at st i name in
   let loc = read_loc c strs in
   Limits.tick_op st.ms_budget
     ~loc:(if Loc.is_unknown loc then Loc.point (Loc.start_of_file c.c_file)
@@ -978,7 +991,7 @@ let rec decode_op c strs ((ty_at, attr_at) as pool) st ~blocks : Graph.op =
   let regions = decode_regions c strs pool st (read_count c "region") in
   let op =
     Graph.Op.create_prebuilt ~operands ~result_tys ~attrs ~regions
-      ~successors ~loc name
+      ~successors ~loc ~handle name
   in
   for i = 0 to n_results - 1 do
     op.op_results.(i) <- ms_def c st res_idx.(i) op.op_results.(i)
@@ -1056,13 +1069,14 @@ module Stream = struct
         (* the caller's answer ({!Diag.Engine.fail_fast}) *)
     s_queue : pending Queue.t;
     s_budget : Limits.budget;  (* shared by every document of the buffer *)
+    s_ctx : Context.t;  (* what op names are resolved against *)
     mutable s_doc : docstate option;
     mutable s_failed : Diag.t option;
     mutable s_eof : bool;
   }
 
   let create ?(file = "<bytecode>") ?engine ?(limits = Limits.unlimited)
-      (_ctx : Context.t) s =
+      (ctx : Context.t) s =
     let budget = Limits.budget limits in
     let engine, s_result = Diag.Engine.fail_fast engine in
     let sp =
@@ -1072,6 +1086,7 @@ module Stream = struct
         s_result;
         s_queue = Queue.create ();
         s_budget = budget;
+        s_ctx = ctx;
         s_doc = None;
         s_failed = None;
         s_eof = false;
@@ -1171,6 +1186,9 @@ module Stream = struct
                     ms_vals = Array.make total_vals None;
                     ms_forwards = [];
                     ms_budget = sp.s_budget;
+                    ms_ctx = sp.s_ctx;
+                    ms_handles =
+                      Array.make (Array.length strs) Graph.unresolved;
                   };
                 d_lens = lens;
                 d_i = 0;

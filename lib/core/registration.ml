@@ -585,7 +585,7 @@ let register_collect ?(native = Native.default) ?(compile = true)
           in
           Context.register_op ctx
             {
-              Context.od_dialect = dl.dl_name;
+              Graph.od_dialect = dl.dl_name;
               od_name = rop.op_name;
               od_summary = Option.value ~default:"" rop.op_summary;
               od_is_terminator = rop.op_successors <> None;

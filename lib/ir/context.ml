@@ -19,17 +19,10 @@
 open Irdl_support
 
 module SMap = Map.Make (String)
+module Str_tbl = Hashtbl.Make (String)
+module Id_tbl = Hashtbl.Make (Int)
 
-type op_def = {
-  od_dialect : string;
-  od_name : string;  (** mnemonic, without the dialect prefix *)
-  od_summary : string;
-  od_is_terminator : bool;
-  od_num_regions : int;
-  od_verify : Graph.op -> (unit, Diag.t) result;
-  od_verify_rest : Graph.op -> (unit, Diag.t) result;
-  od_format : Opfmt.t option;
-}
+type op_def = Graph.op_def
 
 type type_def = {
   td_dialect : string;
@@ -64,6 +57,7 @@ type op_sig = {
   sg_regions : Attr.ty array option list;
       (** Entry-block argument types per region; [None]: no entry block. *)
   sg_successors : int;
+  mutable sg_tail : string;  (** the printed tail; [""] until printed *)
 }
 
 (* One domain's slice of the verification cache. Only the owning domain
@@ -72,25 +66,20 @@ type op_sig = {
    established by the [reg_lock]-protected cons onto [vc_shards]. *)
 type vc_shard = {
   sh_domain : int;  (** the owning [Domain.id] *)
-  sh_ty : (int, (unit, Diag.t) result) Hashtbl.t;
-  sh_attr : (int, (unit, Diag.t) result) Hashtbl.t;
-  sh_ops : (string, op_entry) Hashtbl.t;
+  mutable sh_key : int;  (** process-unique, renewed at every flush *)
+  sh_ty : (unit, Diag.t) result Id_tbl.t;
+  sh_attr : (unit, Diag.t) result Id_tbl.t;
+  sh_names : Graph.op_handle Str_tbl.t;  (** slot = insertion rank *)
+  mutable sh_memo : op_sig list array;  (** by slot; verified Ok *)
   mutable sh_hits : int;
   mutable sh_misses : int;
   mutable sh_memo_hits : int;
   mutable sh_memo_misses : int;
 }
 
-and op_entry = {
-  oe_def : op_def option;  (** [None]: unregistered *)
-  oe_shard : vc_shard;
-  mutable oe_sigs : op_sig list;
-      (** verified Ok; at most [memo_max_sigs], never evicted *)
-}
-
 type t = {
   mutable dialects : dialect SMap.t;
-  ops : (string, op_def) Hashtbl.t;
+  ops : op_def Str_tbl.t;
   allow_unregistered : bool;
       (** When true (the default, as in [mlir-opt
           --allow-unregistered-dialect]), operations of unknown dialects
@@ -111,7 +100,7 @@ type t = {
 let create ?(allow_unregistered = true) () =
   {
     dialects = SMap.empty;
-    ops = Hashtbl.create 256;
+    ops = Str_tbl.create 256;
     allow_unregistered;
     reg_lock = Mutex.create ();
     frozen = false;
@@ -149,6 +138,9 @@ let rec find_shard did = function
   | (s : vc_shard) :: rest ->
       if s.sh_domain = did then s else find_shard did rest
 
+let key_counter = Atomic.make 0
+let fresh_key () = Atomic.fetch_and_add key_counter 1 + 1
+
 (* The calling domain's shard, created on first use. Domain ids are never
    reused within a process, so a shard belongs to exactly one domain for
    the lifetime of the context. Finding it allocates nothing. *)
@@ -164,9 +156,11 @@ let shard t =
               let s =
                 {
                   sh_domain = did;
-                  sh_ty = Hashtbl.create 256;
-                  sh_attr = Hashtbl.create 256;
-                  sh_ops = Hashtbl.create 256;
+                  sh_key = fresh_key ();
+                  sh_ty = Id_tbl.create 256;
+                  sh_attr = Id_tbl.create 256;
+                  sh_names = Str_tbl.create 256;
+                  sh_memo = [||];
                   sh_hits = 0;
                   sh_misses = 0;
                   sh_memo_hits = 0;
@@ -183,16 +177,18 @@ let invalidate_locked t =
   let dropped =
     List.exists
       (fun s ->
-        Hashtbl.length s.sh_ty > 0
-        || Hashtbl.length s.sh_attr > 0
-        || Hashtbl.length s.sh_ops > 0)
+        Id_tbl.length s.sh_ty > 0
+        || Id_tbl.length s.sh_attr > 0
+        || Str_tbl.length s.sh_names > 0)
       t.vc_shards
   in
   List.iter
     (fun s ->
-      Hashtbl.reset s.sh_ty;
-      Hashtbl.reset s.sh_attr;
-      Hashtbl.reset s.sh_ops)
+      Id_tbl.reset s.sh_ty;
+      Id_tbl.reset s.sh_attr;
+      Str_tbl.reset s.sh_names;
+      s.sh_memo <- [||];
+      s.sh_key <- fresh_key ())
     t.vc_shards;
   if dropped then t.vc_invalidations <- t.vc_invalidations + 1
 
@@ -205,14 +201,14 @@ let cached_verify tbl_of t id verify x =
   if not t.vc_enabled then verify t x
   else
     let s = shard t in
-    match Hashtbl.find (tbl_of s) id with
+    match Id_tbl.find (tbl_of s) id with
     | r ->
         s.sh_hits <- s.sh_hits + 1;
         r
     | exception Not_found ->
         s.sh_misses <- s.sh_misses + 1;
         let r = verify t x in
-        Hashtbl.replace (tbl_of s) id r;
+        Id_tbl.replace (tbl_of s) id r;
         r
 
 let cached_verify_ty t id verify ty =
@@ -230,19 +226,32 @@ let cached_verify_attr t id verify a =
 let memo_max_ops = 4096
 let memo_max_sigs = 4
 
-let op_entry t name =
-  let s = shard t in
-  match Hashtbl.find s.sh_ops name with
-  | e -> e
+(* A name past the bound gets a handle of its own, with no memo slot. *)
+let resolve_in t s name : Graph.op_handle =
+  match Str_tbl.find s.sh_names name with
+  | h -> h
   | exception Not_found ->
-      let e =
-        { oe_def = Hashtbl.find_opt t.ops name; oe_shard = s; oe_sigs = [] }
+      let n = Str_tbl.length s.sh_names in
+      let slot = if n < memo_max_ops then n else -1 in
+      let h =
+        { Graph.oh_key = s.sh_key; oh_def = Str_tbl.find_opt t.ops name;
+          oh_quoted = Attr.to_string (Attr.String name); oh_slot = slot }
       in
-      if Hashtbl.length s.sh_ops < memo_max_ops then
-        Hashtbl.add s.sh_ops name e;
-      e
+      if slot >= 0 then begin
+        Str_tbl.add s.sh_names name h;
+        if slot = Array.length s.sh_memo then
+          s.sh_memo <- Array.append s.sh_memo (Array.make (max 64 slot) [])
+      end;
+      h
 
-let entry_def e = e.oe_def
+let resolve t (h : Graph.op_handle) name =
+  let s = shard t in
+  if h.oh_key = s.sh_key then h else resolve_in t s name
+
+let handle t (op : Graph.op) =
+  let h = resolve t op.op_handle op.op_name in
+  if h != op.op_handle then op.op_handle <- h;
+  h
 
 (* The comparisons below walk the op in place: a memo hit allocates
    nothing. *)
@@ -273,7 +282,9 @@ let rec same_regions k (rs : Graph.region list) =
 let sig_matches (op : Graph.op) sg =
   Array.length sg.sg_operands = Array.length op.op_operands
   && Array.length sg.sg_results = Array.length op.op_results
-  && List.compare_length_with op.successors sg.sg_successors = 0
+  && (match op.successors with
+     | [] -> sg.sg_successors = 0
+     | succs -> List.length succs = sg.sg_successors)
   && same_operand_tys sg.sg_operands op.op_operands
        (Array.length op.op_operands - 1)
   && same_value_tys sg.sg_results op.op_results
@@ -281,18 +292,31 @@ let sig_matches (op : Graph.op) sg =
   && same_attrs sg.sg_attrs op.attrs
   && same_regions sg.sg_regions op.regions
 
-let rec find_sig op = function
-  | [] -> false
-  | sg :: rest -> sig_matches op sg || find_sig op rest
+let no_sig =
+  { sg_operands = [||]; sg_results = [||]; sg_attrs = []; sg_regions = [];
+    sg_successors = 0; sg_tail = "" }
 
-let memo_mem e op =
-  let s = e.oe_shard in
-  if find_sig op e.oe_sigs then (
-    s.sh_memo_hits <- s.sh_memo_hits + 1;
-    true)
-  else (
-    s.sh_memo_misses <- s.sh_memo_misses + 1;
-    false)
+let rec sig_of op = function
+  | [] -> no_sig
+  | sg :: rest -> if sig_matches op sg then sg else sig_of op rest
+
+(* A checked handle's shard, the caller's: found without [Domain.self]. *)
+let rec keyed key = function
+  | [] -> raise Not_found
+  | s :: rest -> if s.sh_key = key then s else keyed key rest
+
+let memo_mem t (h : Graph.op_handle) op =
+  t.vc_enabled
+  &&
+  match keyed h.oh_key t.vc_shards with
+  | exception Not_found -> false
+  | s ->
+      if h.oh_slot >= 0 && sig_of op s.sh_memo.(h.oh_slot) != no_sig then (
+        s.sh_memo_hits <- s.sh_memo_hits + 1;
+        true)
+      else (
+        s.sh_memo_misses <- s.sh_memo_misses + 1;
+        false)
 
 let signature (op : Graph.op) =
   let ty (v : Graph.value) = v.v_ty in
@@ -308,6 +332,7 @@ let signature (op : Graph.op) =
             r.reg_first)
         op.regions;
     sg_successors = List.length op.successors;
+    sg_tail = "";
   }
 
 (* Fill-once: the first [memo_max_sigs] signatures that verify stay, and
@@ -315,9 +340,32 @@ let signature (op : Graph.op) =
    with more live signatures than slots (placeholder ops, constants with
    distinct values) miss on every op. Only Ok verdicts are recorded, so
    keeping any subset of them is sound. *)
-let memo_add e op =
-  if List.compare_length_with e.oe_sigs memo_max_sigs < 0 then
-    e.oe_sigs <- signature op :: e.oe_sigs
+let memo_add t (h : Graph.op_handle) op =
+  if t.vc_enabled && h.oh_slot >= 0 then
+    match keyed h.oh_key t.vc_shards with
+    | exception Not_found -> ()
+    | s ->
+        let sigs = s.sh_memo.(h.oh_slot) in
+        if List.compare_length_with sigs memo_max_sigs < 0 then
+          s.sh_memo.(h.oh_slot) <- signature op :: sigs
+
+(* The printer's half of the memo: an op whose signature verified Ok
+   copies the tail rendered for the first op of that signature. *)
+let add_tail t (h : Graph.op_handle) op render buf =
+  let sg =
+    if t.vc_enabled && h.oh_slot >= 0 then
+      match keyed h.oh_key t.vc_shards with
+      | s -> sig_of op s.sh_memo.(h.oh_slot)
+      | exception Not_found -> no_sig
+    else no_sig
+  in
+  if sg == no_sig then render buf op
+  else if String.length sg.sg_tail > 0 then Buffer.add_string buf sg.sg_tail
+  else begin
+    let mark = Buffer.length buf in
+    render buf op;
+    sg.sg_tail <- Buffer.sub buf mark (Buffer.length buf - mark)
+  end
 
 (* [set_verify_cache t false] restores the pre-memoization behaviour (every
    node re-verified on every visit) — the baseline configuration for
@@ -358,13 +406,13 @@ let empty_verify_stats =
 
 let shard_stats (s : vc_shard) =
   {
-    vs_ty_entries = Hashtbl.length s.sh_ty;
-    vs_attr_entries = Hashtbl.length s.sh_attr;
+    vs_ty_entries = Id_tbl.length s.sh_ty;
+    vs_attr_entries = Id_tbl.length s.sh_attr;
     vs_hits = s.sh_hits;
     vs_misses = s.sh_misses;
-    vs_memo_ops = Hashtbl.length s.sh_ops;
+    vs_memo_ops = Str_tbl.length s.sh_names;
     vs_memo_sigs =
-      Hashtbl.fold (fun _ e n -> n + List.length e.oe_sigs) s.sh_ops 0;
+      Array.fold_left (fun n sigs -> n + List.length sigs) 0 s.sh_memo;
     vs_memo_hits = s.sh_memo_hits;
     vs_memo_misses = s.sh_memo_misses;
     vs_invalidations = 0;
@@ -436,10 +484,10 @@ let register_op t (od : op_def) =
         ~name:(qualified ~dialect:od.od_dialect ~name:od.od_name);
       let d = register_dialect_locked t od.od_dialect in
       let qname = qualified ~dialect:od.od_dialect ~name:od.od_name in
-      if Hashtbl.mem t.ops qname then
+      if Str_tbl.mem t.ops qname then
         Diag.raise_error "operation '%s' is already registered" qname;
       d.d_ops <- SMap.add od.od_name od d.d_ops;
-      Hashtbl.replace t.ops qname od;
+      Str_tbl.replace t.ops qname od;
       invalidate_locked t)
 
 let register_type t (td : type_def) =
@@ -466,7 +514,7 @@ let register_attr t (ad : attr_def) =
 
 (** Look up the definition for a fully-qualified op name like ["cmath.mul"]:
     one probe of the flat op table. *)
-let lookup_op t qualified_name = Hashtbl.find_opt t.ops qualified_name
+let lookup_op t qualified_name = Str_tbl.find_opt t.ops qualified_name
 
 let lookup_type t ~dialect ~name =
   Option.bind (get_dialect t dialect) (fun d -> SMap.find_opt name d.d_types)

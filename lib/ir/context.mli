@@ -16,24 +16,10 @@
 open Irdl_support
 
 module SMap : Map.S with type key = string
+module Str_tbl : Hashtbl.S with type key = string
 
-type op_def = {
-  od_dialect : string;
-  od_name : string;  (** mnemonic, without the dialect prefix *)
-  od_summary : string;
-  od_is_terminator : bool;
-  od_num_regions : int;
-  od_verify : Graph.op -> (unit, Diag.t) result;
-      (** The verifier generated from the IRDL constraints. *)
-  od_verify_rest : Graph.op -> (unit, Diag.t) result;
-      (** The checks of [od_verify] that read more than the op's signature
-          (see {!memo_mem}): region block counts and terminators, then the
-          IRDL-C++ op hooks, in [od_verify]'s order. Only meaningful on an
-          op whose signature already passed [od_verify]; the verifier runs
-          it in place of [od_verify] on a memo hit. *)
-  od_format : Opfmt.t option;
-      (** Compiled declarative format, when the op defines one. *)
-}
+type op_def = Graph.op_def
+(** A registered operation definition ({!Graph.op_def}). *)
 
 type type_def = {
   td_dialect : string;
@@ -60,7 +46,7 @@ type dialect = {
 
 type t = private {
   mutable dialects : dialect SMap.t;
-  ops : (string, op_def) Hashtbl.t;
+  ops : op_def Str_tbl.t;
       (** Every registered op by qualified name: {!lookup_op}'s one probe. *)
   allow_unregistered : bool;
       (** When true (the default), operations/types of unknown dialects
@@ -150,41 +136,50 @@ val cached_verify_attr :
   Attr.t ->
   (unit, Diag.t) result
 
-(** {2 Op signature memo}
+(** {2 Op handles and the signature memo}
+
+    A shard keeps at most {!memo_max_ops} {!Graph.op_handle}s and renews
+    its key at every flush, so a handle made before a registration, or in
+    another context or domain, is stale and resolved again. A name past
+    the bound gets a handle without a memo slot.
 
     An op's IRDL verdict is a pure function of its signature: the operand
     and result types, the [(name, attribute)] list, the region count, each
     region's entry-block argument types (no entry block is distinct from
-    zero arguments) and the successor count. Each shard keeps one entry per
-    op name — the resolved definition plus the first {!memo_max_sigs}
-    signatures that verified [Ok], never evicted — and at most
-    {!memo_max_ops} entries.
-    Signatures compare with [==] on interned nodes, so a node from another
-    domain's uniquer just misses. Errors are never recorded. The memo is
-    flushed with the type/attribute cache and off when it is. *)
-
-type op_entry
-(** One op name's memo entry in one domain's shard. *)
+    zero arguments) and the successor count. A slot holds the first
+    {!memo_max_sigs} signatures that verified [Ok], never evicted, each
+    with the printer's rendering of it once printed. Signatures compare
+    with [==] on interned nodes, so a node from another domain's uniquer
+    just misses. Errors are never recorded. The memo is flushed with the
+    type/attribute cache and off when it is. The handle given to
+    {!memo_mem}, {!memo_add} and {!add_tail} must come from {!handle} or
+    {!resolve} on the calling domain. *)
 
 val memo_max_ops : int
 val memo_max_sigs : int
 
-val op_entry : t -> string -> op_entry
-(** The calling domain's entry for a qualified op name, created (and kept,
-    while the shard is under {!memo_max_ops}) on first use: one probe of
-    the shard, plus one of the op table on first use. Call it only with the
-    cache enabled. *)
+val resolve : t -> Graph.op_handle -> string -> Graph.op_handle
+(** [resolve t h name]: [h] if valid, else [name]'s handle — one probe of
+    the shard's handles, plus one of the op table on first use. *)
 
-val entry_def : op_entry -> op_def option
-(** The entry's definition; [None] for an unregistered op. *)
+val handle : t -> Graph.op -> Graph.op_handle
+(** [op]'s handle, resolved again (and stored on [op]) if stale. *)
 
-val memo_mem : op_entry -> Graph.op -> bool
-(** Has an op with [op]'s signature verified [Ok] on this entry? Counts a
-    memo hit or miss; allocates nothing. *)
+val memo_mem : t -> Graph.op_handle -> Graph.op -> bool
+(** Has an op of the handle's name with [op]'s signature verified [Ok]?
+    [false] with the cache off. Counts a memo hit or miss; allocates
+    nothing. *)
 
-val memo_add : op_entry -> Graph.op -> unit
-(** Record [op]'s signature as verified [Ok] while the entry holds fewer
-    than {!memo_max_sigs}; a full entry is left as it is. *)
+val memo_add : t -> Graph.op_handle -> Graph.op -> unit
+(** Record [op]'s signature as verified [Ok] while the slot holds fewer
+    than {!memo_max_sigs}; a full slot is left as it is. *)
+
+val add_tail :
+  t -> Graph.op_handle -> Graph.op -> (Buffer.t -> Graph.op -> unit) ->
+  Buffer.t -> unit
+(** [add_tail t h op render buf] appends [render buf op], where [render]
+    prints only what the op's signature determines: once per signature in
+    the handle's slot, copied after that. *)
 
 val invalidate_verify_cache : t -> unit
 (** Drop all memoized verification results, in every shard. Called
@@ -206,7 +201,7 @@ type verify_stats = {
   vs_attr_entries : int;
   vs_hits : int;  (** type/attribute cache hits *)
   vs_misses : int;
-  vs_memo_ops : int;  (** op memo entries (op names) *)
+  vs_memo_ops : int;  (** op names resolved in the memo (handles kept) *)
   vs_memo_sigs : int;  (** signatures recorded across those entries *)
   vs_memo_hits : int;
   vs_memo_misses : int;

@@ -62,6 +62,7 @@ and use = {
 and op = {
   op_id : int;
   op_name : string;  (** Fully qualified, e.g. ["cmath.mul"]. *)
+  mutable op_handle : op_handle;  (** see {!Context.handle} *)
   mutable op_operands : use array;
   mutable op_results : value array;
   mutable attrs : (string * Attr.t) list;
@@ -94,6 +95,26 @@ and region = {
   mutable reg_num_blocks : int;
   mutable reg_parent : op option;
 }
+
+and op_handle = {
+  oh_key : int;  (** the resolving shard's key at the time *)
+  oh_def : op_def option;
+  oh_quoted : string;
+  oh_slot : int;
+}
+
+and op_def = {
+  od_dialect : string;
+  od_name : string;
+  od_summary : string;
+  od_is_terminator : bool;
+  od_num_regions : int;
+  od_verify : op -> (unit, Diag.t) result;
+  od_verify_rest : op -> (unit, Diag.t) result;
+  od_format : Opfmt.t option;
+}
+
+let unresolved = { oh_key = 0; oh_def = None; oh_quoted = ""; oh_slot = -1 }
 
 (* Atomic so ID allocation stays race-free once construction moves onto
    OCaml 5 domains (the multicore verification service); uncontended
@@ -210,6 +231,7 @@ module Op = struct
       {
         op_id = next_id ();
         op_name = name;
+        op_handle = unresolved;
         op_operands = [||];
         op_results = [||];
         attrs = List.map (fun (k, v) -> (k, Attr.intern v)) attrs;
@@ -250,11 +272,12 @@ module Op = struct
      list-to-array copies; a measurable share of module load time at
      10^6 ops. *)
   let create_prebuilt ~(operands : value array) ~(result_tys : Attr.ty array)
-      ~attrs ~regions ~successors ~loc name =
+      ~attrs ~regions ~successors ~loc ~handle name =
     let op =
       {
         op_id = next_id ();
         op_name = name;
+        op_handle = handle;
         op_operands = [||];
         op_results = [||];
         attrs;

@@ -45,6 +45,8 @@ and use = {
 and op = {
   op_id : int;
   op_name : string;  (** Fully qualified, e.g. ["cmath.mul"]. *)
+  mutable op_handle : op_handle;
+      (** [op_name] resolved; {!unresolved} until first used. *)
   mutable op_operands : use array;
   mutable op_results : value array;
   mutable attrs : (string * Attr.t) list;
@@ -78,6 +80,35 @@ and region = {
   mutable reg_num_blocks : int;
   mutable reg_parent : op option;
 }
+
+and op_handle = {
+  oh_key : int;  (** The resolving shard's key; stale once it moves on. *)
+  oh_def : op_def option;  (** [None]: unregistered *)
+  oh_quoted : string;  (** The name as the generic form prints it. *)
+  oh_slot : int;  (** The shard's memo entry for the name; [-1]: none. *)
+}
+(** An op name resolved against a context (MLIR's [OperationName]) by
+    {!Context.resolve}, shared by every op of that spelling. *)
+
+and op_def = {
+  od_dialect : string;
+  od_name : string;  (** mnemonic, without the dialect prefix *)
+  od_summary : string;
+  od_is_terminator : bool;
+  od_num_regions : int;
+  od_verify : op -> (unit, Irdl_support.Diag.t) result;
+      (** The verifier generated from the IRDL constraints. *)
+  od_verify_rest : op -> (unit, Irdl_support.Diag.t) result;
+      (** What [od_verify] checks beyond the op's signature, in its order:
+          region block counts and terminators, then the IRDL-C++ op hooks.
+          The verifier runs it instead of [od_verify] on a memo hit. *)
+  od_format : Opfmt.t option;
+      (** Compiled declarative format, when the op defines one. *)
+}
+(** A registered operation definition ({!Context.op_def}). *)
+
+val unresolved : op_handle
+(** Never valid. *)
 
 val next_id : unit -> int
 (** A fresh id, unique within the process. Atomic: safe to call from
@@ -128,11 +159,13 @@ module Op : sig
   val create_prebuilt :
     operands:value array -> result_tys:Attr.ty array ->
     attrs:(string * Attr.t) list -> regions:region list ->
-    successors:block list -> loc:Irdl_support.Loc.t -> string -> t
+    successors:block list -> loc:Irdl_support.Loc.t -> handle:op_handle ->
+    string -> t
   (** {!create} for deserializers. The operand values and result types
       arrive as arrays (read, not retained) and are trusted as given: the
       caller must pass canonical (interned) types and attribute values, as
-      the bytecode reader's table pass guarantees. Skips {!create}'s
+      the bytecode reader's table pass guarantees, and the name's handle
+      as the reader resolved it for its context. Skips {!create}'s
       defensive re-interning and intermediate lists — the difference is
       measurable when materializing 10^6 ops. *)
 

@@ -90,6 +90,7 @@ type entry = {
   mutable memo : signature option;
       (** for a signature: what a full parse of exactly its bytes returned,
           recorded only when no lexer error was recovered on the way *)
+  mutable handle : Graph.op_handle;  (** for an op name, in any context *)
 }
 
 let split_at_dot s =
@@ -103,10 +104,10 @@ let split_at_dot s =
    re-interning. *)
 let make_entry s =
   { spelling = s; builtin = Option.map Attr.intern_ty (builtin_ty_of_ident s);
-    dotted = split_at_dot s; memo = None }
+    dotted = split_at_dot s; memo = None; handle = Graph.unresolved }
 
-(* Marks a free slot; never handed out. *)
-let vacant = { spelling = ""; builtin = None; dotted = None; memo = None }
+(* Marks a free slot; never handed out. A string not in the table has it. *)
+let vacant = { (make_entry "") with builtin = None; dotted = None }
 
 let table_slots = 8192 (* a power of two *)
 let table_cap = table_slots / 2
@@ -187,8 +188,7 @@ let intern_span = intern_with make_entry
 (* A signature, which starts with [(]: no identifier or name shares its
    bytes, so its entry needs no builtin type or dotted split. *)
 let intern_memo_key =
-  intern_with (fun s ->
-      { spelling = s; builtin = None; dotted = None; memo = None })
+  intern_with (fun s -> { vacant with spelling = s })
 
 let name_table_cap = table_cap
 let name_table_entries () = (Domain.DLS.get table_key).used
@@ -626,10 +626,12 @@ let lex_string p =
   let buf = p.buf in
   let src = Sbuf.src buf and body = p.t_off + 1 in
   let close = plain_string_end src (Sbuf.limit buf) body in
+  p.entry <- vacant;
   if close >= 0 then begin
+    if close - body <= max_spelling then
+      p.entry <- intern_span p.names src body close;
     p.text <-
-      (if close - body <= max_spelling then
-         (intern_span p.names src body close).spelling
+      (if p.entry != vacant then p.entry.spelling
        else String.sub src body (close - body));
     Sbuf.jump buf (close + 1)
   end
@@ -1240,6 +1242,13 @@ let bind_operand_tys ~name ~op_loc (operands : Graph.value array) tys =
             (Attr.ty_to_string v.v_ty) (Attr.ty_to_string ty)
   done
 
+(* The handle of the op name just lexed, cached on its name-table entry. *)
+let op_handle p =
+  let e = p.entry in
+  let h = Context.resolve p.ctx e.handle p.text in
+  if h != e.handle && e != vacant then e.handle <- h;
+  h
+
 let rec parse_op p : Graph.op =
   let op_loc = loc p in
   (* Budget accounting happens before anything is consumed; a blown budget
@@ -1257,15 +1266,15 @@ let rec parse_op p : Graph.op =
   let op =
     match p.tok with
     | Str ->
-        let name = p.text in
+        let name = p.text and handle = op_handle p in
         advance p;
-        parse_generic_body p ~name ~op_loc
+        parse_generic_body p ~name ~handle ~op_loc
     | Ident when Option.is_some p.entry.dotted -> (
-        let name = p.text in
+        let name = p.text and handle = op_handle p in
         advance p;
-        match Context.lookup_op p.ctx name with
-        | Some ({ od_format = Some f; _ } as od) ->
-            parse_custom_body p ~name ~od ~format:f ~op_loc
+        match handle.oh_def with
+        | Some { od_format = Some f; _ } ->
+            parse_custom_body p ~name ~handle ~format:f ~op_loc
         | Some _ ->
             fail p
               "operation '%s' has no declarative format; use the generic \
@@ -1291,7 +1300,7 @@ let rec parse_op p : Graph.op =
   p.names_top <- base;
   op
 
-and parse_generic_body p ~name ~op_loc : Graph.op =
+and parse_generic_body p ~name ~handle ~op_loc : Graph.op =
   expect p Lparen;
   let operands = if accept p Rparen then [||] else parse_operands p 0 in
   let successors =
@@ -1337,7 +1346,7 @@ and parse_generic_body p ~name ~op_loc : Graph.op =
   (* Every type and attribute parsed is already canonical in this domain's
      uniquer shard. *)
   Graph.Op.create_prebuilt ~operands ~result_tys ~attrs ~regions ~successors
-    ~loc:op_loc name
+    ~loc:op_loc ~handle name
 
 (* Operations up to the end of a block. Each operation is parsed under its
    own protection, so one bad op in a block does not abandon the ops after
@@ -1424,7 +1433,7 @@ and parse_region p : Graph.region =
     p.labels;
   region
 
-and parse_custom_body p ~name ~od:_ ~(format : Opfmt.t) ~op_loc : Graph.op =
+and parse_custom_body p ~name ~handle ~(format : Opfmt.t) ~op_loc : Graph.op =
   let directives = Hashtbl.create 4 in
   let fixed = Hashtbl.create 4 in
   let group = ref None in
@@ -1511,8 +1520,12 @@ and parse_custom_body p ~name ~od:_ ~(format : Opfmt.t) ~op_loc : Graph.op =
               (Attr.ty_to_string v.v_ty) (Attr.ty_to_string ty))
     operands;
   let result_tys = List.map eval_ty format.result_tys in
-  Graph.Op.create ~operands ~result_tys ~attrs:(List.rev !attrs) ~loc:op_loc
-    name
+  let op =
+    Graph.Op.create ~operands ~result_tys ~attrs:(List.rev !attrs)
+      ~loc:op_loc name
+  in
+  op.op_handle <- handle;
+  op
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)

@@ -180,7 +180,8 @@ let add_custom t buf (op : Graph.op) (f : Opfmt.t) =
 
 (* Everything a generic op prints after its regions: the attribute
    dictionary and the function type. It contains no value names, so a
-   region op defers it as a job and renders it after the region bodies. *)
+   region op defers it as a job and renders it after the region bodies. It
+   is a function of the signature: the memo keeps it ({!Context.add_tail}). *)
 let add_tail buf (op : Graph.op) =
   (match op.attrs with
   | [] -> ()
@@ -210,14 +211,15 @@ type job =
   | J_op of int * Graph.op  (** print one op at the given indent level *)
   | J_region of int * Graph.region
   | J_block_label of int * bool * Graph.block
-  | J_tail of Graph.op  (** [")"] and the deferred {!add_tail} *)
+  | J_tail of Graph.op_handle * Graph.op
+      (** [")"] and the deferred {!add_tail} *)
 
 (* The emitters below render one job each and push the jobs it leaves
    behind, in order, onto [stack]. *)
 let push stack jobs_rev = stack := List.rev_append jobs_rev !stack
 
-let emit_generic t buf stack level (op : Graph.op) =
-  Attr.add_quoted buf op.op_name;
+let emit_generic t buf stack level (h : Graph.op_handle) (op : Graph.op) =
+  Buffer.add_string buf h.oh_quoted;
   Buffer.add_char buf '(';
   add_sep t buf op ~first:0 (Graph.Op.num_operands op) operand;
   Buffer.add_char buf ')';
@@ -232,7 +234,7 @@ let emit_generic t buf stack level (op : Graph.op) =
         succs;
       Buffer.add_char buf ']');
   match op.regions with
-  | [] -> add_tail buf op
+  | [] -> Context.add_tail t.ctx h op add_tail buf
   | regions ->
       Buffer.add_string buf " (";
       let jobs = ref [] in
@@ -241,7 +243,7 @@ let emit_generic t buf stack level (op : Graph.op) =
           if i > 0 then jobs := J_text ", " :: !jobs;
           jobs := J_region (level, r) :: !jobs)
         regions;
-      push stack (J_tail op :: !jobs)
+      push stack (J_tail (h, op) :: !jobs)
 
 let emit_op t buf stack level (op : Graph.op) =
   (* Results are named before the body so that custom formats see them. *)
@@ -250,23 +252,17 @@ let emit_op t buf stack level (op : Graph.op) =
     add_sep t buf op ~first:0 nresults result;
     Buffer.add_string buf " = "
   end;
-  let custom_format =
-    if t.generic then None
-    else
-      match Context.lookup_op t.ctx op.op_name with
-      | Some { od_format = Some f; _ } -> Some f
-      | _ -> None
-  in
-  match custom_format with
-  | Some f -> (
+  let h = Context.handle t.ctx op in
+  match h.oh_def with
+  | Some { od_format = Some f; _ } when not t.generic -> (
       (* Rendered in place; on Fallback the partial text is cut off again.
          Custom formats never nest regions, so this stays flat. *)
       let mark = Buffer.length buf in
       try add_custom t buf op f
       with Fallback ->
         Buffer.truncate buf mark;
-        emit_generic t buf stack level op)
-  | None -> emit_generic t buf stack level op
+        emit_generic t buf stack level h op)
+  | _ -> emit_generic t buf stack level h op
 
 let emit_region buf stack level (r : Graph.region) =
   let inner = level + 2 in
@@ -308,9 +304,9 @@ let rec run t buf stack =
       | J_op (lvl, o) -> emit_op t buf stack lvl o
       | J_region (lvl, r) -> emit_region buf stack lvl r
       | J_block_label (lvl, needs, b) -> emit_block_label t buf lvl needs b
-      | J_tail o ->
+      | J_tail (h, o) ->
           Buffer.add_char buf ')';
-          add_tail buf o);
+          Context.add_tail t.ctx h o add_tail buf);
       run t buf stack
 
 let add_op ?(level = 0) t buf op =

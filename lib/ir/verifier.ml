@@ -92,7 +92,7 @@ let is_terminator_def (def : Context.op_def option) (op : Graph.op) =
   | None -> op.successors <> []
 
 let is_terminator ctx (op : Graph.op) =
-  is_terminator_def (Context.lookup_op ctx op.op_name) op
+  is_terminator_def (Context.handle ctx op).oh_def op
 
 let is_last_in blk (op : Graph.op) =
   match Graph.Block.terminator blk with
@@ -190,21 +190,18 @@ let verify_op_full ctx def (op : Graph.op) =
 let verify_op ctx (op : Graph.op) =
   with_op_loc op
   @@
-  if not (Context.verify_cache_enabled ctx) then
-    verify_op_full ctx (Context.lookup_op ctx op.op_name) op
+  let h = Context.handle ctx op in
+  let def = h.oh_def in
+  if Context.memo_mem ctx h op then
+    match (verify_structure def op, def) with
+    | Ok (), Some od -> od.od_verify_rest op
+    | r, _ -> r
   else
-    let e = Context.op_entry ctx op.op_name in
-    let def = Context.entry_def e in
-    if Context.memo_mem e op then
-      match (verify_structure def op, def) with
-      | Ok (), Some od -> od.od_verify_rest op
-      | r, _ -> r
-    else
-      match verify_op_full ctx def op with
-      | Ok () ->
-          Context.memo_add e op;
-          Ok ()
-      | Error _ as r -> r
+    match verify_op_full ctx def op with
+    | Ok () ->
+        Context.memo_add ctx h op;
+        Ok ()
+    | Error _ as r -> r
 
 (** Verify [op] and everything nested inside it. Stops at the first failure. *)
 let verify ctx (op : Graph.op) =

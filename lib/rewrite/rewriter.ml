@@ -67,16 +67,11 @@ let dce_pass t =
       if o != t.scope then candidates := o :: !candidates);
   List.iter
     (fun (o : Graph.op) ->
-      let is_terminator =
-        match Context.lookup_op t.ctx o.op_name with
-        | Some od -> od.od_is_terminator
-        | None -> o.successors <> []
-      in
       if
         o.op_parent <> None
         && Graph.Op.num_results o > 0
         && o.regions = []
-        && (not is_terminator)
+        && (not (Verifier.is_terminator t.ctx o))
         && not (Array.exists Graph.Value.has_uses o.op_results)
       then begin
         Graph.erase o;

@@ -10,7 +10,9 @@
       [// expected-error@<offset> {{substring}}] annotations (and the
       [expected-warning]/[expected-note] variants) are matched against the
       diagnostics a run actually produced, reporting both unexpected
-      diagnostics and annotations nothing fulfilled. *)
+      diagnostics and annotations nothing fulfilled.
+
+    One walk over the source does both ({!scan}). *)
 
 let rec same_from src i sub k m =
   k = m
@@ -32,32 +34,6 @@ let is_separator src ls le =
   while !ls < !le && is_blank src.[!ls] do incr ls done;
   while !le > !ls && is_blank src.[!le - 1] do decr le done;
   !le - !ls = 8 && matches_at src !ls "// -----"
-
-(* Cut [src] at separator lines. A chunk spans the lines between two
-   separators, without the newline that ends its last line: that newline
-   belongs to the separator after it, so a diagnostic at the end of a
-   chunk sits on the chunk's last line. Without any separator the whole
-   source is one chunk. *)
-let split_input src : Sbuf.window list =
-  let len = String.length src in
-  let chunks = ref [] in
-  let start = ref 0 and first_line = ref 1 in
-  let rec scan ls lineno =
-    let le =
-      match String.index_from_opt src ls '\n' with Some j -> j | None -> len
-    in
-    if is_separator src ls le then begin
-      let stop = if ls > !start then ls - 1 else !start in
-      chunks :=
-        { Sbuf.start = !start; stop; first_line = !first_line } :: !chunks;
-      start := min len (le + 1);
-      first_line := lineno + 1
-    end;
-    if le < len then scan (le + 1) (lineno + 1)
-  in
-  scan 0 1;
-  List.rev
-    ({ Sbuf.start = !start; stop = len; first_line = !first_line } :: !chunks)
 
 (* ------------------------------------------------------------------ *)
 (* Expected-diagnostic annotations                                     *)
@@ -196,30 +172,52 @@ let scan_line ~file ~lineno line ~start ~stop =
         keywords;
       (List.rev !expectations, List.rev !errors)
 
-(** Collect every annotation in [src]. Returns the expectations plus
-    harness errors for malformed annotations. One pass over the bytes:
-    only a line with a [//] is scanned for annotations. *)
-let scan_expectations ~file src =
+(* The one walk over a source's bytes. Both a separator and an annotation
+   sit on a line with a [//], so only such a line is looked at: it is a
+   separator or it is scanned for annotations. A chunk spans the lines
+   between two separators, without the newline that ends its last line:
+   that newline belongs to the separator after it, so a diagnostic at the
+   end of a chunk sits on the chunk's last line. Without any separator
+   the whole source is one chunk. *)
+let scan ~file src =
   let len = String.length src in
+  let chunks = ref [] and start = ref 0 and first_line = ref 1 in
   let expectations = ref [] and errors = ref [] in
-  let rec go i start lineno =
+  let rec go i ls lineno =
     if i < len then
       match String.unsafe_get src i with
       | '\n' -> go (i + 1) (i + 1) (lineno + 1)
       | '/' when i + 1 < len && String.unsafe_get src (i + 1) = '/' ->
-          let stop =
+          let le =
             match String.index_from_opt src i '\n' with
             | Some j -> j
             | None -> len
           in
-          let exps, errs = scan_line ~file ~lineno src ~start ~stop in
-          expectations := List.rev_append exps !expectations;
-          errors := List.rev_append errs !errors;
-          go (stop + 1) (stop + 1) (lineno + 1)
-      | _ -> go (i + 1) start lineno
+          (if is_separator src ls le then begin
+             let stop = if ls > !start then ls - 1 else !start in
+             chunks :=
+               { Sbuf.start = !start; stop; first_line = !first_line }
+               :: !chunks;
+             start := min len (le + 1);
+             first_line := lineno + 1
+           end
+           else
+             let exps, errs = scan_line ~file ~lineno src ~start:ls ~stop:le in
+             expectations := List.rev_append exps !expectations;
+             errors := List.rev_append errs !errors);
+          go (le + 1) (le + 1) (lineno + 1)
+      | _ -> go (i + 1) ls lineno
   in
   go 0 0 1;
-  (List.rev !expectations, List.rev !errors)
+  let windows =
+    List.rev
+      ({ Sbuf.start = !start; stop = len; first_line = !first_line }
+      :: !chunks)
+  in
+  (windows, (List.rev !expectations, List.rev !errors))
+
+let split_input src = fst (scan ~file:"" src)
+let scan_expectations ~file src = snd (scan ~file src)
 
 let loc_of_line file line : Loc.t =
   let pos = { Loc.file; line; col = 1; offset = 0 } in

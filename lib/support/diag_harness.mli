@@ -25,6 +25,10 @@ val scan_expectations : file:string -> string -> expectation list * Diag.t list
     malformed annotations. Offsets: none (same line), [@+N], [@-N],
     [@above], [@below]. *)
 
+val scan :
+  file:string -> string -> Sbuf.window list * (expectation list * Diag.t list)
+(** {!split_input} and {!scan_expectations} from one walk. *)
+
 val check : expectations:expectation list -> Diag.t list -> Diag.t list
 (** Match produced diagnostics against the expectations (marking them
     fulfilled). Returns harness failures: unexpected errors/warnings and

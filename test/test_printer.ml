@@ -244,6 +244,100 @@ let all_bytes_roundtrip () =
   Alcotest.(check string) "bytecode then text" printed
     (Printer.ops_to_string ctx decoded)
 
+(* ---------------------------------------------------------------- *)
+(* Op handles and the per-signature tail                             *)
+(* ---------------------------------------------------------------- *)
+
+(* The last op of a module whose first op defines [%a]. *)
+let parse_after_def ctx ~ty src =
+  let defs = Printf.sprintf {|%%a = "t.src"() : () -> %s|} ty in
+  let ops = check_ok "parse" (Parser.parse_ops ctx (defs ^ "\n" ^ src)) in
+  match List.rev ops with
+  | op :: _ -> op
+  | [] -> Alcotest.fail "no op parsed"
+
+(* The handle a parse gave an op goes stale when its dialect is
+   registered: the op then prints in the dialect's custom form. *)
+let parsed_before_registration_prints_custom () =
+  let ctx = Context.create () in
+  let ty = "!cmath.complex<f32>" in
+  let src = {|%0 = "cmath.norm"(%a) : (!cmath.complex<f32>) -> f32|} in
+  let op = parse_after_def ctx ~ty src in
+  let generic = {|%0 = "cmath.norm"(%1) : (!cmath.complex<f32>) -> (f32)|} in
+  Alcotest.(check string) "unregistered: generic" generic
+    (Printer.op_to_string ctx op);
+  let _ = check_ok "load cmath" (Irdl_dialects.Cmath.load ctx) in
+  Alcotest.(check string) "registered: custom" "%0 = cmath.norm %1 : f32"
+    (Printer.op_to_string ctx op);
+  Alcotest.(check string) "reparsed: custom" "%0 = cmath.norm %1 : f32"
+    (Printer.op_to_string ctx (parse_after_def ctx ~ty src));
+  Alcotest.(check string) "custom form reparsed" "%0 = cmath.norm %1 : f32"
+    (Printer.op_to_string ctx
+       (parse_after_def ctx ~ty "%0 = cmath.norm %a : f32"))
+
+(* One name with a format in one context and none in the other, printed
+   in turn on one domain. *)
+let two_contexts_in_turn () =
+  let load format =
+    fst
+      (load_dialect
+         (Printf.sprintf
+            "Dialect d5 { Operation y { Operands (a: !i32) Results (r: !i32) \
+             %s } }"
+            format))
+  in
+  let custom = load {|Format "$a"|} and plain = load "" in
+  let src = {|%0 = "d5.y"(%a) : (i32) -> i32|} in
+  let from_custom = parse_after_def custom ~ty:"i32" src
+  and from_plain = parse_after_def plain ~ty:"i32" src in
+  let generic = {|%0 = "d5.y"(%1) : (i32) -> (i32)|} in
+  for _ = 1 to 3 do
+    List.iter
+      (fun op ->
+        verify_ok custom op;
+        Alcotest.(check string) "custom" "%0 = d5.y %1"
+          (Printer.op_to_string custom op);
+        verify_ok plain op;
+        Alcotest.(check string) "generic" generic
+          (Printer.op_to_string plain op))
+      [ from_custom; from_plain ]
+  done
+
+(* The printed tail is kept per signature: an op changed after it was
+   verified and printed prints what it is now. *)
+let changed_op_prints_its_new_signature () =
+  let ctx = Context.create () in
+  let c32 = Graph.Op.create ~result_tys:[ complex_f32 ] "t.src"
+  and c64 = Graph.Op.create ~result_tys:[ complex_f64 ] "t.src" in
+  let op =
+    Graph.Op.create
+      ~operands:[ Graph.Op.result c32 0 ]
+      ~attrs:[ ("k", Attr.string "v") ]
+      ~result_tys:[ Attr.f32 ] "t.use"
+  in
+  (* Each print follows a verification, so the memo holds the signature
+     and the second print of a signature copies its tail. *)
+  let check what expected =
+    for _ = 1 to 2 do
+      verify_ok ctx op;
+      Alcotest.(check string) what expected (Printer.op_to_string ctx op)
+    done
+  in
+  check "as built"
+    {|%0 = "t.use"(%1) {k = "v"} : (!cmath.complex<f32>) -> (f32)|};
+  Graph.Op.set_attr op "k" (Attr.string "w");
+  check "set_attr"
+    {|%0 = "t.use"(%1) {k = "w"} : (!cmath.complex<f32>) -> (f32)|};
+  Graph.Op.remove_attr op "k";
+  check "remove_attr" {|%0 = "t.use"(%1) : (!cmath.complex<f32>) -> (f32)|};
+  Graph.Value.replace_all_uses ~from:(Graph.Op.result c32 0)
+    ~to_:(Graph.Op.result c64 0);
+  check "replace_all_uses"
+    {|%0 = "t.use"(%1) : (!cmath.complex<f64>) -> (f32)|};
+  Graph.Op.set_attr op "k" (Attr.string "v");
+  check "back to a recorded attribute"
+    {|%0 = "t.use"(%1) {k = "v"} : (!cmath.complex<f64>) -> (f32)|}
+
 let suite =
   [
     tc "generic form" generic_form;
@@ -258,4 +352,9 @@ let suite =
     tc "Format wrappers equal the renderer" pp_wraps_renderer;
     tc "fallback mid-render leaves no partial text" fallback_mid_render;
     tc "every byte round-trips through text and bytecode" all_bytes_roundtrip;
+    tc "an op parsed before its dialect prints in its format"
+      parsed_before_registration_prints_custom;
+    tc "two contexts in turn print with their own formats" two_contexts_in_turn;
+    tc "a changed op prints its new signature"
+      changed_op_prints_its_new_signature;
   ]

@@ -39,6 +39,14 @@ let mutated_corpus_gen =
   let* entry = oneofl Irdl_dialects.Corpus.all in
   mutate entry.Irdl_dialects.Corpus.source
 
+(* Real IRDL sources cut at a random offset: most cuts end inside an open
+   dialect body, which point mutations never do. *)
+let truncated_corpus_gen =
+  let* entry = oneofl Irdl_dialects.Corpus.all in
+  let src = entry.Irdl_dialects.Corpus.source in
+  let* cut = int_range 0 (String.length src - 1) in
+  return (String.sub src 0 cut)
+
 (* The dialects a mutated corpus source parses to, one of them picked. *)
 let mutated_ast_gen =
   let* src = mutated_corpus_gen in
@@ -178,4 +186,8 @@ let suite =
           mutated_ast_gen;
         agreement ~print:str "bytecode reader total on mutated blobs"
           bytecode_module mutated_blob_gen;
+        agreement ~count:300 "IRDL parser total on truncated corpus"
+          irdl_parse truncated_corpus_gen;
+        agreement ~count:300 "load total on truncated corpus" load
+          truncated_corpus_gen;
       ]

@@ -497,6 +497,109 @@ let memo_does_not_thrash () =
   Alcotest.(check int) "signatures stay at the cap" Context.memo_max_sigs
     s.vs_memo_sigs
 
+(* ---------------------------------------------------------------- *)
+(* Op handles                                                        *)
+(* ---------------------------------------------------------------- *)
+
+(* The parser caches each name's handle on its name-table entry; a
+   registration makes every cached handle stale. *)
+let parsed_before_registration () =
+  let ctx = Context.create () in
+  let src = {|%a = "d3.x"() : () -> i32|} in
+  let before = parse_op ctx src in
+  verify_ok ctx before;
+  verify_ok ctx before;
+  let _ =
+    check_ok "load d3"
+      (Irdl_core.Irdl.load_one ctx
+         {|Dialect d3 { Operation x { Results (r: !f32) } }|})
+  in
+  verify_err ~containing:"'d3.x': result 'r'" ctx before;
+  verify_err ~containing:"'d3.x': result 'r'" ctx (parse_op ctx src);
+  verify_ok ctx (parse_op ctx {|%b = "d3.x"() : () -> f32|})
+
+(* One name, a different definition in each context: the domain's name
+   table is shared by both, each op's handle is not. *)
+let two_contexts_in_turn () =
+  let load result =
+    fst
+      (load_dialect
+         (Printf.sprintf "Dialect d4 { Operation x { Results (r: !%s) } }"
+            result))
+  in
+  let ci32 = load "i32" and cf32 = load "f32" in
+  let src = {|%a = "d4.x"() : () -> i32|} in
+  let from_i32 = parse_op ci32 src and from_f32 = parse_op cf32 src in
+  for _ = 1 to 3 do
+    verify_ok ci32 from_i32;
+    verify_err ~containing:"'d4.x': result 'r'" cf32 from_i32;
+    verify_ok ci32 from_f32;
+    verify_err ~containing:"'d4.x': result 'r'" cf32 from_f32
+  done
+
+(* A changed op is compared again, field by field: nothing trusts the
+   signature it had when it was last verified. *)
+let changed_op_verifies_its_new_signature () =
+  let ctx = cmath_ctx () in
+  let c32 = Graph.Op.create ~result_tys:[ complex_f32 ] "t.src"
+  and c64 = Graph.Op.create ~result_tys:[ complex_f64 ] "t.src" in
+  let norm =
+    Graph.Op.create ~operands:[ Graph.Op.result c32 0 ]
+      ~result_tys:[ Attr.f32 ] "cmath.norm"
+  in
+  verify_ok ctx norm;
+  verify_ok ctx norm;
+  Graph.Value.replace_all_uses ~from:(Graph.Op.result c32 0)
+    ~to_:(Graph.Op.result c64 0);
+  verify_err ctx norm;
+  let _ =
+    check_ok "load d6"
+      (Irdl_core.Irdl.load_one ctx
+         {|Dialect d6 { Operation c { Attributes (v: !i32) } }|})
+  in
+  let c =
+    Graph.Op.create ~attrs:[ ("v", Attr.typ Attr.i32) ] "d6.c"
+  in
+  verify_ok ctx c;
+  verify_ok ctx c;
+  Graph.Op.set_attr c "v" (Attr.typ Attr.f32);
+  verify_err ~containing:"'d6.c'" ctx c;
+  Graph.Op.set_attr c "v" (Attr.typ Attr.i32);
+  verify_ok ctx c;
+  Graph.Op.remove_attr c "v";
+  verify_err ~containing:"requires attribute 'v'" ctx c
+
+(* Parsed ops: every name past the bound verifies on the full path, and
+   the shard keeps exactly the bound. *)
+let distinct_names_stay_at_the_bound () =
+  let ctx = Context.create ~allow_unregistered:false () in
+  let _ =
+    check_ok "load d7"
+      (Irdl_core.Irdl.load_one ctx
+         {|Dialect d7 { Operation x { Results (r: !i32) } }|})
+  in
+  let n = 10_000 in
+  let src =
+    String.concat "\n"
+      (List.init n (fun i -> Printf.sprintf {|"u%d.x"() : () -> ()|} i))
+  in
+  let ops = check_ok "parse" (Parser.parse_ops ctx src) in
+  let errors = Verifier.verify_ops_all ctx ops in
+  Alcotest.(check int) "every unregistered op rejected" n (List.length errors);
+  let last = Printf.sprintf "unregistered operation 'u%d.x'" (n - 1) in
+  Alcotest.(check bool) "the last one too" true
+    (contains (Irdl_support.Diag.to_string (List.nth errors (n - 1))) last);
+  let s = memo_stats ctx in
+  Alcotest.(check int) "names at the bound" Context.memo_max_ops s.vs_memo_ops;
+  Alcotest.(check int) "no signature recorded" 0 s.vs_memo_sigs;
+  let ok = parse_op ctx {|%a = "d7.x"() : () -> i32|} in
+  verify_ok ctx ok;
+  verify_ok ctx ok;
+  let bad = parse_op ctx {|%b = "d7.x"() : () -> f32|} in
+  verify_err ~containing:"'d7.x': result 'r'" ctx bad;
+  Alcotest.(check int) "still at the bound" Context.memo_max_ops
+    (memo_stats ctx).vs_memo_ops
+
 let suite =
   [
     QCheck_alcotest.to_alcotest memo_differential;
@@ -512,4 +615,11 @@ let suite =
       verify_allocation_budget;
     tc "a name with more signatures than slots still hits"
       memo_does_not_thrash;
+    tc "an op parsed before its dialect verifies against it"
+      parsed_before_registration;
+    tc "two contexts in turn use their own definitions" two_contexts_in_turn;
+    tc "a changed op verifies its new signature"
+      changed_op_verifies_its_new_signature;
+    tc "distinct names leave the memo at its bound"
+      distinct_names_stay_at_the_bound;
   ]

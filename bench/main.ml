@@ -389,26 +389,25 @@ let intern_tests =
 (* Verification engine benchmarks                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* The whole 28-dialect corpus plus cmath (native hooks included), once
-   with compiled constraint checkers and the memoizing cache (the
-   production configuration) and once with the interpreted reference
-   verifiers (the pre-compilation baseline). *)
-let make_verify_ctx ~compile () =
+(* The whole 28-dialect corpus plus cmath (native hooks included). Two
+   contexts, so the memoized one never sees the cache switched off: one
+   with the memoizing cache (the production configuration), one without
+   (every type and attribute re-walked by the constraint interpreter on
+   every visit, the uncached baseline). *)
+let make_verify_ctx () =
   let ctx = Irdl_ir.Context.create () in
   let native = Irdl_core.Native.create () in
   Irdl_dialects.Cmath.register_hooks native;
-  (match Irdl_dialects.Corpus.load_all ~native ~compile ctx with
+  (match Irdl_dialects.Corpus.load_all ~native ctx with
   | Ok _ -> ()
   | Error d -> failwith (Irdl_support.Diag.to_string d));
-  (match
-     Irdl_core.Irdl.load_one ~native ~compile ctx Irdl_dialects.Cmath.source
-   with
+  (match Irdl_core.Irdl.load_one ~native ctx Irdl_dialects.Cmath.source with
   | Ok _ -> ()
   | Error d -> failwith (Irdl_support.Diag.to_string d));
   ctx
 
-let verify_compiled_ctx = lazy (make_verify_ctx ~compile:true ())
-let verify_interp_ctx = lazy (make_verify_ctx ~compile:false ())
+let verify_memo_ctx = lazy (make_verify_ctx ())
+let verify_uncached_ctx = lazy (make_verify_ctx ())
 
 (* A module shaped like real IR: chains of cmath.mul / cmath.norm over
    !cmath.complex<f32> (constraint variables, parameterized types), values
@@ -478,24 +477,17 @@ let verify_module = lazy (make_verify_module ())
 
 let verify_tests =
   [
-    (* Production configuration: compiled checkers, warm memoized cache. *)
-    Test.make ~name:"verify:compiled-memoized"
+    (* Production configuration: warm memoized cache. *)
+    Test.make ~name:"verify:memoized"
       (stage (fun () ->
-           let ctx = Lazy.force verify_compiled_ctx in
+           let ctx = Lazy.force verify_memo_ctx in
            Irdl_ir.Context.set_verify_cache ctx true;
            Irdl_ir.Verifier.verify ctx (Lazy.force verify_module)));
-    (* Compiled checkers with memoization switched off: isolates the
-       constraint-compilation layer from the caching layer. *)
-    Test.make ~name:"verify:compiled-uncached"
-      (stage (fun () ->
-           let ctx = Lazy.force verify_compiled_ctx in
-           Irdl_ir.Context.set_verify_cache ctx false;
-           Irdl_ir.Verifier.verify ctx (Lazy.force verify_module)));
-    (* The pre-PR baseline: interpreted constraint trees, every type and
+    (* The baseline: interpreted constraint trees, every type and
        attribute re-walked on every visit. *)
     Test.make ~name:"verify:interpreted-uncached(baseline)"
       (stage (fun () ->
-           let ctx = Lazy.force verify_interp_ctx in
+           let ctx = Lazy.force verify_uncached_ctx in
            Irdl_ir.Context.set_verify_cache ctx false;
            Irdl_ir.Verifier.verify ctx (Lazy.force verify_module)));
   ]
@@ -580,12 +572,12 @@ let emit_intern_json rows =
   Fmt.pr "@.wrote BENCH_intern.json (equal speedup: %s)@." (num speedup)
 
 (* Machine-readable summary backing the verification-engine acceptance
-   criterion: compiled + memoized whole-corpus verification must beat the
+   criterion: memoized whole-corpus verification must beat the
    interpreted, uncached baseline by >= 3x. *)
 let emit_verify_json rows =
   (* Sanity: the bench module must actually verify — a module that fails
      early would make the timings meaningless. *)
-  let sanity_ctx = Lazy.force verify_compiled_ctx in
+  let sanity_ctx = Lazy.force verify_memo_ctx in
   Irdl_ir.Context.set_verify_cache sanity_ctx true;
   (match Irdl_ir.Verifier.verify sanity_ctx (Lazy.force verify_module) with
   | Ok () -> ()
@@ -594,29 +586,25 @@ let emit_verify_json rows =
         ("verification bench module does not verify: "
         ^ Irdl_support.Diag.to_string d));
   let baseline = find_ns rows "verify:interpreted-uncached(baseline)" in
-  let compiled_uncached = find_ns rows "verify:compiled-uncached" in
-  let memoized = find_ns rows "verify:compiled-memoized" in
+  let memoized = find_ns rows "verify:memoized" in
   let speedup =
     if Float.is_nan baseline || Float.is_nan memoized || memoized <= 0. then
       Float.nan
     else baseline /. memoized
   in
-  let s =
-    (Irdl_ir.Context.stats (Lazy.force verify_compiled_ctx)).st_verify
-  in
+  let s = (Irdl_ir.Context.stats (Lazy.force verify_memo_ctx)).st_verify in
   let num f = if Float.is_nan f then "null" else Fmt.str "%.2f" f in
   let json =
     Fmt.str
       {|{
   "interpreted_uncached_ns": %s,
-  "compiled_uncached_ns": %s,
-  "compiled_memoized_ns": %s,
+  "memoized_ns": %s,
   "speedup": %s,
   "cache": { "ty_entries": %d, "attr_entries": %d, "hits": %d,
              "misses": %d, "hit_rate": %.4f, "invalidations": %d }
 }
 |}
-      (num baseline) (num compiled_uncached) (num memoized) (num speedup)
+      (num baseline) (num memoized) (num speedup)
       s.Irdl_ir.Context.vs_ty_entries s.vs_attr_entries s.vs_hits s.vs_misses
       (Irdl_ir.Context.verify_hit_rate s)
       s.vs_invalidations

@@ -219,8 +219,8 @@ let run ?file ~engine ?limits ~verify ?sink ?pipeline ctx payload =
             | _ -> ());
             close ~verify_failed:(ds <> []))
 
-let load_dialects ?native ?compile ?file ?engine ctx payload =
-  Irdl_core.Irdl.load_with ?native ?compile ?engine ctx (fun engine ->
+let load_dialects ?native ?file ?engine ctx payload =
+  Irdl_core.Irdl.load_with ?native ?engine ctx (fun engine ->
       match payload with
       | Source.Text _ ->
           Irdl_core.Irdl.read ?file ~engine (Source.contents payload)

@@ -122,7 +122,6 @@ val run :
 
 val load_dialects :
   ?native:Irdl_core.Native.t ->
-  ?compile:bool ->
   ?file:string ->
   ?engine:Diag.Engine.t ->
   Context.t ->

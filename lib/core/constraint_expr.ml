@@ -266,248 +266,6 @@ and verify_params ~native ~env ~what pcs params =
     every type already seen, so the wrapper allocates nothing new. *)
 let verify_ty ~native ~env c ty = verify ~native ~env c (Attr.typ ty)
 
-(* ------------------------------------------------------------------ *)
-(* Compilation to checkers                                             *)
-(* ------------------------------------------------------------------ *)
-
-type checker = env -> Attr.t -> (env, string) result
-
-(** [compile ~native c] lowers the resolved constraint tree once into a
-    closure/dispatch form: [Eq] becomes a physical-equality test against the
-    interned value, combinators become pre-built closure arrays, parameter
-    kinds become direct tag tests. The result is observationally equivalent
-    to {!verify} — same accept/reject decisions, same environment bindings,
-    same failure messages — with the tree walk and constructor dispatch paid
-    at compile (registration) time instead of on every check. The
-    interpreted {!verify} stays as the reference oracle; the differential
-    test harness checks agreement on generated constraints. *)
-let rec compile ~(native : Native.t) (c : t) : checker =
-  match c with
-  | Any | Any_attr -> fun env _ -> Ok env
-  | Any_type -> (
-      fun env a ->
-        match a with
-        | Attr.Type _ -> Ok env
-        | _ -> Error (Fmt.str "expected a type, got %a" Attr.pp a))
-  | Eq expected ->
-      (* Interned once here, so the hot path is a pointer comparison (with
-         the structural fallback of [Attr.equal] for uninterned inputs). *)
-      let expected = Attr.intern expected in
-      fun env a ->
-        if expected == a || Attr.equal expected a then Ok env
-        else Error (Fmt.str "expected %a, got %a" Attr.pp expected Attr.pp a)
-  | Base_type { dialect; name; params } -> (
-      let check_params =
-        Option.map (compile_params ~native ~what:"type") params
-      in
-      fun env a ->
-        match a with
-        | Attr.Type (Attr.Dynamic d) when d.dialect = dialect && d.name = name
-          -> (
-            match check_params with
-            | None -> Ok env
-            | Some check -> check env d.params)
-        | _ ->
-            Error
-              (Fmt.str "expected a !%s.%s type, got %a" dialect name Attr.pp a))
-  | Base_attr { dialect; name; params } -> (
-      let check_params =
-        Option.map (compile_params ~native ~what:"attribute") params
-      in
-      fun env a ->
-        match a with
-        | Attr.Dyn_attr d when d.dialect = dialect && d.name = name -> (
-            match check_params with
-            | None -> Ok env
-            | Some check -> check env d.params)
-        | _ ->
-            Error
-              (Fmt.str "expected a #%s.%s attribute, got %a" dialect name
-                 Attr.pp a))
-  | Int_param kind -> (
-      fun env a ->
-        match a with
-        | Attr.Int { value; ty } when int_kind_matches kind ty ->
-            if int_kind_in_range kind value then Ok env
-            else Error (Fmt.str "integer %Ld out of range" value)
-        | _ ->
-            Error
-              (Fmt.str "expected a %d-bit integer parameter, got %a"
-                 kind.ik_width Attr.pp a))
-  | Float_param kind -> (
-      fun env a ->
-        match (a, kind) with
-        | Attr.Float_attr _, None -> Ok env
-        | Attr.Float_attr { ty = Attr.Float k; _ }, Some k' when k = k' ->
-            Ok env
-        | _ -> Error (Fmt.str "expected a float parameter, got %a" Attr.pp a))
-  | String_param -> (
-      fun env a ->
-        match a with
-        | Attr.String _ -> Ok env
-        | _ -> Error (Fmt.str "expected a string parameter, got %a" Attr.pp a))
-  | Symbol_param -> (
-      fun env a ->
-        match a with
-        | Attr.Symbol _ -> Ok env
-        | _ -> Error (Fmt.str "expected a symbol reference, got %a" Attr.pp a))
-  | Bool_param -> (
-      fun env a ->
-        match a with
-        | Attr.Bool _ -> Ok env
-        | _ -> Error (Fmt.str "expected a boolean parameter, got %a" Attr.pp a))
-  | Location_param -> (
-      fun env a ->
-        match a with
-        | Attr.Location _ -> Ok env
-        | _ -> Error (Fmt.str "expected a location, got %a" Attr.pp a))
-  | Type_id_param -> (
-      fun env a ->
-        match a with
-        | Attr.Type_id _ -> Ok env
-        | _ -> Error (Fmt.str "expected a type id, got %a" Attr.pp a))
-  | Enum_param { dialect; enum } -> (
-      fun env a ->
-        match a with
-        | Attr.Enum e when e.dialect = dialect && e.enum = enum -> Ok env
-        | _ ->
-            Error
-              (Fmt.str "expected a constructor of enum %s.%s, got %a" dialect
-                 enum Attr.pp a))
-  | Array_any -> (
-      fun env a ->
-        match a with
-        | Attr.Array _ -> Ok env
-        | _ -> Error (Fmt.str "expected an array parameter, got %a" Attr.pp a))
-  | Array_of elem -> (
-      let check = compile ~native elem in
-      fun env a ->
-        match a with
-        | Attr.Array xs ->
-            let rec go env = function
-              | [] -> Ok env
-              | x :: rest -> (
-                  match check env x with
-                  | Ok env -> go env rest
-                  | Error _ as e -> e)
-            in
-            go env xs
-        | _ -> Error (Fmt.str "expected an array parameter, got %a" Attr.pp a))
-  | Array_exact elems -> (
-      let n = List.length elems in
-      let checks = List.map (compile ~native) elems in
-      fun env a ->
-        match a with
-        | Attr.Array xs when List.length xs = n ->
-            List.fold_left2
-              (fun acc check x ->
-                match acc with
-                | Error _ as e -> e
-                | Ok env -> check env x)
-              (Ok env) checks xs
-        | Attr.Array xs ->
-            Error
-              (Fmt.str "expected an array of %d elements, got %d" n
-                 (List.length xs))
-        | _ -> Error (Fmt.str "expected an array parameter, got %a" Attr.pp a))
-  | Any_of cs ->
-      let checks = Array.of_list (List.map (compile ~native) cs) in
-      let n = Array.length checks in
-      fun env a ->
-        let rec try_i i =
-          if i >= n then
-            Error (Fmt.str "%a satisfies no alternative of AnyOf" Attr.pp a)
-          else
-            match checks.(i) env a with
-            | Ok _ as ok -> ok
-            | Error _ -> try_i (i + 1)
-        in
-        try_i 0
-  | And cs ->
-      let checks = Array.of_list (List.map (compile ~native) cs) in
-      let n = Array.length checks in
-      fun env a ->
-        let rec go env i =
-          if i >= n then Ok env
-          else
-            match checks.(i) env a with
-            | Ok env -> go env (i + 1)
-            | Error _ as e -> e
-        in
-        go env 0
-  | Not c -> (
-      let check = compile ~native c in
-      fun env a ->
-        match check env a with
-        | Ok _ -> Error (Fmt.str "%a satisfies negated constraint" Attr.pp a)
-        | Error _ -> Ok env)
-  | Var { v_name; v_constraint } -> (
-      let check = compile ~native v_constraint in
-      fun env a ->
-        match Env.find_opt v_name env with
-        | Some bound ->
-            if Attr.equal bound a then Ok env
-            else
-              Error
-                (Fmt.str "constraint variable %s already bound to %a, got %a"
-                   v_name Attr.pp bound Attr.pp a)
-        | None -> (
-            match check env a with
-            | Ok env -> Ok (Env.add v_name a env)
-            | Error reason ->
-                Error (Fmt.str "constraint variable %s: %s" v_name reason)))
-  | Native { name; base; snippets } -> (
-      let check = compile ~native base in
-      fun env a ->
-        match check env a with
-        | Error _ as e -> e
-        | Ok env ->
-            let rec run = function
-              | [] -> Ok env
-              | snippet :: rest -> (
-                  match Native.check_param native snippet a with
-                  | Ok true -> run rest
-                  | Ok false ->
-                      Error
-                        (Fmt.str "%a violates native constraint %s (%s)"
-                           Attr.pp a name snippet)
-                  | Error snippet ->
-                      Error
-                        (Fmt.str
-                           "no native hook registered for %S (strict mode)"
-                           snippet))
-            in
-            run snippets)
-  | Native_param { name; _ } -> (
-      fun env a ->
-        match a with
-        | Attr.Opaque { tag; _ } when tag = name -> Ok env
-        | _ ->
-            Error
-              (Fmt.str "expected a native %s parameter, got %a" name Attr.pp a))
-  | Variadic c | Optional c -> compile ~native c
-
-and compile_params ~native ~what pcs :
-    env -> Attr.t list -> (env, string) result =
-  let n = List.length pcs in
-  let checks = List.map (compile ~native) pcs in
-  fun env params ->
-    if List.length params <> n then
-      Error
-        (Fmt.str "%s expects %d parameters, got %d" what n
-           (List.length params))
-    else
-      List.fold_left2
-        (fun acc check param ->
-          match acc with
-          | Error _ as e -> e
-          | Ok env -> check env param)
-        (Ok env) checks params
-
-let compile_ty ~native c =
-  let check = compile ~native c in
-  fun env ty -> check env (Attr.typ ty)
-
 let is_variadic = function Variadic _ | Optional _ -> true | _ -> false
 let is_optional = function Optional _ -> true | _ -> false
 

@@ -58,22 +58,6 @@ val verify : native:Native.t -> env:env -> t -> Attr.t -> (env, string) result
 val verify_ty :
   native:Native.t -> env:env -> t -> Attr.ty -> (env, string) result
 
-type checker = env -> Attr.t -> (env, string) result
-(** A pre-compiled constraint check: the closure form {!compile} lowers a
-    resolved constraint tree into. *)
-
-val compile : native:Native.t -> t -> checker
-(** Lower the constraint once — at registration time — into closures:
-    [Eq] becomes a physical-equality test against the interned value,
-    [Any_of]/[And] become pre-built closure arrays, parameter kinds become
-    direct tag tests. Observationally equivalent to {!verify} (same
-    accept/reject, same environment bindings, same failure messages); the
-    interpreted {!verify} remains the reference oracle. *)
-
-val compile_ty :
-  native:Native.t -> t -> env -> Attr.ty -> (env, string) result
-(** {!compile} for type checks: wraps the checked type as [Attr.Type]. *)
-
 val is_variadic : t -> bool
 (** [Variadic] or [Optional] at the top level. *)
 

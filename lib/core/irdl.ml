@@ -27,32 +27,32 @@ let read ?file ~engine src =
     the engine. Without an engine the cap is one error, so nothing is
     registered once reading or a registration failed, and the first error
     is returned. *)
-let load_with ?native ?compile ?engine ctx read =
+let load_with ?native ?engine ctx read =
   let engine, result = Diag.Engine.fail_fast engine in
   let dls = read engine in
   List.iter
     (fun dl ->
       if not (Diag.Engine.limit_reached engine) then
         List.iter (Diag.Engine.emit engine)
-          (Registration.register_collect ?native ?compile ctx dl))
+          (Registration.register_collect ?native ctx dl))
     dls;
   result (Ok dls)
 
 (** Parse, resolve and register every dialect in [src] into [ctx]. Returns
     the resolved dialects for introspection. *)
-let load ?native ?compile ?file ctx src =
-  load_with ?native ?compile ctx (fun engine -> read ?file ~engine src)
+let load ?native ?file ctx src =
+  load_with ?native ctx (fun engine -> read ?file ~engine src)
 
 (** {!load} on [engine]: a dialect file with three mistakes reports all
     three in one run, and its good definitions still work. *)
-let load_collect ?native ?compile ?file ~engine ctx src =
-  load_with ?native ?compile ~engine ctx (fun engine -> read ?file ~engine src)
+let load_collect ?native ?file ~engine ctx src =
+  load_with ?native ~engine ctx (fun engine -> read ?file ~engine src)
   |> Result.value ~default:[]
 
 (** [load] for sources containing exactly one dialect. *)
-let load_one ?native ?compile ?file ctx src : (Resolve.dialect, Diag.t) result
+let load_one ?native ?file ctx src : (Resolve.dialect, Diag.t) result
     =
-  match load ?native ?compile ?file ctx src with
+  match load ?native ?file ctx src with
   | Error _ as e -> e
   | Ok [ dl ] -> Ok dl
   | Ok dls ->

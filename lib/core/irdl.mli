@@ -17,24 +17,23 @@ val read : ?file:string -> engine:Diag.Engine.t -> string ->
   Resolve.dialect list
 (** Parse and resolve, errors emitted to [engine]: what resolved. *)
 
-val load_with : ?native:Native.t -> ?compile:bool -> ?engine:Diag.Engine.t ->
+val load_with : ?native:Native.t -> ?engine:Diag.Engine.t ->
   Irdl_ir.Context.t -> (Diag.Engine.t -> Resolve.dialect list) ->
   (Resolve.dialect list, Diag.t) result
 (** The one load path: register what a reader ({!read}, a bytecode pack)
     returns while the engine's error cap is not reached. Without [engine]
     the cap is one error, returned as [Error] ({!Diag.Engine.fail_fast}). *)
 
-val load : ?native:Native.t -> ?compile:bool -> ?file:string ->
+val load : ?native:Native.t -> ?file:string ->
   Irdl_ir.Context.t -> string -> (Resolve.dialect list, Diag.t) result
-(** [load_with] over {!read}: nothing is registered after the first error.
-    [compile] (default [true]) selects compiled constraint checkers. *)
+(** [load_with] over {!read}: nothing is registered after the first error. *)
 
-val load_collect : ?native:Native.t -> ?compile:bool -> ?file:string ->
+val load_collect : ?native:Native.t -> ?file:string ->
   engine:Diag.Engine.t -> Irdl_ir.Context.t -> string -> Resolve.dialect list
 (** {!load} on [engine]: one run reports every error in a source, and every
     definition that survives is registered. *)
 
-val load_one : ?native:Native.t -> ?compile:bool -> ?file:string ->
+val load_one : ?native:Native.t -> ?file:string ->
   Irdl_ir.Context.t -> string -> (Resolve.dialect, Diag.t) result
 (** {!load} for sources containing exactly one dialect. *)
 

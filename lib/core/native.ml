@@ -21,16 +21,21 @@
 open Irdl_ir
 module SSet = Set.Make (String)
 
+(* Monomorphic string tables: a hook lookup runs on every check of a
+   snippet (an op's hooks on every verify-memo hit), so it hashes and
+   compares as a string, not through the polymorphic primitives. *)
+module Tbl = Hashtbl.Make (String)
+
 type codec = {
   codec_parse : string -> Attr.t option;
   codec_print : Attr.t -> string option;
 }
 
 type t = {
-  param_hooks : (string, Attr.t -> bool) Hashtbl.t;
-  def_hooks : (string, Attr.t list -> bool) Hashtbl.t;
-  op_hooks : (string, Graph.op -> bool) Hashtbl.t;
-  codecs : (string, codec) Hashtbl.t;  (** keyed by TypeOrAttrParam name *)
+  param_hooks : (Attr.t -> bool) Tbl.t;
+  def_hooks : (Attr.t list -> bool) Tbl.t;
+  op_hooks : (Graph.op -> bool) Tbl.t;
+  codecs : codec Tbl.t;  (** keyed by TypeOrAttrParam name *)
   mutable strict : bool;
   unresolved : unresolved Atomic.t;
       (** Verification may note snippets from several domains against one
@@ -49,10 +54,10 @@ let no_unresolved = { seen = SSet.empty; order = [] }
 
 let create ?(strict = false) () =
   {
-    param_hooks = Hashtbl.create 16;
-    def_hooks = Hashtbl.create 16;
-    op_hooks = Hashtbl.create 16;
-    codecs = Hashtbl.create 16;
+    param_hooks = Tbl.create 16;
+    def_hooks = Tbl.create 16;
+    op_hooks = Tbl.create 16;
+    codecs = Tbl.create 16;
     strict;
     unresolved = Atomic.make no_unresolved;
   }
@@ -64,12 +69,12 @@ let src = Logs.Src.create "irdl.native" ~doc:"IRDL native-hook registry"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-let register_param_hook t snippet f = Hashtbl.replace t.param_hooks snippet f
-let register_def_hook t snippet f = Hashtbl.replace t.def_hooks snippet f
-let register_op_hook t snippet f = Hashtbl.replace t.op_hooks snippet f
-let register_codec t name codec = Hashtbl.replace t.codecs name codec
+let register_param_hook t snippet f = Tbl.replace t.param_hooks snippet f
+let register_def_hook t snippet f = Tbl.replace t.def_hooks snippet f
+let register_op_hook t snippet f = Tbl.replace t.op_hooks snippet f
+let register_codec t name codec = Tbl.replace t.codecs name codec
 
-let find_codec t name = Hashtbl.find_opt t.codecs name
+let find_codec t name = Tbl.find_opt t.codecs name
 
 (* A snippet is recorded (and logged) on its first sighting only: every op
    carrying it checks it again, and a resident server must not grow the
@@ -100,7 +105,7 @@ let apply_hook snippet f x =
     registered, [Ok true] with a note when unresolved and non-strict,
     [Error] when unresolved in strict mode. *)
 let check_param t snippet value =
-  match Hashtbl.find_opt t.param_hooks snippet with
+  match Tbl.find_opt t.param_hooks snippet with
   | Some f -> Ok (apply_hook snippet f value)
   | None ->
       if t.strict then Error snippet
@@ -109,7 +114,7 @@ let check_param t snippet value =
         Ok true)
 
 let check_def t snippet params =
-  match Hashtbl.find_opt t.def_hooks snippet with
+  match Tbl.find_opt t.def_hooks snippet with
   | Some f -> Ok (apply_hook snippet f params)
   | None ->
       if t.strict then Error snippet
@@ -118,7 +123,7 @@ let check_def t snippet params =
         Ok true)
 
 let check_op t snippet op =
-  match Hashtbl.find_opt t.op_hooks snippet with
+  match Tbl.find_opt t.op_hooks snippet with
   | Some f -> Ok (apply_hook snippet f op)
   | None ->
       if t.strict then Error snippet

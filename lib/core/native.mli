@@ -14,11 +14,14 @@ type codec = {
 (** A [TypeOrAttrParam]'s [CppParser]/[CppPrinter] pair: conversion between
     text and an {!Irdl_ir.Attr.Opaque} payload. *)
 
+module Tbl : Hashtbl.S with type key = string
+(** Hook tables keyed by snippet text (codecs by definition name). *)
+
 type t = {
-  param_hooks : (string, Attr.t -> bool) Hashtbl.t;
-  def_hooks : (string, Attr.t list -> bool) Hashtbl.t;
-  op_hooks : (string, Graph.op -> bool) Hashtbl.t;
-  codecs : (string, codec) Hashtbl.t;
+  param_hooks : (Attr.t -> bool) Tbl.t;
+  def_hooks : (Attr.t list -> bool) Tbl.t;
+  op_hooks : (Graph.op -> bool) Tbl.t;
+  codecs : codec Tbl.t;
   mutable strict : bool;
   unresolved : unresolved Atomic.t;
       (** Verification may note unresolved snippets from several domains

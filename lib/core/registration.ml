@@ -126,7 +126,7 @@ let assign_slots ~what ~seg_attr ~(op : Graph.op) (slots : Resolve.slot list)
   Ok (slice values sizes [])
 
 (* ---------------------------------------------------------------- *)
-(* Verifier generation (interpreted reference oracle)                *)
+(* Verifier generation                                              *)
 (* ---------------------------------------------------------------- *)
 
 let check_slot_group ~native ~env ~(op : Graph.op) ~what (s : Resolve.slot)
@@ -276,10 +276,12 @@ let make_op_verifier_rest ~native (rop : Resolve.op) =
     | Ok () -> verify_cpp ~native ~op rop.op_cpp
     | Error _ as e -> e
 
-(** The interpreted operation verifier: re-walks the resolved constraint
-    tree on every check. Kept as the reference oracle for the compiled
-    verifier below (differential tests, interpreted benchmarks). *)
-let make_op_verifier_interp ~native (rop : Resolve.op) (op : Graph.op) :
+(** The generated operation verifier: the runtime analog of Listing 2's
+    [MulOp::verify]. Registration stores its partial application to the
+    resolved op; each check walks the resolved constraint trees with
+    {!Constraint_expr.verify}, threading one environment of constraint
+    variables through operands, results, attributes and region arguments. *)
+let make_op_verifier ~native (rop : Resolve.op) (op : Graph.op) :
     (unit, Diag.t) result =
   let env = C.empty_env in
   let* env =
@@ -295,7 +297,9 @@ let make_op_verifier_interp ~native (rop : Resolve.op) (op : Graph.op) :
   let* () = verify_successors ~op rop.op_successors in
   verify_cpp ~native ~op rop.op_cpp
 
-let make_params_verifier_interp ~native ~what ~qual_name
+(** The generated type/attribute parameter verifier: arity, each
+    parameter's constraint, then the IRDL-C++ hooks. *)
+let make_params_verifier ~native ~what ~qual_name
     (slots : Resolve.slot list) (cpp : string list) (params : Attr.t list) :
     (unit, Diag.t) result =
   if List.length params <> List.length slots then
@@ -327,179 +331,16 @@ let make_params_verifier_interp ~native ~what ~qual_name
       (Ok ()) cpp
 
 (* ---------------------------------------------------------------- *)
-(* Verifier generation (compiled)                                    *)
-(* ---------------------------------------------------------------- *)
-
-(* A slot whose (variadic-stripped) constraint has been lowered to a
-   checker closure. The original slot rides along for [assign_slots] and
-   diagnostics. *)
-type cslot = {
-  c_slot : Resolve.slot;
-  c_optional : bool;
-  c_check : C.checker;
-}
-
-let compile_slot ~native (s : Resolve.slot) =
-  {
-    c_slot = s;
-    c_optional = C.is_optional s.s_constraint;
-    c_check = C.compile ~native (C.strip_variadic s.s_constraint);
-  }
-
-(* A compiled operand/result/region-argument group: the raw slot list is
-   kept pre-extracted so segmentation pays no per-verify allocation. *)
-type cgroup = { g_raw : Resolve.slot list; g_slots : cslot list }
-
-let compile_group ~native slots =
-  { g_raw = slots; g_slots = List.map (compile_slot ~native) slots }
-
-type cregion = { r_def : Resolve.region; r_args : cgroup }
-
-let check_cslot_group ~env ~(op : Graph.op) ~what (cs : cslot)
-    (tys : Attr.ty list) =
-  List.fold_left
-    (fun acc ty ->
-      let* env = acc in
-      match cs.c_check env (Attr.typ ty) with
-      | Ok env -> Ok env
-      | Error reason ->
-          Diag.errorf ~loc:op.op_loc "'%s': %s '%s': %s" op.op_name what
-            cs.c_slot.s_name reason)
-    (Ok env) tys
-
-let verify_value_cslots ~env ~op ~what ~seg_attr (g : cgroup) tys =
-  let* groups = assign_slots ~what ~seg_attr ~op g.g_raw tys in
-  List.fold_left2
-    (fun acc cslot group ->
-      let* env = acc in
-      check_cslot_group ~env ~op ~what cslot group)
-    (Ok env) g.g_slots groups
-
-let verify_cattributes ~env ~(op : Graph.op) (cslots : cslot list) =
-  List.fold_left
-    (fun acc (cs : cslot) ->
-      let* env = acc in
-      match Graph.Op.attr op cs.c_slot.s_name with
-      | None ->
-          if cs.c_optional then Ok env
-          else
-            Diag.errorf ~loc:op.op_loc "'%s' requires attribute '%s'"
-              op.op_name cs.c_slot.s_name
-      | Some a -> (
-          match cs.c_check env a with
-          | Ok env -> Ok env
-          | Error reason ->
-              Diag.errorf ~loc:op.op_loc "'%s': attribute '%s': %s" op.op_name
-                cs.c_slot.s_name reason))
-    (Ok env) cslots
-
-let verify_cregions ~env ~(op : Graph.op) (cregions : cregion list) =
-  if List.length op.regions <> List.length cregions then
-    Diag.errorf ~loc:op.op_loc "'%s' expects %d regions, got %d" op.op_name
-      (List.length cregions)
-      (List.length op.regions)
-  else
-    List.fold_left2
-      (fun acc (cr : cregion) (region : Graph.region) ->
-        let rd = cr.r_def in
-        let* env = acc in
-        let* env =
-          match Graph.Region.entry region with
-          | None ->
-              if rd.reg_args = [] && rd.reg_terminator = None then Ok env
-              else
-                Diag.errorf ~loc:op.op_loc
-                  "'%s': region '%s' must not be empty" op.op_name rd.reg_name
-          | Some entry ->
-              verify_value_cslots ~env ~op ~what:"region argument"
-                ~seg_attr:"regionArgSegmentSizes" cr.r_args
-                (List.map Graph.Value.ty (Graph.Block.args entry))
-        in
-        let* () = check_terminator ~op rd region in
-        Ok env)
-      (Ok env) cregions op.regions
-
-(** The generated operation verifier: the runtime analog of Listing 2's
-    [MulOp::verify]. Partially applying to the resolved op compiles every
-    slot constraint once — registration stores the returned closure, so
-    verification never re-interprets the constraint tree. *)
-let make_op_verifier ~native (rop : Resolve.op) : Graph.op ->
-    (unit, Diag.t) result =
-  let operands = compile_group ~native rop.op_operands in
-  let results = compile_group ~native rop.op_results in
-  let attributes = List.map (compile_slot ~native) rop.op_attributes in
-  let regions =
-    List.map
-      (fun (rd : Resolve.region) ->
-        { r_def = rd; r_args = compile_group ~native rd.reg_args })
-      rop.op_regions
-  in
-  fun (op : Graph.op) ->
-    let env = C.empty_env in
-    let* env =
-      verify_value_cslots ~env ~op ~what:"operand"
-        ~seg_attr:"operandSegmentSizes" operands (Graph.Op.operand_tys op)
-    in
-    let* env =
-      verify_value_cslots ~env ~op ~what:"result"
-        ~seg_attr:"resultSegmentSizes" results (Graph.Op.result_tys op)
-    in
-    let* env = verify_cattributes ~env ~op attributes in
-    let* _env = verify_cregions ~env ~op regions in
-    let* () = verify_successors ~op rop.op_successors in
-    verify_cpp ~native ~op rop.op_cpp
-
-(** The generated type/attribute parameter verifier, compiled the same way:
-    partial application up to [cpp] lowers every parameter constraint. *)
-let make_params_verifier ~native ~what ~qual_name (slots : Resolve.slot list)
-    (cpp : string list) : Attr.t list -> (unit, Diag.t) result =
-  let n = List.length slots in
-  let checks =
-    List.map
-      (fun (s : Resolve.slot) -> (s, C.compile ~native s.s_constraint))
-      slots
-  in
-  fun (params : Attr.t list) ->
-    if List.length params <> n then
-      Diag.errorf "%s '%s' expects %d parameters, got %d" what qual_name n
-        (List.length params)
-    else
-      let* _env =
-        List.fold_left2
-          (fun acc ((s : Resolve.slot), check) param ->
-            let* env = acc in
-            match check env param with
-            | Ok env -> Ok env
-            | Error reason ->
-                Diag.errorf "%s '%s': parameter '%s': %s" what qual_name
-                  s.s_name reason)
-          (Ok C.empty_env) checks params
-      in
-      List.fold_left
-        (fun acc snippet ->
-          let* () = acc in
-          match Native.check_def native snippet params with
-          | Ok true -> Ok ()
-          | Ok false ->
-              Diag.errorf "%s '%s' violates native constraint %S" what
-                qual_name snippet
-          | Error snippet ->
-              Diag.errorf "no native hook registered for %S (strict mode)"
-                snippet)
-        (Ok ()) cpp
-
-(* ---------------------------------------------------------------- *)
 (* Registration                                                      *)
 (* ---------------------------------------------------------------- *)
 
 (** Register a resolved dialect into [ctx], accumulating one error per
     definition that failed (duplicate registration, malformed declarative
     format) while all the others are registered. Compiles declarative
-    formats eagerly so malformed specs fail at registration, not first use,
-    and — unless [compile:false] selects the interpreted reference
-    verifiers — lowers every constraint to its closure form once, here. *)
-let register_collect ?(native = Native.default) ?(compile = true)
-    (ctx : Context.t) (dl : Resolve.dialect) : Diag.t list =
+    formats eagerly so malformed specs fail at registration, not first
+    use. *)
+let register_collect ?(native = Native.default) (ctx : Context.t)
+    (dl : Resolve.dialect) : Diag.t list =
   if Context.is_frozen ctx then
     (* One clean rejection up front instead of a per-definition error for
        every op/type/attr in the dialect. *)
@@ -521,14 +362,6 @@ let register_collect ?(native = Native.default) ?(compile = true)
           else d
         in
         errors := d :: !errors
-  in
-  let params_verifier ~what ~qual_name slots cpp =
-    if compile then make_params_verifier ~native ~what ~qual_name slots cpp
-    else make_params_verifier_interp ~native ~what ~qual_name slots cpp
-  in
-  let op_verifier rop =
-    if compile then make_op_verifier ~native rop
-    else make_op_verifier_interp ~native rop
   in
   let lookup_type_params ~dialect ~name =
     if dialect = dl.dl_name then
@@ -553,8 +386,8 @@ let register_collect ?(native = Native.default) ?(compile = true)
               td_num_params = List.length td.td_params;
               td_verify =
                 (let qual_name = dl.dl_name ^ "." ^ td.td_name in
-                 params_verifier ~what:"type" ~qual_name td.td_params
-                   td.td_cpp);
+                 make_params_verifier ~native ~what:"type" ~qual_name
+                   td.td_params td.td_cpp);
             }))
     dl.dl_types;
   List.iter
@@ -568,8 +401,8 @@ let register_collect ?(native = Native.default) ?(compile = true)
               ad_num_params = List.length ad.td_params;
               ad_verify =
                 (let qual_name = dl.dl_name ^ "." ^ ad.td_name in
-                 params_verifier ~what:"attribute" ~qual_name ad.td_params
-                   ad.td_cpp);
+                 make_params_verifier ~native ~what:"attribute" ~qual_name
+                   ad.td_params ad.td_cpp);
             }))
     dl.dl_attrs;
   List.iter
@@ -590,7 +423,7 @@ let register_collect ?(native = Native.default) ?(compile = true)
               od_summary = Option.value ~default:"" rop.op_summary;
               od_is_terminator = rop.op_successors <> None;
               od_num_regions = List.length rop.op_regions;
-              od_verify = op_verifier rop;
+              od_verify = make_op_verifier ~native rop;
               od_verify_rest = make_op_verifier_rest ~native rop;
               od_format;
             }))
@@ -600,8 +433,8 @@ let register_collect ?(native = Native.default) ?(compile = true)
 
 (** Like {!register_collect}, reporting only the first error. Definitions
     after a failed one are still registered. *)
-let register ?native ?compile (ctx : Context.t) (dl : Resolve.dialect) :
+let register ?native (ctx : Context.t) (dl : Resolve.dialect) :
     (unit, Diag.t) result =
-  match register_collect ?native ?compile ctx dl with
+  match register_collect ?native ctx dl with
   | [] -> Ok ()
   | d :: _ -> Error d

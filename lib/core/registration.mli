@@ -14,32 +14,16 @@ val assign_slots :
     [operandSegmentSizes]/[resultSegmentSizes] attribute (paper §4.6).
     Exposed for testing and tooling. *)
 
-val make_op_verifier :
-  native:Native.t -> Resolve.op -> Graph.op -> (unit, Diag.t) result
-(** The generated operation verifier (arity, constraints with shared
-    variables, attributes, regions, successors, IRDL-C++ hooks). Partial
-    application to the resolved op lowers every constraint to its compiled
-    checker form once ({!Constraint_expr.compile}); registration stores the
-    returned closure. *)
-
-val make_op_verifier_interp :
-  native:Native.t -> Resolve.op -> Graph.op -> (unit, Diag.t) result
-(** The interpreted reference oracle: same semantics as
-    {!make_op_verifier}, re-walking the constraint tree on every check.
-    Used by differential tests and the verification benchmarks. *)
-
 val register_collect :
-  ?native:Native.t -> ?compile:bool -> Context.t -> Resolve.dialect ->
-  Diag.t list
+  ?native:Native.t -> Context.t -> Resolve.dialect -> Diag.t list
 (** Register a resolved dialect, accumulating one error per definition that
     failed (duplicate registration, malformed declarative format) while all
-    the others are registered. Declarative formats are compiled eagerly so
-    malformed specs fail at registration, not first use. [compile] (default
-    [true]) selects the compiled verifiers; [compile:false] registers the
-    interpreted reference verifiers instead, for benchmarking and
-    differential testing. *)
+    the others are registered. Each registered verifier checks the resolved
+    constraints with {!Constraint_expr.verify}: there is one constraint
+    engine, and nothing is lowered at registration. Declarative formats are
+    compiled eagerly so malformed specs fail at registration, not first
+    use. *)
 
 val register :
-  ?native:Native.t -> ?compile:bool -> Context.t -> Resolve.dialect ->
-  (unit, Diag.t) result
+  ?native:Native.t -> Context.t -> Resolve.dialect -> (unit, Diag.t) result
 (** Like {!register_collect}, reporting only the first error. *)

@@ -111,12 +111,12 @@ let analyze () : (Irdl_core.Resolve.dialect list, Irdl_support.Diag.t) result
     (Ok []) all
 
 (** Parse, resolve and register the full corpus into one context. *)
-let load_all ?native ?compile (ctx : Irdl_ir.Context.t) =
+let load_all ?native (ctx : Irdl_ir.Context.t) =
   List.fold_left
     (fun acc e ->
       Result.bind acc (fun dls ->
           Result.map
             (fun dl -> dls @ [ dl ])
-            (Irdl_core.Irdl.load_one ?native ?compile ~file:e.name ctx
+            (Irdl_core.Irdl.load_one ?native ~file:e.name ctx
                e.source)))
     (Ok []) all

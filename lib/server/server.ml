@@ -567,24 +567,20 @@ let serve_unix ?(config = default_config) ctx ~path () =
     if config.domains > 0 then config.domains
     else Domain.recommended_domain_count ()
   in
-  (* A loop that fails stops the others, which drain; the first failure is
-     re-raised once all have joined, so no capacity is lost silently. *)
+  (* One batch of [loops] tasks on [loops] participants: a loop returns
+     only at shutdown, so each participant runs exactly one of them. A
+     loop that fails stops the others, which drain; the batch re-raises
+     its failure once all have joined, so no capacity is lost silently. *)
   let run_loop () =
-    try Ok (serve_loop ctx config sources lfd)
+    try serve_loop ctx config sources lfd
     with exn ->
       let bt = Printexc.get_raw_backtrace () in
       request_shutdown ();
-      Error (exn, bt)
+      Printexc.raise_with_backtrace exn bt
   in
-  let spawned = List.init (loops - 1) (fun _ -> Domain.spawn run_loop) in
-  (* This domain's loop runs before any join, not after. *)
-  let mine = run_loop () in
-  List.fold_left
-    (fun n -> function
-      | Ok k -> n + k
-      | Error (exn, bt) -> Printexc.raise_with_backtrace exn bt)
-    0
-    (mine :: List.map Domain.join spawned)
+  Domain_pool.with_pool ~domains:loops (fun pool ->
+      Domain_pool.run pool (Array.make loops run_loop))
+  |> Array.fold_left ( + ) 0
 
 (* ------------------------------------------------------------------ *)
 (* Client                                                              *)

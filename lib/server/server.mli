@@ -163,8 +163,9 @@ val serve_unix :
     shutdown; then stop accepting, drain, close every connection and
     unlink [path]. Returns the number of requests answered.
 
-    [config.domains] serve loops (the calling domain and [domains - 1]
-    spawned ones) share the non-blocking listening socket. Each loop owns
+    [config.domains] serve loops, run as one {!Irdl_support.Domain_pool}
+    batch (the calling domain and [domains - 1] domains spawned for it),
+    share the non-blocking listening socket. Each loop owns
     the connections it accepted and answers their requests inline, one
     connection burst at a time: a long request holds up only its own
     loop, and the connections that loop already accepted. An [accept]

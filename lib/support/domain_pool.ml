@@ -1,228 +1,71 @@
-(** A small work-stealing pool of OCaml 5 domains. See the interface for
+(** Batches of independent tasks on OCaml 5 domains. See the interface for
     the contract; the notes here are about the synchronization.
 
-    One mutex [m] protects the batch lifecycle (generation counter, current
-    batch pointer, stop flag); workers sleep on [start] between batches and
-    the caller sleeps on [finished] while the last tasks drain. The task
-    queues themselves are per-participant, each behind its own lock, so the
-    only cross-domain contention during a batch is stealing — and a steal
-    only happens when a participant's own queue is dry.
-
-    Completion is tracked by an atomic countdown seeded with the batch
-    size: whoever finishes the last task broadcasts [finished] (taking [m]
-    first, so the caller cannot miss the wakeup between its check and its
-    wait). Task results and exceptions are written into per-index slots
-    before the countdown tick, and the caller reads them only after
-    observing the countdown at zero — the atomic provides the
-    happens-before edge, so no further synchronization is needed on the
-    slots themselves. *)
-
-type batch = {
-  queues : (unit -> unit) Queue.t array;  (** one deque per participant *)
-  qlocks : Mutex.t array;
-  pending : int Atomic.t;  (** tasks not yet finished *)
-}
+    A batch has one atomic counter, [next]: every participant, the caller
+    included, claims the next task index with [fetch_and_add] until the
+    indices run out, so each task is claimed exactly once and no lock is
+    taken. A task stores its outcome in its own slot of [results]; the
+    caller reads the slots only after joining every spawned domain, and
+    the join is the happens-before edge for the slots those domains
+    wrote. *)
 
 type t = {
-  total : int;  (** participants: spawned workers + the caller *)
-  mutable current : batch option;  (** protected by [m] *)
-  mutable generation : int;  (** bumped per batch; protected by [m] *)
-  mutable stopped : bool;  (** protected by [m] *)
-  mutable running : bool;  (** re-entrancy guard; protected by [m] *)
-  m : Mutex.t;
-  start : Condition.t;  (** workers wait here between batches *)
-  finished : Condition.t;  (** the caller waits here for the countdown *)
+  domains : int;  (** participants per batch: spawned domains + the caller *)
+  running : bool Atomic.t;  (** re-entrancy guard *)
   steals : int Atomic.t;
-  executed : int Atomic.t;
-  mutable workers : unit Domain.t list;
 }
 
-exception Stopped
-
-let size t = t.total
 let steals t = Atomic.get t.steals
-let executed t = Atomic.get t.executed
 
-(* Pop from queue [j], locking only when the unlocked emptiness peek says
-   there might be work. The peek is racy by design: a stale "empty" just
-   means another scan round, a stale "non-empty" costs one lock. *)
-let try_take (b : batch) j =
-  if Queue.is_empty b.queues.(j) then None
-  else begin
-    Mutex.lock b.qlocks.(j);
-    let r = Queue.take_opt b.queues.(j) in
-    Mutex.unlock b.qlocks.(j);
-    r
-  end
-
-let signal_finished pool =
-  Mutex.lock pool.m;
-  Condition.broadcast pool.finished;
-  Mutex.unlock pool.m
-
-(* Run tasks until no queue has any left: own queue first, then steal
-   round-robin from the neighbours. Returns when the whole batch is either
-   finished or being finished by other participants. *)
-let drain pool (b : batch) me =
-  let n = pool.total in
-  let rec find k =
-    if k >= n then None
-    else
-      let j = (me + k) mod n in
-      match try_take b j with
-      | Some task ->
-          if j <> me then Atomic.incr pool.steals;
-          Some task
-      | None -> find (k + 1)
-  in
-  let rec loop () =
-    match find 0 with
-    | None -> ()
-    | Some task ->
-        (* Tasks are wrapped by [run]: they store their own outcome and
-           never raise. *)
-        task ();
-        Atomic.incr pool.executed;
-        if Atomic.fetch_and_add b.pending (-1) = 1 then signal_finished pool;
-        loop ()
-  in
-  loop ()
-
-let worker_loop pool index =
-  let seen = ref 0 in
-  let running = ref true in
-  while !running do
-    Mutex.lock pool.m;
-    while (not pool.stopped) && pool.generation = !seen do
-      Condition.wait pool.start pool.m
-    done;
-    if pool.stopped then begin
-      Mutex.unlock pool.m;
-      running := false
-    end
-    else begin
-      seen := pool.generation;
-      let b = pool.current in
-      Mutex.unlock pool.m;
-      match b with Some b -> drain pool b index | None -> ()
-    end
-  done
-
-let create ?domains () =
-  let total =
+let with_pool ?domains f =
+  let domains =
     match domains with
     | None -> max 1 (Domain.recommended_domain_count ())
     | Some n ->
-        if n < 1 then invalid_arg "Domain_pool.create: domains must be >= 1";
+        if n < 1 then invalid_arg "Domain_pool.with_pool: domains must be >= 1";
         n
   in
-  let pool =
-    {
-      total;
-      current = None;
-      generation = 0;
-      stopped = false;
-      running = false;
-      m = Mutex.create ();
-      start = Condition.create ();
-      finished = Condition.create ();
-      steals = Atomic.make 0;
-      executed = Atomic.make 0;
-      workers = [];
-    }
-  in
-  (* Participant 0 is the caller; workers take indices 1 .. total-1. *)
-  pool.workers <-
-    List.init (total - 1) (fun i ->
-        Domain.spawn (fun () -> worker_loop pool (i + 1)));
-  pool
+  f { domains; running = Atomic.make false; steals = Atomic.make 0 }
 
 let run pool (tasks : (unit -> 'a) array) : 'a array =
-  Mutex.lock pool.m;
-  if pool.stopped then begin
-    Mutex.unlock pool.m;
-    raise Stopped
-  end;
-  if pool.running then begin
-    Mutex.unlock pool.m;
-    invalid_arg "Domain_pool.run: a batch is already running"
-  end;
-  pool.running <- true;
-  Mutex.unlock pool.m;
+  if not (Atomic.compare_and_set pool.running false true) then
+    invalid_arg "Domain_pool.run: a batch is already running";
   let n = Array.length tasks in
-  let finish_batch () =
-    Mutex.lock pool.m;
-    pool.running <- false;
-    Mutex.unlock pool.m
+  let results : ('a, exn * Printexc.raw_backtrace) result option array =
+    Array.make n None
   in
-  if n = 0 then begin
-    finish_batch ();
-    [||]
-  end
-  else begin
-    let results :
-        ('a, exn * Printexc.raw_backtrace) result option array =
-      Array.make n None
-    in
-    let wrap j () =
-      let outcome =
-        match tasks.(j) () with
-        | v -> Ok v
-        | exception e -> Error (e, Printexc.get_raw_backtrace ())
-      in
-      results.(j) <- Some outcome
-    in
-    let b =
-      {
-        queues = Array.init pool.total (fun _ -> Queue.create ());
-        qlocks = Array.init pool.total (fun _ -> Mutex.create ());
-        pending = Atomic.make n;
-      }
-    in
-    for j = 0 to n - 1 do
-      Queue.add (wrap j) b.queues.(j mod pool.total)
-    done;
-    Mutex.lock pool.m;
-    pool.current <- Some b;
-    pool.generation <- pool.generation + 1;
-    Condition.broadcast pool.start;
-    Mutex.unlock pool.m;
-    drain pool b 0;
-    Mutex.lock pool.m;
-    while Atomic.get b.pending > 0 do
-      Condition.wait pool.finished pool.m
-    done;
-    pool.current <- None;
-    pool.running <- false;
-    Mutex.unlock pool.m;
-    (match
-       Array.find_map
-         (function Some (Error e) -> Some e | _ -> None)
-         results
-     with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ());
-    Array.map
-      (function
-        | Some (Ok v) -> v
-        | Some (Error _) | None ->
-            (* Unreachable: the countdown reached zero, so every slot was
-               filled, and failures re-raised above. *)
-            assert false)
-      results
-  end
-
-let shutdown pool =
-  Mutex.lock pool.m;
-  if pool.stopped then Mutex.unlock pool.m
-  else begin
-    pool.stopped <- true;
-    Condition.broadcast pool.start;
-    Mutex.unlock pool.m;
-    List.iter Domain.join pool.workers;
-    pool.workers <- []
-  end
-
-let with_pool ?domains f =
-  let pool = create ?domains () in
-  Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
+  let next = Atomic.make 0 in
+  let rec drain ~spawned =
+    let j = Atomic.fetch_and_add next 1 in
+    if j < n then begin
+      results.(j) <-
+        Some
+          (match tasks.(j) () with
+          | v -> Ok v
+          | exception e -> Error (e, Printexc.get_raw_backtrace ()));
+      if spawned then Atomic.incr pool.steals;
+      drain ~spawned
+    end
+  in
+  (* A domain that cannot be spawned is not needed: the caller drains
+     whatever the others leave. *)
+  let rec spawn k acc =
+    if k <= 0 then acc
+    else
+      match Domain.spawn (fun () -> drain ~spawned:true) with
+      | d -> spawn (k - 1) (d :: acc)
+      | exception Failure _ -> acc
+  in
+  let spawned = spawn (min pool.domains n - 1) [] in
+  drain ~spawned:false;
+  List.iter Domain.join spawned;
+  Atomic.set pool.running false;
+  Array.map
+    (function
+      | Some (Ok v) -> v
+      | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
+      | None ->
+          (* Unreachable: every index below [n] was claimed and every
+             claimant joined. *)
+          assert false)
+    results

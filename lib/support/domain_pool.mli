@@ -1,60 +1,45 @@
-(** A small work-stealing pool of OCaml 5 domains.
+(** Batches of independent tasks on OCaml 5 domains.
 
-    The pool runs batches of independent tasks over a fixed set of resident
-    domains: [create] spawns the workers once, [run] schedules one batch and
-    blocks until every task finished, and the pool is reusable for any
-    number of subsequent batches until [shutdown]. The calling domain
-    participates in every batch, so [~domains:n] means [n]-way parallelism
-    with [n - 1] spawned workers — and [~domains:1] degrades to plain
-    sequential execution on the caller, with no domain ever spawned.
+    [run pool tasks] spawns [min domains n - 1] domains for a batch of [n]
+    tasks, runs the batch on them and on the calling domain, and joins
+    them before it returns; no domain outlives its batch. Every
+    participant takes the next task index from one shared atomic counter,
+    so a long task keeps one participant busy while the others take the
+    rest. [~domains:1] (or a one-task batch) runs everything on the caller,
+    in order, with no domain spawned.
 
-    Scheduling is work-stealing: tasks are dealt round-robin into one queue
-    per participant, each participant drains its own queue first and then
-    steals from the others, so an unbalanced batch (a few long chunks among
-    many short ones) still keeps every domain busy.
+    Each batch's domains start with cold per-domain tables: the parser's
+    name table, the uniquer shard and the verify-cache shard of a fresh
+    domain are empty, and they are dropped when the domain is joined. So
+    the supported traffic is one batch per process (an [irdl-opt --jobs]
+    run, or the [--listen] serve loops); a caller that ran many short
+    batches would pay the warm-up on every one.
 
-    Results are collected positionally: [run pool tasks] returns an array
-    where slot [i] is the result of [tasks.(i)], whatever domain executed
-    it and in whatever order — callers relying on deterministic output just
-    fold the result array in input order. A task that raises does not kill
-    the pool: the batch runs to completion and [run] then re-raises the
-    exception of the lowest-indexed failed task (with its backtrace), so
-    error reporting is deterministic too. *)
+    Results are collected positionally: slot [i] of the result is the
+    value of [tasks.(i)], whatever domain ran it and in whatever order —
+    callers relying on deterministic output just fold the result array in
+    input order. A task that raises does not stop the batch: every task
+    runs, and [run] then re-raises the exception of the lowest-indexed
+    failed task with its backtrace, so error reporting is deterministic
+    too. *)
 
 type t
 
-exception Stopped
-(** Raised by {!run} on a pool that was already {!shutdown}. *)
-
-val create : ?domains:int -> unit -> t
-(** [create ~domains:n ()] spawns [n - 1] worker domains ([n] total
-    participants including the caller). Defaults to
-    [Domain.recommended_domain_count ()].
+val with_pool : ?domains:int -> (t -> 'a) -> 'a
+(** [with_pool ~domains:n f] applies [f] to a pool whose batches run on
+    [n] participants (the caller and up to [n - 1] spawned domains).
+    Defaults to [Domain.recommended_domain_count ()].
     @raise Invalid_argument when [n < 1]. *)
 
-val size : t -> int
-(** Total participants (spawned workers + the calling domain). *)
-
 val run : t -> (unit -> 'a) array -> 'a array
-(** Execute one batch, blocking until every task completed. Slot [i] of the
-    result is the value of [tasks.(i)]. If tasks failed, re-raises the
-    exception of the lowest-indexed failure after the whole batch drained.
-    An empty batch returns [[||]] immediately.
-    @raise Stopped on a pool that was shut down.
+(** Execute one batch, blocking until every task completed and every
+    domain spawned for it was joined. Slot [i] of the result is the value
+    of [tasks.(i)]. If tasks failed, re-raises the exception of the
+    lowest-indexed failure after the whole batch drained. An empty batch
+    returns [[||]] without spawning.
     @raise Invalid_argument when called re-entrantly (from inside a task)
-    or concurrently — one batch at a time. *)
+    or concurrently — one batch per pool at a time. *)
 
 val steals : t -> int
-(** Cumulative count of tasks executed by a participant other than the one
-    they were dealt to — observability for tests and benchmarks. *)
-
-val executed : t -> int
-(** Cumulative count of tasks executed across all batches. *)
-
-val shutdown : t -> unit
-(** Stop and join every worker domain. Idempotent; subsequent {!run} calls
-    raise {!Stopped}. *)
-
-val with_pool : ?domains:int -> (t -> 'a) -> 'a
-(** [with_pool ~domains f] runs [f] over a fresh pool and shuts it down on
-    the way out, exception or not. *)
+(** Cumulative count of tasks run by a spawned domain rather than the
+    caller — observability for tests and benchmarks. *)

@@ -17,62 +17,129 @@ module Verifier = Irdl_ir.Verifier
 let test_pool_empty () =
   Domain_pool.with_pool ~domains:3 (fun pool ->
       Alcotest.(check int) "no results" 0 (Array.length (Domain_pool.run pool [||]));
-      Alcotest.(check int) "nothing executed" 0 (Domain_pool.executed pool))
+      Alcotest.(check int) "nothing run on a spawned domain" 0
+        (Domain_pool.steals pool))
 
 let test_pool_positional () =
   Domain_pool.with_pool ~domains:4 (fun pool ->
-      let tasks = Array.init 100 (fun i () -> i * i) in
+      let ran = Atomic.make 0 in
+      let tasks =
+        Array.init 100 (fun i () ->
+            Atomic.incr ran;
+            i * i)
+      in
       let results = Domain_pool.run pool tasks in
       Alcotest.(check (array int))
         "slot i holds task i's result"
         (Array.init 100 (fun i -> i * i))
         results;
-      Alcotest.(check int) "all executed" 100 (Domain_pool.executed pool))
+      Alcotest.(check int) "all executed" 100 (Atomic.get ran))
 
-(* Skewed durations: the heavy tasks all land on one queue, so finishing
-   the batch at all exercises the stealing path; correctness of the
-   results is the assertion (steal counters are timing-dependent). *)
+let spin n =
+  let acc = ref 0 in
+  for i = 1 to n do
+    acc := (!acc * 7) + i
+  done;
+  !acc
+
+(* Skewed durations: whichever participant takes a heavy task, the others
+   keep taking the rest from the shared counter; correctness of the
+   results is the assertion (the split between domains is timing-
+   dependent). *)
 let test_pool_unbalanced () =
   Domain_pool.with_pool ~domains:4 (fun pool ->
-      let spin n =
-        let acc = ref 0 in
-        for i = 1 to n do
-          acc := (!acc * 7) + i
-        done;
-        !acc
-      in
-      let tasks =
-        Array.init 64 (fun i () ->
-            if i mod 4 = 0 then spin 2_000_000 else spin 10)
-      in
-      let expected =
-        Array.init 64 (fun i -> if i mod 4 = 0 then 2_000_000 else 10)
-        |> Array.map (fun n ->
-               let acc = ref 0 in
-               for i = 1 to n do
-                 acc := (!acc * 7) + i
-               done;
-               !acc)
-      in
+      let n i = if i mod 4 = 0 then 2_000_000 else 10 in
+      let tasks = Array.init 64 (fun i () -> spin (n i)) in
       let results = Domain_pool.run pool tasks in
-      Alcotest.(check (array int)) "skewed batch correct" expected results;
+      Alcotest.(check (array int))
+        "skewed batch correct"
+        (Array.init 64 (fun i -> spin (n i)))
+        results;
       Alcotest.(check bool)
-        "steal counter non-negative" true
-        (Domain_pool.steals pool >= 0))
+        "steal counter within the batch" true
+        (Domain_pool.steals pool >= 0 && Domain_pool.steals pool <= 64))
+
+(* Every task of a batch blocks until all of them started, so each of the
+   4 participants holds exactly one: 3 spawned domains, 3 steals. *)
+let test_pool_spawns_per_batch () =
+  Domain_pool.with_pool ~domains:4 (fun pool ->
+      for round = 1 to 3 do
+        let started = Atomic.make 0 in
+        let tasks =
+          Array.init 4 (fun i () ->
+              Atomic.incr started;
+              while Atomic.get started < 4 do
+                Domain.cpu_relax ()
+              done;
+              i)
+        in
+        Alcotest.(check (array int))
+          (Printf.sprintf "round %d" round)
+          [| 0; 1; 2; 3 |] (Domain_pool.run pool tasks);
+        Alcotest.(check int)
+          (Printf.sprintf "round %d: 3 tasks per batch on spawned domains"
+             round)
+          (3 * round) (Domain_pool.steals pool)
+      done)
 
 let test_pool_reuse () =
   Domain_pool.with_pool ~domains:3 (fun pool ->
+      let ran = Atomic.make 0 in
       for round = 1 to 5 do
-        let tasks = Array.init 20 (fun i () -> (round * 100) + i) in
+        let tasks =
+          Array.init 20 (fun i () ->
+              Atomic.incr ran;
+              (round * 100) + i)
+        in
         let results = Domain_pool.run pool tasks in
         Alcotest.(check (array int))
           (Printf.sprintf "round %d" round)
           (Array.init 20 (fun i -> (round * 100) + i))
           results
       done;
-      Alcotest.(check int) "5 rounds of 20" 100 (Domain_pool.executed pool))
+      Alcotest.(check int) "5 rounds of 20" 100 (Atomic.get ran))
 
 exception Boom of int
+
+(* One counter per task: positional results alone cannot show a task
+   that ran twice, or a slot filled by a task that never ran. 1000 tasks
+   of random length with a random failure set, on 1 to 4 domains. *)
+let test_pool_exactly_once () =
+  let rng = Random.State.make [| 25 |] in
+  for domains = 1 to 4 do
+    for round = 1 to 3 do
+      let n = 1000 in
+      let work = Array.init n (fun _ -> Random.State.int rng 5_000) in
+      let fails = Array.init n (fun _ -> Random.State.int rng 50 = 0) in
+      let runs = Array.init n (fun _ -> Atomic.make 0) in
+      let tasks =
+        Array.init n (fun i () ->
+            Atomic.incr runs.(i);
+            ignore (Sys.opaque_identity (spin work.(i)));
+            if fails.(i) then raise (Boom i) else i)
+      in
+      let what = Printf.sprintf "%d domains, round %d" domains round in
+      (match
+         Domain_pool.with_pool ~domains (fun pool -> Domain_pool.run pool tasks)
+       with
+      | results ->
+          Alcotest.(check bool) (what ^ ": no failure drawn") false
+            (Array.exists Fun.id fails);
+          Alcotest.(check (array int)) (what ^ ": results")
+            (Array.init n Fun.id) results
+      | exception Boom i ->
+          let lowest =
+            let rec go j = if fails.(j) then j else go (j + 1) in
+            go 0
+          in
+          Alcotest.(check int) (what ^ ": lowest failure") lowest i);
+      Array.iteri
+        (fun i c ->
+          if Atomic.get c <> 1 then
+            Alcotest.failf "%s: task %d ran %d times" what i (Atomic.get c))
+        runs
+    done
+  done
 
 let test_pool_exception () =
   Domain_pool.with_pool ~domains:4 (fun pool ->
@@ -93,7 +160,7 @@ let test_pool_exception () =
 (* The caller is a pool participant: with one domain every task — the
    failing one included — runs on the caller's own stack, and the failure
    contract (raise after the batch drains, pool survives) must hold there
-   too, not only for stolen tasks. *)
+   too, not only on spawned domains. *)
 let test_pool_caller_exception () =
   Domain_pool.with_pool ~domains:1 (fun pool ->
       let ran = ref 0 in
@@ -137,7 +204,6 @@ let test_pool_multi_failure_determinism () =
 
 let test_pool_sequential_degenerate () =
   Domain_pool.with_pool ~domains:1 (fun pool ->
-      Alcotest.(check int) "one participant" 1 (Domain_pool.size pool);
       let order = ref [] in
       let tasks =
         Array.init 10 (fun i () ->
@@ -151,17 +217,7 @@ let test_pool_sequential_degenerate () =
         "a 1-domain pool runs tasks in order on the caller"
         [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
         (List.rev !order);
-      Alcotest.(check int) "no steals possible" 0 (Domain_pool.steals pool))
-
-let test_pool_shutdown () =
-  let pool = Domain_pool.create ~domains:3 () in
-  ignore (Domain_pool.run pool (Array.init 4 (fun i () -> i)));
-  Domain_pool.shutdown pool;
-  Domain_pool.shutdown pool;
-  (* idempotent *)
-  match Domain_pool.run pool [| (fun () -> 0) |] with
-  | _ -> Alcotest.fail "run after shutdown must raise"
-  | exception Domain_pool.Stopped -> ()
+      Alcotest.(check int) "no domain spawned" 0 (Domain_pool.steals pool))
 
 let test_pool_reentrant () =
   Domain_pool.with_pool ~domains:2 (fun pool ->
@@ -173,7 +229,7 @@ let test_pool_reentrant () =
       | exception Invalid_argument _ -> ())
 
 let test_pool_bad_size () =
-  match Domain_pool.create ~domains:0 () with
+  match Domain_pool.with_pool ~domains:0 Fun.id with
   | _ -> Alcotest.fail "0-domain pool must be rejected"
   | exception Invalid_argument _ -> ()
 
@@ -325,9 +381,9 @@ let test_shard_stats_merge () =
   let ctx = cmath_ctx () in
   Context.freeze ctx;
   ignore (hammer ctx 10 ());
-  (* Spawn domains directly (rather than through a pool): work stealing
-     could let a fast caller drain the whole batch, and this test needs a
-     guarantee that several domains actually verified. *)
+  (* Spawn domains directly (rather than through a pool): the shared task
+     counter could let a fast caller drain the whole batch, and this test
+     needs a guarantee that several domains actually verified. *)
   Array.init 2 (fun _ -> Domain.spawn (hammer ctx 10))
   |> Array.iter (fun d -> ignore (Domain.join d));
   let shards = (Context.stats ~scope:`Per_domain ctx).st_verify_shards in
@@ -381,9 +437,10 @@ let suite =
     tc "pool: multi-failure determinism across rounds"
       test_pool_multi_failure_determinism;
     tc "pool: 1 domain degrades to sequential" test_pool_sequential_degenerate;
-    tc "pool: shutdown is final and idempotent" test_pool_shutdown;
+    tc "pool: a batch spawns its own domains" test_pool_spawns_per_batch;
     tc "pool: re-entrant run rejected" test_pool_reentrant;
     tc "pool: size < 1 rejected" test_pool_bad_size;
+    tc "pool: each task runs exactly once" test_pool_exactly_once;
     tc "freeze: post-freeze registration rejected" test_freeze_rejects;
     tc "freeze: dialect load rejected" test_freeze_rejects_dialect_load;
     tc "freeze: register-vs-freeze race is clean" test_freeze_register_race;

@@ -824,7 +824,9 @@ let verify_stats =
           "Report verification-cache statistics (entries, hit rate, \
            invalidations) on stderr after the run. Ops are verified as \
            they are parsed, so the counts include ops of chunks that \
-           later fail to parse.")
+           later fail to parse. Under $(b,--jobs), the hit and miss \
+           counts include the worker domains, which have exited by then; \
+           the entry counts cover the main domain's live tables only.")
 
 let jobs =
   Arg.(

@@ -11,10 +11,12 @@
     uniquer shard, as MLIR's [MLIRContext] uniques its types and
     attributes: within one domain structurally equal nodes are physically
     equal and {!equal}/{!equal_ty} decide them with a pointer comparison
-    (values crossing domains fall back to the structural walk). The
-    variant constructors stay exposed for pattern matching only — never
-    build attribute values from them directly; route hand-assembled
-    values through {!intern} / {!intern_ty}. *)
+    (values crossing domains fall back to the structural walk). A shard
+    lives in [Domain.DLS] and nothing else holds it, so its tables die
+    with its domain; its hit and miss counts outlive it
+    ({!uniquer_stats}). The variant constructors stay exposed for pattern
+    matching only — never build attribute values from them directly;
+    route hand-assembled values through {!intern} / {!intern_ty}. *)
 
 type signedness = Signless | Signed | Unsigned
 type float_kind = BF16 | F16 | F32 | F64
@@ -128,13 +130,9 @@ val id : t -> int
 val id_ty : ty -> int
 
 val uniquer_stats : unit -> Intern.stats * Intern.stats
-(** The calling domain's uniquer shard counters as [(types, attributes)];
-    reported via [Context.stats ~scope:`Per_domain]. Identical to the
-    historical process-wide numbers in single-domain programs. *)
-
-val uniquer_stats_merged : unit -> Intern.stats * Intern.stats
-(** Counters summed over every domain's shard. [nodes] counts canonical
-    copies per shard, not globally distinct structures. *)
+(** Uniquer counters as [(types, attributes)], reported via
+    [Context.stats]: [nodes] counts the calling domain's live table, and
+    [hits] / [misses] add the counts of every domain that has exited. *)
 
 (** {2 Equality and hashing} *)
 

@@ -13,8 +13,8 @@
     after it — and from then on the dialect maps and the flat op table are
     immutable: any number of domains may look definitions up and verify
     concurrently. The verification caches (type/attr verdicts and the op
-    signature memo) are sharded per domain (each shard touched only by its
-    owning domain), so post-freeze they are lock-free. *)
+    signature memo) live in one shard per domain, in [Domain.DLS], touched
+    only by that domain, so post-freeze they are lock-free. *)
 
 open Irdl_support
 
@@ -60,21 +60,16 @@ type op_sig = {
   mutable sg_tail : string;  (** the printed tail; [""] until printed *)
 }
 
-(* One domain's slice of the verification cache. Only the owning domain
-   ever reads or writes the tables and counters, so no synchronization is
-   needed on them; cross-domain visibility of the whole shard record is
-   established by the [reg_lock]-protected cons onto [vc_shards]. *)
-type vc_shard = {
-  sh_domain : int;  (** the owning [Domain.id] *)
-  mutable sh_key : int;  (** process-unique, renewed at every flush *)
-  sh_ty : (unit, Diag.t) result Id_tbl.t;
-  sh_attr : (unit, Diag.t) result Id_tbl.t;
-  sh_names : Graph.op_handle Str_tbl.t;  (** slot = insertion rank *)
-  mutable sh_memo : op_sig list array;  (** by slot; verified Ok *)
-  mutable sh_hits : int;
-  mutable sh_misses : int;
-  mutable sh_memo_hits : int;
-  mutable sh_memo_misses : int;
+type verify_stats = {
+  vs_ty_entries : int;
+  vs_attr_entries : int;
+  vs_hits : int;
+  vs_misses : int;
+  vs_memo_ops : int;
+  vs_memo_sigs : int;
+  vs_memo_hits : int;
+  vs_memo_misses : int;
+  vs_invalidations : int;
 }
 
 type t = {
@@ -85,17 +80,65 @@ type t = {
           --allow-unregistered-dialect]), operations of unknown dialects
           parse and verify structurally only. *)
   reg_lock : Mutex.t;
-      (** Serializes registration, the freeze transition, and shard-list /
-          cache-configuration updates. *)
+      (** Serializes registration, the freeze transition, cache
+          configuration and the folding of shard counters. *)
   mutable frozen : bool;
       (** Written only under [reg_lock]; monotone false → true. *)
-  mutable vc_shards : vc_shard list;
-      (** Per-domain cache shards; consed under [reg_lock]. The unlocked
-          read in [shard] is safe: list cells are immutable, a stale read
-          at worst misses the newest shard and retries under the lock. *)
   mutable vc_enabled : bool;
+  mutable vc_gen : int;
+      (** Bumped by every flush: a shard of an older generation resets. *)
+  mutable vc_filled : bool;
+      (** Some shard gained an entry since the last flush. *)
   mutable vc_invalidations : int;
+  mutable vc_folded : verify_stats;
+      (** Counters of shards that were reset or whose domain exited;
+          updated under [reg_lock]. *)
 }
+
+(* One domain's slice of the verification cache. It lives in a
+   [Domain.DLS] slot and only its domain reads or writes it, so its tables
+   and counters need no lock. It serves one context at a time, tagged with
+   that context and its generation; nothing longer-lived holds it, so its
+   tables die with its domain. *)
+type vc_shard = {
+  mutable sh_ctx : t;
+  mutable sh_gen : int;
+  mutable sh_key : int;  (** process-unique, renewed at every reset *)
+  sh_ty : (unit, Diag.t) result Id_tbl.t;
+  sh_attr : (unit, Diag.t) result Id_tbl.t;
+  sh_names : Graph.op_handle Str_tbl.t;  (** slot = insertion rank *)
+  mutable sh_memo : op_sig list array;  (** by slot; verified Ok *)
+  mutable sh_hits : int;
+  mutable sh_misses : int;
+  mutable sh_memo_hits : int;
+  mutable sh_memo_misses : int;
+}
+
+let empty_verify_stats =
+  {
+    vs_ty_entries = 0;
+    vs_attr_entries = 0;
+    vs_hits = 0;
+    vs_misses = 0;
+    vs_memo_ops = 0;
+    vs_memo_sigs = 0;
+    vs_memo_hits = 0;
+    vs_memo_misses = 0;
+    vs_invalidations = 0;
+  }
+
+let add_verify_stats a b =
+  {
+    vs_ty_entries = a.vs_ty_entries + b.vs_ty_entries;
+    vs_attr_entries = a.vs_attr_entries + b.vs_attr_entries;
+    vs_hits = a.vs_hits + b.vs_hits;
+    vs_misses = a.vs_misses + b.vs_misses;
+    vs_memo_ops = a.vs_memo_ops + b.vs_memo_ops;
+    vs_memo_sigs = a.vs_memo_sigs + b.vs_memo_sigs;
+    vs_memo_hits = a.vs_memo_hits + b.vs_memo_hits;
+    vs_memo_misses = a.vs_memo_misses + b.vs_memo_misses;
+    vs_invalidations = a.vs_invalidations + b.vs_invalidations;
+  }
 
 let create ?(allow_unregistered = true) () =
   {
@@ -104,10 +147,14 @@ let create ?(allow_unregistered = true) () =
     allow_unregistered;
     reg_lock = Mutex.create ();
     frozen = false;
-    vc_shards = [];
     vc_enabled = true;
+    vc_gen = 0;
+    vc_filled = false;
     vc_invalidations = 0;
+    vc_folded = empty_verify_stats;
   }
+
+let allow_unregistered t = t.allow_unregistered
 
 let locked t f =
   Mutex.lock t.reg_lock;
@@ -133,64 +180,79 @@ let check_open t ~what ~name =
 (* Verification cache                                                *)
 (* ---------------------------------------------------------------- *)
 
-let rec find_shard did = function
-  | [] -> raise Not_found
-  | (s : vc_shard) :: rest ->
-      if s.sh_domain = did then s else find_shard did rest
-
 let key_counter = Atomic.make 0
 let fresh_key () = Atomic.fetch_and_add key_counter 1 + 1
 
-(* The calling domain's shard, created on first use. Domain ids are never
-   reused within a process, so a shard belongs to exactly one domain for
-   the lifetime of the context. Finding it allocates nothing. *)
-let shard t =
-  let did = (Domain.self () :> int) in
-  match find_shard did t.vc_shards with
-  | s -> s
-  | exception Not_found ->
-      locked t (fun () ->
-          match find_shard did t.vc_shards with
-          | s -> s
-          | exception Not_found ->
-              let s =
-                {
-                  sh_domain = did;
-                  sh_key = fresh_key ();
-                  sh_ty = Id_tbl.create 256;
-                  sh_attr = Id_tbl.create 256;
-                  sh_names = Str_tbl.create 256;
-                  sh_memo = [||];
-                  sh_hits = 0;
-                  sh_misses = 0;
-                  sh_memo_hits = 0;
-                  sh_memo_misses = 0;
-                }
-              in
-              t.vc_shards <- s :: t.vc_shards;
-              s)
+let counters s =
+  { empty_verify_stats with
+    vs_hits = s.sh_hits; vs_misses = s.sh_misses;
+    vs_memo_hits = s.sh_memo_hits; vs_memo_misses = s.sh_memo_misses }
 
-(* Counts only flushes that actually dropped entries, so corpus-sized
-   registration bursts into a fresh context don't inflate the number.
-   Callers hold [reg_lock]; pre-freeze there are no concurrent readers. *)
+let fold_counters s =
+  let t = s.sh_ctx in
+  locked t (fun () -> t.vc_folded <- add_verify_stats t.vc_folded (counters s));
+  s.sh_hits <- 0;
+  s.sh_misses <- 0;
+  s.sh_memo_hits <- 0;
+  s.sh_memo_misses <- 0
+
+(* The initial tag of every shard; no caller's context. *)
+let detached = create ()
+
+let shard_key : vc_shard Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      let s =
+        {
+          sh_ctx = detached;
+          sh_gen = 0;
+          sh_key = fresh_key ();
+          sh_ty = Id_tbl.create 256;
+          sh_attr = Id_tbl.create 256;
+          sh_names = Str_tbl.create 256;
+          sh_memo = [||];
+          sh_hits = 0;
+          sh_misses = 0;
+          sh_memo_hits = 0;
+          sh_memo_misses = 0;
+        }
+      in
+      (* The main domain's shard is only read by the process it ends. *)
+      if not (Domain.is_main_domain ()) then
+        Domain.at_exit (fun () -> fold_counters s);
+      s)
+
+(* The calling domain's shard, reset in place for [t]'s current
+   generation if it served another context or an older generation.
+   Finding a current shard allocates nothing. *)
+let shard t =
+  let s = Domain.DLS.get shard_key in
+  if s.sh_ctx == t && s.sh_gen = t.vc_gen then s
+  else begin
+    fold_counters s;
+    Id_tbl.reset s.sh_ty;
+    Id_tbl.reset s.sh_attr;
+    Str_tbl.reset s.sh_names;
+    s.sh_memo <- [||];
+    s.sh_ctx <- t;
+    s.sh_gen <- t.vc_gen;
+    s.sh_key <- fresh_key ();
+    s
+  end
+
+(* Read before written, so domains that keep missing after the first
+   entry do not keep writing the context's cache line. *)
+let filled t = if not t.vc_filled then t.vc_filled <- true
+
+(* A flush only bumps the generation; each domain's shard resets when it
+   is next used. Counts only flushes that dropped entries, so
+   corpus-sized registration bursts into a fresh context don't inflate
+   the number. Callers hold [reg_lock]. *)
 let invalidate_locked t =
-  let dropped =
-    List.exists
-      (fun s ->
-        Id_tbl.length s.sh_ty > 0
-        || Id_tbl.length s.sh_attr > 0
-        || Str_tbl.length s.sh_names > 0)
-      t.vc_shards
-  in
-  List.iter
-    (fun s ->
-      Id_tbl.reset s.sh_ty;
-      Id_tbl.reset s.sh_attr;
-      Str_tbl.reset s.sh_names;
-      s.sh_memo <- [||];
-      s.sh_key <- fresh_key ())
-    t.vc_shards;
-  if dropped then t.vc_invalidations <- t.vc_invalidations + 1
+  if t.vc_filled then begin
+    t.vc_invalidations <- t.vc_invalidations + 1;
+    t.vc_filled <- false
+  end;
+  t.vc_gen <- t.vc_gen + 1
 
 let invalidate_verify_cache t = locked t (fun () -> invalidate_locked t)
 
@@ -209,6 +271,7 @@ let cached_verify tbl_of t id verify x =
         s.sh_misses <- s.sh_misses + 1;
         let r = verify t x in
         Id_tbl.replace (tbl_of s) id r;
+        filled t;
         r
 
 let cached_verify_ty t id verify ty =
@@ -239,6 +302,7 @@ let resolve_in t s name : Graph.op_handle =
       in
       if slot >= 0 then begin
         Str_tbl.add s.sh_names name h;
+        filled t;
         if slot = Array.length s.sh_memo then
           s.sh_memo <- Array.append s.sh_memo (Array.make (max 64 slot) [])
       end;
@@ -300,23 +364,18 @@ let rec sig_of op = function
   | [] -> no_sig
   | sg :: rest -> if sig_matches op sg then sg else sig_of op rest
 
-(* A checked handle's shard, the caller's: found without [Domain.self]. *)
-let rec keyed key = function
-  | [] -> raise Not_found
-  | s :: rest -> if s.sh_key = key then s else keyed key rest
-
 let memo_mem t (h : Graph.op_handle) op =
   t.vc_enabled
   &&
-  match keyed h.oh_key t.vc_shards with
-  | exception Not_found -> false
-  | s ->
-      if h.oh_slot >= 0 && sig_of op s.sh_memo.(h.oh_slot) != no_sig then (
-        s.sh_memo_hits <- s.sh_memo_hits + 1;
-        true)
-      else (
-        s.sh_memo_misses <- s.sh_memo_misses + 1;
-        false)
+  let s = shard t in
+  h.oh_key = s.sh_key
+  &&
+  if h.oh_slot >= 0 && sig_of op s.sh_memo.(h.oh_slot) != no_sig then (
+    s.sh_memo_hits <- s.sh_memo_hits + 1;
+    true)
+  else (
+    s.sh_memo_misses <- s.sh_memo_misses + 1;
+    false)
 
 let signature (op : Graph.op) =
   let ty (v : Graph.value) = v.v_ty in
@@ -342,21 +401,19 @@ let signature (op : Graph.op) =
    keeping any subset of them is sound. *)
 let memo_add t (h : Graph.op_handle) op =
   if t.vc_enabled && h.oh_slot >= 0 then
-    match keyed h.oh_key t.vc_shards with
-    | exception Not_found -> ()
-    | s ->
-        let sigs = s.sh_memo.(h.oh_slot) in
-        if List.compare_length_with sigs memo_max_sigs < 0 then
-          s.sh_memo.(h.oh_slot) <- signature op :: sigs
+    let s = shard t in
+    if h.oh_key = s.sh_key then
+      let sigs = s.sh_memo.(h.oh_slot) in
+      if List.compare_length_with sigs memo_max_sigs < 0 then
+        s.sh_memo.(h.oh_slot) <- signature op :: sigs
 
 (* The printer's half of the memo: an op whose signature verified Ok
    copies the tail rendered for the first op of that signature. *)
 let add_tail t (h : Graph.op_handle) op render buf =
   let sg =
     if t.vc_enabled && h.oh_slot >= 0 then
-      match keyed h.oh_key t.vc_shards with
-      | s -> sig_of op s.sh_memo.(h.oh_slot)
-      | exception Not_found -> no_sig
+      let s = shard t in
+      if h.oh_key = s.sh_key then sig_of op s.sh_memo.(h.oh_slot) else no_sig
     else no_sig
   in
   if sg == no_sig then render buf op
@@ -369,7 +426,7 @@ let add_tail t (h : Graph.op_handle) op render buf =
 
 (* [set_verify_cache t false] restores the pre-memoization behaviour (every
    node re-verified on every visit) — the baseline configuration for
-   benchmarks and differential tests. Disabling flushes every shard so a
+   benchmarks and differential tests. Disabling flushes the cache so a
    later re-enable starts from a clean slate. Not safe to race with active
    verification on other domains; flip it before fanning out. *)
 let set_verify_cache t enabled =
@@ -379,72 +436,24 @@ let set_verify_cache t enabled =
 
 let verify_cache_enabled t = t.vc_enabled
 
-type verify_stats = {
-  vs_ty_entries : int;
-  vs_attr_entries : int;
-  vs_hits : int;
-  vs_misses : int;
-  vs_memo_ops : int;
-  vs_memo_sigs : int;
-  vs_memo_hits : int;
-  vs_memo_misses : int;
-  vs_invalidations : int;
-}
-
-let empty_verify_stats =
-  {
-    vs_ty_entries = 0;
-    vs_attr_entries = 0;
-    vs_hits = 0;
-    vs_misses = 0;
-    vs_memo_ops = 0;
-    vs_memo_sigs = 0;
-    vs_memo_hits = 0;
-    vs_memo_misses = 0;
-    vs_invalidations = 0;
-  }
-
-let shard_stats (s : vc_shard) =
-  {
-    vs_ty_entries = Id_tbl.length s.sh_ty;
-    vs_attr_entries = Id_tbl.length s.sh_attr;
-    vs_hits = s.sh_hits;
-    vs_misses = s.sh_misses;
-    vs_memo_ops = Str_tbl.length s.sh_names;
-    vs_memo_sigs =
-      Array.fold_left (fun n sigs -> n + List.length sigs) 0 s.sh_memo;
-    vs_memo_hits = s.sh_memo_hits;
-    vs_memo_misses = s.sh_memo_misses;
-    vs_invalidations = 0;
-  }
-
-let add_verify_stats a b =
-  {
-    vs_ty_entries = a.vs_ty_entries + b.vs_ty_entries;
-    vs_attr_entries = a.vs_attr_entries + b.vs_attr_entries;
-    vs_hits = a.vs_hits + b.vs_hits;
-    vs_misses = a.vs_misses + b.vs_misses;
-    vs_memo_ops = a.vs_memo_ops + b.vs_memo_ops;
-    vs_memo_sigs = a.vs_memo_sigs + b.vs_memo_sigs;
-    vs_memo_hits = a.vs_memo_hits + b.vs_memo_hits;
-    vs_memo_misses = a.vs_memo_misses + b.vs_memo_misses;
-    vs_invalidations = a.vs_invalidations + b.vs_invalidations;
-  }
-
-(* Per-shard counters, newest shard first. Meaningful once the domains
-   that own the shards are quiescent (e.g. after a pool join). *)
-let verify_shard_stats t =
-  locked t (fun () -> List.map shard_stats t.vc_shards)
-
-(* Merged across shards: the single-domain numbers are unchanged (one
-   shard), and after a parallel run this is the whole-process view. *)
+(* The caller's live shard plus the folded counters of every shard that
+   was reset or whose domain exited. Entries count the live shard only. *)
 let verify_stats t =
-  let merged =
-    List.fold_left
-      (fun acc s -> add_verify_stats acc (shard_stats s))
-      empty_verify_stats (locked t (fun () -> t.vc_shards))
+  let s = Domain.DLS.get shard_key in
+  let live =
+    if s.sh_ctx != t then empty_verify_stats
+    else if s.sh_gen <> t.vc_gen then counters s
+    else
+      { (counters s) with
+        vs_ty_entries = Id_tbl.length s.sh_ty;
+        vs_attr_entries = Id_tbl.length s.sh_attr;
+        vs_memo_ops = Str_tbl.length s.sh_names;
+        vs_memo_sigs =
+          Array.fold_left (fun n sigs -> n + List.length sigs) 0 s.sh_memo }
   in
-  { merged with vs_invalidations = t.vc_invalidations }
+  locked t (fun () ->
+      { (add_verify_stats t.vc_folded live) with
+        vs_invalidations = t.vc_invalidations })
 
 let verify_hit_rate { vs_hits; vs_misses; _ } =
   let total = vs_hits + vs_misses in
@@ -540,22 +549,8 @@ let pp_uniquing_stats ppf { us_types; us_attrs } =
 (* Unified stats surface                                               *)
 (* ------------------------------------------------------------------ *)
 
-type stats = {
-  st_uniquing : uniquing_stats;
-  st_verify : verify_stats;
-  st_verify_shards : verify_stats list;
-}
+type stats = { st_uniquing : uniquing_stats; st_verify : verify_stats }
 
-let stats ?(scope = `Merged) t =
-  let st_uniquing =
-    let us_types, us_attrs =
-      match scope with
-      | `Merged -> Attr.uniquer_stats_merged ()
-      | `Per_domain -> Attr.uniquer_stats ()
-    in
-    { us_types; us_attrs }
-  in
-  let st_verify_shards =
-    match scope with `Merged -> [] | `Per_domain -> verify_shard_stats t
-  in
-  { st_uniquing; st_verify = verify_stats t; st_verify_shards }
+let stats t =
+  let us_types, us_attrs = Attr.uniquer_stats () in
+  { st_uniquing = { us_types; us_attrs }; st_verify = verify_stats t }

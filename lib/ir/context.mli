@@ -9,8 +9,8 @@
     racing a freeze either completes before it or is cleanly rejected after
     it — and from then on the dialect maps and the flat op table are
     immutable, so any number of domains may run lookups and verification
-    concurrently. The verification caches are sharded per domain (each
-    shard only ever touched by its owning domain) and post-freeze are
+    concurrently. The verification caches live in one shard per domain
+    (in [Domain.DLS], only ever touched by that domain) and post-freeze are
     lock-free. *)
 
 open Irdl_support
@@ -44,25 +44,15 @@ type dialect = {
   mutable d_attrs : attr_def SMap.t;
 }
 
-type t = private {
-  mutable dialects : dialect SMap.t;
-  ops : op_def Str_tbl.t;
-      (** Every registered op by qualified name: {!lookup_op}'s one probe. *)
-  allow_unregistered : bool;
-      (** When true (the default), operations/types of unknown dialects
-          parse and verify structurally only. Fixed at {!create}, so the
-          cached verdicts never go stale on it. *)
-  reg_lock : Mutex.t;
-  mutable frozen : bool;
-  mutable vc_shards : vc_shard list;
-  mutable vc_enabled : bool;
-  mutable vc_invalidations : int;
-}
-
-and vc_shard
-(** One domain's slice of the verification cache; see {!verify_stats}. *)
+type t
 
 val create : ?allow_unregistered:bool -> unit -> t
+
+val allow_unregistered : t -> bool
+(** When true (the default), operations/types of unknown dialects parse
+    and verify structurally only. Fixed at {!create}, so the cached
+    verdicts never go stale on it. *)
+
 val qualified : dialect:string -> name:string -> string
 
 val get_dialect : t -> string -> dialect option
@@ -104,18 +94,24 @@ val op_stats : t -> int * int * int
 
 (** {2 Verification cache}
 
-    Hash-consing (PR 1) gives every type and attribute a dense integer id;
-    the context memoizes the result of verifying each one against the
+    Hash-consing gives every type and attribute a dense integer id; the
+    context memoizes the result of verifying each one against the
     registered definitions, so repeat visits are O(1). Ids are domain-local
     (the uniquer is sharded per domain), so the memo table is sharded the
-    same way: each domain reads and writes only its own shard, which keeps
-    id-keyed lookups sound and post-freeze operation lock-free.
+    same way: each domain keeps one shard in [Domain.DLS] and reads and
+    writes only that one, which keeps id-keyed lookups sound and
+    post-freeze operation lock-free. A shard serves one context at a time:
+    used with another context, it is emptied first. Nothing else holds a
+    shard, so its tables die with its domain; its counters outlive it
+    (see {!stats}).
 
-    Registering any operation, type or attribute definition flushes all
-    shards (the new definition may change what verifies). The cache must
-    also be flushed manually — {!invalidate_verify_cache} — if verification
-    behaviour is changed behind the context's back: registering new native
-    hooks after verification started. *)
+    Registering any operation, type or attribute definition flushes the
+    cache (the new definition may change what verifies): it bumps the
+    context's generation, and each domain's shard is emptied when it is
+    next used. The cache must also be flushed manually —
+    {!invalidate_verify_cache} — if verification behaviour is changed
+    behind the context's back: registering new native hooks after
+    verification started. *)
 
 val cached_verify_ty :
   t ->
@@ -139,9 +135,9 @@ val cached_verify_attr :
 (** {2 Op handles and the signature memo}
 
     A shard keeps at most {!memo_max_ops} {!Graph.op_handle}s and renews
-    its key at every flush, so a handle made before a registration, or in
-    another context or domain, is stale and resolved again. A name past
-    the bound gets a handle without a memo slot.
+    its key whenever it is emptied, so a handle made before a
+    registration, or in another context or domain, is stale and resolved
+    again. A name past the bound gets a handle without a memo slot.
 
     An op's IRDL verdict is a pure function of its signature: the operand
     and result types, the [(name, attribute)] list, the region count, each
@@ -182,14 +178,14 @@ val add_tail :
     the handle's slot, copied after that. *)
 
 val invalidate_verify_cache : t -> unit
-(** Drop all memoized verification results, in every shard. Called
-    automatically by the [register_*] functions; the invalidation counter
-    increments only when entries were actually dropped. Not safe to race
-    with active verification on other domains. *)
+(** Drop all memoized verification results, in every domain's shard.
+    Called automatically by the [register_*] functions; the invalidation
+    counter increments only when entries were actually dropped. Not safe
+    to race with active verification on other domains. *)
 
 val set_verify_cache : t -> bool -> unit
 (** Enable/disable memoization (enabled by default). Disabling flushes
-    every shard and restores the pre-memoization behaviour — every node
+    the cache and restores the pre-memoization behaviour — every node
     re-verified on every visit — which is the baseline configuration for
     benchmarks and differential tests. Flip it before fanning out to
     multiple domains, not during. *)
@@ -212,27 +208,22 @@ type uniquing_stats = { us_types : Intern.stats; us_attrs : Intern.stats }
 
 type stats = {
   st_uniquing : uniquing_stats;
-      (** Attribute/type uniquer ({!Intern}) counters: canonical node
-          counts and hit rates. [`Merged]: summed over every domain's
-          shard (the whole-process view after a parallel run).
-          [`Per_domain]: the calling domain's shard only. The uniquer is
-          domain-local and shared by all contexts, so every context
-          reports the same numbers. *)
+      (** Attribute/type uniquer ({!Intern}) counters: [nodes] counts the
+          calling domain's live tables, [hits] / [misses] add those of
+          every domain that has exited. The uniquer is domain-local and
+          shared by all contexts, so every context reports the same
+          numbers. *)
   st_verify : verify_stats;
-      (** Verification-cache counters summed over every domain's shard,
-          plus the context-global invalidation counter, at either scope
-          (invalidations cannot be attributed to a shard). After a
-          parallel run, read them once the worker domains have joined. *)
-  st_verify_shards : verify_stats list;
-      (** [`Per_domain]: per-shard verify-cache counters, newest shard
-          first, each with [vs_invalidations = 0]; [st_verify] is their
-          sum plus the global invalidation counter. [`Merged]: empty. *)
+      (** Verification-cache counters: [vs_hits], [vs_misses],
+          [vs_memo_hits] and [vs_memo_misses] add up every domain's shard
+          that served this context and has since been emptied or exited,
+          plus the calling domain's live shard; the entry counts cover
+          that live shard only. After a parallel run, read them once the
+          worker domains have joined. *)
 }
 
-val stats : ?scope:[ `Merged | `Per_domain ] -> t -> stats
-(** The context's counters in one record. [?scope] (default [`Merged])
-    selects whole-process merged numbers or the per-domain breakdown; see
-    the field docs for what each scope changes. *)
+val stats : t -> stats
+(** The context's counters in one record. *)
 
 val verify_hit_rate : verify_stats -> float
 val pp_verify_stats : Format.formatter -> verify_stats -> unit

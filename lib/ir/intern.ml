@@ -24,9 +24,7 @@ let hit_rate { hits; misses; _ } =
   let total = hits + misses in
   if total = 0 then 0. else float_of_int hits /. float_of_int total
 
-(* Pointwise sum, for merging the per-domain shard tables' counters. Note
-   that summed [nodes] counts canonical copies per shard, not distinct
-   structures: two domains that each interned [i32] contribute two nodes. *)
+(* Pointwise sum, for adding exited domains' counters to a live table's. *)
 let add_stats a b =
   { nodes = a.nodes + b.nodes; hits = a.hits + b.hits;
     misses = a.misses + b.misses }

@@ -15,8 +15,7 @@ val hit_rate : stats -> float
 (** Fraction of lookups answered from the table, in [0..1]; 0 when empty. *)
 
 val add_stats : stats -> stats -> stats
-(** Pointwise sum, for merging per-domain shard counters. Summed [nodes]
-    counts canonical copies per shard, not distinct structures. *)
+(** Pointwise sum, for adding exited domains' counters to a live table's. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 

@@ -32,7 +32,7 @@ and verify_ty_uncached ctx (ty : Attr.ty) =
               dialect name td.td_num_params (List.length params)
           else td.td_verify params
       | None ->
-          if ctx.allow_unregistered then Ok ()
+          if Context.allow_unregistered ctx then Ok ()
           else Diag.errorf "unregistered type '!%s.%s'" dialect name)
   | Attr.Function { inputs; outputs } ->
       let* () = verify_tys ctx inputs in
@@ -68,7 +68,7 @@ and verify_attr_uncached ctx (a : Attr.t) =
               dialect name ad.ad_num_params (List.length params)
           else ad.ad_verify params
       | None ->
-          if ctx.allow_unregistered then Ok ()
+          if Context.allow_unregistered ctx then Ok ()
           else Diag.errorf "unregistered attribute '#%s.%s'" dialect name)
   | _ -> Ok ()
 
@@ -176,7 +176,7 @@ let verify_op_full ctx def (op : Graph.op) =
                   match def with
                   | Some (od : Context.op_def) -> od.od_verify op
                   | None ->
-                      if ctx.allow_unregistered then Ok ()
+                      if Context.allow_unregistered ctx then Ok ()
                       else
                         Diag.errorf ~loc:op.op_loc
                           "unregistered operation '%s'" op.op_name))))

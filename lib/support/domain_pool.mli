@@ -10,10 +10,12 @@
 
     Each batch's domains start with cold per-domain tables: the parser's
     name table, the uniquer shard and the verify-cache shard of a fresh
-    domain are empty, and they are dropped when the domain is joined. So
-    the supported traffic is one batch per process (an [irdl-opt --jobs]
-    run, or the [--listen] serve loops); a caller that ran many short
-    batches would pay the warm-up on every one.
+    domain are empty. They live in [Domain.DLS] and nothing else holds
+    them, so they are freed once the domain is joined; only their hit and
+    miss counters outlive it. So the supported traffic is one batch per
+    process (an [irdl-opt --jobs] run, or the [--listen] serve loops); a
+    caller that runs many short batches pays the warm-up on every one,
+    but holds no memory for the batches that finished.
 
     Results are collected positionally: slot [i] of the result is the
     value of [tasks.(i)], whatever domain ran it and in whatever order —

@@ -76,15 +76,22 @@ let ids_stable () =
 
 let stats_exposed () =
   let ctx = Context.create () in
-  let before = (Context.stats ~scope:`Per_domain ctx).st_uniquing in
+  let attrs () = (Context.stats ctx).st_uniquing.us_attrs in
+  let before = attrs () in
   (* A fresh value is a miss; rebuilding it is a hit. *)
   let _ = Attr.string "stats-probe-fresh" in
   let _ = Attr.string "stats-probe-fresh" in
-  let after = (Context.stats ~scope:`Per_domain ctx).st_uniquing in
+  let after = attrs () in
   Alcotest.(check bool) "node count grew" true
-    (after.Context.us_attrs.Intern.nodes > before.Context.us_attrs.Intern.nodes);
-  Alcotest.(check bool) "hits grew" true
-    (after.Context.us_attrs.Intern.hits > before.Context.us_attrs.Intern.hits)
+    (after.Intern.nodes > before.Intern.nodes);
+  Alcotest.(check bool) "hits grew" true (after.Intern.hits > before.Intern.hits);
+  (* A domain's counts outlive it; its table does not. *)
+  Domain.join
+    (Domain.spawn (fun () -> ignore (Attr.string "stats-probe-exited")));
+  let exited = attrs () in
+  Alcotest.(check int) "an exited domain's miss is kept" (after.misses + 1)
+    exited.misses;
+  Alcotest.(check int) "its node is not" after.nodes exited.nodes
 
 (* ---------------- property tests ---------------- *)
 

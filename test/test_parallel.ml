@@ -377,41 +377,30 @@ let test_cross_domain_interning () =
 (* Verify-cache shards                                               *)
 (* ---------------------------------------------------------------- *)
 
+(* A domain's counters outlive it: D cold domains verifying one module
+   each add D times what one cold domain adds, while the entry counts
+   (the calling domain's live shard only) do not move. *)
 let test_shard_stats_merge () =
   let ctx = cmath_ctx () in
   Context.freeze ctx;
   ignore (hammer ctx 10 ());
   (* Spawn domains directly (rather than through a pool): the shared task
      counter could let a fast caller drain the whole batch, and this test
-     needs a guarantee that several domains actually verified. *)
-  Array.init 2 (fun _ -> Domain.spawn (hammer ctx 10))
-  |> Array.iter (fun d -> ignore (Domain.join d));
-  let shards = (Context.stats ~scope:`Per_domain ctx).st_verify_shards in
-  Alcotest.(check bool)
-    "several shards after a parallel run" true
-    (List.length shards >= 2);
-  let sum f = List.fold_left (fun acc s -> acc + f s) 0 shards in
-  let merged = (Context.stats ctx).st_verify in
-  Alcotest.(check int)
-    "merged hits = sum of shard hits"
-    (sum (fun (s : Context.verify_stats) -> s.vs_hits))
-    merged.vs_hits;
-  Alcotest.(check int)
-    "merged misses = sum of shard misses"
-    (sum (fun (s : Context.verify_stats) -> s.vs_misses))
-    merged.vs_misses;
-  Alcotest.(check int)
-    "merged entries = sum of shard entries"
-    (sum (fun (s : Context.verify_stats) ->
-         s.vs_ty_entries + s.vs_attr_entries))
-    (merged.vs_ty_entries + merged.vs_attr_entries);
-  List.iter
-    (fun (s : Context.verify_stats) ->
-      Alcotest.(check int) "per-shard invalidations are 0" 0 s.vs_invalidations)
-    shards;
-  (* Each hammering domain resolved the same types, so every shard that
-     did work has misses and (with 10 iterations each) hits. *)
-  Alcotest.(check bool) "merged cache hit" true (merged.vs_hits > 0)
+     needs every run to start from a cold shard. *)
+  let delta domains =
+    let before = (Context.stats ctx).st_verify in
+    Array.init domains (fun _ -> Domain.spawn (hammer ctx 1))
+    |> Array.iter (fun d -> ignore (Domain.join d));
+    let after = (Context.stats ctx).st_verify in
+    Alcotest.(check int) "entries cover the live shard only"
+      (before.vs_ty_entries + before.vs_attr_entries)
+      (after.vs_ty_entries + after.vs_attr_entries);
+    (after.vs_hits - before.vs_hits, after.vs_misses - before.vs_misses)
+  in
+  let hits, misses = delta 1 in
+  Alcotest.(check bool) "a cold run misses" true (misses > 0);
+  Alcotest.(check (pair int int))
+    "3 cold domains = 3 x one cold domain" (3 * hits, 3 * misses) (delta 3)
 
 let test_cache_disabled_bypasses_shards () =
   let ctx = cmath_ctx () in
@@ -425,6 +414,37 @@ let test_cache_disabled_bypasses_shards () =
     (merged.vs_ty_entries + merged.vs_attr_entries);
   Alcotest.(check int) "no hits counted" 0 merged.vs_hits;
   Alcotest.(check int) "no misses counted" 0 merged.vs_misses
+
+(* No table of an exited domain stays reachable: neither its uniquer
+   shard nor its verify-cache shard, whose memo holds the signature of an
+   op it verified. *)
+let test_exited_domain_tables_freed () =
+  let ctx = Context.create () in
+  let _ =
+    check_ok "load arith"
+      (Irdl_core.Irdl.load_one ctx Irdl_dialects.Arith.source)
+  in
+  Context.freeze ctx;
+  let probe i () =
+    let only = Attr.string (Printf.sprintf "only-in-domain-%d" i) in
+    let value = Attr.int ~ty:Attr.i64 (Int64.of_int (1_000_000 + i)) in
+    verify_ok ctx
+      (Irdl_ir.Graph.Op.create ~result_tys:[ Attr.i64 ]
+         ~attrs:[ ("value", value) ] "arith.constant");
+    let memoized = (Context.stats ctx).st_verify.vs_memo_sigs > 0 in
+    let w = Weak.create 2 in
+    Weak.set w 0 (Some only);
+    Weak.set w 1 (Some value);
+    (w, memoized)
+  in
+  let probes = List.init 100 (fun i -> Domain.join (Domain.spawn (probe i))) in
+  Gc.full_major ();
+  List.iteri
+    (fun i (w, memoized) ->
+      Alcotest.(check bool) "the op was memoized" true memoized;
+      if Weak.check w 0 || Weak.check w 1 then
+        Alcotest.failf "domain %d's attributes outlived it" i)
+    probes
 
 let suite =
   [
@@ -449,4 +469,5 @@ let suite =
     tc "verify cache: merged stats = sum of shards" test_shard_stats_merge;
     tc "verify cache: disabled bypasses all shards"
       test_cache_disabled_bypasses_shards;
+    tc "exited domains: their tables are freed" test_exited_domain_tables_freed;
   ]

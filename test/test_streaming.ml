@@ -367,30 +367,34 @@ let pipeline_mode () =
 let stats_scopes () =
   let ctx = Context.create () in
   (* Composite (dynamic) types are what the verify cache memoizes; builtin
-     leaves verify vacuously and leave no shard behind. *)
+     leaves verify vacuously. *)
   let src =
     "%0 = \"t.make\"() : () -> !t.box\n\
      %1 = \"t.use\"(%0) : (!t.box) -> !t.box\n"
   in
   let ops = Result.get_ok (Parser.parse_ops ctx src) in
-  let _ = Verifier.verify_ops_all ctx ops in
-  let merged = Context.stats ctx in
-  Alcotest.(check (list reject))
-    "merged scope has no shard breakdown" []
-    (List.map (fun _ -> ()) merged.st_verify_shards);
-  let per = Context.stats ~scope:`Per_domain ctx in
-  Alcotest.(check bool)
-    "per-domain scope exposes shards" true
-    (per.st_verify_shards <> []);
-  let shard_sum =
-    List.fold_left
-      (fun acc (s : Context.verify_stats) -> acc + s.vs_hits + s.vs_misses)
-      0 per.st_verify_shards
+  let verify () = ignore (Verifier.verify_ops_all ctx ops) in
+  verify ();
+  let here = Context.stats ctx in
+  Alcotest.(check bool) "the calling domain's shard has entries" true
+    (here.st_verify.vs_ty_entries > 0);
+  Alcotest.(check bool) "the uniquer is counted" true
+    (here.st_uniquing.us_types.nodes > 0);
+  (* Two domains each verify from a cold shard and exit: the one record
+     adds their lookups but none of their entries. *)
+  let lookups (s : Context.stats) = s.st_verify.vs_hits + s.st_verify.vs_misses in
+  let spawned () =
+    let before = Context.stats ctx in
+    Domain.join (Domain.spawn verify);
+    let after = Context.stats ctx in
+    Alcotest.(check int) "entries cover the live shard only"
+      before.st_verify.vs_ty_entries after.st_verify.vs_ty_entries;
+    lookups after - lookups before
   in
-  Alcotest.(check int)
-    "shards sum to the merged counters"
-    (merged.st_verify.vs_hits + merged.st_verify.vs_misses)
-    shard_sum
+  let first = spawned () in
+  Alcotest.(check bool) "an exited domain's lookups are counted" true
+    (first > 0);
+  Alcotest.(check int) "and counted once" first (spawned ())
 
 let sources_drop () =
   Diag.Sources.register ~file:"drop-me.mlir" "contents";

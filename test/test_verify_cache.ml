@@ -116,23 +116,30 @@ let cache_toggle () =
   Alcotest.(check bool) "re-enabled cache repopulates" true
     ((stats ctx).vs_ty_entries > 0)
 
-(* In a single-domain program the shard list has exactly one entry, and the
-   merged view is that shard plus the context-global invalidation count —
-   i.e. sharding is invisible until a second domain shows up. *)
+(* A flush empties the live shard but keeps its counters: a cold run
+   after the flush adds exactly what the cold run before it added. *)
 let single_domain_shard_is_the_merged_view () =
   let ctx = cmath_ctx () in
-  ignore (Verifier.verify_all ctx (bad_complex_op ()));
-  match (Context.stats ~scope:`Per_domain ctx).st_verify_shards with
-  | [ s ] ->
-      let merged = stats ctx in
-      Alcotest.(check int) "ty entries" merged.vs_ty_entries s.vs_ty_entries;
-      Alcotest.(check int) "attr entries" merged.vs_attr_entries
-        s.vs_attr_entries;
-      Alcotest.(check int) "hits" merged.vs_hits s.vs_hits;
-      Alcotest.(check int) "misses" merged.vs_misses s.vs_misses;
-      Alcotest.(check int) "shard invalidations are unset" 0 s.vs_invalidations
-  | shards ->
-      Alcotest.failf "expected exactly one shard, got %d" (List.length shards)
+  let verify () = ignore (Verifier.verify_all ctx (bad_complex_op ())) in
+  let s0 = stats ctx in
+  verify ();
+  let s1 = stats ctx in
+  Alcotest.(check bool) "entries recorded" true (s1.vs_ty_entries > 0);
+  Context.invalidate_verify_cache ctx;
+  let s2 = stats ctx in
+  Alcotest.(check int) "flush empties ty entries" 0 s2.vs_ty_entries;
+  Alcotest.(check int) "flush empties attr entries" 0 s2.vs_attr_entries;
+  Alcotest.(check int) "hits kept" s1.vs_hits s2.vs_hits;
+  Alcotest.(check int) "misses kept" s1.vs_misses s2.vs_misses;
+  Alcotest.(check int) "flush counted" (s1.vs_invalidations + 1)
+    s2.vs_invalidations;
+  verify ();
+  let s3 = stats ctx in
+  Alcotest.(check int) "same entries again" s1.vs_ty_entries s3.vs_ty_entries;
+  Alcotest.(check int) "a cold run's hits again" (s1.vs_hits - s0.vs_hits)
+    (s3.vs_hits - s2.vs_hits);
+  Alcotest.(check int) "a cold run's misses again"
+    (s1.vs_misses - s0.vs_misses) (s3.vs_misses - s2.vs_misses)
 
 (* After freeze, no registration can flush: shards only ever gain entries. *)
 let post_freeze_append_only () =
@@ -170,31 +177,47 @@ let post_freeze_append_only () =
     s2.vs_invalidations s3.vs_invalidations
 
 (* Registration (pre-freeze) must flush every domain's shard, not just the
-   registering domain's. *)
+   registering domain's: a live domain that waits while another registers
+   misses again afterwards. *)
 let invalidation_reaches_all_shards () =
   let ctx = cmath_ctx () in
-  let populate () = ignore (Verifier.verify_all ctx (bad_complex_op ())) in
-  populate ();
-  Domain.join (Domain.spawn populate);
-  let shards_before = (Context.stats ~scope:`Per_domain ctx).st_verify_shards in
-  Alcotest.(check int) "two shards populated" 2 (List.length shards_before);
-  List.iter
-    (fun (s : Context.verify_stats) ->
-      Alcotest.(check bool) "each shard has entries" true
-        (s.vs_ty_entries > 0))
-    shards_before;
+  let verify () = ignore (Verifier.verify_all ctx (bad_complex_op ())) in
+  let misses () = (stats ctx).vs_misses in
+  verify ();
+  let warm = Atomic.make false and registered = Atomic.make false in
+  let worker =
+    Domain.spawn (fun () ->
+        verify ();
+        let m0 = misses () in
+        verify ();
+        let m1 = misses () in
+        Atomic.set warm true;
+        while not (Atomic.get registered) do
+          Domain.cpu_relax ()
+        done;
+        verify ();
+        (m1 - m0, misses () - m1))
+  in
+  while not (Atomic.get warm) do
+    Domain.cpu_relax ()
+  done;
   let before = stats ctx in
+  Alcotest.(check bool) "the calling domain's shard has entries" true
+    (before.vs_ty_entries > 0);
   let _ =
     check_ok "load d2"
       (Irdl_core.Irdl.load_one ctx {|Dialect d2 { Type box {} }|})
   in
-  List.iter
-    (fun (s : Context.verify_stats) ->
-      Alcotest.(check int) "shard flushed: ty" 0 s.vs_ty_entries;
-      Alcotest.(check int) "shard flushed: attr" 0 s.vs_attr_entries)
-    ((Context.stats ~scope:`Per_domain ctx).st_verify_shards);
-  Alcotest.(check bool) "invalidation counted once" true
-    ((stats ctx).vs_invalidations > before.vs_invalidations)
+  let after = stats ctx in
+  Alcotest.(check int) "calling domain flushed: ty" 0 after.vs_ty_entries;
+  Alcotest.(check int) "calling domain flushed: attr" 0 after.vs_attr_entries;
+  Atomic.set registered true;
+  let warm_misses, flushed_misses = Domain.join worker in
+  Alcotest.(check int) "a warm shard does not miss" 0 warm_misses;
+  Alcotest.(check bool) "the waiting domain's shard was flushed" true
+    (flushed_misses > 0);
+  Alcotest.(check bool) "invalidation counted" true
+    (after.vs_invalidations > before.vs_invalidations)
 
 let suite =
   [

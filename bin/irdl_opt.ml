@@ -171,6 +171,32 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
     mode_conflict "--serve and --listen are mutually exclusive";
   if Option.is_some connect && (serve || Option.is_some listen) then
     mode_conflict "--connect cannot be combined with --serve/--listen";
+  if (serve || Option.is_some listen) && Option.is_some input then
+    mode_conflict "--serve/--listen take no input (requests carry it)";
+  (* A request carries one document and comes back printed, verified or
+     emitted: flags that shape a one-shot run would be silently ignored. *)
+  (let mode =
+     if Option.is_some connect then Some "--connect"
+     else if serve then Some "--serve"
+     else if Option.is_some listen then Some "--listen"
+     else None
+   in
+   let one_shot_only =
+     [
+       ("--batch", Option.is_some batch);
+       ("--split-input-file", split_input_file);
+       ("--verify-diagnostics", verify_diagnostics);
+       ("--pass-pipeline", Option.is_some pipeline);
+       ("-p", pattern_files <> []);
+       ("--diag-json", Option.is_some diag_json);
+       ("--max-errors", max_errors <> 0);
+       ("--load-bytecode", load_bytecode);
+     ]
+   in
+   match (mode, List.find_opt snd one_shot_only) with
+   | Some mode, Some (flag, _) ->
+       mode_conflict (Printf.sprintf "%s cannot be combined with %s" flag mode)
+   | _ -> ());
   (* Client mode: one framed request against a resident server; the
      response's diagnostics (pre-rendered, byte-identical to a one-shot
      run) go to stderr, the output to stdout, and the exit code mirrors
@@ -329,8 +355,6 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
      requests are served until EOF (--serve) or shutdown. The exit is
      clean even on SIGTERM/SIGINT — in-flight requests drain first. *)
   if serve || Option.is_some listen then begin
-    if Option.is_some input || Option.is_some batch then
-      mode_conflict "--serve/--listen take no input (requests carry it)";
     let config =
       {
         Server.default_config with
@@ -850,11 +874,11 @@ let batch =
     & info [ "batch" ] ~docv:"PATH"
         ~doc:
           "Process many IR files in one run over one resident dialect \
-           registry: $(docv) is a directory (every *.mlir file in it, \
-           sorted) or a text file listing one IR path per line ('#' \
-           comments allowed). Each file's re-printed output is preceded \
-           by a '// ===== <path> =====' header. Cannot be combined with a \
-           positional $(b,INPUT).")
+           registry: $(docv) is a directory (every *.mlir and *.irdlbc \
+           file in it, sorted by name) or a text file listing one IR path \
+           per line ('#' comments allowed). Each file's re-printed output \
+           is preceded by a '// ===== <path> =====' header. Cannot be \
+           combined with a positional $(b,INPUT).")
 
 let emit_bytecode =
   Arg.(

@@ -73,11 +73,6 @@ module type S = sig
   val mem : table -> node -> bool
 
   val stats : table -> stats
-
-  val clear : table -> unit
-  (** Drop all nodes and reset counters. Canonical nodes handed out earlier
-      keep working as plain values but lose their identity guarantee; only
-      meant for tests and benchmarks. *)
 end
 
 module Make (H : HASHED) : S with type node = H.t = struct
@@ -169,11 +164,4 @@ module Make (H : HASHED) : S with type node = H.t = struct
   let mem t x = Phys.mem t.phys x || Tbl.mem t.tbl x
 
   let stats t = { nodes = Tbl.length t.tbl; hits = t.hits; misses = t.misses }
-
-  let clear t =
-    Tbl.reset t.tbl;
-    Phys.reset t.phys;
-    t.next_id <- 0;
-    t.hits <- 0;
-    t.misses <- 0
 end

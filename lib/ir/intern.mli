@@ -11,9 +11,6 @@ type stats = {
   misses : int;  (** intern calls that created a new node *)
 }
 
-val hit_rate : stats -> float
-(** Fraction of lookups answered from the table, in [0..1]; 0 when empty. *)
-
 val add_stats : stats -> stats -> stats
 (** Pointwise sum, for adding exited domains' counters to a live table's. *)
 
@@ -52,9 +49,6 @@ module type S = sig
 
   val mem : table -> node -> bool
   val stats : table -> stats
-
-  val clear : table -> unit
-  (** Drop all nodes and reset counters (tests and benchmarks only). *)
 end
 
 module Make (H : HASHED) : S with type node = H.t

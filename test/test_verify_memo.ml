@@ -602,6 +602,115 @@ let distinct_names_stay_at_the_bound () =
   Alcotest.(check int) "still at the bound" Context.memo_max_ops
     (memo_stats ctx).vs_memo_ops
 
+(* ---------------------------------------------------------------- *)
+(* Whole modules                                                     *)
+(* ---------------------------------------------------------------- *)
+
+let func blk =
+  Graph.Op.create ~regions:[ Graph.Region.create ~blocks:[ blk ] () ] "t.func"
+
+(* 300 rounds of cmath.mul, cmath.norm and an unregistered t.v, the muls
+   and t.vs carrying 8 shared payloads of 32 dynamic attributes. A mul's
+   signature is its payload (i mod 8), a t.v's its BoundedVector size
+   (i mod 16), so both names have more signatures than a memo slot keeps.
+   A warm re-verify takes every type and attribute from the cache and hits
+   the memo on exactly the norms, the t.func, and the muls and t.vs of the
+   first [memo_max_sigs] signatures. *)
+let warm_module_hits_the_memo () =
+  let payloads =
+    Array.init 8 (fun k ->
+        Attr.array
+          (List.init 32 (fun j ->
+               Attr.dyn_attr ~dialect:"cmath" ~name:"StringAttr"
+                 [ Attr.opaque ~tag:"StringParam" (Printf.sprintf "s%d_%d" k j) ])))
+  in
+  let fn_ty =
+    Attr.function_ty ~inputs:(List.init 8 (fun _ -> complex_f32))
+      ~outputs:[ Attr.f32 ]
+  in
+  let u32 = Attr.integer ~signedness:Attr.Unsigned 32 in
+  let blk = Graph.Block.create ~arg_tys:[ complex_f32; complex_f32 ] () in
+  let last = ref (Graph.Block.arg blk 0) in
+  for i = 0 to 299 do
+    let mul =
+      Graph.Op.create ~operands:[ !last; Graph.Block.arg blk 1 ]
+        ~result_tys:[ complex_f32 ] ~attrs:[ ("payload", payloads.(i mod 8)) ]
+        "cmath.mul"
+    in
+    last := Graph.Op.result mul 0;
+    let bv =
+      Attr.dynamic ~dialect:"cmath" ~name:"BoundedVector"
+        [ Attr.typ Attr.f32; Attr.int ~ty:u32 (Int64.of_int (i mod 16)) ]
+    in
+    List.iter (Graph.Block.append blk)
+      [
+        mul;
+        Graph.Op.create ~operands:[ !last ] ~result_tys:[ Attr.f32 ] "cmath.norm";
+        Graph.Op.create ~result_tys:[ bv; fn_ty ]
+          ~attrs:[ ("payload", payloads.((i + 3) mod 8)) ] "t.v";
+      ]
+  done;
+  let ctx = cmath_ctx () and m = func blk in
+  let verdict () = diag_strings (Verifier.verify_all ctx m) in
+  Alcotest.(check (list string)) "cold" [] (verdict ());
+  let cold = memo_stats ctx in
+  Alcotest.(check (list string)) "warm" [] (verdict ());
+  let warm = memo_stats ctx in
+  let recorded k =
+    List.length
+      (List.filter (fun i -> i mod k < Context.memo_max_sigs) (List.init 300 Fun.id))
+  in
+  let hits = 300 + 1 + recorded 8 + recorded 16 in
+  Alcotest.(check int) "type/attribute misses" 0 (warm.vs_misses - cold.vs_misses);
+  Alcotest.(check int) "memo hits" hits (warm.vs_memo_hits - cold.vs_memo_hits);
+  Alcotest.(check int) "memo misses" (901 - hits)
+    (warm.vs_memo_misses - cold.vs_memo_misses);
+  Context.set_verify_cache ctx false;
+  Alcotest.(check (list string)) "memo off" [] (verdict ())
+
+(* A 10^4-op t.add/t.mul chain prints, parses back to the same text and
+   verifies with a memo hit on every op but the first of each signature;
+   10^4 t.adds with 64 distinct value-numbering keys leave CSE 64 ops, all
+   dead. *)
+let ten_thousand_ops () =
+  let n = 10_000 and ctx = Context.create () in
+  let block make =
+    let blk = Graph.Block.create ~arg_tys:[ Attr.i32; Attr.i32 ] () in
+    let a = Graph.Block.arg blk 0 and b = Graph.Block.arg blk 1 in
+    let prev = ref a in
+    for i = 1 to n do
+      let op = make i !prev a b in
+      Graph.Block.append blk op;
+      prev := Graph.Op.result op 0
+    done;
+    func blk
+  in
+  let chain =
+    block (fun i prev _ b ->
+        Graph.Op.create ~operands:[ prev; b ] ~result_tys:[ Attr.i32 ]
+          (if i land 1 = 0 then "t.add" else "t.mul"))
+  in
+  let text = Printer.op_to_string ctx chain in
+  let parsed = parse_op ctx text in
+  Alcotest.(check bool) "printed back" true
+    (String.equal text (Printer.op_to_string ctx parsed));
+  let before = memo_stats ctx in
+  verify_ok ctx parsed;
+  let s = memo_stats ctx in
+  Alcotest.(check int) "memo hits" (n - 2) (s.vs_memo_hits - before.vs_memo_hits);
+  Alcotest.(check int) "memo misses" 3 (s.vs_memo_misses - before.vs_memo_misses);
+  let dups =
+    block (fun i _ a b ->
+        Graph.Op.create ~operands:[ a; b ] ~result_tys:[ Attr.i32 ]
+          ~attrs:[ ("k", Attr.int (Int64.of_int (i mod 64))) ] "t.add")
+  in
+  let cse = Irdl_rewrite.Cse.run ctx dups in
+  Alcotest.(check int) "examined" n (Irdl_rewrite.Cse.examined cse);
+  Alcotest.(check int) "eliminated" (n - 64) (Irdl_rewrite.Cse.eliminated cse);
+  Alcotest.(check int) "dead" 64
+    (Irdl_rewrite.Rewriter.dce (Irdl_rewrite.Rewriter.create ctx dups));
+  verify_ok ctx dups
+
 let suite =
   [
     QCheck_alcotest.to_alcotest memo_differential;
@@ -624,4 +733,7 @@ let suite =
       changed_op_verifies_its_new_signature;
     tc "distinct names leave the memo at its bound"
       distinct_names_stay_at_the_bound;
+    tc "a warm 900-op cmath module verifies from the caches"
+      warm_module_hits_the_memo;
+    tc "10^4 ops print, parse, verify, CSE and DCE" ten_thousand_ops;
   ]

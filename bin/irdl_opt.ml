@@ -181,6 +181,7 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
      else if Option.is_some listen then Some "--listen"
      else None
    in
+   let resident = serve || Option.is_some listen in
    let one_shot_only =
      [
        ("--batch", Option.is_some batch);
@@ -191,6 +192,16 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
        ("--diag-json", Option.is_some diag_json);
        ("--max-errors", max_errors <> 0);
        ("--load-bytecode", load_bytecode);
+       ("--pass-timing", Option.is_some pass_timing);
+       ("--pass-timing-json", Option.is_some pass_timing_json);
+       ("--verify-each", verify_each);
+       ("--print-ir-before", print_ir_before <> []);
+       ("--print-ir-after", print_ir_after <> []);
+       ("--print-ir-before-all", print_ir_before_all);
+       ("--print-ir-after-all", print_ir_after_all);
+       (* Under --connect these two pick the request's kind. *)
+       ("--emit-bytecode", resident && Option.is_some emit_bytecode);
+       ("--verify-only", resident && verify_only);
      ]
    in
    match (mode, List.find_opt snd one_shot_only) with

@@ -614,8 +614,8 @@ let read_u8 c =
 
 (* The varint readers are the innermost decode primitives (~10 calls per
    op); their loops live at top level — a [let rec] nested inside the
-   reader would allocate a closure on every call. The one-byte case
-   returns before entering the loop: nearly every count, index and string
+   reader would allocate a closure on every call. The one-byte case is
+   read inline, before any call: nearly every count, index and string
    reference fits in seven bits. *)
 let rec read_uv_go c shift acc =
   if shift > 56 then cfail c "oversized varint" c.c_pos;
@@ -623,12 +623,21 @@ let rec read_uv_go c shift acc =
   let acc = acc lor ((b land 0x7f) lsl shift) in
   if b land 0x80 = 0 then acc else read_uv_go c (shift + 7) acc
 
+let read_uv_long c =
+  let v = read_uv_go c 0 0 in
+  if v < 0 then cfail c "oversized varint" c.c_pos else v
+
 let read_uv c =
-  let b = read_u8 c in
-  if b land 0x80 = 0 then b
+  let pos = c.c_pos in
+  if pos >= c.c_end then read_uv_long c
   else
-    let v = read_uv_go c 7 (b land 0x7f) in
-    if v < 0 then cfail c "oversized varint" c.c_pos else v
+    (* In bounds by the check above (c_end <= String.length c_buf). *)
+    let b = Char.code (String.unsafe_get c.c_buf pos) in
+    if b land 0x80 = 0 then begin
+      c.c_pos <- pos + 1;
+      b
+    end
+    else read_uv_long c
 
 let rec read_v64_go c shift acc =
   if shift > 63 then cfail c "oversized varint" c.c_pos;
@@ -872,25 +881,33 @@ let read_loc c strs =
 (* ---------------- module decoding ---------------- *)
 
 type mstate = {
-  ms_vals : Graph.value option array;
+  ms_vals : Graph.value array;  (** [unbound] until used or defined *)
   mutable ms_forwards : (int * Graph.value) list;
   ms_budget : Limits.budget;
       (** session-wide (spans documents in a multi-doc buffer); blown
           budgets raise {!Diag.Fatal_exn} and end the whole session *)
   ms_ctx : Context.t;
   ms_handles : Graph.op_handle array;  (** by string-table index *)
+  mutable ms_res : int array;
+      (** scratch: the value indices of the results of the op being
+          decoded; a nested decode reuses it *)
 }
+
+(* The one mark of an index nothing has bound yet; never handed out. *)
+let unbound : Graph.value =
+  { v_id = -1; v_ty = Attr.none; v_def = Graph.Released; v_first_use = None }
 
 let ms_use c st idx =
   if idx < 0 || idx >= Array.length st.ms_vals then
     cfail c "value index %d out of range" idx c.c_pos;
-  match st.ms_vals.(idx) with
-  | Some v -> v
-  | None ->
-      let v = Graph.Value.forward_ref (Printf.sprintf "bc%d" idx) in
-      st.ms_vals.(idx) <- Some v;
-      st.ms_forwards <- (idx, v) :: st.ms_forwards;
-      v
+  let v = st.ms_vals.(idx) in
+  if v != unbound then v
+  else begin
+    let v = Graph.Value.forward_ref (Printf.sprintf "bc%d" idx) in
+    st.ms_vals.(idx) <- v;
+    st.ms_forwards <- (idx, v) :: st.ms_forwards;
+    v
+  end
 
 (* Bind index [idx] to the fresh value [v] (an op result or block argument
    just created). If a use already allocated a placeholder at [idx], patch
@@ -900,10 +917,10 @@ let ms_def c st idx (v : Graph.value) =
   if idx < 0 || idx >= Array.length st.ms_vals then
     cfail c "value index %d out of range" idx c.c_pos;
   match st.ms_vals.(idx) with
-  | None ->
-      st.ms_vals.(idx) <- Some v;
+  | ph when ph == unbound ->
+      st.ms_vals.(idx) <- v;
       v
-  | Some ({ v_def = Graph.Forward_ref _; _ } as ph) ->
+  | { v_def = Graph.Forward_ref _; _ } as ph ->
       ph.v_ty <- v.v_ty;
       ph.v_def <- v.v_def;
       (match v.v_def with
@@ -912,7 +929,7 @@ let ms_def c st idx (v : Graph.value) =
       | _ -> ());
       st.ms_forwards <- List.filter (fun (i, _) -> i <> idx) st.ms_forwards;
       ph
-  | Some _ -> cfail c "value index %d defined twice" idx c.c_pos
+  | _ -> cfail c "value index %d defined twice" idx c.c_pos
 
 (* The field loops below live at top level with every free variable passed
    as an argument: this is the hot path of [read_module] at 10^6 ops, and
@@ -921,6 +938,7 @@ let ms_def c st idx (v : Graph.value) =
    for the same reason — value indices land in a scratch array instead. *)
 let read_operands c st n =
   if n = 0 then [||]
+  else if n = 1 then [| ms_use c st (read_uv c) |]
   else begin
     let a = Array.make n (ms_use c st (read_uv c)) in
     for i = 1 to n - 1 do
@@ -929,19 +947,25 @@ let read_operands c st n =
     a
   end
 
-(* Result types and their value indices, as two arrays read in interleaved
-   (ty, index) order. *)
-let read_results c ty_at n =
-  if n = 0 then ([||], [||])
+(* Result types, read in interleaved (ty, index) order; the value indices
+   land in [st.ms_res]. *)
+let read_results c ty_at st n =
+  if n = 0 then [||]
   else begin
+    if n > Array.length st.ms_res then
+      st.ms_res <- Array.make (max n (2 * Array.length st.ms_res)) 0;
+    let res = st.ms_res in
     let ty0 = ty_at (read_uv c) in
-    let tys = Array.make n ty0 in
-    let idx = Array.make n (read_uv c) in
-    for i = 1 to n - 1 do
-      tys.(i) <- ty_at (read_uv c);
-      idx.(i) <- read_uv c
-    done;
-    (tys, idx)
+    res.(0) <- read_uv c;
+    if n = 1 then [| ty0 |]
+    else begin
+      let tys = Array.make n ty0 in
+      for i = 1 to n - 1 do
+        tys.(i) <- ty_at (read_uv c);
+        res.(i) <- read_uv c
+      done;
+      tys
+    end
   end
 
 let rec read_attr_pairs c strs attr_at n =
@@ -982,13 +1006,18 @@ let rec decode_op c strs ((ty_at, attr_at) as pool) st ~blocks : Graph.op =
           else loc);
   let operands = read_operands c st (read_count c "operand") in
   let n_results = read_count c "result" in
-  let result_tys, res_idx = read_results c ty_at n_results in
+  let result_tys = read_results c ty_at st n_results in
   let attrs = read_attr_pairs c strs attr_at (read_count c "attribute") in
   (match Attr.duplicate_key attrs with
   | Some k -> cfail c "%s" (Attr.duplicate_key_message k) c.c_pos
   | None -> ());
   let successors = read_successors c blocks (read_count c "successor") in
-  let regions = decode_regions c strs pool st (read_count c "region") in
+  let n_regions = read_count c "region" in
+  (* Copied out first: the ops of the regions reuse the scratch. *)
+  let res_idx =
+    if n_regions = 0 then st.ms_res else Array.sub st.ms_res 0 n_results
+  in
+  let regions = decode_regions c strs pool st n_regions in
   let op =
     Graph.Op.create_prebuilt ~operands ~result_tys ~attrs ~regions
       ~successors ~loc ~handle name
@@ -1183,12 +1212,13 @@ module Stream = struct
                 d_pool = pool;
                 d_state =
                   {
-                    ms_vals = Array.make total_vals None;
+                    ms_vals = Array.make total_vals unbound;
                     ms_forwards = [];
                     ms_budget = sp.s_budget;
                     ms_ctx = sp.s_ctx;
                     ms_handles =
                       Array.make (Array.length strs) Graph.unresolved;
+                    ms_res = Array.make 8 0;
                   };
                 d_lens = lens;
                 d_i = 0;

@@ -405,9 +405,18 @@ let dyn_attr ~dialect ~name params = intern (Dyn_attr { dialect; name; params })
 let str = Buffer.add_string
 let chr = Buffer.add_char
 
-let rec add_nat b n =
-  if n >= 10 then add_nat b (n / 10);
-  chr b (Char.unsafe_chr (48 + (n mod 10)))
+(* Digits are written right to left into a per-domain scratch, then
+   appended with one blit. *)
+let digits = Domain.DLS.new_key (fun () -> Bytes.create 20)
+
+let rec put_digits d n i =
+  Bytes.unsafe_set d i (Char.unsafe_chr (48 + (n mod 10)));
+  if n >= 10 then put_digits d (n / 10) (i - 1) else i
+
+let add_nat b n =
+  let d = Domain.DLS.get digits in
+  let i = put_digits d n 19 in
+  Buffer.add_subbytes b d i (20 - i)
 
 let add_int b n = if n >= 0 then add_nat b n else str b (string_of_int n)
 

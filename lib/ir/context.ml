@@ -107,7 +107,9 @@ type vc_shard = {
   sh_ty : (unit, Diag.t) result Id_tbl.t;
   sh_attr : (unit, Diag.t) result Id_tbl.t;
   sh_names : Graph.op_handle Str_tbl.t;  (** slot = insertion rank *)
-  mutable sh_memo : op_sig list array;  (** by slot; verified Ok *)
+  mutable sh_memo : op_sig array array;
+      (** by slot: signatures that verified Ok, hottest first, padded with
+          [no_sig] *)
   mutable sh_hits : int;
   mutable sh_misses : int;
   mutable sh_memo_hits : int;
@@ -287,7 +289,7 @@ let cached_verify_attr t id verify a =
 (* Fixed bounds, so a resident server fed adversarial op names or a
    stream of distinct constants keeps each shard's memo small. *)
 let memo_max_ops = 4096
-let memo_max_sigs = 4
+let memo_max_sigs = 64
 
 (* A name past the bound gets a handle of its own, with no memo slot. *)
 let resolve_in t s name : Graph.op_handle =
@@ -304,7 +306,7 @@ let resolve_in t s name : Graph.op_handle =
         Str_tbl.add s.sh_names name h;
         filled t;
         if slot = Array.length s.sh_memo then
-          s.sh_memo <- Array.append s.sh_memo (Array.make (max 64 slot) [])
+          s.sh_memo <- Array.append s.sh_memo (Array.make (max 64 slot) [||])
       end;
       h
 
@@ -356,13 +358,28 @@ let sig_matches (op : Graph.op) sg =
   && same_attrs sg.sg_attrs op.attrs
   && same_regions sg.sg_regions op.regions
 
+(* Pads every slot's array past its last signature. *)
 let no_sig =
   { sg_operands = [||]; sg_results = [||]; sg_attrs = []; sg_regions = [];
     sg_successors = 0; sg_tail = "" }
 
-let rec sig_of op = function
-  | [] -> no_sig
-  | sg :: rest -> if sig_matches op sg then sg else sig_of op rest
+(* A slot orders itself by use: a hit moves its signature one place toward
+   the front, so the signatures a workload uses most sit first and a hit
+   takes one or two compares. A swap writes the array only when the hit
+   was not already in front. *)
+let rec sig_of op (sigs : op_sig array) i =
+  if i = Array.length sigs then no_sig
+  else
+    let sg = Array.unsafe_get sigs i in
+    if sg == no_sig then no_sig
+    else if not (sig_matches op sg) then sig_of op sigs (i + 1)
+    else begin
+      if i > 0 then begin
+        Array.unsafe_set sigs i (Array.unsafe_get sigs (i - 1));
+        Array.unsafe_set sigs (i - 1) sg
+      end;
+      sg
+    end
 
 let memo_mem t (h : Graph.op_handle) op =
   t.vc_enabled
@@ -370,7 +387,7 @@ let memo_mem t (h : Graph.op_handle) op =
   let s = shard t in
   h.oh_key = s.sh_key
   &&
-  if h.oh_slot >= 0 && sig_of op s.sh_memo.(h.oh_slot) != no_sig then (
+  if h.oh_slot >= 0 && sig_of op s.sh_memo.(h.oh_slot) 0 != no_sig then (
     s.sh_memo_hits <- s.sh_memo_hits + 1;
     true)
   else (
@@ -394,18 +411,29 @@ let signature (op : Graph.op) =
     sg_tail = "";
   }
 
-(* Fill-once: the first [memo_max_sigs] signatures that verify stay, and
-   later ones are never recorded. Evicting instead would make an op name
-   with more live signatures than slots (placeholder ops, constants with
-   distinct values) miss on every op. Only Ok verdicts are recorded, so
-   keeping any subset of them is sound. *)
+let rec first_free (sigs : op_sig array) i =
+  if i = Array.length sigs || sigs.(i) == no_sig then i
+  else first_free sigs (i + 1)
+
+(* A new signature goes last, in the first free place; a full slot doubles
+   up to [memo_max_sigs] and then records no more. Only Ok verdicts are
+   recorded, so keeping any subset of them is sound. Evicting instead
+   would let an op name with more live signatures than the cap (placeholder
+   ops, constants with distinct values) push out the hot ones. *)
 let memo_add t (h : Graph.op_handle) op =
   if t.vc_enabled && h.oh_slot >= 0 then
     let s = shard t in
     if h.oh_key = s.sh_key then
       let sigs = s.sh_memo.(h.oh_slot) in
-      if List.compare_length_with sigs memo_max_sigs < 0 then
-        s.sh_memo.(h.oh_slot) <- signature op :: sigs
+      let n = Array.length sigs in
+      let i = first_free sigs 0 in
+      if i < n then sigs.(i) <- signature op
+      else if n < memo_max_sigs then begin
+        let grown = Array.make (min memo_max_sigs (max 4 (2 * n))) no_sig in
+        Array.blit sigs 0 grown 0 n;
+        grown.(n) <- signature op;
+        s.sh_memo.(h.oh_slot) <- grown
+      end
 
 (* The printer's half of the memo: an op whose signature verified Ok
    copies the tail rendered for the first op of that signature. *)
@@ -413,7 +441,7 @@ let add_tail t (h : Graph.op_handle) op render buf =
   let sg =
     if t.vc_enabled && h.oh_slot >= 0 then
       let s = shard t in
-      if h.oh_key = s.sh_key then sig_of op s.sh_memo.(h.oh_slot) else no_sig
+      if h.oh_key = s.sh_key then sig_of op s.sh_memo.(h.oh_slot) 0 else no_sig
     else no_sig
   in
   if sg == no_sig then render buf op
@@ -449,7 +477,7 @@ let verify_stats t =
         vs_attr_entries = Id_tbl.length s.sh_attr;
         vs_memo_ops = Str_tbl.length s.sh_names;
         vs_memo_sigs =
-          Array.fold_left (fun n sigs -> n + List.length sigs) 0 s.sh_memo }
+          Array.fold_left (fun n sigs -> n + first_free sigs 0) 0 s.sh_memo }
   in
   locked t (fun () ->
       { (add_verify_stats t.vc_folded live) with

@@ -142,17 +142,20 @@ val cached_verify_attr :
     An op's IRDL verdict is a pure function of its signature: the operand
     and result types, the [(name, attribute)] list, the region count, each
     region's entry-block argument types (no entry block is distinct from
-    zero arguments) and the successor count. A slot holds the first
+    zero arguments) and the successor count. A slot holds up to
     {!memo_max_sigs} signatures that verified [Ok], never evicted, each
-    with the printer's rendering of it once printed. Signatures compare
-    with [==] on interned nodes, so a node from another domain's uniquer
-    just misses. Errors are never recorded. The memo is flushed with the
-    type/attribute cache and off when it is. The handle given to
-    {!memo_mem}, {!memo_add} and {!add_tail} must come from {!handle} or
-    {!resolve} on the calling domain. *)
+    with the printer's rendering of it once printed. It orders itself by
+    use: a hit ({!memo_mem}, {!add_tail}) moves its signature one place
+    toward the front, so a hot signature is found in one or two compares.
+    Signatures compare with [==] on interned nodes, so a node from another
+    domain's uniquer just misses. Errors are never recorded. The memo is
+    flushed with the type/attribute cache and off when it is. The handle
+    given to {!memo_mem}, {!memo_add} and {!add_tail} must come from
+    {!handle} or {!resolve} on the calling domain. *)
 
 val memo_max_ops : int
 val memo_max_sigs : int
+(** Signatures one memo slot keeps (64). *)
 
 val resolve : t -> Graph.op_handle -> string -> Graph.op_handle
 (** [resolve t h name]: [h] if valid, else [name]'s handle — one probe of
@@ -167,8 +170,9 @@ val memo_mem : t -> Graph.op_handle -> Graph.op -> bool
     nothing. *)
 
 val memo_add : t -> Graph.op_handle -> Graph.op -> unit
-(** Record [op]'s signature as verified [Ok] while the slot holds fewer
-    than {!memo_max_sigs}; a full slot is left as it is. *)
+(** Append [op]'s signature, verified [Ok], after the slot's others
+    while it holds fewer than {!memo_max_sigs}; a full slot is left as it
+    is. *)
 
 val add_tail :
   t -> Graph.op_handle -> Graph.op -> (Buffer.t -> Graph.op -> unit) ->

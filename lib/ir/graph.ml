@@ -290,8 +290,10 @@ module Op = struct
         op_loc = loc;
       }
     in
+    (* One-element arrays are literals: [Array.make] is a C call. *)
     let n_operands = Array.length operands in
-    if n_operands > 0 then begin
+    if n_operands = 1 then op.op_operands <- [| make_use op 0 operands.(0) |]
+    else if n_operands > 1 then begin
       let uses = Array.make n_operands (make_use op 0 operands.(0)) in
       for i = 1 to n_operands - 1 do
         uses.(i) <- make_use op i operands.(i)
@@ -299,7 +301,11 @@ module Op = struct
       op.op_operands <- uses
     end;
     let n_results = Array.length result_tys in
-    if n_results > 0 then begin
+    if n_results = 1 then
+      op.op_results <-
+        [| { v_id = next_id (); v_ty = result_tys.(0);
+             v_def = Op_result { op; index = 0 }; v_first_use = None } |]
+    else if n_results > 1 then begin
       let res =
         Array.make n_results
           {

@@ -25,23 +25,29 @@ module Int_tbl = Hashtbl.Make (Int)
 
 (* Printed numbers by id (value or block), assigned on first use, strictly
    in emission order. Ids come from one counter, so the ids a session
-   prints are dense: the numbers live in pages of 256 slots keyed by
-   [id / 256], and the page last used is cached. A name costs two array
-   reads rather than a hash lookup, and a page less memory than a hash
-   entry per id. *)
+   prints are dense: the numbers live in pages of 1024 slots keyed by
+   [id / 1024], and the page last used is cached. A name costs two reads
+   rather than a hash lookup. A page is [Bytes] holding number + 1 as an
+   int32 per slot (0: none yet): 4 KB, past the minor heap's largest
+   block, so it is allocated straight into the major heap, where the GC
+   neither copies nor scans it. A small print (a server request) touches
+   a page or two. *)
 module Numbering = struct
+  let page_bits = 10
+  let page_slots = 1 lsl page_bits
+
   type t = {
-    pages : int array Int_tbl.t;
+    pages : Bytes.t Int_tbl.t;
     mutable last_key : int;
-    mutable last : int array;
+    mutable last : Bytes.t;
     mutable next : int;
   }
 
   let create () =
-    { pages = Int_tbl.create 16; last_key = -1; last = [||]; next = 0 }
+    { pages = Int_tbl.create 16; last_key = -1; last = Bytes.empty; next = 0 }
 
   let number t id =
-    let key = id lsr 8 in
+    let key = id lsr page_bits in
     let page =
       if key = t.last_key then t.last
       else begin
@@ -49,7 +55,7 @@ module Numbering = struct
           match Int_tbl.find t.pages key with
           | p -> p
           | exception Not_found ->
-              let p = Array.make 256 (-1) in
+              let p = Bytes.make (4 * page_slots) '\000' in
               Int_tbl.add t.pages key p;
               p
         in
@@ -58,13 +64,13 @@ module Numbering = struct
         p
       end
     in
-    let i = id land 255 in
-    let n = page.(i) in
+    let at = 4 * (id land (page_slots - 1)) in
+    let n = Int32.to_int (Bytes.get_int32_le page at) - 1 in
     if n >= 0 then n
     else begin
       let n = t.next in
       t.next <- n + 1;
-      page.(i) <- n;
+      Bytes.set_int32_le page at (Int32.of_int (n + 1));
       n
     end
 end

@@ -163,6 +163,17 @@ let roundtrip_generated_text () =
       Alcotest.failf "round-trip mismatch on generated text:\n%s" src
   done
 
+(* Every op a streaming session yields, in order. *)
+let stream_all ctx blob =
+  let session = Bytecode.Stream.create ctx blob in
+  let rec drain acc =
+    match Bytecode.Stream.next session with
+    | Ok None -> List.rev acc
+    | Ok (Some op) -> drain (op :: acc)
+    | Error d -> Alcotest.failf "stream error: %s" (Diag.to_string d)
+  in
+  drain []
+
 (* Streaming load agrees with materializing load (it is the same code
    path, drained): same op count, same structure. *)
 let stream_equals_materialize () =
@@ -170,17 +181,46 @@ let stream_equals_materialize () =
   for _ = 1 to 50 do
     let ops = rand_module st in
     let blob = emit_ok "emit" ops in
-    let session = Bytecode.Stream.create (ctx ()) blob in
-    let rec drain acc =
-      match Bytecode.Stream.next session with
-      | Ok None -> List.rev acc
-      | Ok (Some op) -> drain (op :: acc)
-      | Error d -> Alcotest.failf "stream error: %s" (Diag.to_string d)
-    in
-    let streamed = drain [] in
-    if not (Bytecode.Equal.module_eq ops streamed) then
+    if not (Bytecode.Equal.module_eq ops (stream_all (ctx ()) blob)) then
       Alcotest.fail "streamed load differs from emitted module"
   done
+
+(* Text -> bytecode -> text gives the same text, and a streaming session
+   yields the ops the materializing reader builds. The decoder keeps an
+   op's result indices in a scratch that the ops of its regions reuse, so
+   these shapes pin that each op binds its own results. *)
+let decodes_back src () =
+  let c = ctx () in
+  let ops = check_ok "parse" (Irdl_ir.Parser.parse_ops c src) in
+  let text = Irdl_ir.Printer.ops_to_string ~generic:true c ops in
+  let blob = emit_ok "emit" ops in
+  let c' = ctx () in
+  let loaded = load_ok "load" c' blob in
+  Alcotest.(check string) "text -> bytecode -> text" text
+    (Irdl_ir.Printer.ops_to_string ~generic:true c' loaded);
+  Alcotest.(check bool) "streamed = materialized" true
+    (Bytecode.Equal.module_eq loaded (stream_all (ctx ()) blob))
+
+let two_results_around_one_and_three =
+  {|%a, %b = "t.pair"() ({
+  %c = "t.one"() : () -> i32
+  %d, %e, %f = "t.three"(%c) : (i32) -> (i32, f32, i64)
+  "t.yield"(%d, %f) : (i32, i64) -> ()
+}) : () -> (i32, f32)
+%g = "t.use"(%a, %b) : (i32, f32) -> i32|}
+
+let one_result_with_a_region =
+  {|%a = "t.wrap"() ({
+^bb0(%x: i32):
+  %b, %c = "t.two"(%x) : (i32) -> (i32, f32)
+  "t.yield"(%c) : (f32) -> ()
+}) : () -> i64
+%d = "t.use"(%a) : (i64) -> i64|}
+
+let forward_use_of_second_result =
+  {|%x = "t.fwd"(%q) : (f32) -> i32
+%p, %q = "t.two"() : () -> (i32, f32)
+%y = "t.use"(%p, %x) : (i32, i32) -> i32|}
 
 (* ---------------- multi-document buffers ---------------- *)
 
@@ -621,6 +661,12 @@ let suite =
     tc "round-trip: corpus + cmath dialects" roundtrip_corpus_dialects;
     tc "round-trip: generated dialects (1000)" roundtrip_generated_dialects;
     tc "stream equals materialize" stream_equals_materialize;
+    tc "decoder: a 2-result op around 1- and 3-result ops"
+      (decodes_back two_results_around_one_and_three);
+    tc "decoder: a 1-result op with a region"
+      (decodes_back one_result_with_a_region);
+    tc "decoder: a forward use of a second result"
+      (decodes_back forward_use_of_second_result);
     tc "multi-document buffers" multi_document;
     tc "writer: undefined value" writer_undefined_value;
     tc "writer: top-level successor" writer_toplevel_successor;

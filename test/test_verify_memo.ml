@@ -477,8 +477,7 @@ let verify_allocation_budget () =
 let memo_does_not_thrash () =
   let ctx = Context.create () in
   let tys =
-    [| Attr.i1; Attr.i8; Attr.i16; Attr.i32; Attr.i64; Attr.f32; Attr.f64;
-       Attr.index |]
+    Array.init (Context.memo_max_sigs + 8) (fun i -> Attr.integer (i + 1))
   in
   let round () =
     Array.iter
@@ -498,6 +497,47 @@ let memo_does_not_thrash () =
     true (hits >= misses);
   Alcotest.(check int) "signatures stay at the cap" Context.memo_max_sigs
     s.vs_memo_sigs
+
+(* One unregistered placeholder name with 39 result types, the hot ones
+   visited most, as the placeholders of a generated module are: each type
+   misses once, every later visit hits, and a warm repeat allocates
+   nothing. Type [j] is visited [39 - j] times, in rounds that drop the
+   coldest type each time. *)
+let placeholder_types_hit () =
+  let ctx = Context.create () in
+  let n = 39 in
+  let tys = Array.init n (fun j -> Attr.integer (j + 1)) in
+  let ops =
+    Array.of_list
+      (List.concat_map
+         (fun r ->
+           List.init (n - r) (fun j ->
+               Graph.Op.create ~result_tys:[ tys.(j) ] "test.source"))
+         (List.init n Fun.id))
+  in
+  let visits = Array.length ops and failed = ref false in
+  let verify_each () =
+    for i = 0 to visits - 1 do
+      match Verifier.verify_op ctx ops.(i) with
+      | Ok () -> ()
+      | Error _ -> failed := true
+    done
+  in
+  let s0 = memo_stats ctx in
+  verify_each ();
+  let s = memo_stats ctx in
+  Alcotest.(check int) "visits" (n * (n + 1) / 2) visits;
+  Alcotest.(check int) "one miss per type" n
+    (s.vs_memo_misses - s0.vs_memo_misses);
+  Alcotest.(check int) "every later visit hits" (visits - n)
+    (s.vs_memo_hits - s0.vs_memo_hits);
+  let before = Gc.minor_words () in
+  verify_each ();
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "all verified" false !failed;
+  Alcotest.(check (float 0.)) "a warm repeat allocates nothing" 0. words;
+  Alcotest.(check int) "no miss when warm" 0
+    ((memo_stats ctx).vs_memo_misses - s.vs_memo_misses)
 
 (* ---------------------------------------------------------------- *)
 (* Op handles                                                        *)
@@ -612,10 +652,10 @@ let func blk =
 (* 300 rounds of cmath.mul, cmath.norm and an unregistered t.v, the muls
    and t.vs carrying 8 shared payloads of 32 dynamic attributes. A mul's
    signature is its payload (i mod 8), a t.v's its BoundedVector size
-   (i mod 16), so both names have more signatures than a memo slot keeps.
-   A warm re-verify takes every type and attribute from the cache and hits
-   the memo on exactly the norms, the t.func, and the muls and t.vs of the
-   first [memo_max_sigs] signatures. *)
+   (i mod 16). A warm re-verify takes every type and attribute from the
+   cache and hits the memo on exactly the norms, the t.func, and the muls
+   and t.vs of the first [memo_max_sigs] signatures of their names: with
+   the memo's cap above 16 that is every op. *)
 let warm_module_hits_the_memo () =
   let payloads =
     Array.init 8 (fun k ->
@@ -726,6 +766,7 @@ let suite =
       verify_allocation_budget;
     tc "a name with more signatures than slots still hits"
       memo_does_not_thrash;
+    tc "39 placeholder types each miss once" placeholder_types_hit;
     tc "an op parsed before its dialect verifies against it"
       parsed_before_registration;
     tc "two contexts in turn use their own definitions" two_contexts_in_turn;

@@ -14,15 +14,14 @@
    `--verify-diagnostics` checks produced diagnostics against
    `expected-error {{...}}` annotations, MLIR-style.
 
-   `--jobs N` verifies independent chunks on N domains (at most one per
-   core) over the one resident (frozen) dialect registry; `--batch` feeds
-   many IR files into a single run. Workers collect diagnostics in a local
-   engine, pre-render them against their own source registrations, and
-   the main domain replays everything in input order — so a parallel run
-   is byte-identical to `--jobs 1` (same stderr, same stdout, same exit
-   code, same --diag-json). Flags whose output is inherently cross-chunk —
-   --max-errors, --pass-timing[-json], the IR print-around-pass dumps —
-   force the sequential path, with a warning.
+   Every run with input documents is one batch of chunk tasks on
+   `--jobs N` domains (at most one per core; with one, the calling domain
+   runs the tasks in order) over the one resident, frozen dialect
+   registry; `--batch` feeds many IR files into that batch. A task
+   renders nothing: it returns its diagnostics, IR dumps and timing, and
+   the calling domain replays them in input order through the main
+   engine. So every flag composes with `--jobs`, and the output of a run
+   does not depend on it.
 
    Exit codes: 0 success; 1 parse-class failure (IRDL/pattern/pipeline/IR
    parsing); 2 verify-class failure (verifier or pass failures on IR that
@@ -36,10 +35,9 @@
    `--verify-each` re-runs the (memoized) verifier between passes so a
    pass that breaks IR invariants is caught and attributed by name.
 
-   Every chunk, sequential or under `--jobs`, runs through the one chunk
-   driver `Frontend.run`: with no pipeline each top-level op is parsed,
-   verified, printed and released as it arrives; with a pipeline the ops
-   are kept for it. *)
+   Every chunk runs through the one chunk driver `Frontend.run`: with no
+   pipeline each top-level op is parsed, verified, printed and released
+   as it arrives; with a pipeline the ops are kept for it. *)
 
 open Cmdliner
 module Diag = Irdl_support.Diag
@@ -52,18 +50,17 @@ module Frontend = Irdl_bytecode.Frontend
 module Source = Frontend.Source
 module Server = Irdl_server.Server
 
-(* Output arrives as pages (see [Frontend.Sink]); they are written in
-   order and never joined. *)
-let write_binary path pages =
+(* Every output file of a run goes through here: [pages] written in order
+   to [path], or to [std] for "-" (stderr for the text timing report,
+   stdout for everything else). Bytes go out as they are, never joined. *)
+let write_out ~std path pages =
   if path = "-" then begin
-    Out_channel.set_binary_mode stdout true;
-    List.iter print_string pages
+    Out_channel.set_binary_mode std true;
+    List.iter (output_string std) pages
   end
-  else begin
-    let oc = open_out_bin path in
-    List.iter (output_string oc) pages;
-    close_out oc
-  end
+  else
+    Out_channel.with_open_bin path (fun oc ->
+        List.iter (output_string oc) pages)
 
 (* An optional header, each chunk's printed pages with a [// -----] line
    between chunks, and a final newline, written straight to stdout: the
@@ -82,6 +79,13 @@ let print_outs ?header = function
       print_char '\n';
       flush stdout
 
+(* What a chunk task hands back for the calling domain to replay, in the
+   order it happened. *)
+type event =
+  | Diagnostic of Diag.t
+  | Ir_dump of string
+  | Timing of Irdl_pass.Pass_manager.report
+
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -98,26 +102,13 @@ let fail_diag d =
   Fmt.epr "%a@." Diag.pp d;
   exit 1
 
-let with_out_channel path f =
-  if path = "-" then f Fmt.stderr
-  else
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        let ppf = Format.formatter_of_out_channel oc in
-        f ppf;
-        Format.pp_print_flush ppf ())
-
 (* --jobs N asks for N domains (0: the recommended count) and gets at most
    one per core: past the core count the domains only take turns, and on
    a 1-core box 4 domains parsed and verified corpus chunks 2.7x slower
    than 1. *)
-let jobs_requested jobs =
-  if jobs <= 0 then Domain.recommended_domain_count () else jobs
-
 let jobs_domains jobs =
-  min (jobs_requested jobs) (Domain.recommended_domain_count ())
+  let cores = Domain.recommended_domain_count () in
+  if jobs <= 0 then cores else min jobs cores
 
 (* GC pacing of a [--listen] server: OCaml 4's default, below 5.1's 120.
    Its serve loops allocate on several domains at once, which lets the
@@ -208,6 +199,8 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
    | Some mode, Some (flag, _) ->
        mode_conflict (Printf.sprintf "%s cannot be combined with %s" flag mode)
    | _ -> ());
+  if Option.is_some batch && Option.is_some input then
+    mode_conflict "--batch cannot be combined with a positional INPUT";
   (* Client mode: one framed request against a resident server; the
      response's diagnostics (pre-rendered, byte-identical to a one-shot
      run) go to stderr, the output to stdout, and the exit code mirrors
@@ -239,7 +232,7 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
           prerr_string rs.Server.rs_diags;
           (match emit_bytecode with
           | Some out when rs.Server.rs_output <> "" ->
-              write_binary out [ rs.Server.rs_output ]
+              write_out ~std:stdout out [ rs.Server.rs_output ]
           | _ -> print_string rs.Server.rs_output);
           exit (Server.status_exit_code rs.Server.rs_status)));
   let engine = Diag.Engine.create ~max_errors () in
@@ -253,13 +246,7 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
   if with_cmath then Irdl_dialects.Cmath.register_hooks native;
   let finish code =
     Option.iter
-      (fun path ->
-        let json = Diag.Engine.to_json engine in
-        if path = "-" then print_string json
-        else
-          let oc = open_out path in
-          output_string oc json;
-          close_out oc)
+      (fun path -> write_out ~std:stdout path [ Diag.Engine.to_json engine ])
       diag_json;
     if verify_stats then
       Fmt.epr "verification cache: %a@." Irdl_ir.Context.pp_verify_stats
@@ -305,7 +292,7 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
       match
         Bytecode.Write.dialects_to_string (List.rev !resolved_dialects)
       with
-      | Ok blob -> write_binary out [ blob ]
+      | Ok blob -> write_out ~std:stdout out [ blob ]
       | Error d -> fail_diag d)
     emit_dialect_bytecode;
   (* Textual rewrite patterns (fully dynamic pattern-based flow, paper §3);
@@ -329,21 +316,17 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
     parse_failed := true;
   (* Resolve the pipeline before touching the input so a malformed pipeline
      fails fast. Pipeline text carries no annotations to expect diagnostics
-     against, so this is fatal even under --verify-diagnostics. *)
-  let pipeline_src =
-    (* -p patterns with no --pass-pipeline run as 'canonicalize'. *)
-    match pipeline with
-    | None when patterns <> [] -> Some "canonicalize"
-    | p -> p
-  in
+     against, so this is fatal even under --verify-diagnostics. Passes are
+     stateless closures, shared by every chunk task. *)
   let passes =
-    match pipeline_src with
-    | None -> []
-    | Some src -> (
+    match (pipeline, patterns) with
+    | None, [] -> []
+    | src, _ -> (
+        (* -p patterns with no --pass-pipeline run as 'canonicalize'. *)
         match
           Irdl_pass.Pipeline.parse
             ~available:(Irdl_pass.Passes.builtin ~patterns ())
-            src
+            (Option.value src ~default:"canonicalize")
         with
         | Ok passes -> passes
         | Error d ->
@@ -387,116 +370,108 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
     Logs.info (fun m -> m "served %d request(s)" answered);
     finish 0
   end;
-  (* Run a pipeline over [ops]: the diagnostics of a failing pass, or of
-     re-verifying the transformed IR. [timing] carries the
-     --pass-timing[-json] sinks on the sequential path; parallel workers
-     pass [None] (those flags force sequential execution). *)
-  let run_passes ~timing passes ops =
-    (* Run the pipeline (even over an empty module: the timing report is
-       still produced, with every pass at zero ops). *)
+  (* Run the pipeline over [ops] (even over an empty module: the timing
+     report is still produced, with every pass at zero ops): its report
+     when every pass ran, and the diagnostics of a failing pass or of
+     re-verifying the transformed IR. *)
+  let run_passes ?dump ops =
     let mgr =
       Irdl_pass.Pass_manager.create ~verify_each ~print_ir_before
-        ~print_ir_after ~print_ir_before_all ~print_ir_after_all passes
+        ~print_ir_after ~print_ir_before_all ~print_ir_after_all ?dump passes
     in
     match Irdl_pass.Pass_manager.run mgr ctx ops with
-    | Error d -> [ d ]
+    | Error d -> (None, [ d ])
     | Ok report ->
-        (match timing with
-        | None -> ()
-        | Some (pass_timing, pass_timing_json) ->
-            Option.iter
-              (fun path ->
-                with_out_channel path (fun ppf ->
-                    Irdl_pass.Pass_manager.pp_report ppf report))
-              pass_timing;
-            Option.iter
-              (fun path ->
-                let json = Irdl_pass.Pass_manager.report_to_json report in
-                if path = "-" then print_string json
-                else
-                  let oc = open_out path in
-                  output_string oc json;
-                  close_out oc)
-              pass_timing_json);
         (* Whatever ran — CSE and DCE included — the transformed IR must
            still verify, pipeline instrumentation or not. *)
-        Irdl_ir.Verifier.verify_ops_all ctx ops
+        (Some report, Irdl_ir.Verifier.verify_ops_all ctx ops)
   in
-  (* --emit-bytecode switches every output sink from the textual printer
-     to the bytecode emitter; everything else (chunking, verification,
-     parallelism, exit codes) is format-independent. *)
-  let emit_binary = Option.is_some emit_bytecode in
+  let write_timing report =
+    Option.iter
+      (fun path ->
+        write_out ~std:stderr path
+          [ Fmt.str "%a" Irdl_pass.Pass_manager.pp_report report ])
+      pass_timing;
+    Option.iter
+      (fun path ->
+        write_out ~std:stdout path
+          [ Irdl_pass.Pass_manager.report_to_json report ])
+      pass_timing_json
+  in
   (* The one-shot budget. The deadline clock starts here — dialect loading
      is setup, not input processing. *)
   let run_limits =
     if deadline_ms > 0 then Limits.with_deadline_ms base_limits deadline_ms
     else base_limits
   in
-  (* One input chunk through the chunk driver, against an arbitrary
-     engine: the sequential driver passes the main engine, parallel workers
-     a local one (replayed in input order afterwards). A chunk that fails
-     to parse or verify never blocks the chunks after it. *)
-  let process_chunk ~engine ~timing passes ~path payload =
-    if load_bytecode && not (Source.is_binary payload) then begin
-      Diag.Engine.emit engine
-        (Diag.error
-           ~loc:(Irdl_support.Loc.point (Irdl_support.Loc.start_of_file path))
-           "--load-bytecode: input is not IRDL bytecode (bad magic)");
-      { Frontend.parse_failed = true; verify_failed = false; output = None }
-    end
-    else
-      let sink =
-        if verify_only || verify_diagnostics then None
-        else if emit_binary then Some (Frontend.Sink.bytecode ())
-        else Some (Frontend.Sink.text ~generic ctx)
-      in
-      let pipeline =
-        if passes = [] then None else Some (run_passes ~timing passes)
-      in
-      Frontend.run ~file:path ~engine ~limits:run_limits ~verify:true ?sink
-        ?pipeline ctx payload
+  (* One chunk through the chunk driver, against the task's own engine. A
+     task renders nothing: it hands back its diagnostics, IR dumps and
+     timing report in the order they happened, the errors its engine
+     suppressed and its outcome. A chunk that fails to parse or verify
+     never blocks the chunks after it. *)
+  let chunk_task path chunk () =
+    let engine = Diag.Engine.create ~max_errors () in
+    let events = ref [] in
+    Diag.Engine.add_handler engine (fun d -> events := Diagnostic d :: !events);
+    let outcome =
+      if load_bytecode && not (Source.is_binary chunk) then begin
+        Diag.Engine.emit engine
+          (Diag.error
+             ~loc:(Irdl_support.Loc.point (Irdl_support.Loc.start_of_file path))
+             "--load-bytecode: input is not IRDL bytecode (bad magic)");
+        { Frontend.parse_failed = true; verify_failed = false; output = None }
+      end
+      else
+        let sink =
+          if verify_only || verify_diagnostics then None
+          else if Option.is_some emit_bytecode then
+            Some (Frontend.Sink.bytecode ())
+          else Some (Frontend.Sink.text ~generic ctx)
+        in
+        let dump ctx header ops =
+          events :=
+            Ir_dump (Irdl_pass.Pass_manager.render_dump ctx header ops)
+            :: !events
+        in
+        let pipeline ops =
+          let report, ds = run_passes ~dump ops in
+          Option.iter (fun r -> events := Timing r :: !events) report;
+          ds
+        in
+        Frontend.run ~file:path ~engine ~limits:run_limits ~verify:true ?sink
+          ?pipeline:(if passes = [] then None else Some pipeline)
+          ctx chunk
+    in
+    (List.rev !events, Diag.Engine.suppressed_count engine, outcome)
   in
-  if Option.is_some batch && Option.is_some input then begin
-    Fmt.epr "irdl-opt: --batch cannot be combined with a positional INPUT@.";
-    finish 1
-  end;
-  (* Documents are (path, fetch) pairs producing classified payloads
-     (text or bytecode, sniffed by magic): --batch files are fetched
-     lazily so the sequential driver keeps at most one source resident
-     (and can drop it once processed), instead of materializing a whole
-     corpus up front. A positional input is read eagerly ([Source.read]
-     peeks stdin without seeking; stdin cannot be re-read). *)
+  (* Every input document, read up front and classified (text or
+     bytecode, sniffed by magic; [Source.read] peeks stdin without
+     seeking). Under --verify-diagnostics one walk of a text document
+     gives both its chunks and its annotations, kept for the check at the
+     end. *)
   let docs =
     try
-      match batch with
-      | Some bpath ->
+      (match (batch, input) with
+      | Some bpath, _ ->
           List.map
-            (fun p -> (p, fun () -> Source.classify (read_file p)))
+            (fun p -> (p, Source.classify (read_file p)))
             (batch_inputs bpath)
-      | None -> (
-          match input with
-          | None -> []
-          | Some path ->
-              let payload = Source.read path in
-              [ (path, fun () -> payload) ])
+      | None, Some path -> [ (path, Source.read path) ]
+      | None, None -> [])
+      |> List.map (fun (path, payload) ->
+             match payload with
+             | Source.Text (src, _) when verify_diagnostics ->
+                 (path, payload, Some (Harness.scan ~file:path src))
+             | _ -> (path, payload, None))
     with Sys_error msg ->
       Fmt.epr "irdl-opt: %s@." msg;
       finish 1
   in
-  let fetch_doc fetch =
-    try fetch ()
-    with Sys_error msg ->
-      Fmt.epr "irdl-opt: %s@." msg;
-      finish 1
-  in
-  (* Each text document's annotations once a walk has found them. *)
-  let doc_scans = Array.make (List.length docs) None in
   (match docs with
   | [] when batch = None ->
       if passes <> [] then begin
-        let ds =
-          run_passes ~timing:(Some (pass_timing, pass_timing_json)) passes []
-        in
+        let report, ds = run_passes [] in
+        Option.iter write_timing report;
         List.iter (Diag.Engine.emit engine) ds;
         if ds <> [] then verify_failed := true
       end
@@ -512,159 +487,87 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
       (* The unit of work is one chunk of one document: --split-input-file
          cuts text at '// -----' lines and bytecode at document
          boundaries, --batch contributes one document per file; both
-         compose. *)
-      let doc_outs = Array.make (List.length docs) [] in
-      (* Chunks and annotations come from the same lines: under
-         --verify-diagnostics one walk of a text document gives both, and
-         its annotations are kept for the check at the end. *)
-      let chunks_of di path payload =
+         compose. Each text document is registered here, once, so that
+         this domain renders every snippet; one that --load-bytecode
+         rejects stays unregistered and whole, for one error with no
+         snippet. *)
+      let chunks_of path payload scan =
         match payload with
-        | Source.Text (src, _) when verify_diagnostics ->
-            let windows, scanned = Harness.scan ~file:path src in
-            doc_scans.(di) <- Some scanned;
-            if split_input_file then
-              List.map (fun w -> Source.Text (src, w)) windows
-            else [ payload ]
-        | _ -> Source.chunks ~split:split_input_file payload
+        | Source.Text _ when load_bytecode -> [ payload ]
+        | Source.Text (src, _) -> (
+            Diag.Sources.register ~file:path src;
+            match scan with
+            | Some (windows, _) when split_input_file ->
+                List.map (fun w -> Source.Text (src, w)) windows
+            | _ -> Source.chunks ~split:split_input_file payload)
+        | Source.Binary _ -> Source.chunks ~split:split_input_file payload
       in
-      let n_jobs = jobs_domains jobs in
-      (* --max-errors couples chunks (the cap is global); the pass
-         instrumentation sinks interleave per-chunk output. Both are
-         inherently sequential: fall back, and say so. *)
-      let sequential_flags =
-        List.filter_map
-          (fun (on, flag) -> if on then Some flag else None)
-          [
-            (max_errors <> 0, "--max-errors");
-            (pass_timing <> None, "--pass-timing");
-            (pass_timing_json <> None, "--pass-timing-json");
-            (print_ir_before <> [], "--print-ir-before");
-            (print_ir_after <> [], "--print-ir-after");
-            (print_ir_before_all, "--print-ir-before-all");
-            (print_ir_after_all, "--print-ir-after-all");
-          ]
-      in
-      if jobs_requested jobs > 1 && sequential_flags <> [] then
-        Fmt.epr "irdl-opt: warning: --jobs %d ignored: %s runs sequentially@."
-          jobs
-          (String.concat ", " sequential_flags);
-      let note di (r : Frontend.outcome) =
-        if r.parse_failed then parse_failed := true;
-        if r.verify_failed then verify_failed := true;
-        Option.iter (fun o -> doc_outs.(di) <- o :: doc_outs.(di)) r.output
-      in
-      (* Parallel execution needs every chunk cut up front (the workers
-         share the task array); the sequential driver below keeps one
-         document resident at a time instead. Chunks are windows of their
-         document, whose text is registered here, once, for every worker
-         to render snippets from. *)
       let tasks =
-        if n_jobs > 1 && sequential_flags = [] then
-          List.concat
-            (List.mapi
-               (fun di (path, fetch) ->
-                 let payload = fetch_doc fetch in
-                 (match payload with
-                 | Source.Text (src, _) -> Diag.Sources.register ~file:path src
-                 | Source.Binary _ -> ());
-                 List.map
-                   (fun chunk -> (di, path, chunk))
-                   (chunks_of di path payload))
-               docs)
-          |> Array.of_list
-        else [||]
+        List.concat
+          (List.mapi
+             (fun di (path, payload, scan) ->
+               List.map
+                 (fun chunk -> (di, path, chunk))
+                 (chunks_of path payload scan))
+             docs)
+        |> Array.of_list
       in
-      if Array.length tasks <= 1 then
-        List.iteri
-          (fun di (path, fetch) ->
-            let src = fetch_doc fetch in
-            List.iter
-              (fun chunk ->
-                note di
-                  (process_chunk ~engine
-                     ~timing:(Some (pass_timing, pass_timing_json))
-                     passes ~path chunk))
-              (chunks_of di path src);
-            (* This document's diagnostics are flushed (handlers render at
-               emit time): drop its buffer so a long --batch run does not
-               retain every processed source. *)
-            if Option.is_some batch && not verify_diagnostics then
-              Diag.Sources.drop path)
-          docs
-      else begin
-        (* Registration is over: freeze the context so every domain can
-           look definitions up (and verify against its own cache shard)
-           without synchronization. *)
-        Irdl_ir.Context.freeze ctx;
-        let sources = Diag.Sources.snapshot () in
-        (* Under --verify-diagnostics the rendered text is never printed,
-           only the diagnostics are matched: skip rendering it. *)
-        let render d =
-          if verify_diagnostics then "" else Fmt.str "%a" Diag.pp_rendered d
-        in
-        let thunks =
-          Array.map
-            (fun (_, path, chunk) () ->
-              (* The main domain's sources (dialect files and the inputs),
-                 so worker-side rendering has the same snippets. *)
-              Diag.Sources.preload sources;
-              let worker_engine = Diag.Engine.create () in
-              let rendered = ref [] in
-              Diag.Engine.add_handler worker_engine (fun d ->
-                  rendered := (d, render d) :: !rendered);
-              (* Pass instances are cheap per-chunk values; re-deriving
-                 them here keeps workers from sharing any pass state. The
-                 string parsed fine on the main domain, so it parses
-                 fine here. *)
-              let wpasses =
-                match pipeline_src with
-                | None -> []
-                | Some src ->
-                    Diag.get_ok
-                      (Irdl_pass.Pipeline.parse
-                         ~available:(Irdl_pass.Passes.builtin ~patterns ())
-                         src)
-              in
-              let r =
-                process_chunk ~engine:worker_engine ~timing:None wpasses ~path
-                  chunk
-              in
-              (List.rev !rendered, r))
-            tasks
-        in
-        let results =
-          Domain_pool.with_pool ~domains:n_jobs (fun pool ->
-              Domain_pool.run pool thunks)
-        in
-        (* Replay in input order: counts and --diag-json through the main
-           engine, pre-rendered text straight to stderr — byte-identical
-           to the sequential printer handler. *)
-        Array.iteri
-          (fun i (diags, r) ->
-            let di, _, _ = tasks.(i) in
-            List.iter
-              (fun (d, rendered) ->
-                Diag.Engine.record engine d;
-                if not verify_diagnostics then Fmt.epr "%s@." rendered)
-              diags;
-            note di r)
-          results
-      end;
+      (* Registration is over: freeze the context so every domain can look
+         definitions up (and verify against its own cache shard) without
+         synchronization. With one domain the tasks run in order on this
+         one, and nothing is spawned. *)
+      Irdl_ir.Context.freeze ctx;
+      let results =
+        Domain_pool.with_pool ~domains:(jobs_domains jobs) (fun pool ->
+            Domain_pool.run pool
+              (Array.map (fun (_, path, chunk) -> chunk_task path chunk) tasks))
+      in
+      (* Replay in input order through the main engine: its printer
+         renders, the run-wide --max-errors cap applies and --diag-json
+         counts. The run's one timing report, summed over its chunks,
+         goes where a one-chunk run's goes: with the last chunk's, before
+         the diagnostics of re-verifying that chunk. So --jobs changes no
+         byte of any output. *)
+      let reports =
+        Array.to_list results
+        |> List.concat_map (fun (events, _, _) ->
+               List.filter_map
+                 (function Timing r -> Some r | _ -> None)
+                 events)
+      in
+      let untimed = ref (List.length reports) in
+      let doc_outs = Array.make (List.length docs) [] in
+      Array.iteri
+        (fun i (events, suppressed, (r : Frontend.outcome)) ->
+          let di, _, _ = tasks.(i) in
+          List.iter
+            (function
+              | Diagnostic d -> Diag.Engine.emit engine d
+              | Ir_dump s -> Fmt.epr "%s@." s
+              | Timing _ ->
+                  decr untimed;
+                  if !untimed = 0 then
+                    Option.iter write_timing
+                      (Irdl_pass.Pass_manager.merge_reports reports))
+            events;
+          Diag.Engine.add_suppressed engine suppressed;
+          if r.parse_failed then parse_failed := true;
+          if r.verify_failed then verify_failed := true;
+          Option.iter (fun o -> doc_outs.(di) <- o :: doc_outs.(di)) r.output)
+        results;
       (match emit_bytecode with
       | Some out ->
           (* Bytecode documents are self-delimiting and concatenate, so
              the assembled output is the plain concatenation in input
              order — headers or separators would corrupt the stream. *)
-          let blobs =
-            List.concat (List.mapi (fun di _ -> List.rev doc_outs.(di)) docs)
-          in
-          if blobs <> [] then write_binary out (List.concat blobs)
+          let blobs = List.concat_map List.rev (Array.to_list doc_outs) in
+          if blobs <> [] then write_out ~std:stdout out (List.concat blobs)
       | None -> (
           match batch with
           | None -> print_outs (List.rev doc_outs.(0))
           | Some _ ->
               List.iteri
-                (fun di (path, _) ->
+                (fun di (path, _, _) ->
                   print_outs
                     ~header:("// ===== " ^ path ^ " =====\n")
                     (List.rev doc_outs.(di)))
@@ -673,22 +576,16 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
     (* Expectations come from every input document and every -d dialect
        file. Bytecode carries no comments to annotate, so binary payloads
        contribute none. *)
-    let scan_text p = function
-      | Source.Text (src, _) -> Some (Harness.scan_expectations ~file:p src)
-      | Source.Binary _ -> None
-    in
     let expectations, scan_errors =
       List.split
         (List.filter_map
-           (fun p -> scan_text p (Source.classify (read_file p)))
+           (fun p ->
+             match Source.classify (read_file p) with
+             | Source.Text (src, _) ->
+                 Some (Harness.scan_expectations ~file:p src)
+             | Source.Binary _ -> None)
            dialect_files
-        @ List.filter_map Fun.id
-            (List.mapi
-               (fun di (p, fetch) ->
-                 match doc_scans.(di) with
-                 | Some _ as scanned -> scanned
-                 | None -> scan_text p (fetch_doc fetch))
-               docs))
+        @ List.filter_map (fun (_, _, scan) -> Option.map snd scan) docs)
     in
     let expectations = List.concat expectations
     and scan_errors = List.concat scan_errors in
@@ -774,8 +671,10 @@ let max_errors =
     value & opt int 0
     & info [ "max-errors" ] ~docv:"N"
         ~doc:
-          "Stop collecting after $(docv) errors (0, the default, is \
-           unlimited); further errors are counted as suppressed.")
+          "Stop collecting after $(docv) errors of the whole run (0, the \
+           default, is unlimited); further errors are counted as \
+           suppressed. Chunks after the cap are still processed, and the \
+           valid ones printed.")
 
 let diag_json =
   Arg.(
@@ -833,7 +732,8 @@ let pass_timing =
     & info [ "pass-timing" ] ~docv:"FILE"
         ~doc:
           "Write the per-pass wall-clock timing report (text) to $(docv) \
-           ('-' for stderr).")
+           ('-' for stderr): one report for the run, summed over its \
+           chunks.")
 
 let pass_timing_json =
   Arg.(
@@ -841,7 +741,7 @@ let pass_timing_json =
     & info [ "pass-timing-json" ] ~docv:"FILE"
         ~doc:
           "Write the per-pass timing report as JSON to $(docv) ('-' for \
-           stdout).")
+           stdout): one report for the run, summed over its chunks.")
 
 let strict =
   Arg.(
@@ -868,16 +768,13 @@ let jobs =
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Verify $(b,--split-input-file) chunks and $(b,--batch) files on \
+          "Process $(b,--split-input-file) chunks and $(b,--batch) files on \
            $(docv) domains in parallel over the frozen dialect registry, \
            capped at the machine's recommended domain count (default 1; \
-           0 picks that count). Output, exit code and $(b,--diag-json) \
-           are byte-identical to a sequential run. Falls back to sequential execution, with a \
-           warning, when combined with $(b,--max-errors), \
-           $(b,--pass-timing[-json]) or $(b,--print-ir-*), whose output is \
-           inherently cross-chunk; the warning is given whenever $(docv) > \
-           1, capped or not. With $(b,--listen), the number of serve \
-           loops, capped the same way.")
+           0 picks that count). Every flag composes with it: output, exit \
+           code and $(b,--diag-json) are byte-identical to $(b,--jobs) 1. \
+           With $(b,--listen), the number of serve loops, capped the same \
+           way.")
 
 let batch =
   Arg.(
@@ -888,8 +785,9 @@ let batch =
            registry: $(docv) is a directory (every *.mlir and *.irdlbc \
            file in it, sorted by name) or a text file listing one IR path \
            per line ('#' comments allowed). Each file's re-printed output \
-           is preceded by a '// ===== <path> =====' header. Cannot be \
-           combined with a positional $(b,INPUT).")
+           is preceded by a '// ===== <path> =====' header. Every file is \
+           read up front and held until the run ends. Cannot be combined \
+           with a positional $(b,INPUT).")
 
 let emit_bytecode =
   Arg.(

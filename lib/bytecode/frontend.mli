@@ -4,7 +4,7 @@
     every output flows through a {!Sink}; {!Stream} erases the format
     distinction behind the pull-based session API of
     [Irdl_ir.Parser.Stream]. {!run} composes the three into the chunk
-    driver that [irdl-opt] (sequential and [--jobs]) and the server call. *)
+    driver that every [irdl-opt] chunk task and the server call. *)
 
 open Irdl_support
 module Graph = Irdl_ir.Graph

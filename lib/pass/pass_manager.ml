@@ -20,9 +20,11 @@ type t = {
 
 (* Generic form on purpose: snapshots are for debugging pass pipelines, and
    the generic syntax is the one that cannot hide anything. *)
-let default_dump ctx header ops =
-  Fmt.epr "// -----// %s //----- //@.%s@." header
+let render_dump ctx header ops =
+  Fmt.str "// -----// %s //----- //\n%s" header
     (Printer.ops_to_string ~generic:true ctx ops)
+
+let default_dump ctx header ops = Fmt.epr "%s@." (render_dump ctx header ops)
 
 let create ?(verify_each = false) ?(verifier = Verifier.verify)
     ?(print_ir_before = []) ?(print_ir_after = [])
@@ -119,6 +121,25 @@ let run t ctx ops =
   Result.map
     (fun reports -> { rp_passes = reports; rp_total_s = now () -. t0 })
     (go [] t.pm_passes)
+
+let merge_reports = function
+  | [] -> None
+  | r :: rs ->
+      let merge a b =
+        {
+          rp_passes =
+            List.map2
+              (fun x y ->
+                {
+                  x with
+                  pr_time_s = x.pr_time_s +. y.pr_time_s;
+                  pr_stats = Stats.add x.pr_stats y.pr_stats;
+                })
+              a.rp_passes b.rp_passes;
+          rp_total_s = a.rp_total_s +. b.rp_total_s;
+        }
+      in
+      Some (List.fold_left merge r rs)
 
 let pp_report ppf r =
   let width =

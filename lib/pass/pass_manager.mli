@@ -38,6 +38,11 @@ val create :
 
 val passes : t -> Pass.t list
 
+val render_dump : Context.t -> string -> Graph.op list -> string
+(** One IR snapshot as the default [dump] prints it, without the final
+    newline: the [// -----// <header> //----- //] line, then the ops in
+    generic form. *)
+
 type pass_report = {
   pr_pass : string;  (** pass name *)
   pr_time_s : float;  (** wall-clock seconds, summed over the module's ops *)
@@ -51,6 +56,11 @@ val run : t -> Context.t -> Graph.op list -> (report, Diag.t) result
     failing pass keeps its own diagnostic and gains a
     ["while running pass '<name>'"] note; a [verify_each] failure is
     attributed with ["IR verification failed after pass '<name>':"]. *)
+
+val merge_reports : report list -> report option
+(** The reports of one pipeline over several modules as one report: times
+    and statistics summed pass by pass, in pipeline order. [None] for no
+    report. The reports must come from one pipeline. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** The human-readable timing report: total time, then one row per pass

@@ -330,24 +330,9 @@ module Engine = struct
 
   let limit_reached e = e.max_errors > 0 && e.n_errors >= e.max_errors
 
-  (** Record a diagnostic, bump the severity counts and run every handler.
-      Errors past the [max_errors] cap are counted as suppressed and
-      neither recorded nor forwarded. *)
-  let emit e (d : diag) =
-    if d.severity = Error && limit_reached e then
-      e.n_suppressed <- e.n_suppressed + 1
-    else begin
-      e.diags_rev <- d :: e.diags_rev;
-      (match d.severity with
-      | Error -> e.n_errors <- e.n_errors + 1
-      | Warning -> e.n_warnings <- e.n_warnings + 1
-      | Note -> e.n_notes <- e.n_notes + 1);
-      List.iter (fun h -> h d) e.handlers
-    end
-
-  (* Like {!emit} with the handlers skipped: used to replay diagnostics a
-     parallel worker already collected (and rendered with its own sources)
-     into the main engine, keeping counts/JSON without double-printing. *)
+  (* Record a diagnostic and bump the severity counts, without the
+     handlers. Errors past the [max_errors] cap are counted as suppressed
+     and not recorded. *)
   let record e (d : diag) =
     if d.severity = Error && limit_reached e then
       e.n_suppressed <- e.n_suppressed + 1
@@ -359,6 +344,14 @@ module Engine = struct
       | Note -> e.n_notes <- e.n_notes + 1
     end
 
+  (** {!record}, then every handler, unless the diagnostic was
+      suppressed. *)
+  let emit e (d : diag) =
+    let kept = not (d.severity = Error && limit_reached e) in
+    record e d;
+    if kept then List.iter (fun h -> h d) e.handlers
+
+  let add_suppressed e n = e.n_suppressed <- e.n_suppressed + n
   let diagnostics e = List.rev e.diags_rev
   let error_count e = e.n_errors
   let warning_count e = e.n_warnings

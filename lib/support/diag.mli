@@ -92,11 +92,10 @@ module Sources : sig
 
   val drop : string -> unit
   (** Remove one file's buffer from the calling domain's own registrations
-      (no-op when absent; inherited ones stay). Streaming/batch drivers
-      call this once a source's diagnostics have been flushed, so a long
-      [--batch] run does not retain every processed buffer for the process
-      lifetime; diagnostics rendered later against the dropped file simply
-      lose their snippet. *)
+      (no-op when absent; inherited ones stay). A server calls this once
+      a request's diagnostics have been rendered, so a long-lived process
+      does not retain every request's buffer; diagnostics rendered later
+      against the dropped file simply lose their snippet. *)
 
   val clear : unit -> unit
 
@@ -160,8 +159,11 @@ module Engine : sig
 
   val record : t -> diag -> unit
   (** Like {!emit} but without notifying the handlers: counts and records
-      only. Used to replay pre-rendered diagnostics collected by parallel
-      workers into the main engine. *)
+      only, for a replay whose diagnostics were rendered elsewhere. *)
+
+  val add_suppressed : t -> int -> unit
+  (** Count [n] more suppressed errors: those another engine suppressed,
+      when its diagnostics are replayed into this one. *)
 
   val limit_reached : t -> bool
   (** Whether the error cap has been hit (recovering parsers stop). *)

@@ -40,6 +40,31 @@ let error_cap () =
   Alcotest.(check int) "recorded list excludes suppressed" 3
     (List.length (Diag.Engine.diagnostics e))
 
+(* A task's engine, replayed into a capped main engine: the handlers see
+   only what the main cap keeps, and both engines' suppressed errors are
+   counted. *)
+let replay_into_capped () =
+  let task = Diag.Engine.create ~max_errors:2 () in
+  List.iter (fun m -> Diag.Engine.emit task (Diag.error "%s" m))
+    [ "a"; "b"; "c" ];
+  let main = Diag.Engine.create ~max_errors:1 () in
+  let seen = ref [] in
+  Diag.Engine.add_handler main (fun d -> seen := d.message :: !seen);
+  List.iter (Diag.Engine.emit main) (Diag.Engine.diagnostics task);
+  Diag.Engine.add_suppressed main (Diag.Engine.suppressed_count task);
+  Alcotest.(check (list string)) "handlers see the kept error" [ "a" ] !seen;
+  Alcotest.(check int) "errors" 1 (Diag.Engine.error_count main);
+  Alcotest.(check int) "suppressed: one by the task, one by the cap" 2
+    (Diag.Engine.suppressed_count main);
+  Alcotest.(check bool) "json counts them" true
+    (let j = Diag.Engine.to_json main in
+     let needle = {|"suppressed": 2|} in
+     let rec find i =
+       i + String.length needle <= String.length j
+       && (String.sub j i (String.length needle) = needle || find (i + 1))
+     in
+     find 0)
+
 let handlers () =
   let e = Diag.Engine.create () in
   let seen = ref [] in
@@ -437,6 +462,7 @@ let suite =
   [
     tc "severity counts and order" counts;
     tc "max-errors cap suppresses" error_cap;
+    tc "replay into a capped engine" replay_into_capped;
     tc "handlers run in order" handlers;
     tc "JSON sink" json_sink;
     tc "caret snippet rendering" snippet;

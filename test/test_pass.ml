@@ -292,6 +292,38 @@ let report_renderings () =
     [ {|"total_s"|}; {|"pass": "cse"|}; {|"pass": "dce"|}; {|"time_s"|};
       {|"stats": { "examined"|} ]
 
+(* The reports of one pipeline over two modules merge into one, summed
+   pass by pass. *)
+let reports_merge () =
+  let ctx = cmath_ctx () in
+  let mgr = Pass_manager.create [ Passes.cse; Passes.dce ] in
+  let run () = check_ok "run" (Pass_manager.run mgr ctx [ dup_module ctx ]) in
+  let r1 = run () and r2 = run () in
+  Alcotest.(check bool) "no report" true
+    (Option.is_none (Pass_manager.merge_reports []));
+  match Pass_manager.merge_reports [ r1; r2 ] with
+  | None -> Alcotest.fail "expected a merged report"
+  | Some m ->
+      Alcotest.(check (list string))
+        "pipeline order" [ "cse"; "dce" ]
+        (List.map (fun r -> r.Pass_manager.pr_pass) m.Pass_manager.rp_passes);
+      let cse = List.hd m.Pass_manager.rp_passes in
+      Alcotest.(check int) "eliminated summed" 2
+        (Stats.get cse.Pass_manager.pr_stats "eliminated");
+      Alcotest.(check (float 1e-12)) "total summed"
+        (r1.Pass_manager.rp_total_s +. r2.Pass_manager.rp_total_s)
+        m.Pass_manager.rp_total_s
+
+(* A rendered dump is the default dump's header and generic-form ops. *)
+let dump_renders () =
+  let ctx = cmath_ctx () in
+  let func = dup_module ctx in
+  let text = Pass_manager.render_dump ctx "IR dump after cse" [ func ] in
+  Alcotest.(check string) "header, then the ops"
+    ("// -----// IR dump after cse //----- //\n"
+    ^ Printer.ops_to_string ~generic:true ctx [ func ])
+    text
+
 (* The canonicalize pass drives the same greedy engine as Driver.apply. *)
 let canonicalize_pass_applies_patterns () =
   let ctx = cmath_ctx () in
@@ -378,6 +410,8 @@ let suite =
       failing_pass_attributed;
     tc "IR snapshots go through the dump hook" snapshots_hit_dump_hook;
     tc "timing report renders as text and JSON" report_renderings;
+    tc "reports of one pipeline merge pass by pass" reports_merge;
+    tc "IR dumps render to a string" dump_renders;
     tc "canonicalize pass applies patterns" canonicalize_pass_applies_patterns;
     tc "verify-dominance pass reports failures" dominance_pass_checks;
   ]

@@ -136,8 +136,8 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
     pipeline verify_each print_ir_before print_ir_after
     print_ir_before_all print_ir_after_all pass_timing pass_timing_json strict
     verify_stats jobs batch emit_bytecode load_bytecode
-    emit_dialect_bytecode serve listen connect failpoints_spec max_queue
-    max_ops max_region_depth max_payload_bytes deadline_ms verbose =
+    emit_dialect_bytecode serve listen connect failpoints_spec max_ops
+    max_region_depth max_payload_bytes deadline_ms verbose =
   setup_logs verbose;
   (* Fault-injection seams, armed before anything parses. *)
   (match failpoints_spec with
@@ -350,13 +350,7 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
      clean even on SIGTERM/SIGINT — in-flight requests drain first. *)
   if serve || Option.is_some listen then begin
     let config =
-      {
-        Server.default_config with
-        limits = base_limits;
-        max_queue;
-        domains = jobs_domains jobs;
-        generic;
-      }
+      { Server.limits = base_limits; domains = jobs_domains jobs; generic }
     in
     Server.install_signal_handlers ();
     let answered =
@@ -772,7 +766,8 @@ let jobs =
            $(docv) domains in parallel over the frozen dialect registry, \
            capped at the machine's recommended domain count (default 1; \
            0 picks that count). Every flag composes with it: output, exit \
-           code and $(b,--diag-json) are byte-identical to $(b,--jobs) 1. \
+           code and $(b,--diag-json) are byte-identical to $(b,--jobs) 1, \
+           except the per-domain cache counts of $(b,--verify-stats). \
            With $(b,--listen), the number of serve loops, capped the same \
            way.")
 
@@ -834,10 +829,9 @@ let serve =
            verify, print, emit-bytecode, ping, stats, shutdown) are \
            answered until end of input. Responses preserve request order; \
            diagnostics are byte-identical to a one-shot run over the same \
-           input. Each burst of pipelined requests is answered inline, in \
-           arrival order; the $(b,--max-*)/$(b,--deadline-ms) budgets \
-           become the server-wide ceiling, and $(b,--max-queue) bounds the \
-           accepted burst.")
+           input. Each request is answered as soon as it arrives, before \
+           the next is read; the $(b,--max-*)/$(b,--deadline-ms) budgets \
+           become the server-wide ceiling.")
 
 let listen =
   Arg.(
@@ -870,19 +864,11 @@ let failpoints =
         ~doc:
           "Arm fault-injection seams: a comma-separated list of \
            $(i,seam[:K]) entries (inject at every K-th hit; default every \
-           hit). Seams: parse, verify, bytecode.decode, pool.task. Also \
-           settable via $(b,IRDL_FAILPOINTS). Injected faults surface as \
-           structured internal-error diagnostics; a server answers the \
+           hit). Seams: parse, verify, bytecode.decode, pool.task. A bad \
+           $(docv) exits 1. Injected faults surface as structured \
+           internal-error diagnostics (a one-shot run exits 1 for parse \
+           and decode faults, 2 for verify faults); a server answers the \
            poisoned request and keeps running.")
-
-let max_queue =
-  Arg.(
-    value & opt int 0
-    & info [ "max-queue" ] ~docv:"N"
-        ~doc:
-          "Bound the request burst a server accepts at once: requests \
-           beyond $(docv) are shed with a retry_later response carrying a \
-           retry-after-ms hint (0, the default, accepts everything).")
 
 let max_ops =
   Arg.(
@@ -932,7 +918,7 @@ let cmd =
       $ print_ir_after $ print_ir_before_all $ print_ir_after_all
       $ pass_timing $ pass_timing_json $ strict $ verify_stats $ jobs $ batch
       $ emit_bytecode $ load_bytecode $ emit_dialect_bytecode $ serve
-      $ listen $ connect $ failpoints $ max_queue $ max_ops
+      $ listen $ connect $ failpoints $ max_ops
       $ max_region_depth $ max_payload_bytes $ deadline_ms $ verbose)
 
 (* With SIGPIPE ignored, a downstream reader that stops early (irdl-opt

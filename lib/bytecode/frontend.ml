@@ -158,9 +158,17 @@ type outcome = {
   output : string list option;
 }
 
+(* The diagnostic [Diag.protect_any] makes of an exception. *)
+let caught e =
+  match Diag.protect_any (fun () -> raise e) with
+  | Ok _ -> assert false
+  | Error d -> d
+
 (* The drain is one tail-recursive loop per chunk: per op it allocates only
    the cons of a non-empty verify result and, with a pipeline, the cons
-   that keeps the op. *)
+   that keeps the op. An exception out of verifying an op or out of the
+   pipeline (an injected fault, a bug) becomes its diagnostic and counts
+   as a verify failure. *)
 let run ?file ~engine ?limits ~verify ?sink ?pipeline ctx payload =
   let e0 = Diag.Engine.error_count engine in
   let session = Stream.create ?file ~engine ?limits ctx payload in
@@ -172,9 +180,12 @@ let run ?file ~engine ?limits ~verify ?sink ?pipeline ctx payload =
         let vdiags =
           if not verify then vdiags
           else
+            (* [match ... with exception]: a [protect_any] thunk would be
+               one more allocation per op. *)
             match Irdl_ir.Verifier.verify_all ctx op with
             | [] -> vdiags
             | ds -> ds :: vdiags
+            | exception e -> [ caught e ] :: vdiags
         in
         if keep then drain vdiags (op :: kept)
         else begin
@@ -211,7 +222,7 @@ let run ?file ~engine ?limits ~verify ?sink ?pipeline ctx payload =
         | None -> close ~verify_failed:false
         | Some f ->
             let ops = List.rev kept in
-            let ds = f ops in
+            let ds = try f ops with e -> [ caught e ] in
             List.iter (Diag.Engine.emit engine) ds;
             (match sink with
             | Some s when Diag.Engine.error_count engine = e0 ->

@@ -118,7 +118,11 @@ val run :
     the callback runs over them, the diagnostics it returns are emitted
     and count as a verify failure, and the ops are then pushed to [sink].
     Output is produced only when no error was added to [engine]; a sink
-    error is emitted and counts as a verify failure. *)
+    error is emitted and counts as a verify failure. An exception raised
+    by verifying an op or by [pipeline] (an injected {!Failpoints} fault,
+    a bug) is not re-raised: {!Diag.protect_any} turns it into a
+    diagnostic (code [injected_fault] for a failpoint), which counts as a
+    verify failure. *)
 
 val load_dialects :
   ?native:Irdl_core.Native.t ->

@@ -15,7 +15,6 @@ type status =
   | Deadline_exceeded
   | Internal_error
   | Invalid_request
-  | Retry_later
 
 let kind_to_string = function
   | Parse -> "parse"
@@ -44,7 +43,6 @@ let status_to_string = function
   | Deadline_exceeded -> "deadline_exceeded"
   | Internal_error -> "internal_error"
   | Invalid_request -> "invalid_request"
-  | Retry_later -> "retry_later"
 
 let status_of_string = function
   | "ok" -> Some Ok_
@@ -54,7 +52,6 @@ let status_of_string = function
   | "deadline_exceeded" -> Some Deadline_exceeded
   | "internal_error" -> Some Internal_error
   | "invalid_request" -> Some Invalid_request
-  | "retry_later" -> Some Retry_later
   | _ -> None
 
 (* Parse-stage failures — including blown budgets, which one-shot runs
@@ -65,7 +62,6 @@ let status_exit_code = function
   | Parse_error | Resource_exhausted | Deadline_exceeded | Invalid_request -> 1
   | Verify_error -> 2
   | Internal_error -> 4
-  | Retry_later -> 5
 
 type request = {
   rq_id : string;
@@ -81,39 +77,24 @@ type response = {
   rs_errors : int;
   rs_diags : string;
   rs_output : string;
-  rs_retry_after_ms : int option;
 }
 
-type config = {
-  limits : Limits.t;
-  max_queue : int;
-  domains : int;
-  generic : bool;
-  retry_after_ms : int;
-}
+type config = { limits : Limits.t; domains : int; generic : bool }
 
-let default_config =
-  {
-    limits = Limits.unlimited;
-    max_queue = 0;
-    domains = 0;
-    generic = false;
-    retry_after_ms = 10;
-  }
+let default_config = { limits = Limits.unlimited; domains = 0; generic = false }
 
 (* One diagnostic, rendered exactly as the one-shot stderr printer would:
    [Engine.printer] is [Fmt.pf ppf "%a@." pp_rendered], i.e. rendered text
    plus one newline. *)
 let render_diag d = Fmt.str "%a" Diag.pp_rendered d ^ "\n"
 
-let synth_response ?(retry_after_ms = None) ~id ~status d =
+let synth_response ~id ~status d =
   {
     rs_id = id;
     rs_status = status;
-    rs_errors = (match status with Ok_ | Retry_later -> 0 | _ -> 1);
+    rs_errors = (match status with Ok_ -> 0 | _ -> 1);
     rs_diags = (match d with None -> "" | Some d -> render_diag d);
     rs_output = "";
-    rs_retry_after_ms = retry_after_ms;
   }
 
 let invalid_response ~id fmt =
@@ -129,13 +110,6 @@ let oversized_response ~id cap =
        (Diag.make ~code:Limits.resource_exhausted
           (Printf.sprintf
              "request payload exceeds the server payload limit of %d bytes" cap)))
-
-let shed_response ~id ~retry_after_ms =
-  synth_response ~id ~status:Retry_later
-    ~retry_after_ms:(Some retry_after_ms)
-    (Some
-       (Diag.make ~severity:Diag.Warning
-          (Printf.sprintf "server busy; retry in %d ms" retry_after_ms)))
 
 let parse_request ~header ~payload =
   let get = Wire.header_get header in
@@ -162,8 +136,7 @@ let parse_request ~header ~payload =
           let limits =
             Limits.create ~max_payload_bytes ~max_ops ~max_depth ()
           in
-          (* The clock starts at acceptance: a request that then sits in
-             the queue is spending its own deadline. *)
+          (* The clock starts when the frame is decoded. *)
           let limits =
             if deadline_ms > 0 then Limits.with_deadline_ms limits deadline_ms
             else limits
@@ -239,7 +212,6 @@ let run_module ctx config rq =
       | Some pages, Print -> String.concat "" (pages @ [ "\n" ])
       | Some pages, _ -> String.concat "" pages
       | None, _ -> "");
-    rs_retry_after_ms = None;
   }
 
 let registered_dialects ctx =
@@ -283,10 +255,6 @@ let response_frame rs =
   let header =
     [ ("id", rs.rs_id); ("status", status_to_string rs.rs_status);
       ("errors", string_of_int rs.rs_errors) ]
-    @
-    match rs.rs_retry_after_ms with
-    | Some ms -> [ ("retry-after-ms", string_of_int ms) ]
-    | None -> []
   in
   Wire.encode_response ~header ~diags:rs.rs_diags ~output:rs.rs_output
 
@@ -304,7 +272,6 @@ let response_of_wire ~header ~diags ~output =
               (Option.bind (get "errors") int_of_string_opt);
           rs_diags = diags;
           rs_output = output;
-          rs_retry_after_ms = Option.bind (get "retry-after-ms") int_of_string_opt;
         }
 
 (* ------------------------------------------------------------------ *)
@@ -335,220 +302,140 @@ let write_all fd s =
   in
   go 0
 
-(* Requests and already-synthesized responses of one intake burst, in
-   arrival order. They are answered inline and written back in slot order,
-   so pipelined clients can match responses to requests positionally as
-   well as by id. *)
-type slot = Todo of request | Done of response
-
-(* When unbounded, a burst is still answered in windows, so a pipelined
-   flood is answered incrementally instead of accumulating until end of
-   input. *)
-let internal_batch = 256
-
-(* One serve loop's state: the context it answers against, its read
-   buffer and the number of requests it answered. *)
-type loop = { ctx : Context.t; buf : Bytes.t; mutable answered : int }
-
-let loop ctx = { ctx; buf = Bytes.create 65536; answered = 0 }
+(* One serve loop's state: the context and configuration it answers
+   with, its read buffer and the number of requests it answered. *)
+type loop = {
+  ctx : Context.t;
+  cfg : config;
+  buf : Bytes.t;
+  mutable answered : int;
+}
 
 (* One client: its input and output descriptors (stdin and stdout for
-   [serve_fd], one socket for both in [serve_unix]) and its burst. *)
+   [serve_fd], one socket for both in [serve_unix]) and its frame reader. *)
 type conn = {
   c_in : Unix.file_descr;
   c_out : Unix.file_descr;
   c_reader : Wire.reader;
-  cfg : config;
-  mutable slots : slot list;  (** reversed *)
-  mutable n_todo : int;
-  mutable corrupt : bool;
   mutable c_done : bool;  (** end of input, a corrupt frame, or hung up *)
 }
 
-let conn cfg ~in_fd ~out_fd =
+let conn config ~in_fd ~out_fd =
   {
     c_in = in_fd;
     c_out = out_fd;
-    c_reader = Wire.reader ~max_payload:cfg.limits.Limits.max_payload_bytes ();
-    cfg;
-    slots = [];
-    n_todo = 0;
-    corrupt = false;
+    c_reader =
+      Wire.reader ~max_payload:config.limits.Limits.max_payload_bytes ();
     c_done = false;
   }
 
-let push c s = c.slots <- s :: c.slots
-
-(* Accept one decoded wire event into the burst. Returns [true] when the
-   caller should answer the burst before accepting more (window full on an
-   unbounded queue; a bounded queue sheds instead). *)
-let accept ctx c event =
-  match event with
-  | Wire.Corrupt msg ->
-      c.corrupt <- true;
-      push c (Done (invalid_response ~id:"" "%s" msg));
-      false
-  | Wire.Frame { header; payload; oversized } ->
+let respond lp = function
+  | Wire.Corrupt msg -> invalid_response ~id:"" "%s" msg
+  | Wire.Frame { header; payload; oversized } -> (
       let id = Option.value (Wire.header_get header "id") ~default:"" in
-      if oversized then begin
-        push c
-          (Done (oversized_response ~id c.cfg.limits.Limits.max_payload_bytes));
-        false
-      end
-      else (
+      if oversized then
+        oversized_response ~id lp.cfg.limits.Limits.max_payload_bytes
+      else
         match parse_request ~header ~payload with
-        | Error rs ->
-            push c (Done rs);
-            false
-        | Ok ({ rq_kind = Ping | Stats | Shutdown; _ } as rq) ->
-            (* Control requests are cheap; answer inline, in order. *)
-            if rq.rq_kind = Shutdown then request_shutdown ();
-            push c (Done (handle ctx c.cfg rq));
-            false
+        | Error rs -> rs
         | Ok rq ->
-            if c.cfg.max_queue > 0 && c.n_todo >= c.cfg.max_queue then begin
-              push c
-                (Done
-                   (shed_response ~id:rq.rq_id
-                      ~retry_after_ms:c.cfg.retry_after_ms));
-              false
-            end
-            else begin
-              push c (Todo rq);
-              c.n_todo <- c.n_todo + 1;
-              c.cfg.max_queue = 0 && c.n_todo >= internal_batch
-            end)
+            if rq.rq_kind = Shutdown then request_shutdown ();
+            handle lp.ctx lp.cfg rq)
 
-let readable fd =
-  match Unix.select [ fd ] [] [] 0.0 with
-  | [], _, _ -> false
-  | _ -> true
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
+(* Answer every frame the reader holds, in arrival order, each written
+   before the next is polled. A corrupt frame is answered and ends the
+   connection; a client that hung up loses its responses but must not take
+   the server down. *)
+let rec answer lp c =
+  if not c.c_done then
+    match Wire.poll c.c_reader with
+    | None -> ()
+    | Some e ->
+        let rs = respond lp e in
+        lp.answered <- lp.answered + 1;
+        (try write_all c.c_out (response_frame rs)
+         with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+           c.c_done <- true);
+        (match e with Wire.Corrupt _ -> c.c_done <- true | Wire.Frame _ -> ());
+        answer lp c
 
-(* Answer the burst gathered so far, inline, in arrival order. A client
-   that hung up loses its responses but must not take the server down. *)
-let flush lp c =
-  let slots = List.rev c.slots in
-  c.slots <- [];
-  c.n_todo <- 0;
-  List.iter
-    (fun s ->
-      let rs = match s with Done rs -> rs | Todo rq -> handle lp.ctx c.cfg rq in
-      lp.answered <- lp.answered + 1;
-      if not c.c_done then
-        try write_all c.c_out (response_frame rs)
-        with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-          c.c_done <- true)
-    slots
-
-let drain_events lp c =
-  let rec go () =
-    if not c.corrupt then
-      match Wire.poll c.c_reader with
-      | None -> ()
-      | Some e ->
-          if accept lp.ctx c e then flush lp c;
-          go ()
-  in
-  go ()
-
-(* Answer everything taken in; the connection is then done. *)
-let finish lp c =
-  drain_events lp c;
-  flush lp c;
-  c.c_done <- true
-
-(* One read: accept what it completes. End of input and a corrupt frame
-   finish the connection. *)
+(* One read, and the answers to the frames it completes. *)
 let service lp c =
   match Unix.read c.c_in lp.buf 0 (Bytes.length lp.buf) with
-  | 0 -> finish lp c
+  | 0 -> c.c_done <- true
   | n ->
       Wire.feed_bytes c.c_reader lp.buf ~off:0 ~len:n;
-      drain_events lp c;
-      if c.corrupt then finish lp c
+      answer lp c
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
       c.c_done <- true
 
-(* Input pause: the client went quiet mid-pipeline — answer the burst
-   gathered so far instead of waiting on [read] with work in hand. *)
-let flush_if_paused lp c =
-  if c.slots <> [] && not (readable c.c_in) then flush lp c
-
-let serve_fd ?(config = default_config) ctx ~in_fd ~out_fd () =
-  Context.freeze ctx;
-  let lp = loop ctx in
-  let c = conn config ~in_fd ~out_fd in
-  let rec go () =
-    if not c.c_done then begin
-      if not (shutdown_requested ()) then flush_if_paused lp c;
-      if shutdown_requested () then finish lp c else service lp c;
-      go ()
-    end
+(* The one serve loop: wait for input on [conns] and, when given, the
+   shared non-blocking listener [lfd], and answer each frame as soon as a
+   read completes it. A frame already read is answered before the loop
+   looks at the shutdown flag, so shutdown leaves nothing accepted
+   unanswered. Runs until shutdown, or until the last connection is done
+   when there is no listener. Returns the number of requests answered. *)
+let serve_loop ctx config ?lfd conns =
+  let lp = { ctx; cfg = config; buf = Bytes.create 65536; answered = 0 } in
+  let conns = ref conns in
+  (* With a listener, every connection is one this loop accepted; without
+     one, the connection is its caller's to close. *)
+  let close c =
+    if lfd <> None then try Unix.close c.c_in with Unix.Unix_error _ -> ()
   in
-  go ();
-  lp.answered
-
-(* ------------------------------------------------------------------ *)
-(* Socket listener                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let close_conn c = try Unix.close c.c_in with Unix.Unix_error _ -> ()
-
-(* One serve loop: accept on the shared non-blocking [lfd], own the
-   connections it accepted, and answer their requests inline, in arrival
-   order. Returns the number of requests answered once shutdown is
-   requested and its connections are drained. *)
-let serve_loop ctx config sources lfd =
-  (* The loader domain's sources, so diagnostics render dialect-file
-     snippets as a one-shot run does. *)
-  Diag.Sources.preload sources;
-  let lp = loop ctx in
-  let conns = ref [] in
   (* Out of descriptors: skip [lfd] for one select round, so the held
      connections are served and closed instead of spinning on it. *)
   let accepting = ref true in
   let rec go () =
-    if not (shutdown_requested ()) then begin
+    if not (shutdown_requested () || (lfd = None && !conns = [])) then begin
       let fds = List.map (fun c -> c.c_in) !conns in
-      let fds = if !accepting then lfd :: fds else fds in
+      let fds =
+        match lfd with Some l when !accepting -> l :: fds | _ -> fds
+      in
       accepting := true;
       match Unix.select fds [] [] 0.05 with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
       | ready, _, _ ->
-          if List.mem lfd ready then begin
-            match Unix.accept ~cloexec:true lfd with
-            | fd, _ ->
-                (* Some systems hand the listener's O_NONBLOCK down. *)
-                Unix.clear_nonblock fd;
-                conns := conn config ~in_fd:fd ~out_fd:fd :: !conns
-            (* Another loop won the race, or the client gave up. *)
-            | exception
-                Unix.Unix_error
-                  (Unix.(EINTR | EAGAIN | EWOULDBLOCK | ECONNABORTED), _, _) ->
-                ()
-            | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
-                accepting := false
-          end;
+          (match lfd with
+          | Some l when List.mem l ready -> (
+              match Unix.accept ~cloexec:true l with
+              | fd, _ ->
+                  (* Some systems hand the listener's O_NONBLOCK down. *)
+                  Unix.clear_nonblock fd;
+                  conns := conn config ~in_fd:fd ~out_fd:fd :: !conns
+              (* Another loop won the race, or the client gave up. *)
+              | exception
+                  Unix.Unix_error
+                    (Unix.(EINTR | EAGAIN | EWOULDBLOCK | ECONNABORTED), _, _)
+                ->
+                  ()
+              | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _)
+                ->
+                  accepting := false)
+          | _ -> ());
           List.iter
             (fun c -> if List.mem c.c_in ready then service lp c)
             !conns;
-          List.iter (fun c -> if not c.c_done then flush_if_paused lp c) !conns;
           conns :=
             List.filter
               (fun c ->
-                if c.c_done then close_conn c;
+                if c.c_done then close c;
                 not c.c_done)
               !conns;
           go ()
     end
   in
-  Fun.protect ~finally:(fun () -> List.iter close_conn !conns) @@ fun () ->
-  go ();
-  (* Shutdown: stop accepting, answer everything already taken in. *)
-  List.iter (finish lp) !conns;
+  Fun.protect ~finally:(fun () -> List.iter close !conns) go;
   lp.answered
+
+let serve_fd ?(config = default_config) ctx ~in_fd ~out_fd () =
+  Context.freeze ctx;
+  serve_loop ctx config [ conn config ~in_fd ~out_fd ]
+
+(* ------------------------------------------------------------------ *)
+(* Socket listener                                                     *)
+(* ------------------------------------------------------------------ *)
 
 let serve_unix ?(config = default_config) ctx ~path () =
   Context.freeze ctx;
@@ -572,7 +459,10 @@ let serve_unix ?(config = default_config) ctx ~path () =
      loop that fails stops the others, which drain; the batch re-raises
      its failure once all have joined, so no capacity is lost silently. *)
   let run_loop () =
-    try serve_loop ctx config sources lfd
+    (* The loader domain's sources, so diagnostics render dialect-file
+       snippets as a one-shot run does. *)
+    Diag.Sources.preload sources;
+    try serve_loop ctx config ~lfd []
     with exn ->
       let bt = Printexc.get_raw_backtrace () in
       request_shutdown ();

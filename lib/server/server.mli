@@ -4,11 +4,13 @@
     loaded once) and answers framed requests — parse, verify, re-print,
     emit bytecode — over a byte stream: stdin/stdout ({!serve_fd}, the
     [--serve] mode) or a Unix-domain socket ({!serve_unix}, [--listen]).
-    Requests are answered inline by a serve loop: on a byte stream, one
-    loop on the calling domain; on a socket, one loop per domain, each
-    answering the connections it accepted. Either way a connection's
-    responses are written in arrival order. Module requests run the same
-    chunk driver as a one-shot run ({!Irdl_bytecode.Frontend.run}).
+    One serve loop runs both transports: on a byte stream, one loop on
+    the calling domain over that one connection; on a socket, one loop
+    per domain, each answering the connections it accepted. Each request
+    is answered as soon as its frame is decoded, its response written
+    before the next frame is read, so a connection's responses come in
+    arrival order. Module requests run the same chunk driver as a
+    one-shot run ({!Irdl_bytecode.Frontend.run}).
 
     Robustness contract, enforced per request:
     - {b Budgets}: the server's configured {!Limits.t} is {!Limits.meet}ed
@@ -22,11 +24,8 @@
       stderr (same renderer, same source snippets), and responses preserve
       request order.
     - {b Graceful shutdown}: SIGTERM/SIGINT (or a [shutdown] request) stop
-      intake; every request already accepted is still processed and
-      answered before the serve loop returns.
-    - {b Load shedding}: with a bounded queue ([max_queue > 0]), requests
-      beyond the window in one read burst are answered [retry_later] with
-      a [retry-after-ms] hint instead of growing the heap. *)
+      intake; every request already read is still processed and answered
+      before the serve loop returns. *)
 
 open Irdl_support
 
@@ -47,7 +46,6 @@ type status =
   | Deadline_exceeded
   | Internal_error
   | Invalid_request
-  | Retry_later
 
 val kind_to_string : kind -> string
 val kind_of_string : string -> kind option
@@ -57,8 +55,7 @@ val status_of_string : string -> status option
 val status_exit_code : status -> int
 (** The one-shot-compatible exit code a client should exit with: 0 for ok,
     1 for parse-stage failures (parse error, invalid request, blown
-    budget), 2 for verify errors, 4 for internal errors, 5 for
-    [retry_later]. *)
+    budget), 2 for verify errors, 4 for internal errors. *)
 
 type request = {
   rq_id : string;
@@ -74,34 +71,27 @@ type response = {
   rs_errors : int;
   rs_diags : string;  (** pre-rendered; byte-identical to one-shot stderr *)
   rs_output : string;
-  rs_retry_after_ms : int option;
 }
 
 type config = {
   limits : Limits.t;
       (** server-wide ceiling; met with each request's own limits, so a
           request can tighten but never loosen it *)
-  max_queue : int;
-      (** > 0 bounds accepted-per-burst requests (excess is shed with
-          [retry_later]); 0 accepts everything, answering in internal
-          windows *)
   domains : int;
       (** the number of serve loops for {!serve_unix}; 0 = recommended
           count. {!serve_fd} runs one loop. *)
   generic : bool;  (** print in generic form, as [irdl-opt --generic] *)
-  retry_after_ms : int;  (** the hint sent with shed responses *)
 }
 
 val default_config : config
-(** Unlimited budgets, unbounded queue, recommended domain count, pretty
-    printing, 10 ms retry hint. *)
+(** Unlimited budgets, recommended domain count, pretty printing. *)
 
 val parse_request :
   header:(string * string) list -> payload:string -> (request, response) result
 (** Decode a request from its frame header ([id], [kind], [file],
     [max-ops], [max-depth], [max-bytes], [deadline-ms]; unknown keys
     ignored). [Error] is the ready-to-send [invalid_request] response. The
-    deadline starts {e now} — time spent queued counts against it. *)
+    deadline starts {e now}, when the frame is decoded. *)
 
 val request_header : request -> deadline_ms:int -> (string * string) list
 (** The wire header for a request (client side). [deadline_ms] is sent
@@ -151,24 +141,26 @@ val serve_fd :
 (** Serve framed requests from [in_fd], writing responses to [out_fd], in
     arrival order, until end of input, a protocol error (answered with a
     final [invalid_request] response), or shutdown — in every case the
-    requests already accepted are processed and answered first. Each read
-    burst is answered inline, on the calling domain. If [out_fd] hangs up,
-    serving stops. Freezes [ctx]. Returns the number of requests
+    requests already read are processed and answered first. This is the
+    serve loop of {!serve_unix} over one connection and no listener, on
+    the calling domain; it closes neither descriptor. If [out_fd] hangs
+    up, serving stops. Freezes [ctx]. Returns the number of requests
     answered. *)
 
 val serve_unix :
   ?config:config -> Irdl_ir.Context.t -> path:string -> unit -> int
 (** Listen on a Unix-domain socket at [path] (an existing socket file is
     replaced), serving any number of concurrent connections until
-    shutdown; then stop accepting, drain, close every connection and
-    unlink [path]. Returns the number of requests answered.
+    shutdown; then stop accepting, close every connection (each request
+    already read has been answered) and unlink [path]. Returns the number
+    of requests answered.
 
     [config.domains] serve loops, run as one {!Irdl_support.Domain_pool}
     batch (the calling domain and [domains - 1] domains spawned for it),
     share the non-blocking listening socket. Each loop owns
     the connections it accepted and answers their requests inline, one
-    connection burst at a time: a long request holds up only its own
-    loop, and the connections that loop already accepted. An [accept]
+    frame at a time: a long request holds up only its own loop, and the
+    connections that loop already accepted. An [accept]
     that runs out of descriptors is retried after one [select] round. If a
     loop fails, the others are shut down and drain, and its exception is
     re-raised once all have joined. *)

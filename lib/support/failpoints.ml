@@ -88,16 +88,3 @@ let seams () =
   List.map
     (fun e -> (e.fp_name, e.fp_every, Atomic.get e.fp_injected))
     (Atomic.get registry)
-
-(* Arm from the environment once at program start, so any embedding — the
-   irdl-opt binary, the test runner, a library user — can inject faults
-   without code changes. A malformed spec is reported once and ignored
-   (fault injection must never break a production start-up). *)
-let () =
-  match Sys.getenv_opt "IRDL_FAILPOINTS" with
-  | None | Some "" -> ()
-  | Some spec -> (
-      match configure spec with
-      | Ok () -> ()
-      | Error msg ->
-          Printf.eprintf "warning: ignoring IRDL_FAILPOINTS: %s\n%!" msg)

@@ -6,9 +6,9 @@
     real exceptions through real recovery paths instead of mocking them.
 
     Arming is process-global and cross-domain (the registry is read and
-    counted atomically): the [IRDL_FAILPOINTS] environment variable is
-    consulted once at program start, and {!configure} replaces the
-    configuration at any time (tests, the [--failpoints] flag).
+    counted atomically), and there is one way to do it: {!configure},
+    which replaces the configuration at any time ([irdl-opt]'s
+    [--failpoints] flag, tests). Linking the library arms nothing.
 
     Spec syntax: a comma-separated list of [seam] or [seam:K] entries.
     [seam] fires on every hit; [seam:K] fires on every Kth hit (the Kth,

@@ -437,26 +437,43 @@ let serve_fd_oversized_and_corrupt () =
         (r3.Server.rs_status = Server.Invalid_request)
   | _ -> Alcotest.fail "expected exactly 3 responses"
 
-let serve_fd_sheds_over_max_queue () =
+(* A frame is decoded only once the frames before it are answered, so
+   time spent behind a slow request does not count against the next
+   one's deadline. The input is a file, which stays readable to its end:
+   nothing waits for the client to pause. *)
+let serve_fd_answers_before_decoding_more () =
   Server.reset_shutdown ();
   let ctx = cmath_ctx () in
-  let config = { Server.default_config with Server.max_queue = 2 } in
-  let requests =
-    List.init 5 (fun i ->
-        encode_req ~id:(string_of_int (i + 1)) ~kind:"verify" good_ir)
+  let big = Buffer.create (4 * 1024 * 1024) in
+  for i = 0 to 29_999 do
+    Printf.bprintf big
+      "%%c%d = \"t.cast\"() : () -> (!cmath.complex<f32>)\n\
+       %%n%d = \"cmath.norm\"(%%c%d) : (!cmath.complex<f32>) -> (f32)\n"
+      i i i
+  done;
+  let slow = Buffer.contents big in
+  (* A deadline a quarter of the slow request's own time. *)
+  let t0 = Unix.gettimeofday () in
+  check_status "slow request alone" Server.Ok_
+    (Server.handle ctx Server.default_config (req Server.Verify slow));
+  let deadline_ms =
+    max 1 (int_of_float ((Unix.gettimeofday () -. t0) *. 250.))
   in
-  let answered, responses = serve_over_files ~config ctx requests in
-  Alcotest.(check int) "every request answered" 5 answered;
-  let shed =
-    List.filter (fun r -> r.Server.rs_status = Server.Retry_later) responses
+  let answered, responses =
+    serve_over_files ctx
+      [
+        encode_req ~id:"slow" ~kind:"verify" slow;
+        encode_req ~id:"next" ~kind:"verify"
+          ~extra:[ ("deadline-ms", string_of_int deadline_ms) ]
+          good_ir;
+      ]
   in
-  Alcotest.(check int) "burst beyond the window shed" 3 (List.length shed);
-  List.iter
-    (fun r ->
-      match r.Server.rs_retry_after_ms with
-      | Some ms -> Alcotest.(check bool) "retry hint positive" true (ms > 0)
-      | None -> Alcotest.fail "shed response carries retry-after-ms")
-    shed
+  Alcotest.(check int) "both answered" 2 answered;
+  match responses with
+  | [ r1; r2 ] ->
+      check_status "slow request" Server.Ok_ r1;
+      check_status "next request within its deadline" Server.Ok_ r2
+  | _ -> Alcotest.fail "expected exactly 2 responses"
 
 let serve_fd_drains_on_shutdown_request () =
   Server.reset_shutdown ();
@@ -756,7 +773,8 @@ let suite =
     tc "handle: injected faults poison one request" handle_injected_isolation;
     tc "serve_fd: end to end, ordered" serve_fd_end_to_end;
     tc "serve_fd: oversized + corrupt tail" serve_fd_oversized_and_corrupt;
-    tc "serve_fd: sheds beyond --max-queue" serve_fd_sheds_over_max_queue;
+    tc "serve_fd: answers a frame before decoding the next"
+      serve_fd_answers_before_decoding_more;
     tc "serve_fd: drains on shutdown request" serve_fd_drains_on_shutdown_request;
     tc "serve_unix: socket round-trip and shutdown" serve_unix_roundtrip;
     tc "serve_unix: a long request blocks only its own loop"

@@ -176,6 +176,11 @@ let classify engine ~parse_failed ~verify_failed =
   else if verify_failed then Verify_error
   else Ok_
 
+let sink ~generic ctx = function
+  | Print -> Some (Frontend.Sink.text ~generic ctx)
+  | Emit_bytecode -> Some (Frontend.Sink.bytecode ())
+  | Parse | Verify | Ping | Stats | Shutdown -> None
+
 (* The module-processing kinds run [irdl-opt]'s chunk driver,
    [Frontend.run]. The engine's handler renders into a buffer, so the
    response's diagnostics section is byte-for-byte the one-shot stderr
@@ -185,12 +190,7 @@ let run_module ctx config rq =
   let dbuf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer dbuf in
   Diag.Engine.add_handler engine (Diag.Engine.printer ppf);
-  let sink =
-    match rq.rq_kind with
-    | Print -> Some (Frontend.Sink.text ~generic:config.generic ctx)
-    | Emit_bytecode -> Some (Frontend.Sink.bytecode ())
-    | _ -> None
-  in
+  let sink = sink ~generic:config.generic ctx rq.rq_kind in
   let r =
     Frontend.run ~file:rq.rq_file ~engine
       ~limits:(Limits.meet config.limits rq.rq_limits)

@@ -86,6 +86,16 @@ type config = {
 val default_config : config
 (** Unlimited budgets, recommended domain count, pretty printing. *)
 
+val sink :
+  generic:bool ->
+  Irdl_ir.Context.t ->
+  kind ->
+  Irdl_bytecode.Frontend.Sink.t option
+(** The output of a request of this kind, and of a one-shot chunk. *)
+
+val registered_dialects : Irdl_ir.Context.t -> string
+(** A [Stats] answer, and a one-shot run's output with no input. *)
+
 val parse_request :
   header:(string * string) list -> payload:string -> (request, response) result
 (** Decode a request from its frame header ([id], [kind], [file],

@@ -6,6 +6,8 @@
 
 exception Injected of string
 
+let seams = [ "parse"; "verify"; "bytecode.decode"; "pool.task" ]
+
 type entry = {
   fp_name : string;
   fp_every : int;  (* fire on every [fp_every]-th hit; 1 = always *)
@@ -16,11 +18,11 @@ type entry = {
 let registry : entry list Atomic.t = Atomic.make []
 
 (* Fast-path guard: [hit] loads only this when nothing is armed. *)
-let armed = Atomic.make false
+let any_armed = Atomic.make false
 
 let clear () =
   Atomic.set registry [];
-  Atomic.set armed false
+  Atomic.set any_armed false
 
 let parse_entry s =
   match String.index_opt s ':' with
@@ -62,16 +64,16 @@ let configure spec =
   | Error _ as e -> e
   | Ok entries ->
       Atomic.set registry entries;
-      Atomic.set armed (entries <> []);
+      Atomic.set any_armed (entries <> []);
       Ok ()
 
-let active () = Atomic.get armed
+let active () = Atomic.get any_armed
 
 let find name =
   List.find_opt (fun e -> e.fp_name = name) (Atomic.get registry)
 
 let hit name =
-  if Atomic.get armed then
+  if Atomic.get any_armed then
     match find name with
     | None -> ()
     | Some e ->
@@ -84,7 +86,7 @@ let hit name =
 let injected_count name =
   match find name with None -> 0 | Some e -> Atomic.get e.fp_injected
 
-let seams () =
+let armed () =
   List.map
     (fun e -> (e.fp_name, e.fp_every, Atomic.get e.fp_injected))
     (Atomic.get registry)

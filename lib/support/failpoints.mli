@@ -21,6 +21,9 @@
 exception Injected of string
 (** Raised by {!hit} at an armed seam; the payload is the seam name. *)
 
+val seams : string list
+(** The seams the code passes; {!configure} accepts any name. *)
+
 val configure : string -> (unit, string) result
 (** Replace the armed set from a spec string. [Error] describes the first
     malformed entry; the previous configuration is kept on error. *)
@@ -40,5 +43,5 @@ val injected_count : string -> int
 (** How many times the named seam actually raised so far (0 when not
     armed); observability for soak tests. *)
 
-val seams : unit -> (string * int * int) list
+val armed : unit -> (string * int * int) list
 (** The armed seams as [(name, every, injected)] triples. *)

@@ -268,7 +268,7 @@ let failpoints_configure_errors () =
   Fun.protect ~finally:Failpoints.clear @@ fun () ->
   Alcotest.(check bool) "ok spec" true
     (Result.is_ok (Failpoints.configure "parse,verify:2"));
-  let armed_before = Failpoints.seams () in
+  let armed_before = Failpoints.armed () in
   Alcotest.(check bool) "bad cadence rejected" true
     (Result.is_error (Failpoints.configure "parse:0"));
   Alcotest.(check bool) "bad entry rejected" true
@@ -276,7 +276,7 @@ let failpoints_configure_errors () =
   (* A rejected spec keeps the previous configuration. *)
   Alcotest.(check int) "previous config kept"
     (List.length armed_before)
-    (List.length (Failpoints.seams ()));
+    (List.length (Failpoints.armed ()));
   Alcotest.(check bool) "empty spec disarms" true
     (Result.is_ok (Failpoints.configure ""));
   Alcotest.(check bool) "disarmed" false (Failpoints.active ())

@@ -376,9 +376,8 @@ let options =
         "Report verification-cache statistics (entries, hit rate, \
          invalidations) on stderr after the run. Ops are verified as they \
          are parsed, so the counts include ops of chunks that later fail to \
-         parse. Under $(b,--jobs), the hit and miss counts include the \
-         worker domains, which have exited by then; the entry counts cover \
-         the main domain's live tables only."
+         parse. Under $(b,--jobs), every count is the sum over the run's \
+         domains, each of which starts with a cold cache."
       Arg.flag
   and+ jobs =
     arg ~modes:[ One_shot; Listen ] [ "j"; "jobs" ] ~docv:"N"
@@ -388,8 +387,9 @@ let options =
          at the machine's recommended domain count (default 1; 0 picks that \
          count). Every flag composes with it: output, exit code and \
          $(b,--diag-json) are byte-identical to $(b,--jobs) 1, except the \
-         per-domain cache counts of $(b,--verify-stats). With $(b,--listen), \
-         the number of serve loops, capped the same way."
+         cache counts of $(b,--verify-stats), summed over domains that each \
+         start cold. With $(b,--listen), the number of serve loops, capped \
+         the same way."
       Arg.(opt int 1)
   and+ emit_bytecode =
     arg ~modes:with_connect [ "emit-bytecode" ] ~docv:"FILE"
@@ -493,6 +493,10 @@ let check o uses =
       if not (List.mem mode u.modes) then
         usage_error "%s cannot be combined with %s" u.flag (mode_name mode))
     uses;
+  (* Under --serve stdout is the response stream. *)
+  if mode = Serve && o.emit_dialect_bytecode = Some "-" then
+    usage_error "--emit-dialect-bytecode - cannot be combined with %s"
+      (mode_name mode);
   List.iter
     (fun u ->
       List.iter

@@ -91,8 +91,8 @@ type t = {
       (** Some shard gained an entry since the last flush. *)
   mutable vc_invalidations : int;
   mutable vc_folded : verify_stats;
-      (** Counters of shards that were reset or whose domain exited;
-          updated under [reg_lock]. *)
+      (** Counters of shards that were reset, and counters and table
+          sizes of shards whose domain exited; updated under [reg_lock]. *)
 }
 
 (* One domain's slice of the verification cache. It lives in a
@@ -182,6 +182,15 @@ let check_open t ~what ~name =
 (* Verification cache                                                *)
 (* ---------------------------------------------------------------- *)
 
+(* Pads every slot's array past its last signature. *)
+let no_sig =
+  { sg_operands = [||]; sg_results = [||]; sg_attrs = []; sg_regions = [];
+    sg_successors = 0; sg_tail = "" }
+
+let rec first_free (sigs : op_sig array) i =
+  if i = Array.length sigs || sigs.(i) == no_sig then i
+  else first_free sigs (i + 1)
+
 let key_counter = Atomic.make 0
 let fresh_key () = Atomic.fetch_and_add key_counter 1 + 1
 
@@ -190,6 +199,20 @@ let counters s =
     vs_hits = s.sh_hits; vs_misses = s.sh_misses;
     vs_memo_hits = s.sh_memo_hits; vs_memo_misses = s.sh_memo_misses }
 
+(* A shard's counts for [t]: its counters, and the sizes of its tables
+   while they hold [t]'s current generation (a reset empties them). *)
+let shard_stats t s =
+  if s.sh_ctx != t then empty_verify_stats
+  else if s.sh_gen <> t.vc_gen then counters s
+  else
+    { (counters s) with
+      vs_ty_entries = Id_tbl.length s.sh_ty;
+      vs_attr_entries = Id_tbl.length s.sh_attr;
+      vs_memo_ops = Str_tbl.length s.sh_names;
+      vs_memo_sigs =
+        Array.fold_left (fun n sigs -> n + first_free sigs 0) 0 s.sh_memo }
+
+(* At a reset only the counters carry over: the tables start empty. *)
 let fold_counters s =
   let t = s.sh_ctx in
   locked t (fun () -> t.vc_folded <- add_verify_stats t.vc_folded (counters s));
@@ -218,9 +241,14 @@ let shard_key : vc_shard Domain.DLS.key =
           sh_memo_misses = 0;
         }
       in
-      (* The main domain's shard is only read by the process it ends. *)
+      (* An exiting domain folds its whole count, tables included, so a
+         batch's report is one sum over its domains. The main domain's
+         shard is only read by the process it ends. *)
       if not (Domain.is_main_domain ()) then
-        Domain.at_exit (fun () -> fold_counters s);
+        Domain.at_exit (fun () ->
+            let t = s.sh_ctx in
+            locked t (fun () ->
+                t.vc_folded <- add_verify_stats t.vc_folded (shard_stats t s)));
       s)
 
 (* The calling domain's shard, reset in place for [t]'s current
@@ -358,11 +386,6 @@ let sig_matches (op : Graph.op) sg =
   && same_attrs sg.sg_attrs op.attrs
   && same_regions sg.sg_regions op.regions
 
-(* Pads every slot's array past its last signature. *)
-let no_sig =
-  { sg_operands = [||]; sg_results = [||]; sg_attrs = []; sg_regions = [];
-    sg_successors = 0; sg_tail = "" }
-
 (* A slot orders itself by use: a hit moves its signature one place toward
    the front, so the signatures a workload uses most sit first and a hit
    takes one or two compares. A swap writes the array only when the hit
@@ -410,10 +433,6 @@ let signature (op : Graph.op) =
     sg_successors = List.length op.successors;
     sg_tail = "";
   }
-
-let rec first_free (sigs : op_sig array) i =
-  if i = Array.length sigs || sigs.(i) == no_sig then i
-  else first_free sigs (i + 1)
 
 (* A new signature goes last, in the first free place; a full slot doubles
    up to [memo_max_sigs] and then records no more. Only Ok verdicts are
@@ -464,21 +483,10 @@ let set_verify_cache t enabled =
 
 let verify_cache_enabled t = t.vc_enabled
 
-(* The caller's live shard plus the folded counters of every shard that
-   was reset or whose domain exited. Entries count the live shard only. *)
+(* The caller's live shard plus the folded counts of every shard that was
+   reset or whose domain exited. *)
 let verify_stats t =
-  let s = Domain.DLS.get shard_key in
-  let live =
-    if s.sh_ctx != t then empty_verify_stats
-    else if s.sh_gen <> t.vc_gen then counters s
-    else
-      { (counters s) with
-        vs_ty_entries = Id_tbl.length s.sh_ty;
-        vs_attr_entries = Id_tbl.length s.sh_attr;
-        vs_memo_ops = Str_tbl.length s.sh_names;
-        vs_memo_sigs =
-          Array.fold_left (fun n sigs -> n + first_free sigs 0) 0 s.sh_memo }
-  in
+  let live = shard_stats t (Domain.DLS.get shard_key) in
   locked t (fun () ->
       { (add_verify_stats t.vc_folded live) with
         vs_invalidations = t.vc_invalidations })

@@ -218,12 +218,13 @@ type stats = {
           shared by all contexts, so every context reports the same
           numbers. *)
   st_verify : verify_stats;
-      (** Verification-cache counters: [vs_hits], [vs_misses],
-          [vs_memo_hits] and [vs_memo_misses] add up every domain's shard
-          that served this context and has since been emptied or exited,
-          plus the calling domain's live shard; the entry counts cover
-          that live shard only. After a parallel run, read them once the
-          worker domains have joined. *)
+      (** Verification-cache counters, summed over the calling domain's
+          live shard and every shard that served this context and whose
+          domain has exited. The hit and miss counts also keep those of
+          shards emptied by an invalidation; the entry and signature
+          counts cover only the tables of the current generation. After
+          a parallel run, read them once the worker domains have
+          joined. *)
 }
 
 val stats : t -> stats

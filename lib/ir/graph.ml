@@ -116,11 +116,41 @@ and op_def = {
 
 let unresolved = { oh_key = 0; oh_def = None; oh_quoted = ""; oh_slot = -1 }
 
-(* Atomic so ID allocation stays race-free once construction moves onto
-   OCaml 5 domains (the multicore verification service); uncontended
-   fetch-and-add costs the same as the old ref bump. *)
-let id_counter = Atomic.make 0
-let next_id () = Atomic.fetch_and_add id_counter 1 + 1
+(* Ids are handed out in blocks of [id_block]: each domain takes ids from
+   its own block and claims the next one with a single fetch-and-add on
+   the process-wide counter. Domains building IR at once ([--jobs]) then
+   meet on that counter once per 1024 ids rather than on every op. A
+   block is aligned to the printer's numbering pages (1024 slots, see
+   [Printer.Numbering]), so the ids of one domain's block fill one page.
+   Ids are unique, not ordered across domains: they serve as keys and for
+   equality only. Block 0 is never handed out, so no id is 0. *)
+let id_block = 1024
+let id_counter = Atomic.make id_block
+
+type id_range = { mutable next : int; mutable limit : int }
+
+let id_range = Domain.DLS.new_key (fun () -> { next = 0; limit = 0 })
+
+(* [n] consecutive fresh ids; returns the first. One [Domain.DLS] lookup,
+   so an op and its results, or a block and its arguments, take one. A
+   range larger than a block gets whole blocks of its own. *)
+let take_ids n =
+  let r = Domain.DLS.get id_range in
+  let id = r.next in
+  if id + n <= r.limit then begin
+    r.next <- id + n;
+    id
+  end
+  else
+    let size = (n + id_block - 1) / id_block * id_block in
+    let base = Atomic.fetch_and_add id_counter size in
+    if size = id_block then begin
+      r.next <- base + n;
+      r.limit <- base + size
+    end;
+    base
+
+let next_id () = take_ids 1
 
 (* Gap left between consecutive order indices so insertions in the middle
    usually find a free midpoint; when a gap closes the whole block is
@@ -227,9 +257,10 @@ module Op = struct
 
   let create ?(operands = []) ?(result_tys = []) ?(attrs = []) ?(regions = [])
       ?(successors = []) ?(loc = Loc.unknown) name =
+    let id = take_ids (1 + List.length result_tys) in
     let op =
       {
-        op_id = next_id ();
+        op_id = id;
         op_name = name;
         op_handle = unresolved;
         op_operands = [||];
@@ -252,7 +283,7 @@ module Op = struct
       Array.of_list
         (List.mapi
            (fun index ty ->
-             { v_id = next_id ();
+             { v_id = id + 1 + index;
                v_ty = Attr.intern_ty ty;
                v_def = Op_result { op; index };
                v_first_use = None })
@@ -273,9 +304,11 @@ module Op = struct
      10^6 ops. *)
   let create_prebuilt ~(operands : value array) ~(result_tys : Attr.ty array)
       ~attrs ~regions ~successors ~loc ~handle name =
+    let n_results = Array.length result_tys in
+    let id = take_ids (1 + n_results) in
     let op =
       {
-        op_id = next_id ();
+        op_id = id;
         op_name = name;
         op_handle = handle;
         op_operands = [||];
@@ -300,16 +333,15 @@ module Op = struct
       done;
       op.op_operands <- uses
     end;
-    let n_results = Array.length result_tys in
     if n_results = 1 then
       op.op_results <-
-        [| { v_id = next_id (); v_ty = result_tys.(0);
+        [| { v_id = id + 1; v_ty = result_tys.(0);
              v_def = Op_result { op; index = 0 }; v_first_use = None } |]
     else if n_results > 1 then begin
       let res =
         Array.make n_results
           {
-            v_id = next_id ();
+            v_id = id + 1;
             v_ty = result_tys.(0);
             v_def = Op_result { op; index = 0 };
             v_first_use = None;
@@ -318,7 +350,7 @@ module Op = struct
       for index = 1 to n_results - 1 do
         res.(index) <-
           {
-            v_id = next_id ();
+            v_id = id + 1 + index;
             v_ty = result_tys.(index);
             v_def = Op_result { op; index };
             v_first_use = None;
@@ -459,15 +491,16 @@ module Block = struct
   type t = block
 
   let create ?(arg_tys = []) () =
+    let id = take_ids (1 + List.length arg_tys) in
     let block =
-      { blk_id = next_id (); blk_args = [||]; blk_first = None; blk_last = None;
+      { blk_id = id; blk_args = [||]; blk_first = None; blk_last = None;
         blk_num_ops = 0; blk_parent = None; blk_prev = None; blk_next = None }
     in
     block.blk_args <-
       Array.of_list
         (List.mapi
            (fun index ty ->
-             { v_id = next_id ();
+             { v_id = id + 1 + index;
                v_ty = Attr.intern_ty ty;
                v_def = Block_arg { block; index };
                v_first_use = None })

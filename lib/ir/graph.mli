@@ -111,8 +111,9 @@ val unresolved : op_handle
 (** Never valid. *)
 
 val next_id : unit -> int
-(** A fresh id, unique within the process. Atomic: safe to call from
-    multiple domains. *)
+(** A fresh id, unique within the process and never 0. Safe to call from
+    multiple domains: each domain takes ids from its own block of 1024,
+    so ids are not ordered across domains. *)
 
 module Value : sig
   type t = value

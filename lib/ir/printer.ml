@@ -24,14 +24,15 @@
 module Int_tbl = Hashtbl.Make (Int)
 
 (* Printed numbers by id (value or block), assigned on first use, strictly
-   in emission order. Ids come from one counter, so the ids a session
-   prints are dense: the numbers live in pages of 1024 slots keyed by
-   [id / 1024], and the page last used is cached. A name costs two reads
-   rather than a hash lookup. A page is [Bytes] holding number + 1 as an
-   int32 per slot (0: none yet): 4 KB, past the minor heap's largest
-   block, so it is allocated straight into the major heap, where the GC
-   neither copies nor scans it. A small print (a server request) touches
-   a page or two. *)
+   in emission order. A domain takes ids in blocks of 1024 aligned to these
+   pages ({!Graph.next_id}), so the ids of IR built in one go are dense
+   and one block fills one page: the numbers live in pages of 1024 slots
+   keyed by [id / 1024], and the page last used is cached. A name costs
+   two reads rather than a hash lookup. A page is [Bytes] holding
+   number + 1 as an int32 per slot (0: none yet): 4 KB, past the minor
+   heap's largest block, so it is allocated straight into the major heap,
+   where the GC neither copies nor scans it. A small print (a server
+   request) touches a page or two. *)
 module Numbering = struct
   let page_bits = 10
   let page_slots = 1 lsl page_bits

@@ -174,17 +174,7 @@ module Sources = struct
   let line_starts e =
     match Atomic.get e.line_starts with
     | [||] ->
-        let n = ref 1 in
-        String.iter (fun c -> if c = '\n' then incr n) e.src;
-        let a = Array.make !n 0 in
-        let k = ref 1 in
-        String.iteri
-          (fun i c ->
-            if c = '\n' then begin
-              a.(!k) <- i + 1;
-              incr k
-            end)
-          e.src;
+        let a = Memscan.line_starts e.src in
         Atomic.set e.line_starts a;
         a
     | a -> a

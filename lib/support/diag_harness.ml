@@ -172,43 +172,54 @@ let scan_line ~file ~lineno line ~start ~stop =
         keywords;
       (List.rev !expectations, List.rev !errors)
 
-(* The one walk over a source's bytes. Both a separator and an annotation
-   sit on a line with a [//], so only such a line is looked at: it is a
-   separator or it is scanned for annotations. A chunk spans the lines
-   between two separators, without the newline that ends its last line:
-   that newline belongs to the separator after it, so a diagnostic at the
-   end of a chunk sits on the chunk's last line. Without any separator
-   the whole source is one chunk. *)
+(* The one walk over a source. Both a separator and an annotation sit on
+   a line with a [//], so only such a line is looked at: it is a separator
+   or it is scanned for annotations. The walk jumps from one [/] to the
+   next with [Memscan.index] and counts the newlines it jumped over with
+   [Memscan.count], so the bytes between two [//] lines cost no OCaml
+   loop. A chunk spans the lines between two separators, without the
+   newline that ends its last line: that newline belongs to the separator
+   after it, so a diagnostic at the end of a chunk sits on the chunk's
+   last line. Without any separator the whole source is one chunk. *)
 let scan ~file src =
   let len = String.length src in
   let chunks = ref [] and start = ref 0 and first_line = ref 1 in
   let expectations = ref [] and errors = ref [] in
-  let rec go i ls lineno =
-    if i < len then
-      match String.unsafe_get src i with
-      | '\n' -> go (i + 1) (i + 1) (lineno + 1)
-      | '/' when i + 1 < len && String.unsafe_get src (i + 1) = '/' ->
-          let le =
-            match String.index_from_opt src i '\n' with
-            | Some j -> j
-            | None -> len
-          in
-          (if is_separator src ls le then begin
-             let stop = if ls > !start then ls - 1 else !start in
-             chunks :=
-               { Sbuf.start = !start; stop; first_line = !first_line }
-               :: !chunks;
-             start := min len (le + 1);
-             first_line := lineno + 1
-           end
-           else
-             let exps, errs = scan_line ~file ~lineno src ~start:ls ~stop:le in
-             expectations := List.rev_append exps !expectations;
-             errors := List.rev_append errs !errors);
-          go (le + 1) (le + 1) (lineno + 1)
-      | _ -> go (i + 1) ls lineno
+  (* The line start at or before [i], no earlier than [floor]. *)
+  let rec line_start floor i =
+    if i > floor && String.unsafe_get src (i - 1) <> '\n' then
+      line_start floor (i - 1)
+    else i
   in
-  go 0 0 1;
+  (* Newlines are counted up to [at], a line start on line [lineno]; the
+     next [/] is searched for from [pos]. *)
+  let rec go ~pos ~at lineno =
+    match Memscan.index src '/' ~from:pos ~stop:len with
+    | -1 -> ()
+    | i when i + 1 < len && String.unsafe_get src (i + 1) = '/' ->
+        let lineno = lineno + Memscan.count src '\n' ~from:at ~stop:i in
+        let ls = line_start at i in
+        let le =
+          match Memscan.index src '\n' ~from:i ~stop:len with
+          | -1 -> len
+          | j -> j
+        in
+        (if is_separator src ls le then begin
+           let stop = if ls > !start then ls - 1 else !start in
+           chunks :=
+             { Sbuf.start = !start; stop; first_line = !first_line }
+             :: !chunks;
+           start := min len (le + 1);
+           first_line := lineno + 1
+         end
+         else
+           let exps, errs = scan_line ~file ~lineno src ~start:ls ~stop:le in
+           expectations := List.rev_append exps !expectations;
+           errors := List.rev_append errs !errors);
+        if le < len then go ~pos:(le + 1) ~at:(le + 1) (lineno + 1)
+    | i -> go ~pos:(i + 1) ~at lineno
+  in
+  go ~pos:0 ~at:0 1;
   let windows =
     List.rev
       ({ Sbuf.start = !start; stop = len; first_line = !first_line }

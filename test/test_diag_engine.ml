@@ -395,6 +395,49 @@ module Reference_scan = struct
     in
     go 0 1;
     (List.rev !expectations, List.rev !errors)
+
+  (* The walk of [Diag_harness.scan] as it was before it jumped from [/] to
+     [/]: one step per byte, a line with a [//] either a separator
+     ([String.trim] of it is ["// -----"]) or scanned for annotations. *)
+  let scan ~file src =
+    let len = String.length src in
+    let chunks = ref [] and start = ref 0 and first_line = ref 1 in
+    let expectations = ref [] and errors = ref [] in
+    let rec go i ls lineno =
+      if i < len then
+        match src.[i] with
+        | '\n' -> go (i + 1) (i + 1) (lineno + 1)
+        | '/' when i + 1 < len && src.[i + 1] = '/' ->
+            let le =
+              match String.index_from_opt src i '\n' with
+              | Some j -> j
+              | None -> len
+            in
+            let line = String.sub src ls (le - ls) in
+            (if String.trim line = "// -----" then begin
+               let stop = if ls > !start then ls - 1 else !start in
+               chunks :=
+                 { Sbuf.start = !start; stop; first_line = !first_line }
+                 :: !chunks;
+               start := min len (le + 1);
+               first_line := lineno + 1
+             end
+             else
+               let exps, errs =
+                 scan_line ~file ~lineno src ~start:ls ~stop:le
+               in
+               expectations := List.rev_append exps !expectations;
+               errors := List.rev_append errs !errors);
+            go (le + 1) (le + 1) (lineno + 1)
+        | _ -> go (i + 1) ls lineno
+    in
+    go 0 0 1;
+    let windows =
+      List.rev
+        ({ Sbuf.start = !start; stop = len; first_line = !first_line }
+        :: !chunks)
+    in
+    (windows, (List.rev !expectations, List.rev !errors))
 end
 
 (* Lines of annotation fragments, valid and malformed, joined by LF or
@@ -424,6 +467,135 @@ let scan_matches_reference =
           List.map Diag.to_string errs )
       in
       got = Reference_scan.scan_expectations ~file:"a.mlir" src)
+
+(* ---------------- the scan against its per-byte reference ---------------- *)
+
+(* Sources of separator, annotation, code and slash lines, each ended by
+   LF or CRLF, with or without a final newline. Separators carry blanks
+   around them and may open or close the source; [//] also sits inside
+   string literals, and lone [/] are scattered. *)
+let scan_source_gen =
+  let open QCheck2.Gen in
+  let separator =
+    oneofl
+      [
+        "// -----"; "  // -----  "; "\t// -----"; "// -----\r"; " \012// -----";
+        "// ----"; "// ------"; "x // -----"; "// - ----";
+      ]
+  in
+  let annotation =
+    map (String.concat "")
+      (list_size (int_range 1 8)
+         (oneofl
+            [
+              "// "; "//"; "/"; " "; "\t"; "expected-error"; "expected-warning";
+              "expected-note"; "@+1"; "@-2"; "@+"; "@above"; "@below"; "@x";
+              "{{"; "}}"; "msg"; "%0 = \"t.x\"() : () -> ()";
+            ]))
+  in
+  let code =
+    oneofl
+      [
+        {|%a = "t.x"() : () -> i32|};
+        {|%s = "t.s"() {v = "a // b"} : () -> ()|};
+        {|"t.u"() {v = "// -----"} : () -> ()|};
+        {|"t.e"() {v = "// expected-error {{x}}"} : () -> ()|};
+        "a / b"; "/"; "x/"; "/y / z"; ""; "   ";
+      ]
+  in
+  let line = frequency [ (1, separator); (2, annotation); (3, code) ] in
+  let* first = opt separator and* last = opt separator in
+  let* body = list_size (int_range 0 30) line in
+  let lines = Option.to_list first @ body @ Option.to_list last in
+  let* ends = list_repeat (List.length lines) (oneofl [ "\n"; "\r\n" ]) in
+  let* final_newline = bool in
+  let n = List.length lines in
+  return
+    (String.concat ""
+       (List.mapi
+          (fun i l ->
+            if i = n - 1 && not final_newline then l else l ^ List.nth ends i)
+          lines))
+
+(* Whether [Diag_harness.scan] gives the reference's chunks, expectations
+   and errors. *)
+let scan_agrees src =
+  let windows, (exps, errs) = Diag_harness.scan ~file:"a.mlir" src in
+  ( windows,
+    ( List.map
+        (fun (e : Diag_harness.expectation) ->
+          (e.exp_line, e.exp_decl_line, e.exp_severity, e.exp_substr))
+        exps,
+      List.map Diag.to_string errs ) )
+  = Reference_scan.scan ~file:"a.mlir" src
+
+let scan_matches_per_byte_walk =
+  QCheck2.Test.make ~name:"scan matches the per-byte walk" ~count:2000
+    ~print:(Printf.sprintf "%S") scan_source_gen scan_agrees
+
+let scan_edge_sources () =
+  List.iter
+    (fun src ->
+      if not (scan_agrees src) then
+        Alcotest.failf "scan differs from the per-byte walk on %S" src)
+    [
+      ""; "/"; "//"; "\n"; "// -----"; "  // -----  "; "// -----\n";
+      "\n// -----"; "a\r\n// -----\r\nb"; "x/\n/y\n//"; "/\n/";
+      "%s = \"a // expected-error {{x}}\"";
+      "// expected-error@+1 {{a}}\r\nop\r\n// -----\r\n// expected-note {{b}}";
+    ]
+
+(* [Memscan.line_starts], [count] and [index] against per-byte loops, on
+   sources long enough to cross the word-at-a-time count's flush (255
+   words) and with ranges of every alignment. *)
+let memscan_sources =
+  let open QCheck2.Gen in
+  let* n = frequency [ (4, int_range 0 100); (1, int_range 2000 5000) ] in
+  let* s =
+    string_size ~gen:(oneofl [ '\n'; '\n'; 'a'; '/'; '\r' ]) (return n)
+  in
+  let* from = int_range 0 n in
+  let* stop = int_range from n in
+  return (s, from, stop)
+
+let memscan_matches_per_byte =
+  QCheck2.Test.make ~name:"memscan matches per-byte loops" ~count:1000
+    ~print:(fun (s, from, stop) -> Printf.sprintf "%d..%d of %S" from stop s)
+    memscan_sources (fun (s, from, stop) ->
+      let starts = ref [ 0 ] in
+      String.iteri (fun i c -> if c = '\n' then starts := (i + 1) :: !starts) s;
+      let count c =
+        let n = ref 0 in
+        for i = from to stop - 1 do if s.[i] = c then incr n done;
+        !n
+      in
+      let rec index c i =
+        if i >= stop then -1 else if s.[i] = c then i else index c (i + 1)
+      in
+      Memscan.line_starts s = Array.of_list (List.rev !starts)
+      && List.for_all
+           (fun c ->
+             Memscan.count s c ~from ~stop = count c
+             && Memscan.index s c ~from ~stop = index c from)
+           [ '\n'; '/'; 'a'; '\r'; 'z' ])
+
+let line_starts_cases () =
+  List.iter
+    (fun (src, want) ->
+      Alcotest.(check (array int)) (Printf.sprintf "%S" src) want
+        (Memscan.line_starts src))
+    [
+      ("", [| 0 |]);
+      ("\n", [| 0; 1 |]);
+      ("a", [| 0 |]);
+      ("a\nb", [| 0; 2 |]);
+      ("a\r\nb\n", [| 0; 3; 5 |]);
+      ("\n\n", [| 0; 1; 2 |]);
+    ];
+  (* A line per byte. *)
+  let s = String.make 5000 '\n' in
+  Alcotest.(check (array int)) "5000 newlines" (Array.init 5001 Fun.id)
+    (Memscan.line_starts s)
 
 let scan_malformed () =
   let _, errs =
@@ -457,6 +629,15 @@ let check_severity_mismatch () =
   let produced = [ Diag.error ~loc:(loc_at ~file:"f.mlir" 2 1 1 0) "oops" ] in
   Alcotest.(check int) "error does not satisfy expected-warning" 2
     (List.length (Diag_harness.check ~expectations:exps produced))
+
+(* The scan's differential against its per-byte reference. *)
+let scan_suite =
+  [
+    QCheck_alcotest.to_alcotest scan_matches_per_byte_walk;
+    tc "scan edge sources match the per-byte walk" scan_edge_sources;
+    QCheck_alcotest.to_alcotest memscan_matches_per_byte;
+    tc "line_starts of small and newline-only sources" line_starts_cases;
+  ]
 
 let suite =
   [

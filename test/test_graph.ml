@@ -295,14 +295,48 @@ let deep_nesting_stack_safe () =
   let printed = Printer.op_to_string ctx root in
   Alcotest.(check bool) "printed" true (String.length printed > depth)
 
+(* Four domains build ops, values, blocks and regions through every
+   constructor that takes ids, past several of their per-domain id blocks
+   and across one op whose results need more than a block: every id of
+   every node is distinct, and none is 0. *)
 let atomic_ids_across_domains () =
-  let per_domain = 20_000 in
-  let gen () = Array.init per_domain (fun _ -> Graph.next_id ()) in
+  let rounds = 2_000 in
+  let gen () =
+    let ids = ref [] in
+    let add id = ids := id :: !ids in
+    let value (v : Graph.value) = add v.v_id in
+    let op (o : Graph.op) =
+      add o.op_id;
+      Array.iter value o.op_results
+    in
+    let block (b : Graph.block) =
+      add b.blk_id;
+      Array.iter value b.blk_args
+    in
+    let prebuilt n =
+      Graph.Op.create_prebuilt ~operands:[||]
+        ~result_tys:(Array.make n Attr.i32) ~attrs:[] ~regions:[]
+        ~successors:[] ~loc:Irdl_support.Loc.unknown
+        ~handle:Graph.unresolved "t.p"
+    in
+    let tys n = List.init n (fun _ -> Attr.i32) in
+    op (prebuilt 1500);
+    for i = 1 to rounds do
+      add (Graph.next_id ());
+      op (prebuilt (i mod 4));
+      op (Graph.Op.create ~result_tys:(tys (i mod 3)) "t.c");
+      block (Graph.Block.create ~arg_tys:(tys (i mod 3)) ());
+      add (Graph.Region.create ()).reg_id;
+      value (Graph.Value.forward_ref "x")
+    done;
+    !ids
+  in
   let domains = List.init 4 (fun _ -> Domain.spawn gen) in
-  let ids = List.concat_map (fun d -> Array.to_list (Domain.join d)) domains in
-  let tbl = Hashtbl.create (4 * per_domain) in
+  let ids = List.concat_map Domain.join domains in
+  let tbl = Hashtbl.create (List.length ids) in
   List.iter (fun id -> Hashtbl.replace tbl id ()) ids;
-  Alcotest.(check int) "all distinct" (4 * per_domain) (Hashtbl.length tbl)
+  Alcotest.(check int) "all distinct" (List.length ids) (Hashtbl.length tbl);
+  Alcotest.(check bool) "none is 0" false (Hashtbl.mem tbl 0)
 
 let suite =
   [

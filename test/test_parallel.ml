@@ -377,9 +377,8 @@ let test_cross_domain_interning () =
 (* Verify-cache shards                                               *)
 (* ---------------------------------------------------------------- *)
 
-(* A domain's counters outlive it: D cold domains verifying one module
-   each add D times what one cold domain adds, while the entry counts
-   (the calling domain's live shard only) do not move. *)
+(* A domain's counts outlive it: D cold domains verifying one module
+   each add D times what one cold domain adds, entries included. *)
 let test_shard_stats_merge () =
   let ctx = cmath_ctx () in
   Context.freeze ctx;
@@ -392,15 +391,20 @@ let test_shard_stats_merge () =
     Array.init domains (fun _ -> Domain.spawn (hammer ctx 1))
     |> Array.iter (fun d -> ignore (Domain.join d));
     let after = (Context.stats ctx).st_verify in
-    Alcotest.(check int) "entries cover the live shard only"
-      (before.vs_ty_entries + before.vs_attr_entries)
-      (after.vs_ty_entries + after.vs_attr_entries);
-    (after.vs_hits - before.vs_hits, after.vs_misses - before.vs_misses)
+    let entries (s : Context.verify_stats) =
+      s.vs_ty_entries + s.vs_attr_entries + s.vs_memo_sigs
+    in
+    ( entries after - entries before,
+      (after.vs_hits - before.vs_hits, after.vs_misses - before.vs_misses) )
   in
-  let hits, misses = delta 1 in
+  let entries, (hits, misses) = delta 1 in
   Alcotest.(check bool) "a cold run misses" true (misses > 0);
-  Alcotest.(check (pair int int))
-    "3 cold domains = 3 x one cold domain" (3 * hits, 3 * misses) (delta 3)
+  Alcotest.(check bool) "an exited domain's entries are added" true
+    (entries > 0);
+  Alcotest.(check (pair int (pair int int)))
+    "3 cold domains = 3 x one cold domain"
+    (3 * entries, (3 * hits, 3 * misses))
+    (delta 3)
 
 let test_cache_disabled_bypasses_shards () =
   let ctx = cmath_ctx () in

@@ -381,14 +381,16 @@ let stats_scopes () =
   Alcotest.(check bool) "the uniquer is counted" true
     (here.st_uniquing.us_types.nodes > 0);
   (* Two domains each verify from a cold shard and exit: the one record
-     adds their lookups but none of their entries. *)
+     adds their lookups and their entries, as many as the calling
+     domain's shard holds for the same ops. *)
   let lookups (s : Context.stats) = s.st_verify.vs_hits + s.st_verify.vs_misses in
   let spawned () =
     let before = Context.stats ctx in
     Domain.join (Domain.spawn verify);
     let after = Context.stats ctx in
-    Alcotest.(check int) "entries cover the live shard only"
-      before.st_verify.vs_ty_entries after.st_verify.vs_ty_entries;
+    Alcotest.(check int) "an exited domain's entries are added"
+      here.st_verify.vs_ty_entries
+      (after.st_verify.vs_ty_entries - before.st_verify.vs_ty_entries);
     lookups after - lookups before
   in
   let first = spawned () in

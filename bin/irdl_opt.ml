@@ -281,11 +281,17 @@ let options =
       Arg.(opt_all file [])
   and+ corpus =
     arg ~modes:with_servers [ "corpus" ]
-      ~doc:"Register the bundled 28-dialect MLIR corpus (Table 1)." Arg.flag
+      ~doc:
+        "Register the bundled 28-dialect MLIR corpus (Table 1). It starts \
+         warm: the corpus is a dialect pack encoded from its IRDL text when \
+         irdl-opt is built, so a run only decodes and registers it, as \
+         $(b,-d) does with a pack."
+      Arg.flag
   and+ cmath =
     arg ~modes:with_servers [ "cmath" ]
       ~doc:
-        "Register the paper's cmath dialect with its native (IRDL-C++) hooks."
+        "Register the paper's cmath dialect with its native (IRDL-C++) \
+         hooks, from a dialect pack built in, like $(b,--corpus)."
       Arg.flag
   and+ strict =
     arg ~modes:with_servers [ "strict-native" ]
@@ -423,9 +429,13 @@ let options =
     arg ~modes:with_servers [ "failpoints" ] ~docv:"SPEC"
       ~doc:
         ("Arm fault-injection seams: a comma-separated list of $(i,seam[:K]) \
-          entries (inject at every K-th hit; default every hit). Seams: "
+          entries (inject at every K-th hit within a document, that is one \
+          input chunk or one server request, so $(b,--jobs) does not move \
+          the faults; default every hit). Seams: "
         ^ String.concat ", " Failpoints.seams
-        ^ "; a one-shot run never passes pool.task. A bad $(docv) exits 1. \
+        ^ "; a one-shot run never passes pool.task, which a server passes \
+           once per request and counts across requests. A bad $(docv) \
+           exits 1. \
            Injected faults surface as structured internal-error diagnostics \
            (a one-shot run exits 1 for parse and decode faults, 2 for verify \
            faults); a server answers the poisoned request and keeps running."
@@ -587,21 +597,22 @@ let run (o, uses) =
     exit code
   in
   (* Dialect definitions: bundled corpus, cmath, then user files. The
-     bundled sources are not user input; a failure there is a build bug.
-     Every resolved dialect is remembered in registration order so
+     bundled dialects are packs encoded from their IRDL text at build time
+     (lib/bundled), so they skip the text parse and resolve and are only
+     registered here. They are not user input; a failure there is a build
+     bug. Every resolved dialect is remembered in registration order so
      --emit-dialect-bytecode can serialize the whole registry. *)
   let resolved_dialects = ref [] in
   let note_dialects dls =
     resolved_dialects := List.rev_append dls !resolved_dialects
   in
-  if o.corpus then (
-    match Irdl_dialects.Corpus.load_all ~native ctx with
+  let load_bundled pack =
+    match Frontend.load_dialects ~native ctx (Source.Binary pack) with
     | Ok dls -> note_dialects dls
-    | Error d -> fail_diag d);
-  if o.cmath then (
-    match Irdl_core.Irdl.load_one ~native ctx Irdl_dialects.Cmath.source with
-    | Ok dl -> note_dialects [ dl ]
-    | Error d -> fail_diag d);
+    | Error d -> fail_diag d
+  in
+  if o.corpus then load_bundled Bundled.corpus;
+  if o.cmath then load_bundled Bundled.cmath;
   (* User dialect files: fail-soft, format-sniffed. IRDL text goes through
      parse+resolve; a bytecode dialect pack (--emit-dialect-bytecode of an
      earlier run) skips both. Every error in every file is reported;

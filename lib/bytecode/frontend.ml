@@ -168,8 +168,9 @@ let caught e =
    the cons of a non-empty verify result and, with a pipeline, the cons
    that keeps the op. An exception out of verifying an op or out of the
    pipeline (an injected fault, a bug) becomes its diagnostic and counts
-   as a verify failure. *)
+   as a verify failure. The chunk is one failpoint document. *)
 let run ?file ~engine ?limits ~verify ?sink ?pipeline ctx payload =
+  Failpoints.in_document @@ fun () ->
   let e0 = Diag.Engine.error_count engine in
   let session = Stream.create ?file ~engine ?limits ctx payload in
   let keep = Option.is_some pipeline in

@@ -122,7 +122,8 @@ val run :
     by verifying an op or by [pipeline] (an injected {!Failpoints} fault,
     a bug) is not re-raised: {!Diag.protect_any} turns it into a
     diagnostic (code [injected_fault] for a failpoint), which counts as a
-    verify failure. *)
+    verify failure. Each call is one {!Failpoints.in_document}: a
+    [seam:K] failpoint counts the hits of this chunk alone. *)
 
 val load_dialects :
   ?native:Irdl_core.Native.t ->

@@ -110,7 +110,10 @@ let analyze () : (Irdl_core.Resolve.dialect list, Irdl_support.Diag.t) result
           | Error d -> Error d))
     (Ok []) all
 
-(** Parse, resolve and register the full corpus into one context. *)
+(** Parse, resolve and register the full corpus into one context: the text
+    path. [irdl-opt --corpus] registers the same dialects from a pack
+    encoded from this text at build time ([Bundled.corpus]); this function
+    is the reference that pack is tested against. *)
 let load_all ?native (ctx : Irdl_ir.Context.t) =
   List.fold_left
     (fun acc e ->

@@ -1,6 +1,9 @@
 (* See the interface. The registry is a single atomic holding an immutable
-   list of entries; each entry carries its own atomic hit counter, so
-   concurrent domains hitting the same seam count (and fire) without locks.
+   list of entries; each entry carries its own atomic hit counter (for hits
+   outside any document) and injection counter, so concurrent domains
+   hitting the same seam count (and fire) without locks. Within a document
+   the hits are counted in a list of the running domain instead, so the
+   hits of one document never depend on what other domains are doing.
    [configure] swaps the whole list, which is safe against concurrent
    [hit]s: a hit either sees the old entries or the new ones. *)
 
@@ -72,12 +75,35 @@ let active () = Atomic.get any_armed
 let find name =
   List.find_opt (fun e -> e.fp_name = name) (Atomic.get registry)
 
+(* The hit counts of the document running on this domain, keyed by entry
+   (physically, so a new configuration starts from zero); [None] outside
+   any document. *)
+let document : (entry * int ref) list ref option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let in_document f =
+  let outer = Domain.DLS.get document in
+  Domain.DLS.set document (Some (ref []));
+  Fun.protect ~finally:(fun () -> Domain.DLS.set document outer) f
+
+let next_hit e =
+  match Domain.DLS.get document with
+  | None -> Atomic.fetch_and_add e.fp_hits 1 + 1
+  | Some counts -> (
+      match List.assq_opt e !counts with
+      | Some n ->
+          incr n;
+          !n
+      | None ->
+          counts := (e, ref 1) :: !counts;
+          1)
+
 let hit name =
   if Atomic.get any_armed then
     match find name with
     | None -> ()
     | Some e ->
-        let n = Atomic.fetch_and_add e.fp_hits 1 + 1 in
+        let n = next_hit e in
         if n mod e.fp_every = 0 then begin
           Atomic.incr e.fp_injected;
           raise (Injected name)

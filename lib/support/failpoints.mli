@@ -11,9 +11,15 @@
     [--failpoints] flag, tests). Linking the library arms nothing.
 
     Spec syntax: a comma-separated list of [seam] or [seam:K] entries.
-    [seam] fires on every hit; [seam:K] fires on every Kth hit (the Kth,
-    2Kth, ... — deterministic, no randomness, so soak tests are exactly
-    reproducible). An empty spec disarms everything.
+    [seam] fires on every hit; [seam:K] fires on every Kth hit within a
+    document (the Kth, 2Kth, ... — deterministic, no randomness, so soak
+    tests are exactly reproducible). A document is one {!in_document}
+    call: one chunk driven by [Frontend.run], in [irdl-opt] and in the
+    server alike. Its hits are counted on its own, so which ops a fault
+    hits does not depend on how many domains run the other documents.
+    Hits outside any document (the server's [pool.task] seam, passed once
+    per request) are counted process-wide. An empty spec disarms
+    everything.
 
     When nothing is armed, {!hit} is one atomic load — cheap enough to
     leave in production code paths. *)
@@ -33,6 +39,11 @@ val clear : unit -> unit
 
 val active : unit -> bool
 (** Whether any seam is armed. *)
+
+val in_document : (unit -> 'a) -> 'a
+(** [in_document f] runs [f] as one document: the seams it hits count
+    from zero, on the calling domain only, and the enclosing count (a
+    document's, or the process-wide one) resumes afterwards. *)
 
 val hit : string -> unit
 (** Pass through the named seam: raises {!Injected} when the seam is armed

@@ -258,6 +258,20 @@ let failpoints_cadence () =
   Alcotest.(check int) "every 3rd hit fires" 3 !fired;
   Alcotest.(check int) "injections observable" 3
     (Failpoints.injected_count "x");
+  (* A document counts its own hits from zero; the enclosing count
+     (here 9 hits) resumes after it. *)
+  let fires () =
+    match Failpoints.hit "x" with
+    | () -> false
+    | exception Failpoints.Injected _ -> true
+  in
+  let in_doc =
+    Failpoints.in_document (fun () -> List.init 4 (fun _ -> fires ()))
+  in
+  Alcotest.(check (list bool)) "a document fires on its own 3rd hit"
+    [ false; false; true; false ] in_doc;
+  Alcotest.(check (list bool)) "the enclosing count resumes at 10"
+    [ false; false; true ] (List.init 3 (fun _ -> fires ()));
   (* Unarmed seams pass through; clearing disarms. *)
   Failpoints.hit "y";
   Failpoints.clear ();

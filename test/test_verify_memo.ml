@@ -408,20 +408,19 @@ let memo_is_bounded () =
          ~attrs:[ ("value", Attr.int ~ty:Attr.i64 (Int64.of_int i)) ]
          "arith.constant")
   done;
+  let kept (s : Context.verify_stats) = s.vs_memo_ops + s.vs_memo_sigs in
   let s = memo_stats ctx in
   Alcotest.(check int) "one entry" 1 s.vs_memo_ops;
-  Alcotest.(check bool) "signatures within the per-op cap" true
-    (s.vs_memo_sigs <= Context.memo_max_sigs);
+  Alcotest.(check bool) "signatures within the bound" true
+    (kept s <= Context.memo_max);
   Alcotest.(check int) "every constant missed" 10_000 s.vs_memo_misses;
   for i = 1 to 10_000 do
     verify_ok ctx
       (Graph.Op.create ~result_tys:[ Attr.i64 ] (Printf.sprintf "u%d.x" i))
   done;
   let s = memo_stats ctx in
-  Alcotest.(check bool) "entries within the per-shard cap" true
-    (s.vs_memo_ops <= Context.memo_max_ops);
-  Alcotest.(check bool) "signatures within both caps" true
-    (s.vs_memo_sigs <= Context.memo_max_ops * Context.memo_max_sigs)
+  Alcotest.(check bool) "names and signatures within the bound" true
+    (kept s <= Context.memo_max)
 
 (* Minor words [verify_all] allocates per op once every op's signature is
    in the memo. *)
@@ -471,13 +470,13 @@ let verify_allocation_budget () =
   in
   check_budget "unregistered leaves" (words_per_op ctx leaves)
 
-(* An op name with more live signatures than the memo holds keeps the ones
-   it recorded first, so those still hit: newest-first eviction would miss
-   on every op of the cycle. *)
+(* More live signatures than the memo holds: it keeps the ones it
+   recorded first, so those still hit: newest-first eviction would miss on
+   every op of the cycle. *)
 let memo_does_not_thrash () =
   let ctx = Context.create () in
   let tys =
-    Array.init (Context.memo_max_sigs + 8) (fun i -> Attr.integer (i + 1))
+    Array.init (Context.memo_max + 8) (fun i -> Attr.integer (i + 1))
   in
   let round () =
     Array.iter
@@ -495,8 +494,8 @@ let memo_does_not_thrash () =
   Alcotest.(check bool)
     (Printf.sprintf "at least half hit (%d hits, %d misses)" hits misses)
     true (hits >= misses);
-  Alcotest.(check int) "signatures stay at the cap" Context.memo_max_sigs
-    s.vs_memo_sigs
+  Alcotest.(check int) "the name and signatures stay at the bound"
+    Context.memo_max (s.vs_memo_ops + s.vs_memo_sigs)
 
 (* One unregistered placeholder name with 39 result types, the hot ones
    visited most, as the placeholders of a generated module are: each type
@@ -579,37 +578,105 @@ let two_contexts_in_turn () =
     verify_err ~containing:"'d4.x': result 'r'" cf32 from_f32
   done
 
+(* [op] in generic form with the memo on reads as with it off: nothing
+   prints from the rendering its signature had before a change. *)
+let memo_off =
+  lazy
+    (let ctx = Context.create () in
+     Context.set_verify_cache ctx false;
+     ctx)
+
+let prints_as_memo_off ctx op =
+  Alcotest.(check string) "printed as with the memo off"
+    (Printer.op_to_string ~generic:true (Lazy.force memo_off) op)
+    (Printer.op_to_string ~generic:true ctx op)
+
+(* Verify and print [op] with its entry's verdict and tail recorded, change
+   it with [change], then check that it verifies ([ok]) or not and prints
+   as with the memo off. *)
+let changed ?containing ctx op ~ok change =
+  verify_ok ctx op;
+  verify_ok ctx op;
+  ignore (Printer.op_to_string ~generic:true ctx op);
+  change ();
+  prints_as_memo_off ctx op;
+  if ok then verify_ok ctx op else verify_err ?containing ctx op;
+  prints_as_memo_off ctx op
+
 (* A changed op is compared again, field by field: nothing trusts the
-   signature it had when it was last verified. *)
+   signature it had when it was last verified or printed. *)
 let changed_op_verifies_its_new_signature () =
   let ctx = cmath_ctx () in
   let c32 = Graph.Op.create ~result_tys:[ complex_f32 ] "t.src"
   and c64 = Graph.Op.create ~result_tys:[ complex_f64 ] "t.src" in
-  let norm =
+  let norm () =
     Graph.Op.create ~operands:[ Graph.Op.result c32 0 ]
       ~result_tys:[ Attr.f32 ] "cmath.norm"
   in
-  verify_ok ctx norm;
-  verify_ok ctx norm;
-  Graph.Value.replace_all_uses ~from:(Graph.Op.result c32 0)
-    ~to_:(Graph.Op.result c64 0);
-  verify_err ctx norm;
+  let rauw = norm () in
+  changed ctx rauw ~ok:false (fun () ->
+      Graph.Value.replace_all_uses ~from:(Graph.Op.result c32 0)
+        ~to_:(Graph.Op.result c64 0));
+  let set = norm () in
+  changed ctx set ~ok:false (fun () ->
+      Graph.Op.set_operand set 0 (Graph.Op.result c64 0));
   let _ =
     check_ok "load d6"
       (Irdl_core.Irdl.load_one ctx
-         {|Dialect d6 { Operation c { Attributes (v: !i32) } }|})
+         {|Dialect d6 {
+             Operation c { Attributes (v: !i32) }
+             Operation r { Region body { } }
+           }|})
   in
-  let c =
-    Graph.Op.create ~attrs:[ ("v", Attr.typ Attr.i32) ] "d6.c"
+  let c () = Graph.Op.create ~attrs:[ ("v", Attr.typ Attr.i32) ] "d6.c" in
+  let set = c () in
+  changed ~containing:"'d6.c'" ctx set ~ok:false (fun () ->
+      Graph.Op.set_attr set "v" (Attr.typ Attr.f32));
+  Graph.Op.set_attr set "v" (Attr.typ Attr.i32);
+  verify_ok ctx set;
+  prints_as_memo_off ctx set;
+  let assigned = c () in
+  changed ~containing:"'d6.c'" ctx assigned ~ok:false (fun () ->
+      assigned.attrs <- [ ("v", Attr.typ Attr.f64) ]);
+  let removed = c () in
+  changed ~containing:"requires attribute 'v'" ctx removed ~ok:false
+    (fun () -> Graph.Op.remove_attr removed "v");
+  let entry = Graph.Block.create () in
+  let r =
+    Graph.Op.create ~regions:[ Graph.Region.create ~blocks:[ entry ] () ]
+      "d6.r"
   in
-  verify_ok ctx c;
-  verify_ok ctx c;
-  Graph.Op.set_attr c "v" (Attr.typ Attr.f32);
-  verify_err ~containing:"'d6.c'" ctx c;
-  Graph.Op.set_attr c "v" (Attr.typ Attr.i32);
-  verify_ok ctx c;
-  Graph.Op.remove_attr c "v";
-  verify_err ~containing:"requires attribute 'v'" ctx c
+  changed ~containing:"region argument" ctx r ~ok:false (fun () ->
+      ignore (Graph.Block.add_arg entry Attr.i32))
+
+(* A forward reference takes the type its use declares and is patched to
+   its definition's later, after the reader gave the using op the entry of
+   the declared signature: here one that verified and printed already. *)
+let forward_patch_after_the_entry () =
+  let ctx = cmath_ctx () in
+  let norm32 =
+    {|%a = "t.src"() : () -> !cmath.complex<f32>
+%n = "cmath.norm"(%a) : (!cmath.complex<f32>) -> f32
+|}
+  and patched =
+    {|%m = "cmath.norm"(%x) : (!cmath.complex<f32>) -> f32
+%x = "t.src"() : () -> !cmath.complex<f64>
+|}
+  in
+  let check what ops =
+    Alcotest.(check int) (what ^ ": one error") 1
+      (List.length (Verifier.verify_ops_all ctx ops));
+    List.iter (prints_as_memo_off ctx) ops
+  in
+  let verified = check_ok "parse" (Parser.parse_ops ctx norm32) in
+  Alcotest.(check int) "valid" 0
+    (List.length (Verifier.verify_ops_all ctx verified));
+  List.iter (fun op -> ignore (Printer.op_to_string ~generic:true ctx op)) verified;
+  check "parsed" (check_ok "parse" (Parser.parse_ops ctx patched));
+  (* The decoder gives [%m] the entry of [%n]'s key before it reads [%x]. *)
+  let both = check_ok "parse" (Parser.parse_ops ctx (norm32 ^ patched)) in
+  let blob = check_ok "encode" (Irdl_bytecode.Bytecode.Write.module_to_string both) in
+  check "decoded" (check_ok "decode" (Irdl_bytecode.Bytecode.read_module ctx blob))
 
 (* Parsed ops: every name past the bound verifies on the full path, and
    the shard keeps exactly the bound. *)
@@ -632,14 +699,14 @@ let distinct_names_stay_at_the_bound () =
   Alcotest.(check bool) "the last one too" true
     (contains (Irdl_support.Diag.to_string (List.nth errors (n - 1))) last);
   let s = memo_stats ctx in
-  Alcotest.(check int) "names at the bound" Context.memo_max_ops s.vs_memo_ops;
+  Alcotest.(check int) "names at the bound" Context.memo_max s.vs_memo_ops;
   Alcotest.(check int) "no signature recorded" 0 s.vs_memo_sigs;
   let ok = parse_op ctx {|%a = "d7.x"() : () -> i32|} in
   verify_ok ctx ok;
   verify_ok ctx ok;
   let bad = parse_op ctx {|%b = "d7.x"() : () -> f32|} in
   verify_err ~containing:"'d7.x': result 'r'" ctx bad;
-  Alcotest.(check int) "still at the bound" Context.memo_max_ops
+  Alcotest.(check int) "still at the bound" Context.memo_max
     (memo_stats ctx).vs_memo_ops
 
 (* ---------------------------------------------------------------- *)
@@ -653,9 +720,7 @@ let func blk =
    and t.vs carrying 8 shared payloads of 32 dynamic attributes. A mul's
    signature is its payload (i mod 8), a t.v's its BoundedVector size
    (i mod 16). A warm re-verify takes every type and attribute from the
-   cache and hits the memo on exactly the norms, the t.func, and the muls
-   and t.vs of the first [memo_max_sigs] signatures of their names: with
-   the memo's cap above 16 that is every op. *)
+   cache and hits the memo on every op. *)
 let warm_module_hits_the_memo () =
   let payloads =
     Array.init 8 (fun k ->
@@ -696,11 +761,7 @@ let warm_module_hits_the_memo () =
   let cold = memo_stats ctx in
   Alcotest.(check (list string)) "warm" [] (verdict ());
   let warm = memo_stats ctx in
-  let recorded k =
-    List.length
-      (List.filter (fun i -> i mod k < Context.memo_max_sigs) (List.init 300 Fun.id))
-  in
-  let hits = 300 + 1 + recorded 8 + recorded 16 in
+  let hits = 300 + 1 + 300 + 300 in
   Alcotest.(check int) "type/attribute misses" 0 (warm.vs_misses - cold.vs_misses);
   Alcotest.(check int) "memo hits" hits (warm.vs_memo_hits - cold.vs_memo_hits);
   Alcotest.(check int) "memo misses" (901 - hits)
@@ -772,6 +833,8 @@ let suite =
     tc "two contexts in turn use their own definitions" two_contexts_in_turn;
     tc "a changed op verifies its new signature"
       changed_op_verifies_its_new_signature;
+    tc "a forward reference patched after its op got an entry"
+      forward_patch_after_the_entry;
     tc "distinct names leave the memo at its bound"
       distinct_names_stay_at_the_bound;
     tc "a warm 900-op cmath module verifies from the caches"

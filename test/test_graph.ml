@@ -317,7 +317,7 @@ let atomic_ids_across_domains () =
       Graph.Op.create_prebuilt ~operands:[||]
         ~result_tys:(Array.make n Attr.i32) ~attrs:[] ~regions:[]
         ~successors:[] ~loc:Irdl_support.Loc.unknown
-        ~handle:Graph.unresolved "t.p"
+        ~entry:Graph.no_sig "t.p"
     in
     let tys n = List.init n (fun _ -> Attr.i32) in
     op (prebuilt 1500);

@@ -11,23 +11,41 @@
    payload length, documents concatenate freely — the binary analog of
    `// -----` chunks — and a reader can skip a document it cannot decode.
 
-   A module payload is
+   A module payload (version 2) is
 
-     strtab pool total_values:uvarint op_index ops
+     strtab pool sigtab total_values:uvarint op_index op*
+     sigtab := n:uvarint row*
+     row    := name:str n:uvarint ty* n:uvarint ty* n:uvarint (key:str attr)*
+               successors:uvarint regions:uvarint
+     op     := row:uvarint file:str line:zigzag col:uvarint
+               operand:ref* result:ref* successor:uvarint* region*
+     region := len:uvarint n_blocks:uvarint args* ops*
+     args   := n:uvarint (ty ref)*
+     ops    := n:uvarint op*
 
    where [strtab] and [pool] are deduplicated tables (strings; types and
    attributes in one table, children referencing earlier entries only) that
    intern directly on load through the {!Attr} smart constructors, and
    [op_index] lists the byte length of every top-level op, which bounds
-   each op's decode.
+   each op's decode. [sigtab] holds one row per distinct op signature:
+   name, operand and result types, attributes, and successor and region
+   counts. An op names its row and spells only what the row does not
+   hold: its location (the line as the change from the previous op's),
+   its values, its successor blocks and its regions.
 
-   Value cross-references are explicit indices assigned by the writer at
-   first encounter (use or definition), which keeps the writer single-pass
-   and incremental: ops can be pushed one at a time (streaming emit) and a
-   forward-referencing use simply allocates the index early. The reader
-   mirrors the textual parser: a use of a not-yet-defined index creates a
-   [Forward_ref] placeholder patched in place at definition, preserving use
-   identity.
+   Values are numbered by the writer at first encounter (use or
+   definition), which keeps the writer single-pass and incremental: ops
+   can be pushed one at a time (streaming emit) and a forward-referencing
+   use simply takes the next index early. A [ref] counts back from the
+   next fresh index: 0 takes that index, k > 0 names the index k below
+   it. The reader mirrors the textual parser: a use of a not-yet-defined
+   index creates a [Forward_ref] placeholder patched in place at
+   definition, preserving use identity.
+
+   Version 1 module payloads, still read, have no [sigtab]: each op spells
+   its name, absolute location, counts, types and attributes, and a value
+   reference is the absolute index. Dialect payloads are the same at both
+   versions.
 
    The reader is fail-soft by construction: every read is bounds-checked
    against the enclosing document, counts are sanity-checked against the
@@ -38,13 +56,14 @@ open Irdl_support
 module Graph = Irdl_ir.Graph
 module Attr = Irdl_ir.Attr
 module Context = Irdl_ir.Context
+module Id_slots = Irdl_ir.Id_slots
 module Resolve = Irdl_core.Resolve
 module Ast = Irdl_core.Ast
 module C = Irdl_core.Constraint_expr
 
 let magic = "\xc9IRDLBC\x00"
 let magic_len = String.length magic
-let version = 1
+let version = 2
 
 type kind = Module_doc | Dialect_doc
 
@@ -57,16 +76,16 @@ let sniff s =
 (* Varint codecs                                                      *)
 (* ------------------------------------------------------------------ *)
 
+let rec add_uv_go buf n =
+  if n < 0x80 then Buffer.add_char buf (Char.chr n)
+  else begin
+    Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
+    add_uv_go buf (n lsr 7)
+  end
+
 let add_uv buf n =
   if n < 0 then invalid_arg "Bytecode.add_uv: negative";
-  let rec go n =
-    if n < 0x80 then Buffer.add_char buf (Char.chr n)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
-      go (n lsr 7)
-    end
-  in
-  go n
+  add_uv_go buf n
 
 let zigzag (i : int64) =
   Int64.logxor (Int64.shift_left i 1) (Int64.shift_right i 63)
@@ -90,20 +109,48 @@ let add_v64 buf (i : int64) =
 (* Writer                                                             *)
 (* ------------------------------------------------------------------ *)
 
+module Id_tbl = Hashtbl.Make (Int)
+
+(* A signature entry remembers the row one writer gave it in [sg_row]: the
+   writer's key above [row_bits], the row below. Keys are process-unique,
+   so a mark left by another writer, or by an earlier one, never matches. *)
+let row_bits = 24
+let row_mask = (1 lsl row_bits) - 1
+let writer_keys = Atomic.make 0
+
+module Row_tbl = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) b = a = b
+  let hash (a : t) = Hashtbl.hash_param 64 256 a
+end)
+
 type writer = {
+  w_key : int;
   w_strings : (string, int) Hashtbl.t;
   w_strtab : Buffer.t;
   mutable w_n_strings : int;
   (* One pool for types and attributes; the per-kind ref tables are keyed
      on the interner's dense ids, so dedup is O(1) per node. *)
   w_pool : Buffer.t;
-  w_ty_refs : (int, int) Hashtbl.t;
-  w_attr_refs : (int, int) Hashtbl.t;
+  w_ty_refs : int Id_tbl.t;
+  w_attr_refs : int Id_tbl.t;
   mutable w_n_pool : int;
-  (* Value id -> bytecode value index, assigned at first encounter. *)
-  w_vals : (int, int) Hashtbl.t;
+  (* Signature rows by content: the ints a row spells, as table
+     references. *)
+  w_sigtab : Buffer.t;
+  w_rows : int Row_tbl.t;
+  mutable w_keys : int array array;  (** spellings, by length *)
+  (* Values get indices at first encounter (use or definition); the writer
+     tracks how many allocated indices still await their defining op. *)
+  w_vals : Id_slots.t;  (** value id -> index *)
   mutable w_n_vals : int;
   mutable w_undefined : int;
+  (* The last op's file (and its string reference) and line. *)
+  mutable w_file : string;
+  mutable w_file_ref : int;
+  mutable w_line : int;
+  mutable w_scratch : Buffer.t array;  (** region bodies, by nesting depth *)
   w_index : Buffer.t;
   w_ops : Buffer.t;
   mutable w_n_ops : int;
@@ -111,25 +158,33 @@ type writer = {
 
 let create_writer () =
   {
+    w_key = Atomic.fetch_and_add writer_keys 1 + 1;
     w_strings = Hashtbl.create 64;
     w_strtab = Buffer.create 256;
     w_n_strings = 0;
     w_pool = Buffer.create 256;
-    w_ty_refs = Hashtbl.create 64;
-    w_attr_refs = Hashtbl.create 64;
+    w_ty_refs = Id_tbl.create 64;
+    w_attr_refs = Id_tbl.create 64;
     w_n_pool = 0;
-    w_vals = Hashtbl.create 64;
+    w_sigtab = Buffer.create 256;
+    w_rows = Row_tbl.create 64;
+    w_keys = [||];
+    w_vals = Id_slots.create ();
     w_n_vals = 0;
     w_undefined = 0;
+    w_file = "";
+    w_file_ref = -1;
+    w_line = 0;
+    w_scratch = [||];
     w_index = Buffer.create 64;
     w_ops = Buffer.create 1024;
     w_n_ops = 0;
   }
 
 let str_ref w s =
-  match Hashtbl.find_opt w.w_strings s with
-  | Some i -> i
-  | None ->
+  match Hashtbl.find w.w_strings s with
+  | i -> i
+  | exception Not_found ->
       let i = w.w_n_strings in
       w.w_n_strings <- i + 1;
       Hashtbl.add w.w_strings s i;
@@ -151,10 +206,10 @@ let float_kind_code = function
 (* Pool entry tags. Types are 0x01.., attributes 0x20..; children always
    reference strictly earlier entries, so emission is post-order. *)
 let rec ty_ref w ty =
-  let ty = Attr.intern_ty ty in
-  match Hashtbl.find_opt w.w_ty_refs (Attr.id_ty ty) with
-  | Some i -> i
-  | None ->
+  match Id_tbl.find w.w_ty_refs (Attr.id_ty ty) with
+  | i -> i
+  | exception Not_found ->
+      let ty = Attr.intern_ty ty in
       let b = Buffer.create 16 in
       (match ty with
       | Attr.Integer { width; signedness } ->
@@ -188,15 +243,15 @@ let rec ty_ref w ty =
           List.iter (add_uv b) refs);
       let i = w.w_n_pool in
       w.w_n_pool <- i + 1;
-      Hashtbl.add w.w_ty_refs (Attr.id_ty ty) i;
+      Id_tbl.add w.w_ty_refs (Attr.id_ty ty) i;
       Buffer.add_buffer w.w_pool b;
       i
 
 and attr_ref w a =
-  let a = Attr.intern a in
-  match Hashtbl.find_opt w.w_attr_refs (Attr.id a) with
-  | Some i -> i
-  | None ->
+  match Id_tbl.find w.w_attr_refs (Attr.id a) with
+  | i -> i
+  | exception Not_found ->
+      let a = Attr.intern a in
       let b = Buffer.create 16 in
       (match a with
       | Attr.Unit -> Buffer.add_char b '\x20'
@@ -265,10 +320,11 @@ and attr_ref w a =
           List.iter (add_uv b) refs);
       let i = w.w_n_pool in
       w.w_n_pool <- i + 1;
-      Hashtbl.add w.w_attr_refs (Attr.id a) i;
+      Id_tbl.add w.w_attr_refs (Attr.id a) i;
       Buffer.add_buffer w.w_pool b;
       i
 
+(* A dialect document's location: absolute, as the file, line and column. *)
 let add_loc w buf (loc : Loc.t) =
   if Loc.is_unknown loc then begin
     add_uv buf (str_ref w "");
@@ -281,70 +337,165 @@ let add_loc w buf (loc : Loc.t) =
     add_uv buf loc.start_pos.col
   end
 
-(* The index of a value used as an operand: allocated on first sight; the
-   writer tracks how many allocated indices still await their defining op. *)
+(* ---------------- signature rows ---------------- *)
+
+(* The spelling of [n] ints that the row table is probed with: one array
+   per length, reused. *)
+let key_of_length w n =
+  if n >= Array.length w.w_keys then
+    w.w_keys <-
+      Array.init (2 * n) (fun i ->
+          if i < Array.length w.w_keys then w.w_keys.(i) else [||]);
+  if Array.length w.w_keys.(n) <> n then w.w_keys.(n) <- Array.make n 0;
+  w.w_keys.(n)
+
+let rec spell_attrs w k i = function
+  | [] -> ()
+  | (name, a) :: rest ->
+      k.(i) <- str_ref w name;
+      k.(i + 1) <- attr_ref w a;
+      spell_attrs w k (i + 2) rest
+
+(* A row's ints: name, operand count and types, result count and types,
+   attribute count and (key, attribute) pairs, successor and region
+   counts, as table references. *)
+let spell_sig w (op : Graph.op) =
+  let n_operands = Array.length op.op_operands
+  and n_results = Array.length op.op_results
+  and n_attrs = List.length op.attrs in
+  let k = key_of_length w (6 + n_operands + n_results + (2 * n_attrs)) in
+  k.(0) <- str_ref w op.op_name;
+  k.(1) <- n_operands;
+  for i = 0 to n_operands - 1 do
+    k.(2 + i) <- ty_ref w op.op_operands.(i).u_value.v_ty
+  done;
+  let i = 2 + n_operands in
+  k.(i) <- n_results;
+  for j = 0 to n_results - 1 do
+    k.(i + 1 + j) <- ty_ref w op.op_results.(j).v_ty
+  done;
+  let i = i + 1 + n_results in
+  k.(i) <- n_attrs;
+  spell_attrs w k (i + 1) op.attrs;
+  let i = i + 1 + (2 * n_attrs) in
+  k.(i) <- List.length op.successors;
+  k.(i + 1) <- List.length op.regions;
+  k
+
+(* The row of [op]'s signature. Rows are found by content, so the bytes
+   depend only on the IR; the op's entry, once it holds this writer's
+   mark, skips the spelling: an op with the entry's signature has the
+   row's content. Finding a row allocates nothing. *)
+let row_of w (op : Graph.op) =
+  let e = op.op_sig in
+  let mark = e.sg_row in
+  if mark lsr row_bits = w.w_key && Graph.Op.has_sig op e then
+    mark land row_mask
+  else begin
+    let k = spell_sig w op in
+    let r =
+      match Row_tbl.find w.w_rows k with
+      | r -> r
+      | exception Not_found ->
+          let r = Row_tbl.length w.w_rows in
+          Row_tbl.add w.w_rows (Array.copy k) r;
+          Array.iter (add_uv w.w_sigtab) k;
+          r
+    in
+    if r <= row_mask && Graph.Op.has_sig op e then
+      e.sg_row <- (w.w_key lsl row_bits) lor r;
+    r
+  end
+
+(* ---------------- ops ---------------- *)
+
+let zigzag_int n = (n lsl 1) lxor (n asr (Sys.int_size - 1))
+let unzigzag_int u = (u lsr 1) lxor (-(u land 1))
+
+(* A module op's location: its file, its line as the change from the
+   previous op's, and its column; an unknown location is [""], line 0. *)
+let add_op_loc w buf (loc : Loc.t) =
+  let unknown = Loc.is_unknown loc in
+  let file = if unknown then "" else loc.start_pos.file in
+  if not (w.w_file_ref >= 0 && file == w.w_file) then begin
+    w.w_file <- file;
+    w.w_file_ref <- str_ref w file
+  end;
+  add_uv buf w.w_file_ref;
+  let line = if unknown then 0 else loc.start_pos.line in
+  add_uv buf (zigzag_int (line - w.w_line));
+  w.w_line <- line;
+  add_uv buf (if unknown then 0 else loc.start_pos.col)
+
+(* A value reference counts back from the next fresh index: 0 is that
+   index (taken now), k > 0 the index k below it. *)
 let value_use w (v : Graph.value) =
-  match Hashtbl.find_opt w.w_vals v.v_id with
-  | Some i -> i
-  | None ->
-      let i = w.w_n_vals in
-      w.w_n_vals <- i + 1;
-      w.w_undefined <- w.w_undefined + 1;
-      Hashtbl.add w.w_vals v.v_id i;
-      i
+  let i = Id_slots.find_or_set w.w_vals v.v_id w.w_n_vals in
+  if i >= 0 then w.w_n_vals - i
+  else begin
+    w.w_n_vals <- w.w_n_vals + 1;
+    w.w_undefined <- w.w_undefined + 1;
+    0
+  end
 
 let value_def w (v : Graph.value) =
-  match Hashtbl.find_opt w.w_vals v.v_id with
-  | Some i ->
-      (* Allocated by an earlier use: this is the awaited definition. *)
-      w.w_undefined <- w.w_undefined - 1;
-      i
-  | None ->
-      let i = w.w_n_vals in
-      w.w_n_vals <- i + 1;
-      Hashtbl.add w.w_vals v.v_id i;
-      i
+  let i = Id_slots.find_or_set w.w_vals v.v_id w.w_n_vals in
+  if i >= 0 then begin
+    (* Taken by an earlier use: this is the awaited definition. *)
+    w.w_undefined <- w.w_undefined - 1;
+    w.w_n_vals - i
+  end
+  else begin
+    w.w_n_vals <- w.w_n_vals + 1;
+    0
+  end
 
-let rec encode_op w buf ~blocks (op : Graph.op) =
-  add_uv buf (str_ref w op.op_name);
-  add_loc w buf op.op_loc;
-  add_uv buf (Array.length op.op_operands);
-  Array.iter (fun (u : Graph.use) -> add_uv buf (value_use w u.u_value))
-    op.op_operands;
-  add_uv buf (Array.length op.op_results);
-  Array.iter
-    (fun (r : Graph.value) ->
-      add_uv buf (ty_ref w r.v_ty);
-      add_uv buf (value_def w r))
-    op.op_results;
-  add_uv buf (List.length op.attrs);
-  List.iter
-    (fun (name, a) ->
-      add_uv buf (str_ref w name);
-      add_uv buf (attr_ref w a))
-    op.attrs;
-  add_uv buf (List.length op.successors);
-  List.iter
-    (fun (b : Graph.block) ->
-      match Hashtbl.find_opt blocks b.blk_id with
+(* The region body buffer for nesting [depth], emptied. *)
+let scratch w depth =
+  let n = Array.length w.w_scratch in
+  if depth >= n then
+    w.w_scratch <-
+      Array.append w.w_scratch
+        (Array.init (depth + 1 - n) (fun _ -> Buffer.create 64));
+  let b = w.w_scratch.(depth) in
+  Buffer.clear b;
+  b
+
+let rec add_successors buf blocks (op : Graph.op) = function
+  | [] -> ()
+  | (b : Graph.block) :: rest ->
+      (match Hashtbl.find_opt blocks b.blk_id with
       | Some i -> add_uv buf i
       | None ->
           Diag.raise_error ~loc:op.op_loc
             "bytecode: successor of %S is not a block of the enclosing \
              region"
-            op.op_name)
-    op.successors;
-  add_uv buf (List.length op.regions);
-  List.iter (encode_region w buf) op.regions
+            op.op_name);
+      add_successors buf blocks op rest
 
-and encode_region w buf (r : Graph.region) =
-  let rbuf = Buffer.create 64 in
+let rec encode_op w buf ~depth ~blocks (op : Graph.op) =
+  add_uv buf (row_of w op);
+  add_op_loc w buf op.op_loc;
+  for i = 0 to Array.length op.op_operands - 1 do
+    add_uv buf (value_use w op.op_operands.(i).u_value)
+  done;
+  for i = 0 to Array.length op.op_results - 1 do
+    add_uv buf (value_def w op.op_results.(i))
+  done;
+  add_successors buf blocks op op.successors;
+  match op.regions with
+  | [] -> ()
+  | regions -> List.iter (encode_region w buf ~depth) regions
+
+and encode_region w buf ~depth (r : Graph.region) =
+  let rbuf = scratch w depth in
   let blks = Graph.Region.blocks r in
   let scope = Hashtbl.create 8 in
   List.iteri (fun i (b : Graph.block) -> Hashtbl.add scope b.blk_id i) blks;
   add_uv rbuf (List.length blks);
-  (* Signature pass: argument types and value indices for every block, so
-     branch targets and cross-block uses resolve before any body decodes. *)
+  (* Signature pass: argument types and value references for every block,
+     so branch targets and cross-block uses resolve before any body
+     decodes. *)
   List.iter
     (fun (b : Graph.block) ->
       add_uv rbuf (Array.length b.blk_args);
@@ -357,7 +508,8 @@ and encode_region w buf (r : Graph.region) =
   List.iter
     (fun (b : Graph.block) ->
       add_uv rbuf (Graph.Block.num_ops b);
-      Graph.Block.iter_ops b ~f:(fun op -> encode_op w rbuf ~blocks:scope op))
+      Graph.Block.iter_ops b ~f:(fun op ->
+          encode_op w rbuf ~depth:(depth + 1) ~blocks:scope op))
     blks;
   add_uv buf (Buffer.length rbuf);
   Buffer.add_buffer buf rbuf
@@ -368,11 +520,11 @@ module Write = struct
   let create () = create_writer ()
   let no_blocks : (int, int) Hashtbl.t = Hashtbl.create 1
 
+  (* Written in place: the index records the op's length afterwards. *)
   let push_op w op =
-    let b = Buffer.create 128 in
-    encode_op w b ~blocks:no_blocks op;
-    add_uv w.w_index (Buffer.length b);
-    Buffer.add_buffer w.w_ops b;
+    let start = Buffer.length w.w_ops in
+    encode_op w w.w_ops ~depth:0 ~blocks:no_blocks op;
+    add_uv w.w_index (Buffer.length w.w_ops - start);
     w.w_n_ops <- w.w_n_ops + 1
 
   let assemble kind payload =
@@ -398,8 +550,12 @@ module Write = struct
         (if w.w_undefined = 1 then "" else "s")
         (if w.w_undefined = 1 then "is" else "are")
     else begin
-      let payload = Buffer.create (Buffer.length w.w_ops + 256) in
+      let payload =
+        Buffer.create (Buffer.length w.w_ops + Buffer.length w.w_sigtab + 256)
+      in
       tables w payload;
+      add_uv payload (Row_tbl.length w.w_rows);
+      Buffer.add_buffer payload w.w_sigtab;
       add_uv payload w.w_n_vals;
       add_uv payload w.w_n_ops;
       Buffer.add_buffer payload w.w_index;
@@ -871,28 +1027,47 @@ let read_pool c strs =
   done;
   (ty_at, attr_at)
 
-let read_loc c strs =
-  let file = str_at c strs (read_uv c) in
-  let line = read_uv c in
-  let col = read_uv c in
+let loc_of file line col =
   if file = "" && line = 0 then Loc.unknown
   else Loc.point { Loc.file; line; col; offset = 0 }
 
+let read_loc c strs =
+  let file = str_at c strs (read_uv c) in
+  let line = read_uv c in
+  loc_of file line (read_uv c)
+
 (* ---------------- module decoding ---------------- *)
 
+(* One signature-table row: what every op of the row shares. *)
+type row = {
+  r_name : string;
+  r_operands : int;
+  r_results : Attr.ty array;  (** read, not retained, by each op *)
+  r_attrs : (string * Attr.t) list;
+  r_successors : int;
+  r_regions : int;
+  mutable r_sig : Graph.op_sig;
+      (** {!Context.sig_entry}'s entry for the row's first op; [no_sig]
+          until that op is decoded *)
+}
+
 type mstate = {
+  ms_strs : string array;
+  ms_ty_at : int -> Attr.ty;
+  ms_attr_at : int -> Attr.t;
+  ms_rows : row array;  (** [[||]] in a version 1 document *)
+  ms_relative : bool;
+      (** value references count back from [ms_next] (version 2) rather
+          than spell the index (version 1) *)
   ms_vals : Graph.value array;  (** [unbound] until used or defined *)
+  mutable ms_next : int;  (** the next fresh value index (version 2) *)
+  mutable ms_line : int;  (** the previous op's line (version 2) *)
   mutable ms_forwards : (int * Graph.value) list;
   ms_budget : Limits.budget;
       (** session-wide (spans documents in a multi-doc buffer); blown
           budgets raise {!Diag.Fatal_exn} and end the whole session *)
   ms_ctx : Context.t;
-  ms_keys : int array;
-  ms_sigs : Graph.op_sig array;
-      (** signature entries by key ({!sig_at}); [no_sig]: free *)
-  mutable ms_nsigs : int;
-  mutable ms_key : int;
-      (** scratch: the key of the op being decoded ({!mix}) *)
+  ms_doc_loc : Loc.t;  (** the start of the file: where unlocated errors go *)
   mutable ms_res : int array;
       (** scratch: the value indices of the results of the op being
           decoded; a nested decode reuses it *)
@@ -901,6 +1076,20 @@ type mstate = {
 (* The one mark of an index nothing has bound yet; never handed out. *)
 let unbound : Graph.value =
   { v_id = -1; v_ty = Attr.none; v_def = Graph.Released; v_first_use = None }
+
+(* The value index a reference names: version 1 spells the index; version
+   2 counts back from the next fresh index, 0 being that index itself. *)
+let read_index c st =
+  let k = read_uv c in
+  if not st.ms_relative then k
+  else if k = 0 then begin
+    let i = st.ms_next in
+    st.ms_next <- i + 1;
+    i
+  end
+  else if k > st.ms_next then
+    cfail c "value reference %d before the first value" k c.c_pos
+  else st.ms_next - k
 
 let ms_use c st idx =
   if idx < 0 || idx >= Array.length st.ms_vals then
@@ -936,62 +1125,81 @@ let ms_def c st idx (v : Graph.value) =
       ph
   | _ -> cfail c "value index %d defined twice" idx c.c_pos
 
-(* An op's signature key: the indices of its name, result types and
-   attribute names and values, and its counts, which within one document
-   spell everything the signature holds but the operand and entry-block
-   argument types. *)
-let mix h x = (h * 0x100000001b3) lxor x
+let check_unique_keys c attrs =
+  match Attr.duplicate_key attrs with
+  | Some k -> cfail c "%s" (Attr.duplicate_key_message k) c.c_pos
+  | None -> ()
+
+(* The signature table, checked once: every reference in range, no
+   repeated attribute name. A row's operand types are read for their
+   check only: an op's operand types are those of the values it uses. *)
+let read_sigtab c strs ty_at attr_at =
+  let n = read_count c "signature table" in
+  read_array n (fun _ ->
+      let r_name = str_at c strs (read_uv c) in
+      let r_operands = read_count c "operand" in
+      for _ = 1 to r_operands do
+        ignore (ty_at (read_uv c))
+      done;
+      let n_results = read_count c "result" in
+      let r_results = read_array n_results (fun _ -> ty_at (read_uv c)) in
+      let n_attrs = read_count c "attribute" in
+      let r_attrs =
+        read_list n_attrs (fun _ ->
+            let key = str_at c strs (read_uv c) in
+            (key, attr_at (read_uv c)))
+      in
+      check_unique_keys c r_attrs;
+      let r_successors = read_count c "successor" in
+      let r_regions = read_count c "region" in
+      { r_name; r_operands; r_results; r_attrs; r_successors; r_regions;
+        r_sig = Graph.no_sig })
 
 (* The field loops below live at top level with every free variable passed
    as an argument: this is the hot path of [read_module] at 10^6 ops, and
    closure-based loops ([read_list], or a [let rec] nested in the decoder)
-   would allocate per op. The intermediate (ty, index) pair lists are gone
-   for the same reason — value indices land in a scratch array instead. *)
+   would allocate per op. Value indices land in scratch arrays. *)
 let read_operands c st n =
   if n = 0 then [||]
-  else if n = 1 then [| ms_use c st (read_uv c) |]
+  else if n = 1 then [| ms_use c st (read_index c st) |]
   else begin
-    let a = Array.make n (ms_use c st (read_uv c)) in
+    let a = Array.make n (ms_use c st (read_index c st)) in
     for i = 1 to n - 1 do
-      a.(i) <- ms_use c st (read_uv c)
+      a.(i) <- ms_use c st (read_index c st)
     done;
     a
   end
 
-(* Result types, read in interleaved (ty, index) order; the value indices
-   land in [st.ms_res]. *)
-let read_results c ty_at st n =
+let res_scratch st n =
+  if n > Array.length st.ms_res then
+    st.ms_res <- Array.make (max n (2 * Array.length st.ms_res)) 0;
+  st.ms_res
+
+(* Version 1 result types, read in interleaved (ty, index) order; the
+   value indices land in [st.ms_res]. *)
+let read_results_v1 c st n =
   if n = 0 then [||]
   else begin
-    if n > Array.length st.ms_res then
-      st.ms_res <- Array.make (max n (2 * Array.length st.ms_res)) 0;
-    let res = st.ms_res in
-    let j = read_uv c in
-    st.ms_key <- mix st.ms_key j;
-    let ty0 = ty_at j in
+    let res = res_scratch st n in
+    let ty0 = st.ms_ty_at (read_uv c) in
     res.(0) <- read_uv c;
     if n = 1 then [| ty0 |]
     else begin
       let tys = Array.make n ty0 in
       for i = 1 to n - 1 do
-        let j = read_uv c in
-        st.ms_key <- mix st.ms_key j;
-        tys.(i) <- ty_at j;
+        tys.(i) <- st.ms_ty_at (read_uv c);
         res.(i) <- read_uv c
       done;
       tys
     end
   end
 
-let rec read_attr_pairs c strs attr_at st n =
+let rec read_attr_pairs c st n =
   if n = 0 then []
   else
-    let k = read_uv c in
-    let key = str_at c strs k in
-    let j = read_uv c in
-    let a = attr_at j in
-    st.ms_key <- mix (mix st.ms_key k) j;
-    (key, a) :: read_attr_pairs c strs attr_at st (n - 1)
+    let key = str_at c st.ms_strs (read_uv c) in
+    let a = st.ms_attr_at (read_uv c) in
+    (key, a) :: read_attr_pairs c st (n - 1)
 
 let rec read_successors c blocks n =
   if n = 0 then []
@@ -1005,93 +1213,87 @@ let rec read_successors c blocks n =
     in
     b :: read_successors c blocks (n - 1)
 
-(* The slot of [key] in the document's entry table, or the free slot
-   where it belongs: the table is kept at most half full. *)
-let rec probe_sig st key mask i =
-  if
-    Array.unsafe_get st.ms_sigs i == Graph.no_sig
-    || Array.unsafe_get st.ms_keys i = key
-  then i
-  else probe_sig st key mask ((i + 1) land mask)
-
-let sig_slot st key =
-  let mask = Array.length st.ms_sigs - 1 in
-  let h = (key lxor (key lsr 32)) * 0x2545f4914f6cdd1d in
-  probe_sig st key mask ((h lxor (h lsr 29)) land mask)
-
-(* The entry kept under [key] if it has the op's name, else [no_sig]. It is
-   not compared with the rest of the op: an op whose operand or argument
-   types differ from the entry's (the key cannot see them), or whose
-   signature changes later, finds its own when it is verified. *)
-let sig_at st key name =
-  let e = st.ms_sigs.(sig_slot st key) in
-  if e.sg_name == name || String.equal e.sg_name name then e else Graph.no_sig
-
-(* A miss: {!Context.sig_entry}'s entry, kept under [key] if its slot is
-   free and the table at most half full. *)
-let sig_miss st key op =
-  let e = Context.sig_entry st.ms_ctx op and i = sig_slot st key in
-  let room = 2 * st.ms_nsigs < Array.length st.ms_sigs in
-  if st.ms_sigs.(i) == Graph.no_sig && room then begin
-    st.ms_sigs.(i) <- e;
-    st.ms_keys.(i) <- key;
-    st.ms_nsigs <- st.ms_nsigs + 1
-  end;
-  e
-
-(* A power of two from 16 to 8192: twice the document's value count, a
-   stand-in for its op count, when that fits. *)
-let sig_table_size n_vals =
-  let rec go k = if k >= 2 * n_vals || k >= 8192 then k else go (2 * k) in
-  go 16
-
-let rec decode_op c strs ((ty_at, attr_at) as pool) st ~blocks : Graph.op =
-  let i = read_uv c in
-  let name = str_at c strs i in
-  let loc = read_loc c strs in
+let tick st loc =
   Limits.tick_op st.ms_budget
-    ~loc:(if Loc.is_unknown loc then Loc.point (Loc.start_of_file c.c_file)
-          else loc);
-  let operands = read_operands c st (read_count c "operand") in
-  st.ms_key <- mix i (Array.length operands);
-  let n_results = read_count c "result" in
-  let result_tys = read_results c ty_at st n_results in
-  let attrs = read_attr_pairs c strs attr_at st (read_count c "attribute") in
-  (match Attr.duplicate_key attrs with
-  | Some k -> cfail c "%s" (Attr.duplicate_key_message k) c.c_pos
-  | None -> ());
-  let n_successors = read_count c "successor" in
-  let successors = read_successors c blocks n_successors in
-  let n_regions = read_count c "region" in
-  let key = mix (mix st.ms_key n_successors) n_regions in
-  (* Copied out first: the ops of the regions reuse the scratch. *)
-  let res_idx =
-    if n_regions = 0 then st.ms_res else Array.sub st.ms_res 0 n_results
-  in
-  let regions = decode_regions c strs pool st n_regions in
-  let entry = sig_at st key name in
-  let op =
-    Graph.Op.create_prebuilt ~operands ~result_tys ~attrs ~regions
-      ~successors ~loc ~entry name
-  in
-  for i = 0 to n_results - 1 do
+    ~loc:(if Loc.is_unknown loc then st.ms_doc_loc else loc)
+
+(* The op's result indices, copied out of the scratch when the op has
+   regions: their ops reuse it. *)
+let result_indices st n n_regions =
+  if n_regions = 0 then st.ms_res else Array.sub st.ms_res 0 n
+
+let define_results c st (op : Graph.op) res_idx =
+  for i = 0 to Array.length op.op_results - 1 do
     op.op_results.(i) <- ms_def c st res_idx.(i) op.op_results.(i)
+  done
+
+(* A version 2 op: its row, then only what the row does not hold. *)
+let rec decode_op c st ~blocks : Graph.op =
+  let r = read_uv c in
+  if r >= Array.length st.ms_rows then
+    cfail c "signature row %d out of range" r c.c_pos;
+  let row = st.ms_rows.(r) in
+  let file = str_at c st.ms_strs (read_uv c) in
+  let line = st.ms_line + unzigzag_int (read_uv c) in
+  if line < 0 then cfail c "negative line %d" line c.c_pos;
+  st.ms_line <- line;
+  let loc = loc_of file line (read_uv c) in
+  tick st loc;
+  let operands = read_operands c st row.r_operands in
+  let n_results = Array.length row.r_results in
+  let res = res_scratch st n_results in
+  for i = 0 to n_results - 1 do
+    res.(i) <- read_index c st
   done;
-  if entry == Graph.no_sig then op.op_sig <- sig_miss st key op;
+  let successors = read_successors c blocks row.r_successors in
+  let res_idx = result_indices st n_results row.r_regions in
+  let regions = decode_regions c st row.r_regions in
+  let op =
+    Graph.Op.create_prebuilt ~operands ~result_tys:row.r_results
+      ~attrs:row.r_attrs ~regions ~successors ~loc ~entry:row.r_sig
+      row.r_name
+  in
+  define_results c st op res_idx;
+  if row.r_sig == Graph.no_sig then begin
+    row.r_sig <- Context.sig_entry st.ms_ctx op;
+    op.op_sig <- row.r_sig
+  end;
   op
 
-and decode_regions c strs pool st n =
+(* A version 1 op spells its whole signature; it gets its entry when it is
+   first verified. *)
+and decode_op_v1 c st ~blocks : Graph.op =
+  let name = str_at c st.ms_strs (read_uv c) in
+  let file = str_at c st.ms_strs (read_uv c) in
+  let line = read_uv c in
+  let loc = loc_of file line (read_uv c) in
+  tick st loc;
+  let operands = read_operands c st (read_count c "operand") in
+  let n_results = read_count c "result" in
+  let result_tys = read_results_v1 c st n_results in
+  let attrs = read_attr_pairs c st (read_count c "attribute") in
+  check_unique_keys c attrs;
+  let successors = read_successors c blocks (read_count c "successor") in
+  let n_regions = read_count c "region" in
+  let res_idx = result_indices st n_results n_regions in
+  let regions = decode_regions c st n_regions in
+  let op =
+    Graph.Op.create_prebuilt ~operands ~result_tys ~attrs ~regions
+      ~successors ~loc ~entry:Graph.no_sig name
+  in
+  define_results c st op res_idx;
+  op
+
+and decode_regions c st n =
   if n = 0 then []
   else
-    let r = decode_region c strs pool st in
-    r :: decode_regions c strs pool st (n - 1)
+    let r = decode_region c st in
+    r :: decode_regions c st (n - 1)
 
-and decode_region c strs pool st : Graph.region =
-  Limits.enter_region st.ms_budget
-    ~loc:(Loc.point (Loc.start_of_file c.c_file));
+and decode_region c st : Graph.region =
+  Limits.enter_region st.ms_budget ~loc:st.ms_doc_loc;
   Fun.protect ~finally:(fun () -> Limits.leave_region st.ms_budget)
   @@ fun () ->
-  let ty_at = fst pool in
   let rlen = read_uv c in
   if rlen > remaining c then cfail c "truncated region (%d bytes)" rlen c.c_pos;
   let rend = c.c_pos + rlen in
@@ -1103,8 +1305,8 @@ and decode_region c strs pool st : Graph.region =
         let rec arg_tys_at i =
           if i = n_args then []
           else
-            let ty = ty_at (read_uv c) in
-            arg_idx.(i) <- read_uv c;
+            let ty = st.ms_ty_at (read_uv c) in
+            arg_idx.(i) <- read_index c st;
             ty :: arg_tys_at (i + 1)
         in
         let b = Graph.Block.create ~arg_tys:(arg_tys_at 0) () in
@@ -1117,12 +1319,15 @@ and decode_region c strs pool st : Graph.region =
     (fun b ->
       let n_ops = read_count c "op" in
       for _ = 1 to n_ops do
-        Graph.Block.append b (decode_op c strs pool st ~blocks:(Some blocks))
+        Graph.Block.append b (decode_any c st ~blocks:(Some blocks))
       done)
     blocks;
   if c.c_pos <> rend then
     cfail c "region length out of sync (expected end %d)" rend c.c_pos;
   Graph.Region.create ~blocks:(Array.to_list blocks) ()
+
+and decode_any c st ~blocks =
+  if st.ms_relative then decode_op c st ~blocks else decode_op_v1 c st ~blocks
 
 (* ---------------- streaming session ---------------- *)
 
@@ -1135,8 +1340,6 @@ type pending = { pd_op : Graph.op; mutable pd_forwards : Graph.value list }
 
 type docstate = {
   d_cur : cursor;  (* limited to this document's payload *)
-  d_strs : string array;
-  d_pool : (int -> Attr.ty) * (int -> Attr.t);
   d_state : mstate;
   d_lens : int array;
   mutable d_i : int;
@@ -1252,28 +1455,34 @@ module Stream = struct
           Diag.protect_any (fun () ->
               Failpoints.hit "bytecode.decode";
               let strs = read_strtab doc_cur in
-              let pool = read_pool doc_cur strs in
+              let ty_at, attr_at = read_pool doc_cur strs in
+              let relative = h.dh_version >= 2 in
+              let rows =
+                if relative then read_sigtab doc_cur strs ty_at attr_at
+                else [||]
+              in
               let total_vals = read_uv doc_cur in
               if total_vals > h.dh_payload_end - sp.s_cur.c_pos then
                 cfail doc_cur "implausible value count %d" total_vals
                   doc_cur.c_pos;
               let n_ops = read_count doc_cur "top-level op" in
               let lens = read_array n_ops (fun _ -> read_uv doc_cur) in
-              let sig_slots = sig_table_size total_vals in
               {
                 d_cur = doc_cur;
-                d_strs = strs;
-                d_pool = pool;
                 d_state =
                   {
+                    ms_strs = strs;
+                    ms_ty_at = ty_at;
+                    ms_attr_at = attr_at;
+                    ms_rows = rows;
+                    ms_relative = relative;
                     ms_vals = Array.make total_vals unbound;
+                    ms_next = 0;
+                    ms_line = 0;
                     ms_forwards = [];
                     ms_budget = sp.s_budget;
                     ms_ctx = sp.s_ctx;
-                    ms_keys = Array.make sig_slots 0;
-                    ms_sigs = Array.make sig_slots Graph.no_sig;
-                    ms_nsigs = 0;
-                    ms_key = 0;
+                    ms_doc_loc = Loc.point (Loc.start_of_file doc_cur.c_file);
                     ms_res = Array.make 8 0;
                   };
                 d_lens = lens;
@@ -1304,7 +1513,7 @@ module Stream = struct
     let c = doc.d_cur in
     if len > remaining c then cfail c "truncated op (%d bytes)" len c.c_pos;
     let op_end = c.c_pos + len in
-    let op = decode_op c doc.d_strs doc.d_pool doc.d_state ~blocks:None in
+    let op = decode_any c doc.d_state ~blocks:None in
     if c.c_pos <> op_end then
       cfail c "op length out of sync (expected end %d)" op_end c.c_pos;
     doc.d_i <- doc.d_i + 1;

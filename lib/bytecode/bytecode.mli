@@ -5,8 +5,9 @@
     [magic version kind payload_len payload]; documents concatenate freely
     (the binary analog of [// -----] chunks). Module payloads carry
     deduplicated string and type/attribute tables that intern directly on
-    load, plus a byte-length index of the top-level ops, which bounds each
-    op's decode.
+    load, a table of the distinct op signatures, each op naming its row,
+    and a byte-length index of the top-level ops, which bounds each op's
+    decode.
 
     The reader never crashes on malformed input: every read is
     bounds-checked and surfaces as a located diagnostic, emitted to the
@@ -25,7 +26,7 @@ val magic : string
     never collides with textual IR. *)
 
 val version : int
-(** The format version this library writes; the reader accepts
+(** The format version this library writes (2); the reader accepts
     [1..version]. *)
 
 val sniff : string -> bool

@@ -94,8 +94,9 @@ type vc_shard = {
   sh_ty : (unit, Diag.t) result Id_tbl.t;
   sh_attr : (unit, Diag.t) result Id_tbl.t;
   sh_names : Graph.op_handle Str_tbl.t;
-  sh_sigs : Graph.op_sig array;
-      (** signatures recorded Ok, by open addressing; [no_sig]: free *)
+  mutable sh_sigs : Graph.op_sig array;
+      (** signatures recorded Ok, by open addressing; [no_sig]: free.
+          {!no_sigs} until the first is recorded *)
   mutable sh_nsigs : int;
   mutable sh_hits : int;
   mutable sh_misses : int;
@@ -203,6 +204,10 @@ let fold_counters s =
   s.sh_memo_hits <- 0;
   s.sh_memo_misses <- 0
 
+(* The table of a shard that has recorded no signature: one free slot,
+   never written, so a run that verifies nothing allocates no table. *)
+let no_sigs = [| Graph.no_sig |]
+
 (* The initial tag of every shard; no caller's context. *)
 let detached = create ()
 
@@ -216,7 +221,7 @@ let shard_key : vc_shard Domain.DLS.key =
           sh_ty = Id_tbl.create 256;
           sh_attr = Id_tbl.create 256;
           sh_names = Str_tbl.create 256;
-          sh_sigs = Array.make (2 * memo_max) Graph.no_sig;
+          sh_sigs = no_sigs;
           sh_nsigs = 0;
           sh_hits = 0;
           sh_misses = 0;
@@ -374,6 +379,8 @@ let memo_mem t s (op : Graph.op) =
    rather than let a stream of distinct ones push out the hot ones. *)
 let memo_add t s (op : Graph.op) =
   if t.vc_enabled then begin
+    if s.sh_sigs == no_sigs then
+      s.sh_sigs <- Array.make (2 * memo_max) Graph.no_sig;
     let fresh = Graph.Op.signature op in
     let i = slot_of s op fresh in
     if not (Graph.Op.has_sig op op.op_sig) then begin

@@ -112,6 +112,7 @@ and op_sig = {
   mutable sg_ok : int;
   mutable sg_tail : string;
   mutable sg_handle : op_handle;
+  mutable sg_row : int;
 }
 
 and op_def = {
@@ -130,7 +131,7 @@ let unresolved = { oh_key = 0; oh_def = None; oh_quoted = "" }
 let no_sig =
   { sg_name = ""; sg_operands = [||]; sg_results = [||]; sg_attrs = [];
     sg_regions = []; sg_successors = 0; sg_ok = 0; sg_tail = "";
-    sg_handle = unresolved }
+    sg_handle = unresolved; sg_row = 0 }
 
 (* Ids are handed out in blocks of [id_block]: each domain takes ids from
    its own block and claims the next one with a single fetch-and-add on

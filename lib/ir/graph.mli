@@ -100,6 +100,9 @@ and op_sig = {
   mutable sg_ok : int;  (** key of the shard that verified it [Ok]; 0: none *)
   mutable sg_tail : string;  (** the printed tail; [""] until printed *)
   mutable sg_handle : op_handle;  (** [sg_name] as last resolved *)
+  mutable sg_row : int;
+      (** the row a bytecode writer last gave it, packed with the writer's
+          key ([Bytecode.Write]); 0: none *)
 }
 (** An op signature, shared by the ops built with it
     ({!Context.memoized}). *)

@@ -21,58 +21,19 @@
     attributes and types rendered by {!Attr.add}/{!Attr.add_ty}. The
     [Format] and string entry points wrap it. *)
 
-module Int_tbl = Hashtbl.Make (Int)
-
-(* Printed numbers by id (value or block), assigned on first use, strictly
-   in emission order. A domain takes ids in blocks of 1024 aligned to these
-   pages ({!Graph.next_id}), so the ids of IR built in one go are dense
-   and one block fills one page: the numbers live in pages of 1024 slots
-   keyed by [id / 1024], and the page last used is cached. A name costs
-   two reads rather than a hash lookup. A page is [Bytes] holding
-   number + 1 as an int32 per slot (0: none yet): 4 KB, past the minor
-   heap's largest block, so it is allocated straight into the major heap,
-   where the GC neither copies nor scans it. A small print (a server
-   request) touches a page or two. *)
+(* Printed numbers by id (value or block), assigned on first use,
+   strictly in emission order. *)
 module Numbering = struct
-  let page_bits = 10
-  let page_slots = 1 lsl page_bits
+  type t = { slots : Id_slots.t; mutable next : int }
 
-  type t = {
-    pages : Bytes.t Int_tbl.t;
-    mutable last_key : int;
-    mutable last : Bytes.t;
-    mutable next : int;
-  }
-
-  let create () =
-    { pages = Int_tbl.create 16; last_key = -1; last = Bytes.empty; next = 0 }
+  let create () = { slots = Id_slots.create (); next = 0 }
 
   let number t id =
-    let key = id lsr page_bits in
-    let page =
-      if key = t.last_key then t.last
-      else begin
-        let p =
-          match Int_tbl.find t.pages key with
-          | p -> p
-          | exception Not_found ->
-              let p = Bytes.make (4 * page_slots) '\000' in
-              Int_tbl.add t.pages key p;
-              p
-        in
-        t.last_key <- key;
-        t.last <- p;
-        p
-      end
-    in
-    let at = 4 * (id land (page_slots - 1)) in
-    let n = Int32.to_int (Bytes.get_int32_le page at) - 1 in
+    let n = Id_slots.find_or_set t.slots id t.next in
     if n >= 0 then n
     else begin
-      let n = t.next in
-      t.next <- n + 1;
-      Bytes.set_int32_le page at (Int32.of_int (n + 1));
-      n
+      t.next <- t.next + 1;
+      t.next - 1
     end
 end
 

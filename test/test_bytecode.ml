@@ -263,6 +263,44 @@ let writer_toplevel_successor () =
   check_err_containing "emit with top-level successor" "successor"
     (Bytecode.Write.module_to_string [ op ])
 
+(* A signature row is found by content. An op takes the row its entry
+   was given only while it still has the entry's signature, so ops that
+   share an entry and then differ get their own rows, from a streaming
+   writer as from a whole-module one. *)
+let writer_rows_follow_content () =
+  let src =
+    "%a = \"t.c\"() {v = 1 : i32} : () -> i32\n\
+     %b = \"t.c\"() {v = 1 : i32} : () -> i32\n\
+     %d = \"t.c\"() {v = 1 : i32} : () -> i32\n"
+  in
+  let check_mutated what ops =
+    let a, b, d =
+      match ops with [ a; b; d ] -> (a, b, d) | _ -> Alcotest.fail "3 ops"
+    in
+    Alcotest.(check bool) (what ^ ": one shared entry") true
+      (a.Graph.op_sig == b.Graph.op_sig && b.op_sig == d.Graph.op_sig);
+    let before = emit_ok "emit" ops in
+    Graph.Op.set_attr b "v" (Attr.int ~ty:Attr.i32 2L);
+    let w = Bytecode.Write.create () in
+    List.iter (Bytecode.Write.push_op w) ops;
+    let streamed = check_ok "close" (Bytecode.Write.close w) in
+    Alcotest.(check bool) (what ^ ": streamed = whole") true
+      (String.equal streamed (emit_ok "emit" ops));
+    Alcotest.(check bool) (what ^ ": the change shows") false
+      (String.equal streamed before);
+    let c = ctx () in
+    let loaded = load_ok "load" c streamed in
+    Alcotest.(check bool) (what ^ ": loads as emitted") true
+      (Bytecode.Equal.module_eq ops loaded);
+    Alcotest.(check string) (what ^ ": prints as emitted")
+      (Irdl_ir.Printer.ops_to_string ~generic:true (ctx ()) ops)
+      (Irdl_ir.Printer.ops_to_string ~generic:true c loaded)
+  in
+  let parsed = check_ok "parse" (Irdl_ir.Parser.parse_ops (ctx ()) src) in
+  let blob = emit_ok "emit" parsed in
+  check_mutated "parsed" parsed;
+  check_mutated "decoded" (load_ok "load" (ctx ()) blob)
+
 (* An op built with a repeated attribute name serializes as it is; the
    reader rejects it, located at the byte after its attributes, and a
    fail-soft read reports it and goes on. *)
@@ -304,9 +342,43 @@ let version_skew () =
   check_err_containing "text as bytecode" "bad magic"
     (Bytecode.read_module (ctx ()) "%a = \"t.x\"() : () -> i32\n")
 
-(* The compatibility window. The writer's header version is frozen at 1 —
-   the contract the committed golden fixture (test/bytecode.t) gates — and
-   the reader accepts exactly versions 1..[Bytecode.version]: anything
+(* A version 1 module document, as the version 1 writer emitted it for
+   [v1_text] parsed from "v1.mlir": a forward use, two results with
+   attributes, a region of two blocks with arguments and a branch, and
+   uses of values defined outside the region. *)
+let v1_text =
+  {|%a = "t.fwd"(%c) : (i32) -> i32
+%p, %q = "t.pair"() {k = 1 : i64, s = "x"} : () -> (i32, f32)
+%c = "t.wrap"(%p) ({
+^bb0(%x: i32):
+  %y = "t.add"(%x, %a) : (i32, i32) -> i32
+  "t.br"(%y)[^bb1] : (i32) -> ()
+^bb1(%z: i32):
+  "t.yield"(%z, %q) : (i32, f32) -> ()
+}) : (i32) -> i32
+%d = "t.add"(%c, %a) : (i32, i32) -> i32
+%e = "t.add"(%d, %c) : (i32, i32) -> i32
+|}
+
+let v1_blob =
+  "\xc9\x49\x52\x44\x4c\x42\x43\x00\x01\x00\xbb\x01\x0a\x05\x74\x2e\x66\x77\
+   \x64\x07\x76\x31\x2e\x6d\x6c\x69\x72\x06\x74\x2e\x70\x61\x69\x72\x01\x6b\
+   \x01\x73\x01\x78\x06\x74\x2e\x77\x72\x61\x70\x05\x74\x2e\x61\x64\x64\x04\
+   \x74\x2e\x62\x72\x07\x74\x2e\x79\x69\x65\x6c\x64\x05\x01\x20\x00\x02\x02\
+   \x01\x40\x00\x22\x02\x02\x24\x05\x09\x05\x0c\x11\x39\x0d\x0d\x00\x01\x01\
+   \x01\x01\x00\x01\x00\x01\x00\x00\x00\x02\x01\x02\x01\x00\x02\x00\x02\x01\
+   \x03\x02\x03\x03\x04\x04\x00\x00\x06\x01\x03\x01\x01\x02\x01\x00\x00\x00\
+   \x00\x01\x2c\x02\x01\x00\x04\x01\x00\x05\x02\x07\x01\x05\x03\x02\x04\x01\
+   \x01\x00\x06\x00\x00\x00\x08\x01\x06\x03\x01\x06\x00\x00\x01\x01\x00\x01\
+   \x09\x01\x08\x03\x02\x05\x03\x00\x00\x00\x00\x07\x01\x0a\x01\x02\x00\x01\
+   \x01\x00\x07\x00\x00\x00\x07\x01\x0b\x01\x02\x07\x00\x01\x00\x08\x00\x00\
+   \x00"
+
+let version_of blob = Char.code blob.[String.length Bytecode.magic]
+
+(* The compatibility window. The writer emits version 2 and the reader
+   accepts exactly versions 1..[Bytecode.version]: a version 1 document,
+   kept above byte for byte, still loads as its text parses, and anything
    outside the window is rejected up front with a diagnostic located at
    the input file, never decoded on a guess. *)
 let compat_window () =
@@ -314,30 +386,53 @@ let compat_window () =
     emit_ok "emit"
       [ Graph.Op.create ~result_tys:[ Attr.i32 ] "t.window" ]
   in
-  let voff = String.length Bytecode.magic in
-  Alcotest.(check int) "header version byte is frozen at 1" 1
-    (Char.code blob.[voff]);
-  ignore (load_ok "v1 document loads" (cmath_ctx ()) blob);
+  Alcotest.(check int) "the writer emits version 2" 2 (version_of blob);
+  Alcotest.(check int) "the kept document is version 1" 1 (version_of v1_blob);
+  let parsed =
+    check_ok "parse" (Irdl_ir.Parser.parse_ops ~file:"v1.mlir" (ctx ()) v1_text)
+  in
+  let loaded = load_ok "v1 document loads" (ctx ()) v1_blob in
+  Alcotest.(check bool)
+    "the v1 document loads as its text parses" true
+    (Bytecode.Equal.module_eq parsed loaded);
   let patched v =
-    let b = Bytes.of_string blob in
-    Bytes.set b voff (Char.chr v);
+    let b = Bytes.of_string v1_blob in
+    Bytes.set b (String.length Bytecode.magic) (Char.chr v);
     Bytes.to_string b
   in
-  check_err_containing "version 0 (below the window)" "version"
-    (Bytecode.read_module ~file:"skew.irdlbc" (ctx ()) (patched 0));
-  (match
-     Bytecode.read_module ~file:"skew.irdlbc" (ctx ())
-       (patched (Bytecode.version + 1))
-   with
-  | Ok _ -> Alcotest.fail "future version must be rejected"
-  | Error d ->
-      check_err_containing "future version" "version" (Error d);
-      Alcotest.(check bool)
-        "diagnostic is located" false
-        (Irdl_support.Loc.is_unknown d.Diag.loc);
-      Alcotest.(check string)
-        "diagnostic names the input file" "skew.irdlbc"
-        d.Diag.loc.start_pos.file)
+  List.iter
+    (fun v ->
+      match Bytecode.read_module ~file:"skew.irdlbc" (ctx ()) (patched v) with
+      | Ok _ -> Alcotest.failf "version %d must be rejected" v
+      | Error d ->
+          check_err_containing
+            (Printf.sprintf "version %d" v)
+            "supports versions 1..2" (Error d);
+          Alcotest.(check bool)
+            "diagnostic is located" false
+            (Irdl_support.Loc.is_unknown d.Diag.loc);
+          Alcotest.(check string)
+            "diagnostic names the input file" "skew.irdlbc"
+            d.Diag.loc.start_pos.file)
+    [ 0; Bytecode.version + 1 ]
+
+(* A version 1 document re-emits as version 2, locations included, and
+   both print the same text; the re-emit is what the text itself emits. *)
+let v1_reemit_prints_the_same () =
+  let print blob =
+    let c = ctx () in
+    Irdl_ir.Printer.ops_to_string ~generic:true c (load_ok "load" c blob)
+  in
+  let v2 = emit_ok "re-emit" (load_ok "load v1" (ctx ()) v1_blob) in
+  Alcotest.(check int) "re-emitted as version 2" 2 (version_of v2);
+  Alcotest.(check string) "same printed text" (print v1_blob) (print v2);
+  let parsed =
+    check_ok "parse" (Irdl_ir.Parser.parse_ops ~file:"v1.mlir" (ctx ()) v1_text)
+  in
+  Alcotest.(check bool) "the text emits the same bytes" true
+    (String.equal v2 (emit_ok "emit text" parsed));
+  Alcotest.(check bool) "the re-emit re-emits byte for byte" true
+    (String.equal v2 (emit_ok "re-emit v2" (load_ok "load v2" (ctx ()) v2)))
 
 (* ---------------- dialect round-trips ---------------- *)
 
@@ -559,7 +654,7 @@ let fuzz_truncations () =
       for _ = 1 to 200 do
         never_crashes "truncation" (String.sub blob 0 (Random.State.int st n))
       done)
-    [ mblob; dblob ]
+    [ mblob; dblob; v1_blob ]
 
 let fuzz_bitflips () =
   let mblob, dblob = sample_blobs () in
@@ -576,7 +671,7 @@ let fuzz_bitflips () =
         done;
         never_crashes "bit flip" (Bytes.to_string b)
       done)
-    [ mblob; dblob ]
+    [ mblob; dblob; v1_blob ]
 
 let fuzz_random_payloads () =
   let st = Random.State.make [| 0x5eed |] in
@@ -670,9 +765,12 @@ let suite =
     tc "multi-document buffers" multi_document;
     tc "writer: undefined value" writer_undefined_value;
     tc "writer: top-level successor" writer_toplevel_successor;
+    tc "writer: rows follow content" writer_rows_follow_content;
     tc "reader: duplicate attribute names" reader_duplicate_attribute;
     tc "version and kind skew" version_skew;
     tc "compatibility window (v1 frozen, skew located)" compat_window;
+    tc "a v1 document and its v2 re-emit print the same"
+      v1_reemit_prints_the_same;
     tc "dialect pack registers (warm start)" dialect_pack_registers;
     tc "fuzz: truncations" fuzz_truncations;
     tc "fuzz: bit flips" fuzz_bitflips;

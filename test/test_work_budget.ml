@@ -1,7 +1,7 @@
-(** Work budgets: minor words per op for bytecode decode, generic print
-    and one warm server request, on a fixed 2,000-op module. Each count is
-    exact on repeat, so each bound is the measured value plus 5%; a change
-    that lowers a count lowers its bound. *)
+(** Work budgets: minor words per op for bytecode decode and encode,
+    generic print and one warm server request, on a fixed 2,000-op
+    module. Each count is exact on repeat, so each bound is the measured
+    value plus 5%; a change that lowers a count lowers its bound. *)
 
 open Util
 module Attr = Irdl_ir.Attr
@@ -87,6 +87,17 @@ let print ctx =
   Alcotest.(check bool) "printed the module" true (String.equal out text);
   words
 
+(* As an [--emit-bytecode] run on a loaded module: decode, verify, then
+   encode; the bytes are the ones decoded. *)
+let encode ctx =
+  let bc, _ = Lazy.force inputs in
+  let ops = check_ok "decode" (Bytecode.read_module ctx bc) in
+  Alcotest.(check int) "valid" 0 (List.length (Verifier.verify_ops_all ctx ops));
+  let words, out = counted (fun () -> Bytecode.Write.module_to_string ops) in
+  Alcotest.(check bool) "re-emitted the module" true
+    (String.equal (check_ok "encode" out) bc);
+  words
+
 (* The second of two identical print requests: parse, verify, print. *)
 let warm_request ctx =
   let _, text = Lazy.force inputs in
@@ -117,7 +128,8 @@ let budget what measure measured =
 
 let suite =
   [
-    budget "bytecode decode" decode 53.888;
+    budget "bytecode decode" decode 44.761;
+    budget "bytecode encode" encode 1.263;
     budget "generic print" print 2.251;
     budget "one warm server request" warm_request 52.264;
   ]

@@ -421,9 +421,9 @@ let options =
       ~doc:
         "Write every dialect registered in this run ($(b,--corpus), \
          $(b,--cmath) and $(b,-d) files, in registration order) as a \
-         bytecode dialect pack to $(docv) ('-' for stdout). A later run \
-         warm-starts by passing the pack to $(b,-d), skipping IRDL parsing \
-         and resolution entirely."
+         dialect pack, bytecode modules of irdl.* ops that print as IR, \
+         to $(docv) ('-' for stdout). A later run warm-starts by passing \
+         the pack to $(b,-d), skipping IRDL parsing and resolution."
       Arg.(opt (some string) None)
   and+ failpoints =
     arg ~modes:with_servers [ "failpoints" ] ~docv:"SPEC"
@@ -599,9 +599,9 @@ let run (o, uses) =
   (* Dialect definitions: bundled corpus, cmath, then user files. The
      bundled dialects are packs encoded from their IRDL text at build time
      (lib/bundled), so they skip the text parse and resolve and are only
-     registered here. They are not user input; a failure there is a build
-     bug. Every resolved dialect is remembered in registration order so
-     --emit-dialect-bytecode can serialize the whole registry. *)
+     lifted and registered here. They are not user input; a failure there
+     is a build bug. Every resolved dialect is remembered in registration
+     order so --emit-dialect-bytecode can serialize the whole registry. *)
   let resolved_dialects = ref [] in
   let note_dialects dls =
     resolved_dialects := List.rev_append dls !resolved_dialects

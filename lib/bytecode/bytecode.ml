@@ -1,13 +1,14 @@
-(* Versioned binary serialization for IR modules and resolved IRDL dialect
-   specs (ROADMAP "binary bytecode + dialect distribution").
+(* Versioned binary serialization for IR modules. A dialect pack is
+   modules too: one document per dialect, lowered to [irdl.*] ops
+   ({!Irdl_core.Dialect_ir}).
 
    A bytecode buffer is a sequence of self-delimiting documents:
 
      document := magic version:uvarint kind:u8 payload_len:uvarint payload
 
    [magic] is 8 bytes ("\xC9IRDLBC\x00": the lead byte is an invalid UTF-8
-   start so no textual IR can collide), [kind] is 0 for an IR module and 1
-   for a pack of dialect definitions. Because every document carries its
+   start so no textual IR can collide) and [kind] is 0, the one document
+   kind; any other value is rejected. Because every document carries its
    payload length, documents concatenate freely — the binary analog of
    `// -----` chunks — and a reader can skip a document it cannot decode.
 
@@ -44,8 +45,7 @@
 
    Version 1 module payloads, still read, have no [sigtab]: each op spells
    its name, absolute location, counts, types and attributes, and a value
-   reference is the absolute index. Dialect payloads are the same at both
-   versions.
+   reference is the absolute index.
 
    The reader is fail-soft by construction: every read is bounds-checked
    against the enclosing document, counts are sanity-checked against the
@@ -57,17 +57,10 @@ module Graph = Irdl_ir.Graph
 module Attr = Irdl_ir.Attr
 module Context = Irdl_ir.Context
 module Id_slots = Irdl_ir.Id_slots
-module Resolve = Irdl_core.Resolve
-module Ast = Irdl_core.Ast
-module C = Irdl_core.Constraint_expr
 
 let magic = "\xc9IRDLBC\x00"
 let magic_len = String.length magic
 let version = 2
-
-type kind = Module_doc | Dialect_doc
-
-let kind_code = function Module_doc -> 0 | Dialect_doc -> 1
 
 let sniff s =
   String.length s >= magic_len && String.sub s 0 magic_len = magic
@@ -324,19 +317,6 @@ and attr_ref w a =
       Buffer.add_buffer w.w_pool b;
       i
 
-(* A dialect document's location: absolute, as the file, line and column. *)
-let add_loc w buf (loc : Loc.t) =
-  if Loc.is_unknown loc then begin
-    add_uv buf (str_ref w "");
-    add_uv buf 0;
-    add_uv buf 0
-  end
-  else begin
-    add_uv buf (str_ref w loc.start_pos.file);
-    add_uv buf loc.start_pos.line;
-    add_uv buf loc.start_pos.col
-  end
-
 (* ---------------- signature rows ---------------- *)
 
 (* The spelling of [n] ints that the row table is probed with: one array
@@ -527,20 +507,14 @@ module Write = struct
     add_uv w.w_index (Buffer.length w.w_ops - start);
     w.w_n_ops <- w.w_n_ops + 1
 
-  let assemble kind payload =
+  let assemble payload =
     let doc = Buffer.create (Buffer.length payload + 16) in
     Buffer.add_string doc magic;
     add_uv doc version;
-    Buffer.add_char doc (Char.chr (kind_code kind));
+    Buffer.add_char doc '\x00';
     add_uv doc (Buffer.length payload);
     Buffer.add_buffer doc payload;
     Buffer.contents doc
-
-  let tables w payload =
-    add_uv payload w.w_n_strings;
-    Buffer.add_buffer payload w.w_strtab;
-    add_uv payload w.w_n_pool;
-    Buffer.add_buffer payload w.w_pool
 
   let close w =
     if w.w_undefined > 0 then
@@ -553,14 +527,17 @@ module Write = struct
       let payload =
         Buffer.create (Buffer.length w.w_ops + Buffer.length w.w_sigtab + 256)
       in
-      tables w payload;
+      add_uv payload w.w_n_strings;
+      Buffer.add_buffer payload w.w_strtab;
+      add_uv payload w.w_n_pool;
+      Buffer.add_buffer payload w.w_pool;
       add_uv payload (Row_tbl.length w.w_rows);
       Buffer.add_buffer payload w.w_sigtab;
       add_uv payload w.w_n_vals;
       add_uv payload w.w_n_ops;
       Buffer.add_buffer payload w.w_index;
       Buffer.add_buffer payload w.w_ops;
-      Ok (assemble Module_doc payload)
+      Ok (assemble payload)
     end
 
   let module_to_string ops =
@@ -569,175 +546,14 @@ module Write = struct
     | Error d -> Error d
     | Ok () -> close w
 
-  (* ---------------- dialect specs ---------------- *)
-
-  let add_opt_str w buf = function
-    | None -> Buffer.add_char buf '\x00'
-    | Some s ->
-        Buffer.add_char buf '\x01';
-        add_uv buf (str_ref w s)
-
-  let rec encode_constraint w buf (c : C.t) =
-    let tag t = Buffer.add_char buf (Char.chr t) in
-    let clist cs =
-      add_uv buf (List.length cs);
-      List.iter (encode_constraint w buf) cs
-    in
-    let opt_params = function
-      | None -> Buffer.add_char buf '\x00'
-      | Some cs ->
-          Buffer.add_char buf '\x01';
-          clist cs
-    in
-    match c with
-    | C.Any -> tag 0
-    | C.Any_type -> tag 1
-    | C.Any_attr -> tag 2
-    | C.Eq a ->
-        tag 3;
-        add_uv buf (attr_ref w a)
-    | C.Base_type { dialect; name; params } ->
-        tag 4;
-        add_uv buf (str_ref w dialect);
-        add_uv buf (str_ref w name);
-        opt_params params
-    | C.Base_attr { dialect; name; params } ->
-        tag 5;
-        add_uv buf (str_ref w dialect);
-        add_uv buf (str_ref w name);
-        opt_params params
-    | C.Int_param { ik_width; ik_signedness } ->
-        tag 6;
-        add_uv buf ik_width;
-        Buffer.add_char buf (Char.chr (signedness_code ik_signedness))
-    | C.Float_param None -> tag 7
-    | C.Float_param (Some k) ->
-        tag 8;
-        Buffer.add_char buf (Char.chr (float_kind_code k))
-    | C.String_param -> tag 9
-    | C.Symbol_param -> tag 10
-    | C.Bool_param -> tag 11
-    | C.Location_param -> tag 12
-    | C.Type_id_param -> tag 13
-    | C.Enum_param { dialect; enum } ->
-        tag 14;
-        add_uv buf (str_ref w dialect);
-        add_uv buf (str_ref w enum)
-    | C.Array_any -> tag 15
-    | C.Array_of c ->
-        tag 16;
-        encode_constraint w buf c
-    | C.Array_exact cs ->
-        tag 17;
-        clist cs
-    | C.Any_of cs ->
-        tag 18;
-        clist cs
-    | C.And cs ->
-        tag 19;
-        clist cs
-    | C.Not c ->
-        tag 20;
-        encode_constraint w buf c
-    | C.Var { v_name; v_constraint } ->
-        tag 21;
-        add_uv buf (str_ref w v_name);
-        encode_constraint w buf v_constraint
-    | C.Native { name; base; snippets } ->
-        tag 22;
-        add_uv buf (str_ref w name);
-        encode_constraint w buf base;
-        add_uv buf (List.length snippets);
-        List.iter (fun s -> add_uv buf (str_ref w s)) snippets
-    | C.Native_param { name; class_name } ->
-        tag 23;
-        add_uv buf (str_ref w name);
-        add_uv buf (str_ref w class_name)
-    | C.Variadic c ->
-        tag 24;
-        encode_constraint w buf c
-    | C.Optional c ->
-        tag 25;
-        encode_constraint w buf c
-
-  let encode_slot w buf (s : Resolve.slot) =
-    add_uv buf (str_ref w s.s_name);
-    encode_constraint w buf s.s_constraint;
-    add_loc w buf s.s_loc
-
-  let encode_slots w buf slots =
-    add_uv buf (List.length slots);
-    List.iter (encode_slot w buf) slots
-
-  let encode_strs w buf ss =
-    add_uv buf (List.length ss);
-    List.iter (fun s -> add_uv buf (str_ref w s)) ss
-
-  let encode_typedef w buf (td : Resolve.typedef) =
-    add_uv buf (str_ref w td.td_name);
-    add_opt_str w buf td.td_summary;
-    encode_slots w buf td.td_params;
-    encode_strs w buf td.td_cpp;
-    add_loc w buf td.td_loc
-
-  let encode_region_def w buf (r : Resolve.region) =
-    add_uv buf (str_ref w r.reg_name);
-    encode_slots w buf r.reg_args;
-    add_opt_str w buf r.reg_terminator
-
-  let encode_op_def w buf (o : Resolve.op) =
-    add_uv buf (str_ref w o.op_name);
-    add_opt_str w buf o.op_summary;
-    add_uv buf (List.length o.op_vars);
-    List.iter
-      (fun (v : C.var) ->
-        add_uv buf (str_ref w v.v_name);
-        encode_constraint w buf v.v_constraint)
-      o.op_vars;
-    encode_slots w buf o.op_operands;
-    encode_slots w buf o.op_results;
-    encode_slots w buf o.op_attributes;
-    add_uv buf (List.length o.op_regions);
-    List.iter (encode_region_def w buf) o.op_regions;
-    (match o.op_successors with
-    | None -> Buffer.add_char buf '\x00'
-    | Some ss ->
-        Buffer.add_char buf '\x01';
-        encode_strs w buf ss);
-    add_opt_str w buf o.op_format;
-    encode_strs w buf o.op_cpp;
-    add_loc w buf o.op_loc
-
-  let encode_enum w buf (e : Ast.enum_def) =
-    add_uv buf (str_ref w e.e_name);
-    encode_strs w buf e.e_cases;
-    add_loc w buf e.e_loc
-
-  let encode_dialect w buf (dl : Resolve.dialect) =
-    add_uv buf (str_ref w dl.dl_name);
-    add_uv buf (List.length dl.dl_types);
-    List.iter (encode_typedef w buf) dl.dl_types;
-    add_uv buf (List.length dl.dl_attrs);
-    List.iter (encode_typedef w buf) dl.dl_attrs;
-    add_uv buf (List.length dl.dl_ops);
-    List.iter (encode_op_def w buf) dl.dl_ops;
-    add_uv buf (List.length dl.dl_enums);
-    List.iter (encode_enum w buf) dl.dl_enums
-
+  (* A dialect pack: the dialects as [irdl.*] ops, one module document
+     each, so a reader holds one dialect's tables at a time. *)
   let dialects_to_string dls =
-    let w = create () in
-    let body = Buffer.create 512 in
-    match
-      Diag.protect (fun () ->
-          add_uv body (List.length dls);
-          List.iter (encode_dialect w body) dls)
-    with
-    | Error d -> Error d
-    | Ok () ->
-        let payload = Buffer.create (Buffer.length body + 256) in
-        tables w payload;
-        Buffer.add_buffer payload body;
-        Ok (assemble Dialect_doc payload)
+    let doc dl = module_to_string [ Irdl_core.Dialect_ir.lower dl ] in
+    let docs = List.map doc dls in
+    match List.find_opt Result.is_error docs with
+    | Some e -> e
+    | None -> Ok (String.concat "" (List.map Result.get_ok docs))
 end
 
 (* ------------------------------------------------------------------ *)
@@ -818,7 +634,7 @@ let read_count c what =
   if n > remaining c then cfail c "implausible %s count %d" what n c.c_pos;
   n
 
-type doc_header = { dh_version : int; dh_kind : kind; dh_payload_end : int }
+type doc_header = { dh_version : int; dh_payload_end : int }
 
 let read_header c =
   if remaining c < magic_len || String.sub c.c_buf c.c_pos magic_len <> magic
@@ -830,73 +646,34 @@ let read_header c =
       ~loc:(Loc.point (Loc.start_of_file c.c_file))
       "unsupported bytecode version %d (this reader supports versions 1..%d)"
       v version;
-  let kind =
-    match read_u8 c with
-    | 0 -> Module_doc
-    | 1 -> Dialect_doc
-    | k -> cfail c "unknown document kind %d" k c.c_pos
-  in
+  let kind = read_u8 c in
+  if kind <> 0 then cfail c "unknown document kind %d" kind c.c_pos;
   let plen = read_uv c in
   if plen > remaining c then
     cfail c "truncated document (payload of %d bytes, %d remain)" plen
       (remaining c) c.c_pos;
-  { dh_version = v; dh_kind = kind; dh_payload_end = c.c_pos + plen }
+  { dh_version = v; dh_payload_end = c.c_pos + plen }
 
-type doc_info = {
-  di_kind : kind;
-  di_version : int;
-  di_offset : int;
-  di_length : int;
-}
-
-let documents ?file s =
+(* The (offset, length) of each document; an undecodable tail is one last
+   opaque slice, so a consumer still visits (and reports) it. *)
+let split_documents ?file s =
   let c = cursor ?file s in
   let rec go acc =
     if remaining c = 0 then List.rev acc
     else
       let off = c.c_pos in
       match Diag.protect (fun () -> read_header c) with
-      | Error _ ->
-          (* Undecodable tail: one opaque trailing slice, so a consumer
-             still visits (and reports) it. *)
-          List.rev
-            ({
-               di_kind = Module_doc;
-               di_version = 0;
-               di_offset = off;
-               di_length = remaining c;
-             }
-            :: acc)
+      | Error _ -> List.rev ((off, remaining c) :: acc)
       | Ok h ->
           c.c_pos <- h.dh_payload_end;
-          go
-            ({
-               di_kind = h.dh_kind;
-               di_version = h.dh_version;
-               di_offset = off;
-               di_length = h.dh_payload_end - off;
-             }
-            :: acc)
+          go ((off, h.dh_payload_end - off) :: acc)
   in
-  go []
-
-let split_documents ?file s =
-  match documents ?file s with
+  match go [] with
   | [] | [ _ ] -> [ s ]
-  | docs ->
-      List.map (fun d -> String.sub s d.di_offset d.di_length) docs
+  | docs -> List.map (fun (off, len) -> String.sub s off len) docs
 
-(* [Array.init]'s/[List.init]'s application order is unspecified; cursor
-   reads need strict left-to-right sequencing. *)
-let read_list n f =
-  let rec go i acc =
-    if i = n then List.rev acc
-    else
-      let x = f i in
-      go (i + 1) (x :: acc)
-  in
-  go 0 []
-
+(* [Array.init]'s application order is unspecified; cursor reads need
+   strict left-to-right sequencing. *)
 let read_array n f =
   if n = 0 then [||]
   else begin
@@ -918,9 +695,18 @@ let str_at c strs i =
     cfail c "string reference %d out of range" i c.c_pos;
   strs.(i)
 
+let rec read_pairs c strs attr_at n =
+  if n = 0 then []
+  else
+    let key = str_at c strs (read_uv c) in
+    let a = attr_at (read_uv c) in
+    (key, a) :: read_pairs c strs attr_at (n - 1)
+
 type pool_entry = P_ty of Attr.ty | P_attr of Attr.t
 
-let read_pool c strs =
+(* Without [intern], attributes are built as they are, not interned: a
+   transient read, whose ops are only read back. *)
+let read_pool ~intern c strs =
   let n = read_count c "pool" in
   let pool = Array.make n (P_attr Attr.Unit) in
   (* Children may only reference strictly earlier (already decoded)
@@ -940,15 +726,17 @@ let read_pool c strs =
     | P_attr a -> a
     | P_ty _ -> cfail c "pool entry %d is not an attribute" i c.c_pos
   in
+  let attr a = P_attr (if intern then Attr.intern a else a) in
   let read_str () = str_at c strs (read_uv c) in
-  let read_tys () =
-    let k = read_count c "type list" in
-    read_list k (fun _ -> ty_at (read_uv c))
+  (* Lists of references, read in order with no intermediate list. *)
+  let rec refs at k =
+    if k = 0 then []
+    else
+      let x = at (read_uv c) in
+      x :: refs at (k - 1)
   in
-  let read_attrs () =
-    let k = read_count c "attribute list" in
-    read_list k (fun _ -> attr_at (read_uv c))
-  in
+  let read_tys () = refs ty_at (read_count c "type list") in
+  let read_attrs () = refs attr_at (read_count c "attribute list") in
   let signedness_of = function
     | 0 -> Attr.Signless
     | 1 -> Attr.Signed
@@ -983,43 +771,37 @@ let read_pool c strs =
           let dialect = read_str () in
           let name = read_str () in
           P_ty (Attr.dynamic ~dialect ~name (read_attrs ()))
-      | 0x20 -> P_attr Attr.unit
-      | 0x21 -> P_attr (Attr.bool (read_u8 c <> 0))
+      | 0x20 -> attr Attr.Unit
+      | 0x21 -> attr (Attr.Bool (read_u8 c <> 0))
       | 0x22 ->
-          let v = read_v64 c in
-          P_attr (Attr.int ~ty:(ty_at (read_uv c)) v)
+          let value = read_v64 c in
+          attr (Attr.Int { value; ty = ty_at (read_uv c) })
       | 0x23 ->
-          let bits = read_v64 c in
-          P_attr
-            (Attr.float ~ty:(ty_at (read_uv c)) (Int64.float_of_bits bits))
-      | 0x24 -> P_attr (Attr.string (read_str ()))
-      | 0x25 -> P_attr (Attr.array (read_attrs ()))
+          let value = Int64.float_of_bits (read_v64 c) in
+          attr (Attr.Float_attr { value; ty = ty_at (read_uv c) })
+      | 0x24 -> attr (Attr.String (read_str ()))
+      | 0x25 -> attr (Attr.Array (read_attrs ()))
       | 0x26 ->
-          let k = read_count c "dictionary" in
-          let entries =
-            read_list k (fun _ ->
-                let key = read_str () in
-                (key, attr_at (read_uv c)))
-          in
-          P_attr (Attr.dict entries)
-      | 0x27 -> P_attr (Attr.typ (ty_at (read_uv c)))
+          let entries = read_pairs c strs attr_at (read_count c "dictionary") in
+          attr (Attr.Dict entries)
+      | 0x27 -> attr (Attr.Type (ty_at (read_uv c)))
       | 0x28 ->
           let dialect = read_str () in
           let enum = read_str () in
-          P_attr (Attr.enum ~dialect ~enum (read_str ()))
-      | 0x29 -> P_attr (Attr.symbol (read_str ()))
+          attr (Attr.Enum { dialect; enum; case = read_str () })
+      | 0x29 -> attr (Attr.Symbol (read_str ()))
       | 0x2a ->
           let file = read_str () in
           let line = read_uv c in
-          P_attr (Attr.location ~file ~line ~col:(read_uv c))
-      | 0x2b -> P_attr (Attr.type_id (read_str ()))
+          attr (Attr.Location { file; line; col = read_uv c })
+      | 0x2b -> attr (Attr.Type_id (read_str ()))
       | 0x2c ->
           let tag = read_str () in
-          P_attr (Attr.opaque ~tag (read_str ()))
+          attr (Attr.Opaque { tag; repr = read_str () })
       | 0x2d ->
           let dialect = read_str () in
           let name = read_str () in
-          P_attr (Attr.dyn_attr ~dialect ~name (read_attrs ()))
+          attr (Attr.Dyn_attr { dialect; name; params = read_attrs () })
       | t -> cfail c "unknown pool entry tag 0x%02x" t c.c_pos
     in
     pool.(i) <- entry;
@@ -1030,11 +812,6 @@ let read_pool c strs =
 let loc_of file line col =
   if file = "" && line = 0 then Loc.unknown
   else Loc.point { Loc.file; line; col; offset = 0 }
-
-let read_loc c strs =
-  let file = str_at c strs (read_uv c) in
-  let line = read_uv c in
-  loc_of file line (read_uv c)
 
 (* ---------------- module decoding ---------------- *)
 
@@ -1066,7 +843,7 @@ type mstate = {
   ms_budget : Limits.budget;
       (** session-wide (spans documents in a multi-doc buffer); blown
           budgets raise {!Diag.Fatal_exn} and end the whole session *)
-  ms_ctx : Context.t;
+  ms_ctx : Context.t option;  (** [None] in a transient read *)
   ms_doc_loc : Loc.t;  (** the start of the file: where unlocated errors go *)
   mutable ms_res : int array;
       (** scratch: the value indices of the results of the op being
@@ -1143,12 +920,7 @@ let read_sigtab c strs ty_at attr_at =
       done;
       let n_results = read_count c "result" in
       let r_results = read_array n_results (fun _ -> ty_at (read_uv c)) in
-      let n_attrs = read_count c "attribute" in
-      let r_attrs =
-        read_list n_attrs (fun _ ->
-            let key = str_at c strs (read_uv c) in
-            (key, attr_at (read_uv c)))
-      in
+      let r_attrs = read_pairs c strs attr_at (read_count c "attribute") in
       check_unique_keys c r_attrs;
       let r_successors = read_count c "successor" in
       let r_regions = read_count c "region" in
@@ -1157,7 +929,7 @@ let read_sigtab c strs ty_at attr_at =
 
 (* The field loops below live at top level with every free variable passed
    as an argument: this is the hot path of [read_module] at 10^6 ops, and
-   closure-based loops ([read_list], or a [let rec] nested in the decoder)
+   closure-based loops (a [let rec] nested in the decoder)
    would allocate per op. Value indices land in scratch arrays. *)
 let read_operands c st n =
   if n = 0 then [||]
@@ -1193,13 +965,6 @@ let read_results_v1 c st n =
       tys
     end
   end
-
-let rec read_attr_pairs c st n =
-  if n = 0 then []
-  else
-    let key = str_at c st.ms_strs (read_uv c) in
-    let a = st.ms_attr_at (read_uv c) in
-    (key, a) :: read_attr_pairs c st (n - 1)
 
 let rec read_successors c blocks n =
   if n = 0 then []
@@ -1254,10 +1019,11 @@ let rec decode_op c st ~blocks : Graph.op =
       row.r_name
   in
   define_results c st op res_idx;
-  if row.r_sig == Graph.no_sig then begin
-    row.r_sig <- Context.sig_entry st.ms_ctx op;
-    op.op_sig <- row.r_sig
-  end;
+  (match st.ms_ctx with
+  | Some ctx when row.r_sig == Graph.no_sig ->
+      row.r_sig <- Context.sig_entry ctx op;
+      op.op_sig <- row.r_sig
+  | _ -> ());
   op
 
 (* A version 1 op spells its whole signature; it gets its entry when it is
@@ -1271,7 +1037,9 @@ and decode_op_v1 c st ~blocks : Graph.op =
   let operands = read_operands c st (read_count c "operand") in
   let n_results = read_count c "result" in
   let result_tys = read_results_v1 c st n_results in
-  let attrs = read_attr_pairs c st (read_count c "attribute") in
+  let attrs =
+    read_pairs c st.ms_strs st.ms_attr_at (read_count c "attribute")
+  in
   check_unique_keys c attrs;
   let successors = read_successors c blocks (read_count c "successor") in
   let n_regions = read_count c "region" in
@@ -1354,14 +1122,14 @@ module Stream = struct
         (* the caller's answer ({!Diag.Engine.fail_fast}) *)
     s_queue : pending Queue.t;
     s_budget : Limits.budget;  (* shared by every document of the buffer *)
-    s_ctx : Context.t;  (* what op names are resolved against *)
+    s_ctx : Context.t option;  (* where signature entries come from *)
     mutable s_doc : docstate option;
     mutable s_failed : Diag.t option;
     mutable s_eof : bool;
   }
 
   let create ?(file = "<bytecode>") ?engine ?(limits = Limits.unlimited)
-      (ctx : Context.t) s =
+      ?(transient = false) (ctx : Context.t) s =
     let budget = Limits.budget limits in
     let engine, s_result = Diag.Engine.fail_fast engine in
     let sp =
@@ -1371,7 +1139,7 @@ module Stream = struct
         s_result;
         s_queue = Queue.create ();
         s_budget = budget;
-        s_ctx = ctx;
+        s_ctx = (if transient then None else Some ctx);
         s_doc = None;
         s_failed = None;
         s_eof = false;
@@ -1435,13 +1203,6 @@ module Stream = struct
         (* Header garbage: no payload length to resync on. *)
         sp.s_eof <- true;
         fail sp d
-    | Ok h when h.dh_kind <> Module_doc ->
-        sp.s_cur.c_pos <- h.dh_payload_end;
-        fail sp
-          (Diag.error
-             ~loc:(Loc.point (Loc.start_of_file sp.s_cur.c_file))
-             "bytecode document holds dialect definitions, expected an IR \
-              module (load it with -d)")
     | Ok h -> (
         let doc_cur =
           {
@@ -1455,7 +1216,9 @@ module Stream = struct
           Diag.protect_any (fun () ->
               Failpoints.hit "bytecode.decode";
               let strs = read_strtab doc_cur in
-              let ty_at, attr_at = read_pool doc_cur strs in
+              let ty_at, attr_at =
+                read_pool ~intern:(Option.is_some sp.s_ctx) doc_cur strs
+              in
               let relative = h.dh_version >= 2 in
               let rows =
                 if relative then read_sigtab doc_cur strs ty_at attr_at
@@ -1582,8 +1345,8 @@ module Stream = struct
   let release = Graph.release
 end
 
-let read_module ?file ?engine ?limits ctx s =
-  let sp = Stream.create ?file ?engine ?limits ctx s in
+let read_module ?file ?engine ?limits ?transient ctx s =
+  let sp = Stream.create ?file ?engine ?limits ?transient ctx s in
   let rec drain acc =
     match Stream.next sp with
     | Ok None -> Ok (List.rev acc)
@@ -1591,410 +1354,3 @@ let read_module ?file ?engine ?limits ctx s =
     | Error d -> Error d
   in
   drain []
-
-(* ---------------- dialect decoding ---------------- *)
-
-let read_opt_str c strs =
-  match read_u8 c with
-  | 0 -> None
-  | 1 -> Some (str_at c strs (read_uv c))
-  | f -> cfail c "bad option flag %d" f c.c_pos
-
-let rec decode_constraint c strs attr_at : C.t =
-  let clist () =
-    let n = read_count c "constraint list" in
-    read_list n (fun _ -> decode_constraint c strs attr_at)
-  in
-  let opt_params () =
-    match read_u8 c with
-    | 0 -> None
-    | 1 -> Some (clist ())
-    | f -> cfail c "bad option flag %d" f c.c_pos
-  in
-  let read_str () = str_at c strs (read_uv c) in
-  match read_u8 c with
-  | 0 -> C.Any
-  | 1 -> C.Any_type
-  | 2 -> C.Any_attr
-  | 3 -> C.Eq (attr_at (read_uv c))
-  | 4 ->
-      let dialect = read_str () in
-      let name = read_str () in
-      C.Base_type { dialect; name; params = opt_params () }
-  | 5 ->
-      let dialect = read_str () in
-      let name = read_str () in
-      C.Base_attr { dialect; name; params = opt_params () }
-  | 6 ->
-      let ik_width = read_uv c in
-      let ik_signedness =
-        match read_u8 c with
-        | 0 -> Attr.Signless
-        | 1 -> Attr.Signed
-        | 2 -> Attr.Unsigned
-        | s -> cfail c "bad signedness code %d" s c.c_pos
-      in
-      C.Int_param { ik_width; ik_signedness }
-  | 7 -> C.Float_param None
-  | 8 ->
-      C.Float_param
-        (Some
-           (match read_u8 c with
-           | 0 -> Attr.BF16
-           | 1 -> Attr.F16
-           | 2 -> Attr.F32
-           | 3 -> Attr.F64
-           | k -> cfail c "bad float kind code %d" k c.c_pos))
-  | 9 -> C.String_param
-  | 10 -> C.Symbol_param
-  | 11 -> C.Bool_param
-  | 12 -> C.Location_param
-  | 13 -> C.Type_id_param
-  | 14 ->
-      let dialect = read_str () in
-      C.Enum_param { dialect; enum = read_str () }
-  | 15 -> C.Array_any
-  | 16 -> C.Array_of (decode_constraint c strs attr_at)
-  | 17 -> C.Array_exact (clist ())
-  | 18 -> C.Any_of (clist ())
-  | 19 -> C.And (clist ())
-  | 20 -> C.Not (decode_constraint c strs attr_at)
-  | 21 ->
-      let v_name = read_str () in
-      C.Var { v_name; v_constraint = decode_constraint c strs attr_at }
-  | 22 ->
-      let name = read_str () in
-      let base = decode_constraint c strs attr_at in
-      let n = read_count c "snippet list" in
-      C.Native { name; base; snippets = read_list n (fun _ -> read_str ()) }
-  | 23 ->
-      let name = read_str () in
-      C.Native_param { name; class_name = read_str () }
-  | 24 -> C.Variadic (decode_constraint c strs attr_at)
-  | 25 -> C.Optional (decode_constraint c strs attr_at)
-  | t -> cfail c "unknown constraint tag %d" t c.c_pos
-
-let decode_slot c strs attr_at : Resolve.slot =
-  let s_name = str_at c strs (read_uv c) in
-  let s_constraint = decode_constraint c strs attr_at in
-  { s_name; s_constraint; s_loc = read_loc c strs }
-
-let decode_slots c strs attr_at =
-  let n = read_count c "slot list" in
-  read_list n (fun _ -> decode_slot c strs attr_at)
-
-let decode_strs c strs =
-  let n = read_count c "string list" in
-  read_list n (fun _ -> str_at c strs (read_uv c))
-
-let decode_typedef c strs attr_at : Resolve.typedef =
-  let td_name = str_at c strs (read_uv c) in
-  let td_summary = read_opt_str c strs in
-  let td_params = decode_slots c strs attr_at in
-  let td_cpp = decode_strs c strs in
-  { td_name; td_summary; td_params; td_cpp; td_loc = read_loc c strs }
-
-let decode_region_def c strs attr_at : Resolve.region =
-  let reg_name = str_at c strs (read_uv c) in
-  let reg_args = decode_slots c strs attr_at in
-  { reg_name; reg_args; reg_terminator = read_opt_str c strs }
-
-let decode_op_def c strs attr_at : Resolve.op =
-  let op_name = str_at c strs (read_uv c) in
-  let op_summary = read_opt_str c strs in
-  let n_vars = read_count c "variable list" in
-  let op_vars =
-    read_list n_vars (fun _ ->
-        let v_name = str_at c strs (read_uv c) in
-        { C.v_name; v_constraint = decode_constraint c strs attr_at })
-  in
-  let op_operands = decode_slots c strs attr_at in
-  let op_results = decode_slots c strs attr_at in
-  let op_attributes = decode_slots c strs attr_at in
-  let n_regions = read_count c "region list" in
-  let op_regions = read_list n_regions (fun _ -> decode_region_def c strs attr_at) in
-  let op_successors =
-    match read_u8 c with
-    | 0 -> None
-    | 1 -> Some (decode_strs c strs)
-    | f -> cfail c "bad option flag %d" f c.c_pos
-  in
-  let op_format = read_opt_str c strs in
-  let op_cpp = decode_strs c strs in
-  {
-    op_name;
-    op_summary;
-    op_vars;
-    op_operands;
-    op_results;
-    op_attributes;
-    op_regions;
-    op_successors;
-    op_format;
-    op_cpp;
-    op_loc = read_loc c strs;
-  }
-
-let decode_enum c strs : Ast.enum_def =
-  let e_name = str_at c strs (read_uv c) in
-  let e_cases = decode_strs c strs in
-  { e_name; e_cases; e_loc = read_loc c strs }
-
-let decode_dialect c strs attr_at : Resolve.dialect =
-  let dl_name = str_at c strs (read_uv c) in
-  let n_types = read_count c "type list" in
-  let dl_types = read_list n_types (fun _ -> decode_typedef c strs attr_at) in
-  let n_attrs = read_count c "attribute list" in
-  let dl_attrs = read_list n_attrs (fun _ -> decode_typedef c strs attr_at) in
-  let n_ops = read_count c "op list" in
-  let dl_ops = read_list n_ops (fun _ -> decode_op_def c strs attr_at) in
-  let n_enums = read_count c "enum list" in
-  let dl_enums = read_list n_enums (fun _ -> decode_enum c strs) in
-  {
-    dl_name;
-    dl_types;
-    dl_attrs;
-    dl_ops;
-    dl_enums;
-    (* The surface AST is not serialized (it is introspection-only); a
-       minimal one is rebuilt so enum lookups through it keep working. *)
-    dl_ast =
-      {
-        Ast.d_name = dl_name;
-        d_items = List.map (fun e -> Ast.I_enum e) dl_enums;
-        d_loc = Loc.unknown;
-      };
-  }
-
-let read_dialects ?(file = "<bytecode>") ?engine s =
-  let engine, result = Diag.Engine.fail_fast engine in
-  let c = cursor ~file s in
-  let rec go acc =
-    if remaining c = 0 then List.rev acc
-    else
-      match Diag.protect_any (fun () -> read_header c) with
-      | Error d ->
-          Diag.Engine.emit engine d;
-          (* No trustworthy payload length: stop here. *)
-          List.rev acc
-      | Ok h when h.dh_kind <> Dialect_doc ->
-          c.c_pos <- h.dh_payload_end;
-          Diag.Engine.emit engine
-            (Diag.error
-               ~loc:(Loc.point (Loc.start_of_file file))
-               "bytecode document holds an IR module, expected dialect \
-                definitions");
-          go acc
-      | Ok h -> (
-          let dc = { c with c_end = h.dh_payload_end } in
-          match
-            Diag.protect_any (fun () ->
-                let strs = read_strtab dc in
-                let _, attr_at = read_pool dc strs in
-                let n = read_count dc "dialect" in
-                read_list n (fun _ -> decode_dialect dc strs attr_at))
-          with
-          | Ok dls ->
-              c.c_pos <- h.dh_payload_end;
-              go (List.rev_append dls acc)
-          | Error d ->
-              c.c_pos <- h.dh_payload_end;
-              Diag.Engine.emit engine d;
-              go acc)
-  in
-  result (Ok (go []))
-
-(* ------------------------------------------------------------------ *)
-(* Structural equality (round-trip oracles)                           *)
-(* ------------------------------------------------------------------ *)
-
-module Equal = struct
-  (* Module equality up to value/block identity and locations: values and
-     blocks are paired by definition position (two passes, so forward
-     operand references compare correctly), everything else structurally. *)
-
-  exception Differ
-
-  let pair tbl a b =
-    match Hashtbl.find_opt tbl a with
-    | Some b' -> if b' <> b then raise Differ
-    | None -> Hashtbl.add tbl a b
-
-  let module_eq ops1 ops2 =
-    let vmap = Hashtbl.create 64 in
-    let bmap = Hashtbl.create 16 in
-    let rec pair_defs (o1 : Graph.op) (o2 : Graph.op) =
-      if Array.length o1.op_results <> Array.length o2.op_results then
-        raise Differ;
-      Array.iteri
-        (fun i (r : Graph.value) ->
-          pair vmap r.v_id o2.op_results.(i).Graph.v_id)
-        o1.op_results;
-      if List.length o1.regions <> List.length o2.regions then raise Differ;
-      List.iter2
-        (fun (r1 : Graph.region) (r2 : Graph.region) ->
-          let bs1 = Graph.Region.blocks r1 and bs2 = Graph.Region.blocks r2 in
-          if List.length bs1 <> List.length bs2 then raise Differ;
-          List.iter2
-            (fun (b1 : Graph.block) (b2 : Graph.block) ->
-              pair bmap b1.blk_id b2.blk_id;
-              if Array.length b1.blk_args <> Array.length b2.blk_args then
-                raise Differ;
-              Array.iteri
-                (fun i (a : Graph.value) ->
-                  pair vmap a.v_id b2.blk_args.(i).Graph.v_id)
-                b1.blk_args;
-              let ops1 = Graph.Block.ops b1 and ops2 = Graph.Block.ops b2 in
-              if List.length ops1 <> List.length ops2 then raise Differ;
-              List.iter2 pair_defs ops1 ops2)
-            bs1 bs2)
-        o1.regions o2.regions
-    in
-    let rec check (o1 : Graph.op) (o2 : Graph.op) =
-      if o1.op_name <> o2.op_name then raise Differ;
-      if Array.length o1.op_operands <> Array.length o2.op_operands then
-        raise Differ;
-      Array.iteri
-        (fun i (u : Graph.use) ->
-          let v2 = o2.op_operands.(i).Graph.u_value in
-          match Hashtbl.find_opt vmap u.u_value.v_id with
-          | Some id2 -> if id2 <> v2.v_id then raise Differ
-          | None -> raise Differ)
-        o1.op_operands;
-      Array.iteri
-        (fun i (r : Graph.value) ->
-          if not (Attr.equal_ty r.v_ty o2.op_results.(i).Graph.v_ty) then
-            raise Differ)
-        o1.op_results;
-      if
-        not
-          (List.length o1.attrs = List.length o2.attrs
-          && List.for_all2
-               (fun (k1, a1) (k2, a2) -> k1 = k2 && Attr.equal a1 a2)
-               o1.attrs o2.attrs)
-      then raise Differ;
-      if List.length o1.successors <> List.length o2.successors then
-        raise Differ;
-      List.iter2
-        (fun (b1 : Graph.block) (b2 : Graph.block) ->
-          match Hashtbl.find_opt bmap b1.blk_id with
-          | Some id2 -> if id2 <> b2.blk_id then raise Differ
-          | None -> raise Differ)
-        o1.successors o2.successors;
-      List.iter2
-        (fun (r1 : Graph.region) (r2 : Graph.region) ->
-          List.iter2
-            (fun (b1 : Graph.block) (b2 : Graph.block) ->
-              Array.iteri
-                (fun i (a : Graph.value) ->
-                  if
-                    not
-                      (Attr.equal_ty a.v_ty b2.Graph.blk_args.(i).Graph.v_ty)
-                  then raise Differ)
-                b1.Graph.blk_args;
-              List.iter2 check (Graph.Block.ops b1) (Graph.Block.ops b2))
-            (Graph.Region.blocks r1) (Graph.Region.blocks r2))
-        o1.regions o2.regions
-    in
-    try
-      if List.length ops1 <> List.length ops2 then raise Differ;
-      List.iter2 pair_defs ops1 ops2;
-      List.iter2 check ops1 ops2;
-      true
-    with Differ -> false
-
-  (* Dialect equality up to locations and the surface AST. *)
-
-  let rec constraint_eq (a : C.t) (b : C.t) =
-    let all l1 l2 =
-      List.length l1 = List.length l2 && List.for_all2 constraint_eq l1 l2
-    in
-    let params_eq p1 p2 =
-      match (p1, p2) with
-      | None, None -> true
-      | Some p1, Some p2 -> all p1 p2
-      | _ -> false
-    in
-    match (a, b) with
-    | C.Any, C.Any
-    | C.Any_type, C.Any_type
-    | C.Any_attr, C.Any_attr
-    | C.String_param, C.String_param
-    | C.Symbol_param, C.Symbol_param
-    | C.Bool_param, C.Bool_param
-    | C.Location_param, C.Location_param
-    | C.Type_id_param, C.Type_id_param
-    | C.Array_any, C.Array_any ->
-        true
-    | C.Eq x, C.Eq y -> Attr.equal x y
-    | C.Base_type t1, C.Base_type t2 ->
-        t1.dialect = t2.dialect && t1.name = t2.name
-        && params_eq t1.params t2.params
-    | C.Base_attr t1, C.Base_attr t2 ->
-        t1.dialect = t2.dialect && t1.name = t2.name
-        && params_eq t1.params t2.params
-    | C.Int_param k1, C.Int_param k2 -> k1 = k2
-    | C.Float_param k1, C.Float_param k2 -> k1 = k2
-    | C.Enum_param e1, C.Enum_param e2 ->
-        e1.dialect = e2.dialect && e1.enum = e2.enum
-    | C.Array_of c1, C.Array_of c2
-    | C.Not c1, C.Not c2
-    | C.Variadic c1, C.Variadic c2
-    | C.Optional c1, C.Optional c2 ->
-        constraint_eq c1 c2
-    | C.Array_exact l1, C.Array_exact l2
-    | C.Any_of l1, C.Any_of l2
-    | C.And l1, C.And l2 ->
-        all l1 l2
-    | C.Var v1, C.Var v2 ->
-        v1.v_name = v2.v_name && constraint_eq v1.v_constraint v2.v_constraint
-    | C.Native n1, C.Native n2 ->
-        n1.name = n2.name && n1.snippets = n2.snippets
-        && constraint_eq n1.base n2.base
-    | C.Native_param p1, C.Native_param p2 ->
-        p1.name = p2.name && p1.class_name = p2.class_name
-    | _ -> false
-
-  let slot_eq (s1 : Resolve.slot) (s2 : Resolve.slot) =
-    s1.s_name = s2.s_name && constraint_eq s1.s_constraint s2.s_constraint
-
-  let slots_eq l1 l2 = List.length l1 = List.length l2 && List.for_all2 slot_eq l1 l2
-
-  let typedef_eq (t1 : Resolve.typedef) (t2 : Resolve.typedef) =
-    t1.td_name = t2.td_name && t1.td_summary = t2.td_summary
-    && t1.td_cpp = t2.td_cpp
-    && slots_eq t1.td_params t2.td_params
-
-  let region_eq (r1 : Resolve.region) (r2 : Resolve.region) =
-    r1.reg_name = r2.reg_name
-    && r1.reg_terminator = r2.reg_terminator
-    && slots_eq r1.reg_args r2.reg_args
-
-  let op_eq (o1 : Resolve.op) (o2 : Resolve.op) =
-    o1.op_name = o2.op_name && o1.op_summary = o2.op_summary
-    && List.length o1.op_vars = List.length o2.op_vars
-    && List.for_all2
-         (fun (v1 : C.var) (v2 : C.var) ->
-           v1.v_name = v2.v_name
-           && constraint_eq v1.v_constraint v2.v_constraint)
-         o1.op_vars o2.op_vars
-    && slots_eq o1.op_operands o2.op_operands
-    && slots_eq o1.op_results o2.op_results
-    && slots_eq o1.op_attributes o2.op_attributes
-    && List.length o1.op_regions = List.length o2.op_regions
-    && List.for_all2 region_eq o1.op_regions o2.op_regions
-    && o1.op_successors = o2.op_successors
-    && o1.op_format = o2.op_format
-    && o1.op_cpp = o2.op_cpp
-
-  let enum_eq (e1 : Ast.enum_def) (e2 : Ast.enum_def) =
-    e1.e_name = e2.e_name && e1.e_cases = e2.e_cases
-
-  let dialect_eq (d1 : Resolve.dialect) (d2 : Resolve.dialect) =
-    let all f l1 l2 = List.length l1 = List.length l2 && List.for_all2 f l1 l2 in
-    d1.dl_name = d2.dl_name
-    && all typedef_eq d1.dl_types d2.dl_types
-    && all typedef_eq d1.dl_attrs d2.dl_attrs
-    && all op_eq d1.dl_ops d2.dl_ops
-    && all enum_eq d1.dl_enums d2.dl_enums
-end

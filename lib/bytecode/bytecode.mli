@@ -1,13 +1,14 @@
-(** Versioned binary serialization ("IRDL bytecode") for IR modules and
-    resolved IRDL dialect definitions.
+(** Versioned binary serialization ("IRDL bytecode") for IR modules. A
+    dialect pack is ordinary modules, a document of [irdl.*] ops per
+    dialect ({!Irdl_core.Dialect_ir}), which [irdl-opt] prints as IR.
 
     A bytecode buffer is a sequence of self-delimiting {e documents}, each
-    [magic version kind payload_len payload]; documents concatenate freely
-    (the binary analog of [// -----] chunks). Module payloads carry
-    deduplicated string and type/attribute tables that intern directly on
-    load, a table of the distinct op signatures, each op naming its row,
-    and a byte-length index of the top-level ops, which bounds each op's
-    decode.
+    [magic version kind payload_len payload] with [kind] always 0;
+    documents concatenate freely (the binary analog of [// -----] chunks).
+    Module payloads carry deduplicated string and type/attribute tables
+    that intern directly on load, a table of the distinct op signatures,
+    each op naming its row, and a byte-length index of the top-level ops,
+    which bounds each op's decode.
 
     The reader never crashes on malformed input: every read is
     bounds-checked and surfaces as a located diagnostic, emitted to the
@@ -19,7 +20,6 @@
 open Irdl_support
 module Graph = Irdl_ir.Graph
 module Context = Irdl_ir.Context
-module Resolve = Irdl_core.Resolve
 
 val magic : string
 (** The 8-byte document magic; the lead byte is invalid UTF-8, so bytecode
@@ -32,24 +32,12 @@ val version : int
 val sniff : string -> bool
 (** Does the buffer start with the bytecode magic? *)
 
-type kind = Module_doc | Dialect_doc
-
-type doc_info = {
-  di_kind : kind;
-  di_version : int;
-  di_offset : int;  (** byte offset of the document in the buffer *)
-  di_length : int;  (** total document length, header included *)
-}
-
-val documents : ?file:string -> string -> doc_info list
-(** Walk the document headers without decoding payloads. An undecodable
-    tail is returned as one final opaque slice (version 0), so consumers
-    still visit — and report — it. *)
-
 val split_documents : ?file:string -> string -> string list
 (** The buffer split at document boundaries (the bytecode analog of
-    splitting text on [// -----]). A buffer holding zero or one document
-    is returned whole. *)
+    splitting text on [// -----]), read from the headers without decoding
+    payloads. A buffer holding zero or one document is returned whole; an
+    undecodable tail is one final opaque slice, so consumers still visit,
+    and report, it. *)
 
 (** Serializing: an incremental module writer (ops pushed one at a time —
     the streaming emit path) plus whole-value convenience entry points. *)
@@ -68,13 +56,19 @@ module Write : sig
       the emitted ops was never defined by them. *)
 
   val module_to_string : Graph.op list -> (string, Diag.t) result
-  val dialects_to_string : Resolve.dialect list -> (string, Diag.t) result
+
+  val dialects_to_string :
+    Irdl_core.Resolve.dialect list -> (string, Diag.t) result
+  (** A dialect pack: each dialect lowered ({!Irdl_core.Dialect_ir.lower})
+      and written as one module document. [Frontend.load_dialects] reads
+      it back. *)
 end
 
 val read_module :
   ?file:string ->
   ?engine:Diag.Engine.t ->
   ?limits:Irdl_support.Limits.t ->
+  ?transient:bool ->
   Context.t ->
   string ->
   (Graph.op list, Diag.t) result
@@ -85,17 +79,9 @@ val read_module :
     Drains {!Stream} internally, so diagnostics are identical to the
     streaming path. [limits] caps payload size, decoded ops, region depth
     and wall time across the whole buffer; a blown budget ends the
-    session. *)
-
-val read_dialects :
-  ?file:string ->
-  ?engine:Diag.Engine.t ->
-  string ->
-  (Resolve.dialect list, Diag.t) result
-(** Decode every dialect document of the buffer; errors as in
-    {!read_module}, and with [engine] the result is always [Ok]. The
-    surface AST is not serialized: loaded dialects
-    carry a minimal [dl_ast] holding only the enum definitions. *)
+    session. A [transient] read interns no attribute and gives ops no
+    signature entry: its ops are only read back (a dialect pack), never
+    verified, printed or emitted. *)
 
 (** Pull-based reading, API-compatible with {!Irdl_ir.Parser.Stream}: one
     fully-materialized top-level op at a time, in document order. *)
@@ -106,6 +92,7 @@ module Stream : sig
     ?file:string ->
     ?engine:Diag.Engine.t ->
     ?limits:Irdl_support.Limits.t ->
+    ?transient:bool ->
     Context.t ->
     string ->
     session
@@ -122,12 +109,4 @@ module Stream : sig
 
   val release : Graph.op -> unit
   (** Alias of {!Graph.release}. *)
-end
-
-(** Structural equality oracles for round-trip tests: values and blocks
-    are paired by definition position, identities and locations are
-    ignored. *)
-module Equal : sig
-  val module_eq : Graph.op list -> Graph.op list -> bool
-  val dialect_eq : Resolve.dialect -> Resolve.dialect -> bool
 end

@@ -94,7 +94,6 @@ module Sink = struct
       }
 
   let bytecode () = Binary_sink { w = Bytecode.Write.create (); err = None }
-  let is_binary = function Binary_sink _ -> true | Text_sink _ -> false
 
   let push t op =
     match t with
@@ -237,4 +236,9 @@ let load_dialects ?native ?file ?engine ctx payload =
       | Source.Text _ ->
           Irdl_core.Irdl.read ?file ~engine (Source.contents payload)
       | Source.Binary b ->
-          Result.value ~default:[] (Bytecode.read_dialects ?file ~engine b))
+          (* Each dialect is lifted as soon as it is read, so its tables
+             die before the next dialect's are read. *)
+          let s = Bytecode.Stream.create ?file ~engine ~transient:true ctx b in
+          Irdl_core.Dialect_ir.lift ?file ~engine
+            (Seq.of_dispenser (fun () ->
+                 Result.value ~default:None (Bytecode.Stream.next s))))

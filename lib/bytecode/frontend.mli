@@ -4,7 +4,9 @@
     every output flows through a {!Sink}; {!Stream} erases the format
     distinction behind the pull-based session API of
     [Irdl_ir.Parser.Stream]. {!run} composes the three into the chunk
-    driver that every [irdl-opt] chunk task and the server call. *)
+    driver that every [irdl-opt] chunk task and the server call.
+    {!load_dialects} reads dialects from IRDL text or from a dialect pack,
+    whose documents are bytecode modules like any other. *)
 
 open Irdl_support
 module Graph = Irdl_ir.Graph
@@ -56,7 +58,6 @@ module Sink : sig
 
   val text : ?generic:bool -> Context.t -> t
   val bytecode : unit -> t
-  val is_binary : t -> bool
   val push : t -> Graph.op -> unit
 
   val page_size : int
@@ -132,7 +133,8 @@ val load_dialects :
   Context.t ->
   Source.payload ->
   (Irdl_core.Resolve.dialect list, Diag.t) result
-(** Load and register dialect definitions from IRDL text or a bytecode
-    dialect pack, through [Irdl.load_with]: with [engine], errors are
-    emitted, surviving definitions are registered, and the result is [Ok]
-    with the dialects that loaded; without it, the first error. *)
+(** Load and register dialect definitions from IRDL text or a dialect
+    pack (read transiently, and lifted with {!Irdl_core.Dialect_ir.lift}),
+    through [Irdl.load_with]: with [engine], errors are emitted, surviving
+    definitions are registered, and the result is [Ok] with the dialects
+    that loaded; without it, the first error. *)

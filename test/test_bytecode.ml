@@ -3,9 +3,10 @@
    Round-trip: randomly generated modules (programmatic graphs and textual
    sources) and dialect specs (corpus text and synthetic resolved records
    covering every constraint constructor) must satisfy
-   text→graph ≡ emit→load under the structural oracles in
-   [Bytecode.Equal]; re-emitting a loaded module is byte-identical (the
-   property the committed golden fixture gates in CI).
+   text→graph ≡ emit→load under the oracles in [Util], which do not use
+   the codec (printed text, dialects up to locations); re-emitting a
+   loaded module is byte-identical (the property the committed golden
+   fixture gates in CI).
 
    Robustness: truncations and bit flips of valid bytecode must surface as
    diagnostics — an [Error] or engine emits — never as an exception. *)
@@ -125,7 +126,7 @@ let roundtrip_generated_graphs () =
     let ops = rand_module st in
     let blob = emit_ok "emit" ops in
     let ops' = load_ok "load" (ctx ()) blob in
-    if not (Bytecode.Equal.module_eq ops ops') then
+    if not (module_eq ops ops') then
       Alcotest.failf "round-trip mismatch on generated graph %d" i;
     (* Loaded modules re-emit byte-identically: the golden-fixture gate. *)
     let blob' = emit_ok "re-emit" ops' in
@@ -159,7 +160,7 @@ let roundtrip_generated_text () =
     let ops = check_ok "parse" (Irdl_ir.Parser.parse_ops c src) in
     let blob = emit_ok "emit" ops in
     let ops' = load_ok "load" (ctx ()) blob in
-    if not (Bytecode.Equal.module_eq ops ops') then
+    if not (module_eq ops ops') then
       Alcotest.failf "round-trip mismatch on generated text:\n%s" src
   done
 
@@ -181,7 +182,7 @@ let stream_equals_materialize () =
   for _ = 1 to 50 do
     let ops = rand_module st in
     let blob = emit_ok "emit" ops in
-    if not (Bytecode.Equal.module_eq ops (stream_all (ctx ()) blob)) then
+    if not (module_eq ops (stream_all (ctx ()) blob)) then
       Alcotest.fail "streamed load differs from emitted module"
   done
 
@@ -199,7 +200,7 @@ let decodes_back src () =
   Alcotest.(check string) "text -> bytecode -> text" text
     (Irdl_ir.Printer.ops_to_string ~generic:true c' loaded);
   Alcotest.(check bool) "streamed = materialized" true
-    (Bytecode.Equal.module_eq loaded (stream_all (ctx ()) blob))
+    (module_eq loaded (stream_all (ctx ()) blob))
 
 let two_results_around_one_and_three =
   {|%a, %b = "t.pair"() ({
@@ -230,19 +231,23 @@ let multi_document () =
   let m1 = parse "%a = \"t.one\"() : () -> i32\n" in
   let m2 = parse "%b = \"t.two\"() : () -> f32\n%c = \"t.three\"(%b) : (f32) -> f32\n" in
   let blob = emit_ok "emit1" m1 ^ emit_ok "emit2" m2 in
-  Alcotest.(check int)
-    "two documents" 2
-    (List.length (Bytecode.documents blob));
   (match Bytecode.split_documents blob with
   | [ b1; b2 ] ->
       Alcotest.(check bool) "split1 sniffs" true (Bytecode.sniff b1);
-      Alcotest.(check bool) "split2 sniffs" true (Bytecode.sniff b2)
+      Alcotest.(check bool) "split2 sniffs" true (Bytecode.sniff b2);
+      Alcotest.(check bool) "the parts are the documents" true
+        (String.equal blob (b1 ^ b2))
   | parts -> Alcotest.failf "expected 2 parts, got %d" (List.length parts));
+  Alcotest.(check (list string)) "one document is returned whole" [ blob ]
+    (Bytecode.split_documents blob |> List.tl |> List.map (fun _ -> blob));
+  (* An undecodable tail is one last opaque part. *)
+  Alcotest.(check (list string)) "a tail is its own part" [ "junk" ]
+    (Bytecode.split_documents (blob ^ "junk") |> List.tl |> List.tl);
   let ops = load_ok "load concat" (ctx ()) blob in
   Alcotest.(check int) "three ops across documents" 3 (List.length ops);
   Alcotest.(check bool)
     "concat equals m1 @ m2" true
-    (Bytecode.Equal.module_eq (m1 @ m2) ops)
+    (module_eq (m1 @ m2) ops)
 
 (* ---------------- writer error cases ---------------- *)
 
@@ -291,7 +296,7 @@ let writer_rows_follow_content () =
     let c = ctx () in
     let loaded = load_ok "load" c streamed in
     Alcotest.(check bool) (what ^ ": loads as emitted") true
-      (Bytecode.Equal.module_eq ops loaded);
+      (module_eq ops loaded);
     Alcotest.(check string) (what ^ ": prints as emitted")
       (Irdl_ir.Printer.ops_to_string ~generic:true (ctx ()) ops)
       (Irdl_ir.Printer.ops_to_string ~generic:true c loaded)
@@ -333,12 +338,31 @@ let version_skew () =
     (Char.chr (Bytecode.version + 1));
   check_err_containing "future version" "version"
     (Bytecode.read_module (ctx ()) (Bytes.to_string bumped));
-  (* A module document is not a dialect pack, and vice versa. *)
-  check_err_containing "module as dialects" "expected dialect"
-    (Bytecode.read_dialects blob);
-  let dblob = check_ok "emit dialects" (Bytecode.Write.dialects_to_string []) in
-  check_err_containing "dialects as module" "expected an IR module"
-    (Bytecode.read_module (ctx ()) dblob);
+  (* An IR module is not a dialect pack. *)
+  check_err_containing "module as dialects"
+    "bytecode document holds an IR module, expected dialect definitions"
+    (Frontend.load_dialects (ctx ())
+       (Frontend.Source.Binary (emit_ok "emit" [ Graph.Op.create "t.a" ])));
+  (* A dialect pack is a module: it reads as its irdl.dialect ops. *)
+  let dblob =
+    check_ok "emit dialects"
+      (Bytecode.Write.dialects_to_string
+         (check_ok "analyze"
+            (Irdl_core.Irdl.analyze Irdl_dialects.Cmath.source)))
+  in
+  Alcotest.(check (list string)) "dialects as module" [ "irdl.dialect" ]
+    (List.map Graph.Op.name (load_ok "read pack" (ctx ()) dblob));
+  (* The retired dialect document kind, 1, is an unknown kind. *)
+  let kind1 = Bytes.of_string dblob in
+  Bytes.set kind1 (String.length Bytecode.magic + 1) '\x01';
+  (match
+     Bytecode.read_module ~file:"kind.irdlbc" (ctx ()) (Bytes.to_string kind1)
+   with
+  | Ok _ -> Alcotest.fail "kind 1 must be rejected"
+  | Error d ->
+      check_err_containing "kind 1" "unknown document kind 1" (Error d);
+      Alcotest.(check string) "located at the input" "kind.irdlbc"
+        d.Diag.loc.start_pos.file);
   check_err_containing "text as bytecode" "bad magic"
     (Bytecode.read_module (ctx ()) "%a = \"t.x\"() : () -> i32\n")
 
@@ -394,7 +418,7 @@ let compat_window () =
   let loaded = load_ok "v1 document loads" (ctx ()) v1_blob in
   Alcotest.(check bool)
     "the v1 document loads as its text parses" true
-    (Bytecode.Equal.module_eq parsed loaded);
+    (module_eq parsed loaded);
   let patched v =
     let b = Bytes.of_string v1_blob in
     Bytes.set b (String.length Bytecode.magic) (Char.chr v);
@@ -450,11 +474,11 @@ let roundtrip_corpus_dialects () =
     (fun src ->
       let dls = dialects_of_source "analyze" src in
       let blob = check_ok "emit dialects" (Bytecode.Write.dialects_to_string dls) in
-      let dls' = check_ok "load dialects" (Bytecode.read_dialects blob) in
+      let dls' = check_ok "load dialects" (read_pack blob) in
       Alcotest.(check int) "dialect count" (List.length dls) (List.length dls');
       List.iter2
         (fun d1 d2 ->
-          if not (Bytecode.Equal.dialect_eq d1 d2) then
+          if not (dialect_eq d1 d2) then
             Alcotest.failf "dialect %s did not round-trip" d1.Resolve.dl_name)
         dls dls')
     entries
@@ -568,9 +592,9 @@ let roundtrip_generated_dialects () =
   for i = 1 to 1_000 do
     let dl = rand_dialect st i in
     let blob = check_ok "emit" (Bytecode.Write.dialects_to_string [ dl ]) in
-    match check_ok "load" (Bytecode.read_dialects blob) with
+    match check_ok "load" (read_pack blob) with
     | [ dl' ] ->
-        if not (Bytecode.Equal.dialect_eq dl dl') then
+        if not (dialect_eq dl dl') then
           Alcotest.failf "generated dialect %d did not round-trip" i
     | dls -> Alcotest.failf "expected 1 dialect, got %d" (List.length dls)
   done
@@ -595,6 +619,80 @@ let dialect_pack_registers () =
   in
   verify_ok c op
 
+(* ---------------- pack shape fuzz ---------------- *)
+
+(* A valid pack module given one broken shape loads with exactly one
+   located diagnostic, with and without an engine, and never raises. *)
+let lifter_shapes () =
+  let dls =
+    check_ok "analyze"
+      (Irdl_core.Irdl.analyze ~file:"cmath.irdl" Irdl_dialects.Cmath.source)
+  in
+  let irdl name params = Attr.dyn_attr ~dialect:"irdl" ~name params in
+  let operation ops name =
+    let found = ref None in
+    List.iter
+      (Graph.Op.walk ~f:(fun op ->
+           if
+             Graph.Op.name op = "irdl.operation"
+             && Graph.Op.attr op "name" = Some (Attr.string name)
+           then found := Some op))
+      ops;
+    Option.get !found
+  in
+  let operands ops name bad =
+    Graph.Op.set_attr (operation ops name) "operands"
+      (Attr.array
+         [
+           irdl "slot"
+             [ Attr.string "c"; bad; Attr.location ~file:"" ~line:0 ~col:0 ];
+         ]);
+    ops
+  in
+  let cases =
+    [
+      ( "missing name",
+        fun ops ->
+          Graph.Op.remove_attr (operation ops "mul") "name";
+          ops );
+      ("wrong arity", fun ops -> operands ops "norm" (irdl "not" []));
+      ("unknown constructor", fun ops -> operands ops "norm" (irdl "bogus" []));
+      ( "missing dialect name",
+        fun ops ->
+          List.iter (fun op -> Graph.Op.remove_attr op "name") ops;
+          ops );
+      ("non-irdl top-level op", fun ops -> ops @ [ Graph.Op.create "t.x" ]);
+    ]
+  in
+  let native = Irdl_core.Native.create () in
+  Irdl_dialects.Cmath.register_hooks native;
+  List.iter
+    (fun (what, break) ->
+      let ops = List.map Irdl_core.Dialect_ir.lower dls in
+      let blob = emit_ok what (break ops) in
+      let load ?engine () =
+        match
+          Frontend.load_dialects ~native ~file:"pack.irdlbc" ?engine (ctx ())
+            (Frontend.Source.Binary blob)
+        with
+        | r -> r
+        | exception e ->
+            Alcotest.failf "%s: load raised %s" what (Printexc.to_string e)
+      in
+      let engine = Diag.Engine.create () in
+      ignore (check_ok what (load ~engine ()));
+      let d = check_err what (load ()) in
+      match Diag.Engine.diagnostics engine with
+      | [ e ] ->
+          Alcotest.(check string) (what ^ ": same diagnostic") d
+            (Diag.to_string e);
+          Alcotest.(check bool) (what ^ ": located") false
+            (Irdl_support.Loc.is_unknown e.loc)
+      | ds ->
+          Alcotest.failf "%s: %d diagnostics: %s" what (List.length ds)
+            (String.concat "; " (List.map Diag.to_string ds)))
+    cases
+
 (* ---------------- corruption fuzz ---------------- *)
 
 let sample_blobs () =
@@ -618,8 +716,18 @@ let never_crashes what blob =
     | _ -> ()
   in
   attempt (fun () -> Bytecode.read_module (ctx ()) blob);
-  attempt (fun () -> Bytecode.read_dialects blob);
-  attempt (fun () -> Bytecode.documents blob);
+  attempt (fun () -> read_pack blob);
+  attempt (fun () -> Bytecode.split_documents blob);
+  attempt (fun () ->
+      let payload = Frontend.Source.Binary blob in
+      ignore (Frontend.load_dialects (ctx ()) payload);
+      match
+        Frontend.load_dialects ~engine:(Diag.Engine.create ()) (ctx ()) payload
+      with
+      | Ok _ -> ()
+      | Error d ->
+          Alcotest.failf "%s: fail-soft load returned Error: %s" what
+            (Diag.to_string d));
   attempt (fun () ->
       let engine = Diag.Engine.create () in
       (match Bytecode.read_module ~engine (ctx ()) blob with
@@ -729,7 +837,7 @@ let sink_matches_printer () =
   let ops' = load_ok "load" (ctx ()) blob in
   Alcotest.(check bool)
     "sink blob round-trips" true
-    (Bytecode.Equal.module_eq ops ops')
+    (module_eq ops ops')
 
 let frontend_stream_dispatch () =
   let c = cmath_ctx () in
@@ -772,6 +880,7 @@ let suite =
     tc "a v1 document and its v2 re-emit print the same"
       v1_reemit_prints_the_same;
     tc "dialect pack registers (warm start)" dialect_pack_registers;
+    tc "fuzz: pack shapes" lifter_shapes;
     tc "fuzz: truncations" fuzz_truncations;
     tc "fuzz: bit flips" fuzz_bitflips;
     tc "fuzz: random payloads" fuzz_random_payloads;

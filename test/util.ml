@@ -59,3 +59,58 @@ let verify_err ?containing ctx op =
       | None -> ()
       | Some needle ->
           check_err_containing "verify" needle (Error d : (unit, _) result))
+
+(** Round-trip oracles that do not go through the bytecode codec. Two
+    modules are equal when their generic printed text is: the printer
+    names values and blocks by position and prints no locations. *)
+let module_text ops =
+  Irdl_ir.Printer.ops_to_string ~generic:true (Irdl_ir.Context.create ()) ops
+
+let module_eq ops1 ops2 = String.equal (module_text ops1) (module_text ops2)
+
+(** Dialect equality up to locations and the surface AST [dl_ast]. The
+    comparison is [compare], so a NaN in an [Eq] constraint equals
+    itself. *)
+let dialect_eq (d1 : Irdl_core.Resolve.dialect) d2 =
+  let open Irdl_core.Resolve in
+  let unknown = Irdl_support.Loc.unknown in
+  let slots = List.map (fun s -> { s with s_loc = unknown }) in
+  let typedef t = { t with td_params = slots t.td_params; td_loc = unknown } in
+  let strip d =
+    {
+      d with
+      dl_types = List.map typedef d.dl_types;
+      dl_attrs = List.map typedef d.dl_attrs;
+      dl_ops =
+        List.map
+          (fun o ->
+            {
+              o with
+              op_operands = slots o.op_operands;
+              op_results = slots o.op_results;
+              op_attributes = slots o.op_attributes;
+              op_regions =
+                List.map (fun r -> { r with reg_args = slots r.reg_args })
+                  o.op_regions;
+              op_loc = unknown;
+            })
+          d.dl_ops;
+      dl_enums =
+        List.map
+          (fun (e : Irdl_core.Ast.enum_def) -> { e with e_loc = unknown })
+          d.dl_enums;
+      dl_ast = { Irdl_core.Ast.d_name = ""; d_items = []; d_loc = unknown };
+    }
+  in
+  compare (strip d1) (strip d2) = 0
+
+(** The dialects of a pack, read and lifted without registering them:
+    the first error as [Error]. *)
+let read_pack blob =
+  let engine, result = Irdl_support.Diag.Engine.fail_fast None in
+  result
+    (Result.map
+       (fun ops -> Irdl_core.Dialect_ir.lift ~engine (List.to_seq ops))
+       (Irdl_bytecode.Bytecode.read_module ~engine ~transient:true
+          (Irdl_ir.Context.create ())
+          blob))

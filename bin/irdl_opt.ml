@@ -379,11 +379,12 @@ let options =
   and+ verify_stats =
     arg ~modes:with_servers [ "verify-stats" ]
       ~doc:
-        "Report verification-cache statistics (entries, hit rate, \
-         invalidations) on stderr after the run. Ops are verified as they \
-         are parsed, so the counts include ops of chunks that later fail to \
-         parse. Under $(b,--jobs), every count is the sum over the run's \
-         domains, each of which starts with a cold cache."
+        "Report the verification cache, the op signature memo of the \
+         frozen dialect registry (signatures kept, hits, misses), on stderr \
+         after the run. Ops are verified as they are parsed, so the counts \
+         include ops of chunks that later fail to parse. Under $(b,--jobs), \
+         every count is the sum over the run's domains, each of which \
+         starts with a cold cache."
       Arg.flag
   and+ jobs =
     arg ~modes:[ One_shot; Listen ] [ "j"; "jobs" ] ~docv:"N"

@@ -9,9 +9,9 @@
     racing a freeze either completes before it or is cleanly rejected after
     it — and from then on the dialect maps and the flat op table are
     immutable, so any number of domains may run lookups and verification
-    concurrently. The verification caches live in one shard per domain
-    (in [Domain.DLS], only ever touched by that domain) and post-freeze are
-    lock-free. *)
+    concurrently. Only a frozen context caches verdicts: its signature
+    memo lives in one shard per domain (in [Domain.DLS], only ever touched
+    by that domain) and is lock-free. *)
 
 open Irdl_support
 
@@ -50,8 +50,7 @@ val create : ?allow_unregistered:bool -> unit -> t
 
 val allow_unregistered : t -> bool
 (** When true (the default), operations/types of unknown dialects parse
-    and verify structurally only. Fixed at {!create}, so the cached
-    verdicts never go stale on it. *)
+    and verify structurally only. Fixed at {!create}. *)
 
 val qualified : dialect:string -> name:string -> string
 
@@ -92,69 +91,37 @@ val lookup_attr : t -> dialect:string -> name:string -> attr_def option
 val op_stats : t -> int * int * int
 (** Total registered (operations, types, attributes). *)
 
-(** {2 Verification cache}
-
-    Hash-consing gives every type and attribute a dense integer id; the
-    context memoizes the result of verifying each one against the
-    registered definitions, so repeat visits are O(1). Ids are domain-local
-    (the uniquer is sharded per domain), so the memo table is sharded the
-    same way: each domain keeps one shard in [Domain.DLS] and reads and
-    writes only that one, which keeps id-keyed lookups sound and
-    post-freeze operation lock-free. A shard serves one context at a time:
-    used with another context, it is emptied first. Nothing else holds a
-    shard, so its tables die with its domain; its counters outlive it
-    (see {!stats}).
-
-    Registering any operation, type or attribute definition flushes the
-    cache (the new definition may change what verifies): it bumps the
-    context's generation, and each domain's shard is emptied when it is
-    next used. The cache must also be flushed manually —
-    {!invalidate_verify_cache} — if verification behaviour is changed
-    behind the context's back: registering new native hooks after
-    verification started. *)
-
-val cached_verify_ty :
-  t ->
-  int ->
-  (t -> Attr.ty -> (unit, Diag.t) result) ->
-  Attr.ty ->
-  (unit, Diag.t) result
-(** [cached_verify_ty t id verify ty] returns the memoized verification
-    result for the type with dense id [id] in the calling domain's shard,
-    running (and recording) [verify t ty] on the first visit. [id] must
-    come from {!Attr.id_ty} evaluated on the calling domain. A hit
-    allocates nothing. *)
-
-val cached_verify_attr :
-  t ->
-  int ->
-  (t -> Attr.t -> (unit, Diag.t) result) ->
-  Attr.t ->
-  (unit, Diag.t) result
-
 (** {2 Op handles and the signature memo}
 
     An op's IRDL verdict is a pure function of its name and signature
     ({!Graph.op_sig}): the operand and result types, the
     [(name, attribute)] list, the region count, each region's entry-block
     argument types (no entry block is distinct from zero arguments) and
-    the successor count. Each op carries the entry of its signature,
-    shared by the ops built with it: a reader gives it as it builds the
-    op ({!sig_entry}), other ops get one when first verified
-    ({!memoized}). An entry
-    holds the key of the shard that verified it [Ok], so a hit is one int
-    compare and one walk of the op against its own entry: a changed op
-    looks its new signature up again. The entry also keeps the printer's
-    rendering of it ({!add_tail}). Errors are never recorded.
+    the successor count. A frozen context can never gain a definition, so
+    it memoizes that verdict, and nothing can make it stale. Each op
+    carries the entry of its signature, shared by the ops built with it: a
+    reader gives it as it builds the op ({!sig_entry}), other ops get one
+    when first verified ({!memoized}). An entry holds the key of the shard
+    that verified it [Ok], so a hit is one int compare and one walk of the
+    op against its own entry: a changed op looks its new signature up
+    again. The entry also keeps the printer's rendering of it
+    ({!add_tail}). Errors are never recorded. Types and attributes are
+    verified only on a memo miss.
 
     An entry also holds its name's handle ({!handle}). A shard keeps the
     handles of the names it resolved and a table of the signatures it
     verified [Ok], so ops built apart share verdicts; the two add up to
     at most {!memo_max}. Past the bound, a handle or a verdict is kept
-    only on its entries. A shard renews its key whenever it is emptied,
-    so a handle or verdict from before a registration, or from another
-    context or domain, is stale. The memo is flushed with the
-    type/attribute cache and off when it is. *)
+    only on its entries. Each domain keeps one shard, serving one frozen
+    context at a time: used with another, it is emptied and takes a new
+    key, so a handle or verdict from another context or domain is stale.
+    Nothing else holds a shard, so its tables die with its domain; its
+    counters outlive it (see {!stats}).
+
+    An open context is the uncached reference: it records nothing, so its
+    verdicts and printed text are the memo's oracle. On it, {!memoized}
+    always runs [full], {!sig_entry} returns a fresh entry, {!add_tail}
+    renders and {!handle} looks the name up. *)
 
 val memo_max : int
 (** Op names and signatures one shard keeps, together (4096). *)
@@ -174,7 +141,7 @@ val memoized :
     op's definition: [hit] when its signature verified [Ok] under its
     name before (a memo hit), else [full], whose [Ok] is recorded on the
     op's entry (a fresh one if the op's is stale) and in the shard's
-    table while there is room. With the cache off, always [full]. Counts
+    table while there is room. On an open context, always [full]. Counts
     a memo hit or miss; a hit allocates nothing beyond [hit]'s own. *)
 
 val sig_entry : t -> Graph.op -> Graph.op_sig
@@ -187,31 +154,11 @@ val add_tail :
     prints only what the op's signature determines: once per entry,
     copied after that. *)
 
-val invalidate_verify_cache : t -> unit
-(** Drop all memoized verification results, in every domain's shard.
-    Called automatically by the [register_*] functions; the invalidation
-    counter increments only when entries were actually dropped. Not safe
-    to race with active verification on other domains. *)
-
-val set_verify_cache : t -> bool -> unit
-(** Enable/disable memoization (enabled by default). Disabling flushes
-    the cache and restores the pre-memoization behaviour — every node
-    re-verified on every visit — which is the baseline configuration for
-    benchmarks and differential tests. Flip it before fanning out to
-    multiple domains, not during. *)
-
-val verify_cache_enabled : t -> bool
-
 type verify_stats = {
-  vs_ty_entries : int;
-  vs_attr_entries : int;
-  vs_hits : int;  (** type/attribute cache hits *)
+  vs_names : int;  (** op names whose handles the shard keeps *)
+  vs_sigs : int;  (** signatures the shard keeps, verified [Ok] *)
+  vs_hits : int;  (** memo hits *)
   vs_misses : int;
-  vs_memo_ops : int;  (** op names whose handles the shard keeps *)
-  vs_memo_sigs : int;  (** signatures the shard keeps, verified [Ok] *)
-  vs_memo_hits : int;
-  vs_memo_misses : int;
-  vs_invalidations : int;
 }
 
 type uniquing_stats = { us_types : Intern.stats; us_attrs : Intern.stats }
@@ -224,18 +171,17 @@ type stats = {
           shared by all contexts, so every context reports the same
           numbers. *)
   st_verify : verify_stats;
-      (** Verification-cache counters, summed over the calling domain's
-          live shard and every shard that served this context and whose
-          domain has exited. The hit and miss counts also keep those of
-          shards emptied by an invalidation; the entry and signature
-          counts cover only the tables of the current generation. After
-          a parallel run, read them once the worker domains have
+      (** Signature-memo counters, summed over the calling domain's live
+          shard and every shard that served this context and whose domain
+          has exited. The hit and miss counts also keep those of shards
+          that moved on to another context; the name and signature counts
+          cover only tables still serving it. All zero on an open context.
+          After a parallel run, read them once the worker domains have
           joined. *)
 }
 
 val stats : t -> stats
 (** The context's counters in one record. *)
 
-val verify_hit_rate : verify_stats -> float
 val pp_verify_stats : Format.formatter -> verify_stats -> unit
 val pp_uniquing_stats : Format.formatter -> uniquing_stats -> unit

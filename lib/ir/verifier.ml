@@ -10,18 +10,10 @@ open Irdl_support
 
 let ( let* ) = Result.bind
 
-(* Types and attributes are hash-consed with dense ids (PR 1), so the
-   context memoizes each composite node's verification result: repeat
-   visits of a type already seen — the common case in any realistic module
-   — are a single hashtable probe, with no allocation. Leaf nodes verify
-   vacuously and are not worth an entry. *)
+(* Types and attributes are verified only on a signature-memo miss
+   ({!Context.memoized}), so they are walked in full, without a cache of
+   their own. Leaf nodes verify vacuously. *)
 let rec verify_ty ctx (ty : Attr.ty) =
-  match ty with
-  | Attr.Dynamic _ | Attr.Function _ | Attr.Tuple _ ->
-      Context.cached_verify_ty ctx (Attr.id_ty ty) verify_ty_uncached ty
-  | _ -> Ok ()
-
-and verify_ty_uncached ctx (ty : Attr.ty) =
   match ty with
   | Attr.Dynamic { dialect; name; params } -> (
       let* () = verify_params ctx params in
@@ -51,12 +43,6 @@ and verify_attr ctx (a : Attr.t) =
   match a with
   | Attr.Type ty -> verify_ty ctx ty
   | Attr.Int { ty; _ } | Attr.Float_attr { ty; _ } -> verify_ty ctx ty
-  | Attr.Array _ | Attr.Dict _ | Attr.Dyn_attr _ ->
-      Context.cached_verify_attr ctx (Attr.id a) verify_attr_uncached a
-  | _ -> Ok ()
-
-and verify_attr_uncached ctx (a : Attr.t) =
-  match a with
   | Attr.Array xs -> verify_params ctx xs
   | Attr.Dict kvs -> verify_named ctx kvs
   | Attr.Dyn_attr { dialect; name; params } -> (

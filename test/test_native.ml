@@ -75,7 +75,8 @@ let unresolved_recorded_once () =
   let op = Graph.Op.create "d.o" in
   verify_ok ctx op;
   verify_ok ctx op;
-  Context.set_verify_cache ctx false;
+  Context.freeze ctx;
+  verify_ok ctx op;
   verify_ok ctx op;
   Alcotest.(check (list string)) "recorded once" [ "mystery()" ]
     (N.unresolved n)

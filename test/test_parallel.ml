@@ -374,7 +374,7 @@ let test_cross_domain_interning () =
     remote
 
 (* ---------------------------------------------------------------- *)
-(* Verify-cache shards                                               *)
+(* Signature-memo shards                                             *)
 (* ---------------------------------------------------------------- *)
 
 (* A domain's counts outlive it: D cold domains verifying one module
@@ -391,9 +391,7 @@ let test_shard_stats_merge () =
     Array.init domains (fun _ -> Domain.spawn (hammer ctx 1))
     |> Array.iter (fun d -> ignore (Domain.join d));
     let after = (Context.stats ctx).st_verify in
-    let entries (s : Context.verify_stats) =
-      s.vs_ty_entries + s.vs_attr_entries + s.vs_memo_sigs
-    in
+    let entries (s : Context.verify_stats) = s.vs_names + s.vs_sigs in
     ( entries after - entries before,
       (after.vs_hits - before.vs_hits, after.vs_misses - before.vs_misses) )
   in
@@ -406,16 +404,15 @@ let test_shard_stats_merge () =
     (3 * entries, (3 * hits, 3 * misses))
     (delta 3)
 
+(* An open context verifies uncached, on any domain. *)
 let test_cache_disabled_bypasses_shards () =
   let ctx = cmath_ctx () in
-  Context.set_verify_cache ctx false;
-  Context.freeze ctx;
   ignore (hammer ctx 5 ());
   Array.init 2 (fun _ -> Domain.spawn (hammer ctx 5))
   |> Array.iter (fun d -> ignore (Domain.join d));
   let merged = (Context.stats ctx).st_verify in
   Alcotest.(check int) "no entries in any shard" 0
-    (merged.vs_ty_entries + merged.vs_attr_entries);
+    (merged.vs_names + merged.vs_sigs);
   Alcotest.(check int) "no hits counted" 0 merged.vs_hits;
   Alcotest.(check int) "no misses counted" 0 merged.vs_misses
 
@@ -435,7 +432,7 @@ let test_exited_domain_tables_freed () =
     verify_ok ctx
       (Irdl_ir.Graph.Op.create ~result_tys:[ Attr.i64 ]
          ~attrs:[ ("value", value) ] "arith.constant");
-    let memoized = (Context.stats ctx).st_verify.vs_memo_sigs > 0 in
+    let memoized = (Context.stats ctx).st_verify.vs_sigs > 0 in
     let w = Weak.create 2 in
     Weak.set w 0 (Some only);
     Weak.set w 1 (Some value);

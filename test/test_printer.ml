@@ -256,8 +256,8 @@ let parse_after_def ctx ~ty src =
   | op :: _ -> op
   | [] -> Alcotest.fail "no op parsed"
 
-(* The handle a parse gave an op goes stale when its dialect is
-   registered: the op then prints in the dialect's custom form. *)
+(* An open context records no handle, so an op parsed before its dialect
+   was registered prints in the dialect's custom form after. *)
 let parsed_before_registration_prints_custom () =
   let ctx = Context.create () in
   let ty = "!cmath.complex<f32>" in
@@ -279,12 +279,13 @@ let parsed_before_registration_prints_custom () =
    in turn on one domain. *)
 let two_contexts_in_turn () =
   let load format =
-    fst
-      (load_dialect
-         (Printf.sprintf
-            "Dialect d5 { Operation y { Operands (a: !i32) Results (r: !i32) \
-             %s } }"
-            format))
+    frozen
+      (fst
+         (load_dialect
+            (Printf.sprintf
+               "Dialect d5 { Operation y { Operands (a: !i32) Results (r: \
+                !i32) %s } }"
+               format)))
   in
   let custom = load {|Format "$a"|} and plain = load "" in
   let src = {|%0 = "d5.y"(%a) : (i32) -> i32|} in
@@ -306,7 +307,7 @@ let two_contexts_in_turn () =
 (* The printed tail is kept per signature: an op changed after it was
    verified and printed prints what it is now. *)
 let changed_op_prints_its_new_signature () =
-  let ctx = Context.create () in
+  let ctx = frozen (Context.create ()) in
   let c32 = Graph.Op.create ~result_tys:[ complex_f32 ] "t.src"
   and c64 = Graph.Op.create ~result_tys:[ complex_f64 ] "t.src" in
   let op =

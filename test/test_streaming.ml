@@ -365,9 +365,7 @@ let pipeline_mode () =
 (* ---------------- unified stats / sources ---------------- *)
 
 let stats_scopes () =
-  let ctx = Context.create () in
-  (* Composite (dynamic) types are what the verify cache memoizes; builtin
-     leaves verify vacuously. *)
+  let ctx = Util.frozen (Context.create ()) in
   let src =
     "%0 = \"t.make\"() : () -> !t.box\n\
      %1 = \"t.use\"(%0) : (!t.box) -> !t.box\n"
@@ -377,7 +375,7 @@ let stats_scopes () =
   verify ();
   let here = Context.stats ctx in
   Alcotest.(check bool) "the calling domain's shard has entries" true
-    (here.st_verify.vs_ty_entries > 0);
+    (here.st_verify.vs_sigs > 0);
   Alcotest.(check bool) "the uniquer is counted" true
     (here.st_uniquing.us_types.nodes > 0);
   (* Two domains each verify from a cold shard and exit: the one record
@@ -389,8 +387,8 @@ let stats_scopes () =
     Domain.join (Domain.spawn verify);
     let after = Context.stats ctx in
     Alcotest.(check int) "an exited domain's entries are added"
-      here.st_verify.vs_ty_entries
-      (after.st_verify.vs_ty_entries - before.st_verify.vs_ty_entries);
+      here.st_verify.vs_sigs
+      (after.st_verify.vs_sigs - before.st_verify.vs_sigs);
     lookups after - lookups before
   in
   let first = spawned () in

@@ -28,6 +28,11 @@ let cmath_ctx () =
   let _ = check_ok "load cmath" (Irdl_dialects.Cmath.load ctx) in
   ctx
 
+(** [ctx], frozen: the signature memo serves only a frozen context. *)
+let frozen ctx =
+  Irdl_ir.Context.freeze ctx;
+  ctx
+
 (** Load one dialect from IRDL source into a fresh context. *)
 let load_dialect ?native src =
   let ctx = Irdl_ir.Context.create () in

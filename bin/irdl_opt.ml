@@ -60,7 +60,7 @@ let write_out ~std path pages =
     Out_channel.with_open_bin path (fun oc ->
         List.iter (output_string oc) pages)
 
-(* An optional header, each chunk's printed pages with a [// -----] line
+(* An optional header, each chunk's printed output with a [// -----] line
    between chunks, and a final newline, written straight to stdout: the
    outputs are never joined into one more copy. Format's stdout is flushed
    first so that anything printed through it stays in order. *)
@@ -70,9 +70,9 @@ let print_outs ?header = function
       Format.pp_print_flush Format.std_formatter ();
       Option.iter print_string header;
       List.iteri
-        (fun i pages ->
+        (fun i out ->
           if i > 0 then print_string "\n// -----\n";
-          List.iter print_string pages)
+          Frontend.Sink.write_output stdout out)
         outs;
       print_char '\n';
       flush stdout
@@ -890,7 +890,8 @@ let run (o, uses) =
              the assembled output is the plain concatenation in input
              order — headers or separators would corrupt the stream. *)
           let blobs = List.concat_map List.rev (Array.to_list doc_outs) in
-          if blobs <> [] then write_out ~std:stdout out (List.concat blobs)
+          if blobs <> [] then
+            write_out ~std:stdout out (List.map Frontend.Sink.contents blobs)
       | None -> (
           match o.batch with
           | None -> print_outs (List.rev doc_outs.(0))

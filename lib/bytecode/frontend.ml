@@ -72,16 +72,35 @@ module Sink = struct
   (* Text output is kept as pages: once the working buffer reaches
      [page_size] after a push, its contents become an immutable page and
      the buffer is reused. Output is never joined into one string, so it
-     costs no doubling chain and no output-sized copy. *)
+     costs no doubling chain and no output-sized copy. Once the held pages
+     would pass [spill_after] bytes, they move into a temporary file that
+     is unlinked as soon as it is open, and every later page goes straight
+     from the buffer into it. So a text sink holds at most [spill_after]
+     bytes of pages plus its buffer, whatever the size of the output. *)
   let page_size = 65536
+  let spill_after = 4 * page_size
+
+  type output = Pages of string list | Spilled of in_channel * Buffer.t
+
+  (* Where a text sink's full pages go. *)
+  type file =
+    | Unopened  (** to [pages]; the file opens past [spill_after] *)
+    | Unavailable  (** to [pages]: the file could not be opened *)
+    | Open of out_channel * in_channel  (** to the file *)
+    | Failed of Diag.t  (** nowhere: a write failed and the file is closed *)
+    | Released  (** the file was handed over in an output, or discarded *)
+
+  type text = {
+    printer : Printer.t;
+    buf : Buffer.t;
+    mutable pages : string list;  (** newest first *)
+    mutable held : int;  (** bytes in [pages] *)
+    mutable file : file;
+    mutable first : bool;
+  }
 
   type t =
-    | Text_sink of {
-        printer : Printer.t;
-        buf : Buffer.t;
-        mutable pages : string list;  (** newest first *)
-        mutable first : bool;
-      }
+    | Text_sink of text
     | Binary_sink of { w : Bytecode.Write.t; mutable err : Diag.t option }
 
   let text ?generic ctx =
@@ -90,20 +109,85 @@ module Sink = struct
         printer = Printer.create ?generic ctx;
         buf = Buffer.create 256;
         pages = [];
+        held = 0;
+        file = Unopened;
         first = true;
       }
 
   let bytecode () = Binary_sink { w = Bytecode.Write.create (); err = None }
+
+  (* A temporary file open for writing and for reading, already unlinked;
+     [None] if it cannot be made (no writable temporary directory, no file
+     descriptor left). *)
+  let open_file () =
+    match Filename.open_temp_file ~mode:[ Open_binary ] "irdl-opt" ".out" with
+    | exception Sys_error _ -> None
+    | name, oc -> (
+        let ic = try Some (open_in_bin name) with Sys_error _ -> None in
+        let removed =
+          try
+            Sys.remove name;
+            true
+          with Sys_error _ -> false
+        in
+        match ic with
+        | Some ic when removed -> Some (oc, ic)
+        | _ ->
+            close_out_noerr oc;
+            Option.iter close_in_noerr ic;
+            None)
+
+  let close_file s =
+    match s.file with
+    | Open (oc, ic) ->
+        close_out_noerr oc;
+        close_in_noerr ic;
+        s.file <- Released
+    | Unopened | Unavailable | Failed _ | Released -> ()
+
+  (* A failed write closes the file and keeps the error for
+     [close_output]; the rest of the output goes nowhere. *)
+  let write s f =
+    try f ()
+    with Sys_error msg ->
+      close_file s;
+      s.file <-
+        Failed
+          (Diag.error "cannot write the printed output to a temporary file: %s"
+             msg)
+
+  let hold s =
+    s.pages <- Buffer.contents s.buf :: s.pages;
+    s.held <- s.held + Buffer.length s.buf
+
+  (* The buffer is full: hold it as a page, or move the pages and it into
+     the file. *)
+  let cut s =
+    (match s.file with
+    | Open (oc, _) -> write s (fun () -> Buffer.output_buffer oc s.buf)
+    | Unopened when s.held + Buffer.length s.buf > spill_after -> (
+        match open_file () with
+        | None ->
+            s.file <- Unavailable;
+            hold s
+        | Some (oc, ic) ->
+            s.file <- Open (oc, ic);
+            let pages = List.rev s.pages in
+            s.pages <- [];
+            s.held <- 0;
+            write s (fun () ->
+                List.iter (output_string oc) pages;
+                Buffer.output_buffer oc s.buf))
+    | Unopened | Unavailable -> hold s
+    | Failed _ | Released -> ());
+    Buffer.clear s.buf
 
   let push t op =
     match t with
     | Text_sink s ->
         if s.first then s.first <- false else Buffer.add_char s.buf '\n';
         Printer.add_op s.printer s.buf op;
-        if Buffer.length s.buf >= page_size then begin
-          s.pages <- Buffer.contents s.buf :: s.pages;
-          Buffer.clear s.buf
-        end
+        if Buffer.length s.buf >= page_size then cut s
     | Binary_sink s ->
         if s.err = None then (
           match
@@ -112,23 +196,60 @@ module Sink = struct
           | Ok () -> ()
           | Error d -> s.err <- Some d)
 
-  let close_binary w = function
-    | Some d -> Error d
-    | None -> Bytecode.Write.close w
+  let close_output = function
+    | Text_sink s -> (
+        match s.file with
+        | Open (oc, ic) -> (
+            write s (fun () -> close_out oc);
+            match s.file with
+            | Failed d -> Error d
+            | _ ->
+                s.file <- Released;
+                Ok (Spilled (ic, s.buf)))
+        | Failed d -> Error d
+        | Released -> invalid_arg "Frontend.Sink.close_output: closed twice"
+        | Unopened | Unavailable ->
+            Ok
+              (Pages
+                 (List.rev
+                    (if Buffer.length s.buf = 0 then s.pages
+                     else Buffer.contents s.buf :: s.pages))))
+    | Binary_sink { err = Some d; _ } -> Error d
+    | Binary_sink { w; err = None } ->
+        Result.map (fun blob -> Pages [ blob ]) (Bytecode.Write.close w)
 
-  let close_pages = function
-    | Text_sink s ->
-        Ok
-          (List.rev
-             (if Buffer.length s.buf = 0 then s.pages
-              else Buffer.contents s.buf :: s.pages))
-    | Binary_sink s ->
-        Result.map (fun blob -> [ blob ]) (close_binary s.w s.err)
+  (* Both ways out of an output release its file, whatever happens. *)
+  let reading ic f = Fun.protect ~finally:(fun () -> close_in_noerr ic) f
 
-  let close = function
-    | Text_sink { pages = []; buf; _ } -> Ok (Buffer.contents buf)
-    | Text_sink _ as t -> Result.map (String.concat "") (close_pages t)
-    | Binary_sink s -> close_binary s.w s.err
+  let write_output oc = function
+    | Pages pages -> List.iter (output_string oc) pages
+    | Spilled (ic, tail) ->
+        reading ic (fun () ->
+            let block = Bytes.create page_size in
+            let rec copy () =
+              match input ic block 0 page_size with
+              | 0 -> ()
+              | n ->
+                  output oc block 0 n;
+                  copy ()
+            in
+            copy ());
+        Buffer.output_buffer oc tail
+
+  let contents = function
+    | Pages [ page ] -> page
+    | Pages pages -> String.concat "" pages
+    | Spilled (ic, tail) ->
+        reading ic (fun () ->
+            let n = in_channel_length ic in
+            let b = Bytes.create (n + Buffer.length tail) in
+            really_input ic b 0 n;
+            Buffer.blit tail 0 b n (Buffer.length tail);
+            Bytes.unsafe_to_string b)
+
+  let close t = Result.map contents (close_output t)
+
+  let discard = function Text_sink s -> close_file s | Binary_sink _ -> ()
 end
 
 module Stream = struct
@@ -154,7 +275,7 @@ end
 type outcome = {
   parse_failed : bool;
   verify_failed : bool;
-  output : string list option;
+  output : Sink.output option;
 }
 
 (* The diagnostic [Diag.protect_any] makes of an exception. *)
@@ -167,9 +288,8 @@ let caught e =
    the cons of a non-empty verify result and, with a pipeline, the cons
    that keeps the op. An exception out of verifying an op or out of the
    pipeline (an injected fault, a bug) becomes its diagnostic and counts
-   as a verify failure. The chunk is one failpoint document. *)
-let run ?file ~engine ?limits ~verify ?sink ?pipeline ctx payload =
-  Failpoints.in_document @@ fun () ->
+   as a verify failure. *)
+let drive ?file ~engine ?limits ~verify ?sink ?pipeline ctx payload =
   let e0 = Diag.Engine.error_count engine in
   let session = Stream.create ?file ~engine ?limits ctx payload in
   let keep = Option.is_some pipeline in
@@ -204,8 +324,8 @@ let run ?file ~engine ?limits ~verify ?sink ?pipeline ctx payload =
   let close ~verify_failed =
     match sink with
     | Some s when Diag.Engine.error_count engine = e0 -> (
-        match Sink.close_pages s with
-        | Ok pages -> outcome ~verify_failed (Some pages)
+        match Sink.close_output s with
+        | Ok out -> outcome ~verify_failed (Some out)
         | Error d ->
             Diag.Engine.emit engine d;
             outcome ~verify_failed:true None)
@@ -229,6 +349,21 @@ let run ?file ~engine ?limits ~verify ?sink ?pipeline ctx payload =
                 List.iter (Sink.push s) ops
             | _ -> ());
             close ~verify_failed:(ds <> []))
+
+(* The chunk is one failpoint document. A sink whose output is not handed
+   over closes its file here, also when an exception escapes. *)
+let run ?file ~engine ?limits ~verify ?sink ?pipeline ctx payload =
+  Failpoints.in_document @@ fun () ->
+  let discard () = Option.iter Sink.discard sink in
+  match drive ?file ~engine ?limits ~verify ?sink ?pipeline ctx payload with
+  | { output = None; _ } as r ->
+      discard ();
+      r
+  | r -> r
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      discard ();
+      Printexc.raise_with_backtrace e bt
 
 let load_dialects ?native ?file ?engine ctx payload =
   Irdl_core.Irdl.load_with ?native ?engine ctx (fun engine ->

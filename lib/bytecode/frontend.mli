@@ -48,11 +48,20 @@ end
 
 (** Output accumulation: the textual printer (one printer session that
     renders each op straight into the sink's working buffer with
-    [Printer.add_op], ops joined with a newline, the output kept as
-    {!Sink.page_size} pages — byte-identical to [Printer.ops_to_string])
-    or the incremental bytecode emitter. Ops may be pushed as they stream;
-    push never raises (the first emit error is reported by {!Sink.close}
-    and {!Sink.close_pages}). *)
+    [Printer.add_op], ops joined with a newline, byte-identical to
+    [Printer.ops_to_string]) or the incremental bytecode emitter. Ops may
+    be pushed as they stream; push never raises (the first emit or write
+    error is reported by {!Sink.close_output} and {!Sink.close}).
+
+    A text sink cuts its output into {!Sink.page_size} pages and holds at
+    most {!Sink.spill_after} bytes of them. Past that it moves them into a
+    temporary file, unlinked as soon as it is open, and writes every later
+    page straight into it. If no such file can be made (no writable
+    temporary directory, no file descriptor left) the pages stay in
+    memory; the output is the same. A failed write to the file is the
+    sink's error. A sink that spilled holds a file descriptor until it is
+    closed ({!run} closes its sink on every path). A bytecode sink holds
+    its one blob. *)
 module Sink : sig
   type t
 
@@ -64,13 +73,29 @@ module Sink : sig
   (** A text sink turns its working buffer into an immutable page each time
       it reaches this many bytes after a push (64 KiB). *)
 
-  val close_pages : t -> (string list, Diag.t) result
-  (** The output as pages, in order: their concatenation is the output. A
-      text sink that was pushed no op gives no page; a bytecode sink gives
-      its one blob. *)
+  val spill_after : int
+  (** The bytes of pages a text sink holds in memory before it moves them
+      into its file (four pages, 256 KiB). *)
+
+  type output
+  (** A closed sink's output: pages in memory, or the file plus the tail
+      left in the buffer. An output that holds a file holds its file
+      descriptor until it is read once, by {!write_output} or {!contents}. *)
+
+  val close_output : t -> (output, Diag.t) result
+  (** The output, handed over. A text sink closes its file on an error.
+      @raise Invalid_argument if a text sink's file was already handed over
+      or discarded. *)
+
+  val write_output : out_channel -> output -> unit
+  (** Write the output to the channel, in page-size blocks, and release its
+      file. *)
+
+  val contents : output -> string
+  (** The output as one string; releases its file. *)
 
   val close : t -> (string, Diag.t) result
-  (** The output as one string (the pages joined). *)
+  (** [close_output], then [contents]. *)
 end
 
 (** Format-erased pull-based parsing: [Ir.Parser.Stream] for text,
@@ -95,9 +120,9 @@ type outcome = {
   parse_failed : bool;  (** the engine's error count rose while draining *)
   verify_failed : bool;
       (** verifier, pipeline or sink diagnostics were emitted *)
-  output : string list option;
-      (** the sink's pages ({!Sink.close_pages}), when a sink was given and
-          no error was added *)
+  output : Sink.output option;
+      (** the sink's output ({!Sink.close_output}), when a sink was given
+          and no error was added *)
 }
 
 val run :
@@ -114,12 +139,16 @@ val run :
     each top-level op as it arrives ([verify]), then emit the held verify
     diagnostics ([Verifier.merge_diags] order) after the parse diagnostics.
     A parse failure drops them. Without [pipeline], each op is pushed to
-    [sink] and released as it arrives, so peak memory is bounded by the
-    largest op. With [pipeline], the ops are kept; after a clean verify
-    the callback runs over them, the diagnostics it returns are emitted
-    and count as a verify failure, and the ops are then pushed to [sink].
-    Output is produced only when no error was added to [engine]; a sink
-    error is emitted and counts as a verify failure. An exception raised
+    [sink] and released as it arrives, so the chunk holds the live values,
+    the largest op and what the sink holds ({!Sink}: at most
+    {!Sink.spill_after} bytes of text). With [pipeline], the ops are kept;
+    after a clean verify the callback runs over them, the diagnostics it
+    returns are emitted and count as a verify failure, and the ops are
+    then pushed to [sink]. Output is produced only when no error was added
+    to [engine], so a chunk prints all of its output or none of it; a sink
+    error is emitted and counts as a verify failure. When no output is
+    handed over, [run] discards the sink, also when an exception escapes,
+    so a failing chunk leaves no file open. An exception raised
     by verifying an op or by [pipeline] (an injected {!Failpoints} fault,
     a bug) is not re-raised: {!Diag.protect_any} turns it into a
     diagnostic (code [injected_fault] for a failpoint), which counts as a

@@ -209,8 +209,8 @@ let run_module ctx config rq =
       (match (r.output, rq.rq_kind) with
       (* Text output gets the final newline [Fmt.pr "%s@."] would add;
          bytecode is the raw blob. *)
-      | Some pages, Print -> String.concat "" (pages @ [ "\n" ])
-      | Some pages, _ -> String.concat "" pages
+      | Some out, Print -> Frontend.Sink.contents out ^ "\n"
+      | Some out, _ -> Frontend.Sink.contents out
       | None, _ -> "");
   }
 

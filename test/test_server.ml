@@ -265,6 +265,29 @@ let handle_classification () =
   check_status "parse skips verification" Server.Ok_
     (Server.handle ctx cfg (req Server.Parse bad_verify_ir))
 
+(* A print request whose output is past the text sink's spill threshold:
+   answered in full when clean; when its last op does not verify, it has
+   no output and leaves no file descriptor open. *)
+let handle_large_print () =
+  let ctx = frozen_cmath_ctx () in
+  let cfg = Server.default_config in
+  let large =
+    String.concat ""
+      (List.init 12_000 (fun i ->
+           Printf.sprintf "%%%d = \"test.source\"() : () -> (i32)\n" i))
+  in
+  let fd_count () = Array.length (Sys.readdir "/proc/self/fd") in
+  let fds = fd_count () in
+  let printed = Server.handle ctx cfg (req Server.Print large) in
+  check_status "large print ok" Server.Ok_ printed;
+  Alcotest.(check string) "large print output" large printed.Server.rs_output;
+  for _ = 1 to 50 do
+    let rs = Server.handle ctx cfg (req Server.Print (large ^ bad_verify_ir)) in
+    check_status "large print fails" Server.Verify_error rs;
+    Alcotest.(check string) "no output" "" rs.Server.rs_output
+  done;
+  Alcotest.(check int) "no file left open" fds (fd_count ())
+
 let handle_budgets () =
   let ctx = frozen_cmath_ctx () in
   let cfg = Server.default_config in
@@ -782,4 +805,5 @@ let suite =
     tc "soak: mixed request storm, all answered" soak;
     tc "soak: concurrent socket clients, answers as serve_fd gives them"
       socket_soak;
+    tc "handle: a large failing print leaks no descriptor" handle_large_print;
   ]

@@ -61,7 +61,7 @@ let driver ~verify ~keep ctx payload =
     Frontend.run ~engine ~verify ~sink:(Frontend.Sink.text ctx) ?pipeline ctx
       payload
   in
-  (r, messages engine, Option.map (String.concat "") r.output, !seen)
+  (r, messages engine, Option.map Frontend.Sink.contents r.output, !seen)
 
 let check_payload ?(verify = true) ~keep ctx name payload =
   let name = name ^ if keep then " (keep ops)" else " (release ops)" in
@@ -414,13 +414,19 @@ module Sink = Irdl_bytecode.Frontend.Sink
 
 let page = Sink.page_size
 
+(* The open file descriptors of this process. *)
+let fd_count () = Array.length (Sys.readdir "/proc/self/fd")
+
 (* A detached op with a string attribute of [n] bytes: its printed length
    grows with [n] one for one. *)
 let padded n =
   Graph.Op.create ~attrs:[ ("s", Attr.string (String.make n 'a')) ] "t.pad"
 
-(* Both ways out of a sink must give exactly [Printer.ops_to_string]. *)
-let check_pages name ?pages ops =
+(* Both ways out of a sink must give exactly [Printer.ops_to_string]:
+   [close], and [close_output] then [write_output] into a file. Neither
+   leaves a file descriptor open. The result says whether the sink had
+   moved its pages into a file before it was closed. *)
+let check_sink name ops =
   let ctx = Context.create () in
   let expect = Printer.ops_to_string ctx ops in
   let sink () =
@@ -428,29 +434,44 @@ let check_pages name ?pages ops =
     List.iter (Sink.push s) ops;
     s
   in
-  let got = Result.get_ok (Sink.close_pages (sink ())) in
-  Alcotest.(check string) (name ^ ": pages") expect (String.concat "" got);
+  let fds = fd_count () in
+  let s = sink () in
+  let spilled = fd_count () > fds in
   Alcotest.(check string)
     (name ^ ": close") expect
-    (Result.get_ok (Sink.close (sink ())));
-  Alcotest.(check bool) (name ^ ": no empty page") true
-    (List.for_all (fun p -> p <> "") got);
-  Option.iter
-    (fun n -> Alcotest.(check int) (name ^ ": page count") n (List.length got))
-    pages;
-  got
+    (Result.get_ok (Sink.close s));
+  let out = Result.get_ok (Sink.close_output (sink ())) in
+  let path = Filename.temp_file "irdl-sink" ".out" in
+  Out_channel.with_open_bin path (fun oc -> Sink.write_output oc out);
+  let written = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  Alcotest.(check string) (name ^ ": write_output") expect written;
+  Alcotest.(check int) (name ^ ": no file left open") fds (fd_count ());
+  spilled
+
+(* Ops whose output is exactly [n] bytes long (n >= 100 * 11 + 9). *)
+let output_of_length n =
+  let ctx = Context.create () in
+  let head = List.init 100 (fun _ -> padded 10) in
+  let len ops = String.length (Printer.ops_to_string ctx ops) in
+  let ops = head @ [ padded (n - len (head @ [ padded 0 ])) ] in
+  Alcotest.(check int) "output length" n (len ops);
+  ops
 
 let paged_sink () =
-  ignore (check_pages "empty module" ~pages:0 []);
-  ignore (check_pages "one op" ~pages:1 [ padded 3 ]);
-  let many =
-    List.init 6_000 (fun i ->
-        Graph.Op.create ~result_tys:[ Attr.i32 ]
-          ~attrs:[ ("v", Attr.int (Int64.of_int i)) ]
-          "t.x")
+  let held name ops =
+    Alcotest.(check bool) (name ^ ": held in memory") false
+      (check_sink name ops)
   in
-  let got = check_pages "more than four pages" many in
-  Alcotest.(check bool) "more than four pages" true (List.length got > 4);
+  held "empty module" [];
+  held "one op" [ padded 3 ];
+  (* Past four pages, they move into a file. *)
+  Alcotest.(check bool) "more than four pages: spilled" true
+    (check_sink "more than four pages"
+       (List.init 6_000 (fun i ->
+            Graph.Op.create ~result_tys:[ Attr.i32 ]
+              ~attrs:[ ("v", Attr.int (Int64.of_int i)) ]
+              "t.x")));
   let big =
     Graph.Op.create
       ~attrs:
@@ -461,20 +482,76 @@ let paged_sink () =
         ]
       "t.big"
   in
-  let got =
-    check_pages "one op longer than a page" [ padded 1; big; padded 2 ]
-  in
   Alcotest.(check bool) "the long op fills a page" true
-    (List.exists (fun p -> String.length p > page) got);
-  (* Pad the last op so that the output ends exactly on the page boundary:
-     the sink then cuts its one page and holds nothing more. *)
-  let ctx = Context.create () in
-  let head = List.init 100 (fun _ -> padded 10) in
-  let len ops = String.length (Printer.ops_to_string ctx ops) in
-  let base = len (head @ [ padded 0 ]) in
-  let ops = head @ [ padded (page - base) ] in
-  Alcotest.(check int) "output is one page long" page (len ops);
-  ignore (check_pages "ends on a page boundary" ~pages:1 ops)
+    (String.length (Printer.op_to_string (Context.create ()) big) > page);
+  held "one op longer than a page" [ padded 1; big; padded 2 ];
+  (* The output ends exactly on the page boundary: the sink cuts its one
+     page and holds nothing more. *)
+  held "ends on a page boundary" (output_of_length page)
+
+(* Around [Sink.spill_after]. [output_of_length] ends on one long op, so
+   the last push cuts the whole output as one page: it moves into a file
+   iff the output is longer than the threshold. *)
+let spilling_sink () =
+  let spill = Sink.spill_after in
+  let check name n expect =
+    Alcotest.(check bool)
+      (name ^ ": spilled") expect
+      (check_sink name (output_of_length n))
+  in
+  check "just below the threshold" (spill - 1) false;
+  check "at the threshold" spill false;
+  check "one byte past the threshold" (spill + 1) true;
+  check "one page past the threshold" (spill + page) true;
+  Alcotest.(check bool) "many pages spill" true
+    (check_sink "many pages"
+       (List.init 60_000 (fun i ->
+            Graph.Op.create ~result_tys:[ Attr.i32 ]
+              ~attrs:[ ("v", Attr.int (Int64.of_int i)) ]
+              "t.x")))
+
+(* About 450 KB of printed output: more than [Sink.spill_after]. *)
+let large_src =
+  String.concat ""
+    (List.init 12_000 (fun i ->
+         Printf.sprintf "%%%d = \"test.source\"() : () -> (i32)\n" i))
+
+(* A chunk that spills and then fails closes its file: the last op does
+   not verify, or an armed [verify:K] failpoint fires on it. *)
+let failing_spill_leaks_nothing () =
+  let ctx = Util.frozen (Util.cmath_ctx ()) in
+  let run src =
+    let engine = Diag.Engine.create () in
+    let r =
+      Frontend.run ~engine ~verify:true ~sink:(Frontend.Sink.text ctx) ctx
+        (Source.classify src)
+    in
+    Alcotest.(check bool) "verify failed" true r.verify_failed;
+    Alcotest.(check bool) "no output" true (r.output = None)
+  in
+  let fds = fd_count () in
+  let clean =
+    let engine = Diag.Engine.create () in
+    Frontend.run ~engine ~verify:true ~sink:(Frontend.Sink.text ctx) ctx
+      (Source.classify large_src)
+  in
+  Alcotest.(check int) "the clean chunk's output holds its file" (fds + 1)
+    (fd_count ());
+  Alcotest.(check int)
+    "the clean chunk prints" (String.length large_src - 1)
+    (String.length (Frontend.Sink.contents (Option.get clean.output)));
+  Alcotest.(check int) "read once, the file is closed" fds (fd_count ());
+  for _ = 1 to 50 do
+    run (large_src ^ bad_verify_src)
+  done;
+  Alcotest.(check int) "invalid last op" fds (fd_count ());
+  Fun.protect ~finally:Failpoints.clear (fun () ->
+      Alcotest.(check bool) "arm" true
+        (Result.is_ok (Failpoints.configure "verify:12000"));
+      for _ = 1 to 50 do
+        run large_src
+      done);
+  Alcotest.(check int) "verify:K failpoint" fds (fd_count ())
 
 let suite =
   [
@@ -501,4 +578,8 @@ let suite =
     Alcotest.test_case "Diag.Sources.drop" `Quick sources_drop;
     Alcotest.test_case "paged sink: pages join to ops_to_string" `Quick
       paged_sink;
+    Alcotest.test_case "spilling sink: output around the threshold" `Quick
+      spilling_sink;
+    Alcotest.test_case "a spilled chunk that fails leaks no descriptor" `Quick
+      failing_spill_leaks_nothing;
   ]
